@@ -10,11 +10,13 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import device as device_mod
+from .constants import TWO_PI
 from .device import (
     DeviceParams,
     REFERENCE_N_ADD_EFF,
@@ -50,8 +52,6 @@ from .spectra import (
     write_trace,
 )
 from .synth import NoiseConfig, generate_spectrum
-
-TWO_PI = 2.0 * math.pi
 
 _REFERENCE_FILE_COMMENTS = {
     "omega_m_hz": "mechanical resonance of the membrane fundamental mode (measured)",
@@ -119,26 +119,8 @@ def cmd_fit(args) -> int:
         result = fit_lorentzian(trace)
     else:
         free = tuple(args.free) if args.free else DEFAULT_FREE
-        fixed = {
-            "kappa": device.cavity.kappa,
-            "kappa_ex": device.cavity.kappa_ex,
-            "gamma_m": device.mech.gamma_m,
-            "delta_tilde": TWO_PI * args.delta_tilde_hz,
-            "beta": device.cavity.beta,
-            "omega_m": device.mech.omega_m,
-        }
-        fixed = {k: v for k, v in fixed.items() if k not in free}
-        if "n_m_T" not in free:
-            fixed["n_m_T"] = args.n_m_t if args.n_m_t is not None else bose_occupancy(
-                args.temperature_k, device.mech.omega_m
-            )
-        if "n_c" not in free:
-            fixed["n_c"] = args.n_c
-        if "n_add_eff" not in free:
-            fixed["n_add_eff"] = args.n_add_eff
-        if "g" not in free:
-            fixed["g"] = coupling_rate(device.coupling, device.mech, args.n_d)
-        result = fit_full_model(trace, fixed, free=free)
+        pinned = asdict(_model_params(args, device, _thermal_from_args(args, device)))
+        result = fit_full_model(trace, {k: v for k, v in pinned.items() if k not in free}, free=free)
     out = _out_dir(args) / "fit.json"
     out.write_text(result.to_json() + "\n", encoding="utf-8")
     print(result.to_json())
@@ -293,12 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--device", help="device parameter file (default: bundled reference)")
     common.add_argument("--out", default=".", help="output directory (default: .)")
-    common.add_argument(
-        "--format",
-        choices=("csv", "json"),
-        default="csv",
-        help="accepted for compatibility; each command always writes its contractual formats",
-    )
     common.add_argument("--seed", type=int, default=0)
 
     thermal = argparse.ArgumentParser(add_help=False)

@@ -9,3 +9,6 @@ HBAR = 1.054571817e-34
 
 # Boltzmann constant (J/K), exact since the 2019 SI redefinition
 K_B = 1.380649e-23
+
+# 2 pi (math.tau): rates are stored in rad/s, files speak Hz
+TWO_PI = 6.283185307179586

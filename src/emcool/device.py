@@ -10,10 +10,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .constants import HBAR, K_B
+from .constants import HBAR, K_B, TWO_PI
 from .errors import DeviceFileError, ParameterError
-
-TWO_PI = 2.0 * math.pi
 
 # Effective added noise of the reference measurement chain, in quanta.
 # This is the measured end-to-end value; the beam-splitter loss model with

@@ -189,6 +189,25 @@ def final_occupancy(state: ThermalState, g: float, kappa: float, gamma_m: float)
     return mech_term + cavity_term
 
 
+def final_occupancy_gradient(state: ThermalState, g: float, kappa: float, gamma_m: float) -> dict[str, float]:
+    """Partial derivatives of `final_occupancy` in n_m_T, n_c, g, kappa and gamma_m.
+
+    With s = 4g^2 and Q = s + kappa Gamma_m:
+    d n_m/d g = 8g [n_m^T Gamma_m (Gamma_m - kappa) + n_c kappa Gamma_m] / Q^2.
+    """
+    s = 4.0 * g * g
+    q = s + kappa * gamma_m
+    per_bath = gamma_m * (s + kappa * kappa) / (kappa * q)  # n_m per n_m^T
+    return {
+        "n_m_T": per_bath,
+        "n_c": s / q,
+        "g": 8.0 * g * (state.n_m_T * gamma_m * (gamma_m - kappa) + state.n_c * kappa * gamma_m) / (q * q),
+        "kappa": state.n_m_T * per_bath * (2.0 * kappa / (s + kappa * kappa) - 1.0 / kappa - gamma_m / q)
+        - state.n_c * s * gamma_m / (q * q),
+        "gamma_m": (state.n_m_T * (s + kappa * kappa) / kappa - state.n_c * kappa) * s / (q * q),
+    }
+
+
 def final_occupancy_2nd_order(
     state: ThermalState, g: float, kappa: float, gamma_m: float, omega_m: float
 ) -> float:

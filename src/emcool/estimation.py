@@ -1,12 +1,19 @@
 """Inverse problems: spectral fits, coupling calibration, cooling-sweep analysis.
 
-Fits go through the damped Gauss-Newton engine in `leastsq`; kappa and
+The full-model fit is separable (variable projection, Golub & Pereyra 1973):
+the spectrum is linear in n_add_eff, n_c and n_m_T, which are solved exactly
+by weighted NNLS for every trial shape; g is profiled on a log scan from
+4g^2/kappa = 1e-3 gamma_m to 10 kappa, and a freed kappa, gamma_m or
+delta_tilde goes to the damped Gauss-Newton engine in `leastsq` on the
+projected model.  An outer IRLS loop refreshes the sigmas model/sqrt(n_avg);
+the covariance is inv(J^T J) in the natural parameters.  kappa and
 delta_tilde stay fixed by default because they are measured independently
 with a probe tone at each drive power, but any subset of
 {g, kappa, delta_tilde, gamma_m, n_m_T, n_c, n_add_eff} may be freed.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -14,6 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .constants import TWO_PI
 from .device import DeviceParams, bose_occupancy, zero_point_motion
 from .dynamics import (
     DriveConfig,
@@ -22,23 +30,30 @@ from .dynamics import (
     coupling_rate,
     drive_power_for_photons,
     final_occupancy,
+    final_occupancy_gradient,
     sideband_rates,
     total_linewidth,
     transmitted_power,
 )
-from .errors import DegenerateFitError, ParameterError, PeakDetectionError, UnitError
-from .leastsq import LeastSquaresResult, fit_weighted
+from .errors import ParameterError, UnitError
+from .leastsq import (
+    LeastSquaresResult,
+    _check_degenerate,
+    _covariance,
+    _sigma_from_model,
+    fit_weighted,
+)
 from .limits import imprecision_from_chain
 from .spectra import (
     ModelParams,
     SpectrumTrace,
     SpectrumUnit,
+    _pole_margin,
     _trapezoid,
+    output_noise_basis,
     output_noise_values,
     peak_area,
 )
-
-TWO_PI = 2.0 * math.pi
 
 FULL_MODEL_PARAMS = (
     "g",
@@ -56,7 +71,6 @@ FREEABLE_PARAMS = frozenset(
     {"g", "kappa", "delta_tilde", "gamma_m", "n_m_T", "n_c", "n_add_eff"}
 )
 DEFAULT_FREE = ("n_m_T", "n_c", "g", "n_add_eff")
-_LINEAR_PARAMS = frozenset({"delta_tilde"})  # everything else is positive -> log scale
 
 
 @dataclass(frozen=True)
@@ -151,95 +165,56 @@ def fit_lorentzian(trace: SpectrumTrace, n_avg: float | None = None) -> FitResul
 
 # --- full output-spectrum fit ----------------------------------------------
 
-def _initial_full_model_guesses(
-    trace: SpectrumTrace, fixed: Mapping[str, float], free: Sequence[str]
-) -> list[dict[str, float]]:
-    """Heuristic starting points for the free parameters of the full model.
+_AMPLITUDES = ("n_add_eff", "n_c", "n_m_T")  # the model is linear in these
+_BASIS_ARGS = ("g", "kappa", "kappa_ex", "gamma_m", "delta_tilde", "beta")  # of output_noise_basis
+_SUPPORTS = [np.array(list(itertools.product((False, True), repeat=k)), dtype=bool) for k in range(4)]
+# couplings solved together: 4 rows of 4096 bins keep each temporary within
+# the 128 KiB above which glibc malloc maps fresh pages for every array
+_SCAN_BLOCK = 4
 
-    Returns two readings of the spectrum: the excess attributed to the
-    mechanical sideband (weak/moderate drive) and to cavity thermal noise
-    (high drive, where the kappa-wide hump dominates).
+
+def _nnls(gram: np.ndarray, rhs: np.ndarray, yy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched non-negative least squares from the normal equations.
+
+    gram (m, k, k), rhs (m, k), yy (m,) the weighted data norm.  Every
+    support is solved by Cramer's rule, embedded in a k x k system with
+    identity off the support; each amplitude in a support must buy more than
+    1e-12 yy of cost, so one that is zero within rounding comes out exactly
+    zero.  Returns the amplitudes (m, k) and the costs (m,).
     """
-    vals = trace.values
-    freq = trace.freq_hz
-    kappa = fixed.get("kappa")
-    gamma_m = fixed.get("gamma_m")
-    beta = fixed.get("beta")
-    kappa_ex = fixed.get("kappa_ex")
-
-    if kappa is None:
-        # a freed kappa still has to exceed the (fixed) external coupling
-        kappa = 1.5 * kappa_ex if kappa_ex is not None else TWO_PI * 1e5
-    floor0 = float(np.median(vals))
-    base: dict[str, float] = {
-        "n_add_eff": max(floor0 - 0.5, 1e-3),
-        "n_c": 1e-2,
-        "delta_tilde": 0.0,
-        "kappa": kappa,
-        "gamma_m": gamma_m if gamma_m is not None else TWO_PI * 10.0,
-    }
-    kappa_eff = base["kappa"]
-    gamma_m_eff = base["gamma_m"]
-    beta_eff = beta if beta is not None else 0.5
-    kex_eff = kappa_ex if kappa_ex is not None else 0.5 * kappa_eff
-
-    g0 = 0.5 * math.sqrt(kappa_eff * gamma_m_eff)
-    n_m_T0 = 1.0
-    height = 0.0
-    try:
-        summary = peak_area(trace)
-        split = _two_peak_separation_hz(freq, vals - summary.floor, summary.sigma_floor)
-        if split is not None:
-            g0 = math.pi * split  # normal modes separated by ~2g
-        else:
-            gamma_opt0 = max(TWO_PI * summary.fwhm_hz - gamma_m_eff, 1e-3 * gamma_m_eff)
-            g0 = 0.5 * math.sqrt(kappa_eff * gamma_opt0)
-        gamma_opt0 = 4.0 * g0 * g0 / kappa_eff
-        denom = beta_eff * (kex_eff / kappa_eff) * gamma_opt0 * gamma_m_eff
-        if denom > 0.0:
-            n_m_T0 = max(summary.area * TWO_PI * (gamma_m_eff + gamma_opt0) / denom, 1e-3)
-        height = max(float(np.max(vals)) - summary.floor, 0.0)
-    except PeakDetectionError:
-        pass
-
-    mech_reading = dict(base, g=g0, n_m_T=n_m_T0)
-    # cavity reading: hump height ~ 4 beta (kappa_ex/kappa) n_c near g -> 0
-    n_c0 = max(height * kappa_eff / (4.0 * beta_eff * kex_eff), 1e-2)
-    cavity_reading = dict(base, g=g0, n_m_T=1.0, n_c=n_c0)
-    return [mech_reading, cavity_reading]
+    k = rhs.shape[1]
+    masks = _SUPPORTS[k]
+    systems = np.where(masks[:, :, None] & masks[:, None, :], gram[:, None], np.eye(k) * ~masks[:, :, None])
+    sub_rhs = np.where(masks, rhs[:, None], 0.0)
+    mats = np.repeat(systems[:, :, None], k + 1, axis=2)
+    for i in range(k):
+        mats[:, :, i + 1, :, i] = sub_rhs
+    with np.errstate(all="ignore"):
+        dets = np.linalg.det(mats)
+        sol = dets[..., 1:] / dets[..., :1]
+        gain = np.sum(sol * sub_rhs, axis=-1)
+        feasible = np.isfinite(gain) & np.all(sol >= 0.0, axis=-1)
+        score = np.where(feasible, gain - 1e-12 * np.abs(yy)[:, None] * masks.sum(axis=1), -np.inf)
+    best = np.argmax(score, axis=1)
+    rows = np.arange(rhs.shape[0])
+    return sol[rows, best], 0.5 * (yy - gain[rows, best])
 
 
-def _two_peak_separation_hz(
-    freq: np.ndarray, excess: np.ndarray, sigma_floor: float
-) -> float | None:
-    """Separation of two resolved normal-mode maxima, or None for one peak.
-
-    Works on a boxcar-smoothed trace so periodogram noise cannot mimic a
-    splitting; both maxima must clear half the global maximum and 6 smoothed
-    noise sigmas, with a genuine valley between them.
-    """
-    n = excess.size
-    win = max(3, n // 200)
-    smooth = np.convolve(excess, np.ones(win) / win, mode="same")
-    peak = float(np.max(smooth))
-    if peak <= 0.0:
-        return None
-    threshold = max(0.5 * peak, 6.0 * sigma_floor / math.sqrt(win))
-    idx = [
-        i
-        for i in range(1, n - 1)
-        if smooth[i] >= smooth[i - 1] and smooth[i] > smooth[i + 1] and smooth[i] > threshold
-    ]
-    if len(idx) < 2:
-        return None
-    # two strongest candidates, in frequency order
-    lo, hi = sorted(sorted(idx, key=lambda i: -smooth[i])[:2])
-    if hi - lo < 2 * win:
-        return None
-    valley = float(np.min(smooth[lo : hi + 1]))
-    if valley > 0.6 * min(smooth[lo], smooth[hi]):
-        return None
-    return float(freq[hi] - freq[lo])
+def _profile_g(cost, log_g: np.ndarray, step_costs: list) -> float:
+    """Coupling minimizing cost(g): scan the log-spaced nodes, then rescan
+    8 nodes between the best node's neighbours until they are 1e-5 apart."""
+    best, g_best = math.inf, math.exp(log_g[0])
+    while True:
+        g = np.exp(log_g)
+        costs = np.concatenate([cost(g[i : i + _SCAN_BLOCK]) for i in range(0, g.size, _SCAN_BLOCK)])
+        i = int(np.argmin(costs))
+        if costs[i] < best:
+            if math.isfinite(best):
+                step_costs.append((best, float(costs[i])))
+            best, g_best = float(costs[i]), float(g[i])
+        if log_g[1] - log_g[0] < 1e-5:
+            return g_best
+        log_g = np.linspace(log_g[max(i - 1, 0)], log_g[min(i + 1, log_g.size - 1)], 8)
 
 
 def fit_full_model(
@@ -253,8 +228,11 @@ def fit_full_model(
 
     `fixed` holds the pinned parameter values; `free` (default
     {n_m_T, n_c, g, n_add_eff}) are estimated.  Together they must cover the
-    full parameter set of the model.  Results flagged `at_bound` had a
-    positive parameter collapse against zero.
+    full parameter set of the model.  Free amplitudes are solved exactly, a
+    free g is profiled, and freed kappa, gamma_m or delta_tilde go to
+    `fit_weighted` starting from `init` (else 1.5 kappa_ex, 2 pi 10 Hz, 0).
+    `at_bound` names the amplitudes held at zero by their non-negativity
+    constraint and a g at or past an end of its scan.
     """
     if trace.unit is not SpectrumUnit.QUANTA:
         raise UnitError(f"full-model fit needs a quanta trace, got {trace.unit.value}")
@@ -271,64 +249,113 @@ def fit_full_model(
     missing = set(FULL_MODEL_PARAMS) - covered
     if missing:
         raise ParameterError(f"model parameters neither fixed nor free: {sorted(missing)}")
-
-    delta = TWO_PI * trace.freq_hz - fixed["omega_m"]
-    guesses = _initial_full_model_guesses(trace, fixed, free)
-    log_scale = [name not in _LINEAR_PARAMS for name in free]
-    kappa_scale = float(fixed.get("kappa", guesses[0]["kappa"]))
-    scales = [kappa_scale if name == "delta_tilde" else 1.0 for name in free]
-    fixed_values = {k: float(v) for k, v in fixed.items()}
-
-    def model(p: np.ndarray) -> np.ndarray:
-        kwargs = dict(fixed_values)
-        kwargs.update(zip(free, p))
-        return output_noise_values(delta, ModelParams(**kwargs))
-
     if n_avg is None:
         n_avg = float(trace.meta.get("n_avg", 1))
+    if n_avg < 1.0:
+        raise ParameterError(f"n_avg must be >= 1, got {n_avg!r}")
 
-    # The cost surface has spurious basins (e.g. the mechanical line
-    # collapsing below the bin width with g -> 0), so the fit is restarted
-    # from several deterministic guesses; the lowest cost under common
-    # data-derived weights wins, with informed starts listed first.
-    candidates: list[dict[str, float]] = []
-    if init:
-        for base in guesses:
-            candidates.append({**base, **init})
-    candidates.extend(dict(base) for base in guesses)
-    for factor in (4.0, 0.25):
-        scaled = dict(guesses[0])
-        scaled["g"] = guesses[0]["g"] * factor
-        candidates.append(scaled)
+    delta = TWO_PI * trace.freq_hz - fixed["omega_m"]
+    data = trace.values
+    amps = tuple(name for name in free if name in _AMPLITUDES)
+    shapes = tuple(name for name in free if name not in _AMPLITUDES)
+    values = {"kappa": 1.5 * fixed["kappa_ex"], "gamma_m": TWO_PI * 10.0, "delta_tilde": 0.0,
+              **{k: v for k, v in (init or {}).items() if k in shapes}, **fixed}
+    # normal equations = coef (weighted Gram matrix of 1, A, B, data) coef^T:
+    # one row per free amplitude, then data minus the fixed part of the model
+    k = len(amps)
+    coef = np.zeros((k + 1, 4))
+    coef[-1] = [-0.5, 0.0, 0.0, 1.0]
+    for j, name in enumerate(_AMPLITUDES):
+        if name in amps:
+            coef[amps.index(name), j] = 1.0
+        else:
+            coef[-1, j] -= values[name]
 
-    # cross-candidate comparison under common, data-derived weights
-    sigma_ref = np.maximum(np.abs(trace.values), 1e-300) / math.sqrt(n_avg)
+    def solve(vals: Mapping[str, float], g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exact amplitudes (m, k) and costs (m,) under the weights 1/sigma^2, per coupling in g."""
+        w = sigma**-2
+        weighted = np.stack([w, w * data], axis=1)
+        cav, mech = output_noise_basis(delta, g[:, None], *(vals[name] for name in _BASIS_ARGS[1:]))
+        gram = np.empty((g.size, 4, 4))
+        gram[:, 0, 0], gram[:, 0, 3] = weighted.sum(axis=0)
+        gram[:, 3, 0], gram[:, 3, 3] = gram[:, 0, 3], weighted[:, 1] @ data
+        gram[:, 1, ::3] = gram[:, ::3, 1] = cav @ weighted
+        gram[:, 2, ::3] = gram[:, ::3, 2] = mech @ weighted
+        gram[:, 1, 1] = np.einsum("ij,ij->i", cav * w, cav)
+        gram[:, 1, 2] = gram[:, 2, 1] = np.einsum("ij,ij->i", cav * w, mech)
+        gram[:, 2, 2] = np.einsum("ij,ij->i", mech * w, mech)
+        normal = coef @ gram @ coef.T
+        return _nnls(normal[:, :k, :k], normal[:, :k, k], normal[:, k, k])
 
-    best: LeastSquaresResult | None = None
-    best_score: tuple[bool, float] | None = None
-    first_error: Exception | None = None
-    seen: set[tuple[float, ...]] = set()
-    for cand in candidates:
-        p0 = np.array([cand[name] for name in free], dtype=float)
-        key = tuple(p0)
-        if key in seen:
-            continue
-        seen.add(key)
-        try:
-            res = fit_weighted(
-                model, trace.values, p0, log_scale, free, n_avg=n_avg, scales=scales
-            )
-        except DegenerateFitError as exc:
-            if first_error is None:
-                first_error = exc
-            continue
-        ref_resid = (trace.values - res.model) / sigma_ref
-        score = (res.converged, -0.5 * float(ref_resid @ ref_resid))
-        if best_score is None or score > best_score:
-            best, best_score = res, score
-    if best is None:
-        raise first_error if first_error is not None else ParameterError("no viable start")
-    return _wrap_result(best, free)
+    def solved(vals: dict) -> ModelParams:
+        """Solve the free amplitudes into `vals` at its shape; the full parameter set."""
+        vals.update(zip(amps, solve(vals, np.array([vals["g"]]))[0][0].tolist()))
+        return ModelParams(**vals)
+
+    def profile_cost(g: np.ndarray) -> np.ndarray:
+        shape = (values["kappa"], values["gamma_m"], values["delta_tilde"])
+        return np.where([_pole_margin(gi, *shape) > 0.0 for gi in g], solve(values, g)[1], np.inf)
+
+    if "g" in free:  # 16 nodes per decade of g, from optical damping 4g^2/kappa = 1e-3 gamma_m to g = 10 kappa
+        lo = math.log10(0.5 * math.sqrt(1e-3 * values["kappa"] * values["gamma_m"]))
+        hi = math.log10(10.0 * values["kappa"])
+        grid = nodes = np.log(np.logspace(lo, hi, int(math.ceil(16.0 * (hi - lo))) + 1))
+    step_costs: list[tuple[float, float]] = []
+    sigma = _sigma_from_model(data, n_avg)
+    for passes in range(1, 5):  # IRLS: refresh the weights from the fitted model
+        if "g" in free:
+            values["g"] = _profile_g(profile_cost, grid, step_costs)
+            # later passes rescan one node spacing either side of this optimum
+            grid = math.log(values["g"]) + (nodes[1] - nodes[0]) * np.linspace(-1.0, 1.0, 8)
+        model = output_noise_values(delta, solved(values))
+        sigma, previous = _sigma_from_model(model, n_avg), sigma
+        if np.max(np.abs(sigma - previous) / previous) < 1e-3:
+            break
+    res = None
+    if set(shapes) - {"g"}:  # Gauss-Newton over the shape parameters of the projected model
+        res = fit_weighted(
+            lambda p: output_noise_values(delta, solved({**values, **dict(zip(shapes, p))})),
+            data,
+            [values[name] for name in shapes],
+            [name != "delta_tilde" for name in shapes],
+            shapes,
+            n_avg=n_avg,
+            scales=[values["kappa"] if name == "delta_tilde" else 1.0 for name in shapes],
+        )
+        values.update(zip(shapes, res.params.tolist()))
+        model = output_noise_values(delta, solved(values))
+        sigma = _sigma_from_model(model, n_avg)
+
+    # Jacobian in the natural parameters: the amplitude columns are the
+    # basis, shape columns its complex-step derivatives (exact to rounding)
+    cav, mech = output_noise_basis(delta, *(values[name] for name in _BASIS_ARGS))
+    columns = {"n_add_eff": np.ones_like(delta), "n_c": cav, "n_m_T": mech}
+    for name in shapes:
+        stepped = {**values, name: values[name] + 1e-20j}
+        cav, mech = output_noise_basis(delta, *(stepped[arg] for arg in _BASIS_ARGS))
+        columns[name] = (values["n_c"] * cav + values["n_m_T"] * mech).imag / 1e-20
+    jac = np.column_stack([columns[name] for name in free]) / sigma[:, None]
+    _check_degenerate(jac[:, [free.index(name) for name in amps]], amps)
+    converged = res is None or res.converged
+    covariance, sigmas, note = _covariance(jac, np.ones(len(free))) if converged else (None, None, "")
+    flagged = {name for name in amps if values[name] == 0.0}
+    if res is not None:
+        flagged |= {name for name, hit in zip(shapes, res.at_bound) if hit}
+    if "g" in free and not math.exp(nodes[0]) < values["g"] < math.exp(nodes[-1]):
+        flagged.add("g")
+    resid = (data - model) / sigma
+    return FitResult(
+        params={name: values[name] for name in free},
+        sigmas=None if sigmas is None else dict(zip(free, sigmas.tolist())),
+        residual_rms=math.sqrt(float(resid @ resid) / data.size),
+        converged=converged,
+        n_iter=len(step_costs) + (res.n_iter if res else 0),
+        param_names=free,
+        covariance=covariance,
+        at_bound=tuple(name for name in free if name in flagged),
+        step_costs=tuple(step_costs) + (tuple(res.step_costs) if res else ()),
+        message=f"separable fit: {passes} IRLS passes" + (f"; {res.message}" if res else "") + note,
+    )
 
 
 # --- temperature-sweep calibration of G ------------------------------------
@@ -582,26 +609,6 @@ class CoolingCurve:
         return json.dumps(payload, indent=indent)
 
 
-def _propagated_sigma(
-    fit: FitResult, func, base: Mapping[str, float]
-) -> float:
-    """Delta-method sigma of func(params) over the fitted free parameters."""
-    if fit.covariance is None:
-        return math.nan
-    names = fit.param_names
-    grad = np.zeros(len(names))
-    for i, name in enumerate(names):
-        p = fit.params[name]
-        h = max(1e-6 * abs(p), 1e-12)
-        hi = dict(base)
-        lo = dict(base)
-        hi[name] = p + h
-        lo[name] = p - h
-        grad[i] = (func(hi) - func(lo)) / (2.0 * h)
-    var = float(grad @ fit.covariance @ grad)
-    return math.sqrt(var) if var > 0.0 else 0.0
-
-
 def analyze_cooling_sweep(
     sweep: Sequence[tuple[float, SpectrumTrace]],
     device: DeviceParams,
@@ -618,34 +625,23 @@ def analyze_cooling_sweep(
     trace window cannot resolve the cavity mode, and g is pinned to the
     calibrated sqrt(n_d) value when the predicted radiation-pressure
     broadening is below 10% of gamma_m (only the product g^2 n_m_T is
-    measurable there).  Non-converged points are excluded with a diagnostic;
-    the rest of the curve is still returned.
+    measurable there).  A point whose fit raises, does not converge, or
+    whose derived quantities fail is excluded with a diagnostic; the rest
+    of the curve is still returned.  n_m_sigma propagates the fit
+    covariance through the analytic gradient of `final_occupancy`.
     """
     cavity, mech = device.cavity, device.mech
-    fixed_base = {
-        "kappa": cavity.kappa,
-        "kappa_ex": cavity.kappa_ex,
-        "gamma_m": mech.gamma_m,
-        "delta_tilde": 0.0,
-        "beta": cavity.beta,
-        "omega_m": mech.omega_m,
-    }
-    fixed = {k: v for k, v in fixed_base.items() if k not in set(free)}
-    if "n_m_T" not in set(free):
-        fixed.setdefault("n_m_T", thermal.n_m_T)
-    if "n_c" not in set(free):
-        fixed.setdefault("n_c", thermal.n_c)
+    # device values and thermal occupancies: pinned, or the start when freed
+    pinned = asdict(ModelParams.for_device(device, g=0.0, n_m_T=thermal.n_m_T, n_c=thermal.n_c))
+    del pinned["g"], pinned["n_add_eff"]
+    fixed = {k: v for k, v in pinned.items() if k not in free}
+    init = {k: v for k, v in pinned.items() if k in free}
 
     entries = sorted(sweep, key=lambda item: item[0])
     points: list[SweepPoint] = []
     excluded: list[tuple[float, str]] = []
     for n_d, trace in entries:
         g_pred = coupling_rate(device.coupling, mech, n_d)
-        init = None
-        if n_d > 0:
-            init = {"g": g_pred}
-            if "n_m_T" in set(free):
-                init["n_m_T"] = thermal.n_m_T
         point_free = tuple(free)
         point_fixed = dict(fixed)
         # n_c rides on the kappa-wide cavity mode; a window that does not
@@ -662,52 +658,38 @@ def analyze_cooling_sweep(
             point_free = tuple(name for name in point_free if name != "g")
             point_fixed["g"] = g_pred
             g_was_fitted = False
-        try:
+        try:  # per-point failures must not kill the sweep
             fit = fit_full_model(trace, point_fixed, free=point_free, init=init)
-        except Exception as exc:  # per-point failures must not kill the sweep
-            excluded.append((n_d, f"{type(exc).__name__}: {exc}"))
-            continue
-        if not fit.converged:
-            excluded.append((n_d, f"fit did not converge: {fit.message}"))
-            continue
-
-        full = dict(point_fixed)
-        full.update(fit.params)
-        g_fit = full["g"]
-        _, _, gamma_opt = sideband_rates(g_fit, full["kappa"], -mech.omega_m, mech.omega_m)
-        gamma_total = total_linewidth(full["gamma_m"], gamma_opt)
-
-        def cooled(values: Mapping[str, float], _full=full) -> float:
-            merged = dict(_full)
-            merged.update(values)
-            state = ThermalState(n_m_T=max(merged["n_m_T"], 0.0), n_c=max(merged["n_c"], 0.0))
-            return final_occupancy(state, merged["g"], merged["kappa"], merged["gamma_m"])
-
-        n_m = cooled(fit.params)
-        n_m_sigma = _propagated_sigma(fit, cooled, fit.params)
-        n_c_sigma = (
-            fit.sigmas.get("n_c", math.nan) if fit.sigmas is not None else math.nan
-        )
-        n_imp = imprecision_from_chain(
-            g_fit, full["kappa"], full["kappa_ex"], full["gamma_m"], full["beta"], full["n_add_eff"]
-        )
-        g_dev = (g_fit - g_pred) / g_pred if (g_was_fitted and g_pred > 0.0) else math.nan
-
-        points.append(
-            SweepPoint(
-                point=CoolingPoint(
-                    n_d=n_d,
-                    g=g_fit,
-                    gamma_opt=gamma_opt,
-                    gamma_total=gamma_total,
-                    n_m=n_m,
-                    n_c=max(full["n_c"], 0.0),
-                ),
-                n_m_sigma=n_m_sigma,
-                n_c_sigma=n_c_sigma,
-                n_imp=n_imp,
-                g_rel_deviation=g_dev,
-                fit=fit,
+            if not fit.converged:
+                excluded.append((n_d, f"fit did not converge: {fit.message}"))
+                continue
+            full = dict(point_fixed)
+            full.update(fit.params)
+            g_fit, kappa, gamma_m = full["g"], full["kappa"], full["gamma_m"]
+            _, _, gamma_opt = sideband_rates(g_fit, kappa, -mech.omega_m, mech.omega_m)
+            state = ThermalState(n_m_T=full["n_m_T"], n_c=full["n_c"])
+            grad = final_occupancy_gradient(state, g_fit, kappa, gamma_m)
+            vec = np.array([grad.get(name, 0.0) for name in fit.param_names])  # delta method
+            n_m_sigma = math.nan if fit.covariance is None else math.sqrt(max(vec @ fit.covariance @ vec, 0.0))
+            points.append(
+                SweepPoint(
+                    point=CoolingPoint(
+                        n_d=n_d,
+                        g=g_fit,
+                        gamma_opt=gamma_opt,
+                        gamma_total=total_linewidth(gamma_m, gamma_opt),
+                        n_m=final_occupancy(state, g_fit, kappa, gamma_m),
+                        n_c=full["n_c"],
+                    ),
+                    n_m_sigma=n_m_sigma,
+                    n_c_sigma=fit.sigmas.get("n_c", math.nan) if fit.sigmas is not None else math.nan,
+                    n_imp=imprecision_from_chain(
+                        g_fit, kappa, full["kappa_ex"], gamma_m, full["beta"], full["n_add_eff"]
+                    ),
+                    g_rel_deviation=(g_fit - g_pred) / g_pred if g_was_fitted and g_pred > 0.0 else math.nan,
+                    fit=fit,
+                )
             )
-        )
+        except Exception as exc:
+            excluded.append((n_d, f"{type(exc).__name__}: {exc}"))
     return CoolingCurve(points=tuple(points), excluded=tuple(excluded))

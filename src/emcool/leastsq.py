@@ -147,6 +147,24 @@ def _check_degenerate(jac: np.ndarray, names: Sequence[str]) -> None:
                 raise DegenerateFitError((names[i], names[j]))
 
 
+def _covariance(jac: np.ndarray, scale: np.ndarray):
+    """inv(J^T J) (pseudo-inverse, noted, if singular) times outer(scale, scale),
+    and its sigmas; both None unless every sigma is finite."""
+    gram = jac.T @ jac
+    note = ""
+    try:
+        cov = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        cov = np.linalg.pinv(gram, rcond=1e-12)
+        note = "; covariance from pseudo-inverse (near-degenerate)"
+    cov = cov * np.outer(scale, scale)
+    with np.errstate(invalid="ignore"):
+        sigmas = np.sqrt(np.diag(cov))
+    if not np.all(np.isfinite(sigmas)):
+        return None, None, note
+    return cov, sigmas, note
+
+
 def fit_weighted(
     model_fn: Callable[[np.ndarray], np.ndarray],
     data: np.ndarray,
@@ -271,18 +289,8 @@ def fit_weighted(
     sigmas = covariance = None
     if converged:
         jac = _jacobian(model_fn, p, log_scale, lin_scale, sigma, model)
-        gram = jac.T @ jac
-        try:
-            cov_u = np.linalg.inv(gram)
-        except np.linalg.LinAlgError:
-            cov_u = np.linalg.pinv(gram, rcond=1e-12)
-            message += "; covariance from pseudo-inverse (near-degenerate)"
-        scale_vec = np.where(log_scale, p, lin_scale)
-        covariance = cov_u * np.outer(scale_vec, scale_vec)
-        with np.errstate(invalid="ignore"):
-            sigmas = np.sqrt(np.diag(covariance))
-        if not np.all(np.isfinite(sigmas)):
-            sigmas = covariance = None
+        covariance, sigmas, note = _covariance(jac, np.where(log_scale, p, lin_scale))
+        message += note
 
     # a log parameter that fell six decades below its start is pinned
     # against the positivity bound for any realistic initialization

@@ -16,12 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import HBAR
+from .constants import HBAR, TWO_PI
 from .device import DeviceParams, MechanicalMode, zero_point_motion
 from .dynamics import DriveConfig
 from .errors import ParameterError, ParametricInstabilityError, PeakDetectionError, UnitError
-
-TWO_PI = 2.0 * math.pi
 
 # numpy renamed trapz -> trapezoid in 2.0
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -222,6 +220,21 @@ def output_noise_values(delta, params: ModelParams) -> np.ndarray:
         + 4.0 * params.gamma_m * params.n_m_T * g2
     )
     return noise_floor(params) + numer / np.abs(denom) ** 2
+
+
+def output_noise_basis(delta, g, kappa: float, kappa_ex: float, gamma_m: float,
+                       delta_tilde: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Terms A, B of S/(hbar omega) = 1/2 + n_add' + n_c A + n_m^T B (`output_noise_values`).
+
+    `g` may broadcast against `delta` (shape (m, 1): a row per coupling);
+    complex parameters give complex-step derivatives.  No stability check.
+    """
+    delta = np.asarray(delta, dtype=float)
+    shifted = delta + delta_tilde
+    re = 4.0 * np.square(g) + kappa * gamma_m - 4.0 * delta * shifted
+    im = 2.0 * (kappa * delta + gamma_m * shifted)
+    scale = 4.0 * beta * kappa_ex / (re * re + im * im)
+    return scale * (kappa * (gamma_m * gamma_m + 4.0 * delta * delta)), scale * (4.0 * gamma_m * np.square(g))
 
 
 def output_noise_spectrum(freq_hz, params: ModelParams, meta: dict | None = None) -> SpectrumTrace:

@@ -76,6 +76,16 @@ class TestFit:
         assert payload["converged"] is True
         assert payload["params"]["n_m_T"] == pytest.approx(40.0, rel=0.2)
 
+    def test_readme_example_recovers_g(self, device, tmp_path):
+        # the README flow at its defaults once returned g ~ 3.6e30 with zero sigmas
+        assert run(["simulate", "--n-d", 4000, "--seed", 0, "--out", tmp_path]) == 0
+        assert run(["fit", tmp_path / "trace.csv", "--out", tmp_path]) == 0
+        payload = json.loads((tmp_path / "fit.json").read_text())
+        g_true = em.coupling_rate(device.coupling, device.mech, 4000.0)
+        assert 0.5 <= payload["params"]["g"] / g_true <= 2.0
+        sigma_g = payload["sigmas"]["g"]
+        assert math.isfinite(sigma_g) and sigma_g > 0.0
+
     def test_lorentzian_model_option(self, device, tmp_path):
         gamma_total = 0.0
         assert run(["simulate", "--n-d", 600, "--n-m-t", 40, "--n-avg", 20000,

@@ -130,6 +130,30 @@ class TestFinalOccupancy:
             assert em.final_occupancy(thermal, g, kappa, gm) >= thermal.n_c
 
 
+class TestFinalOccupancyGradient:
+    @pytest.mark.parametrize("g_over_kappa", [1e-4, 0.01, 0.3, 1.0, 5.0])
+    @pytest.mark.parametrize("n_c", [0.0, 0.3])
+    def test_matches_central_difference(self, device, g_over_kappa, n_c):
+        kappa, gm = device.cavity.kappa, device.mech.gamma_m
+        args = {"n_m_T": 39.0, "n_c": n_c, "g": g_over_kappa * kappa, "kappa": kappa, "gamma_m": gm}
+
+        def occupancy(a):
+            return em.final_occupancy(
+                em.ThermalState(a["n_m_T"], a["n_c"]), a["g"], a["kappa"], a["gamma_m"]
+            )
+
+        grad = em.dynamics.final_occupancy_gradient(
+            em.ThermalState(39.0, n_c), args["g"], kappa, gm
+        )
+        assert set(grad) == set(args)
+        for name, value in args.items():
+            h = 1e-5 * max(abs(value), 1.0)
+            # occupancies may sit at zero; n_m is linear in them
+            lo = value if name in ("n_m_T", "n_c") else value - h
+            fd = (occupancy({**args, name: value + h}) - occupancy({**args, name: lo})) / (value + h - lo)
+            assert grad[name] == pytest.approx(fd, rel=1e-6, abs=1e-12), name
+
+
 class TestFinalOccupancySecondOrder:
     def test_correction_small_at_reference(self, device):
         kappa, gm, om = device.cavity.kappa, device.mech.gamma_m, device.mech.omega_m

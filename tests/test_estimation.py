@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -5,9 +6,10 @@ import numpy as np
 import pytest
 
 import emcool as em
+from emcool import estimation
 from emcool.constants import HBAR
 from emcool.errors import DegenerateFitError, ParameterError, PeakDetectionError, UnitError
-from emcool.estimation import DEFAULT_FREE, lorentzian_model
+from emcool.estimation import DEFAULT_FREE, _nnls, lorentzian_model
 from emcool.synth import periodogram_factors
 
 from conftest import gamma_total_at, model_params, output_trace
@@ -228,6 +230,45 @@ class TestFitFullModel:
         assert "n_m_T" in fit.at_bound
         assert fit.params["n_m_T"] < 1e-7
 
+    def test_at_bound_flags_unidentified_g(self, device, fixed_model):
+        # flat trace, default free set: both amplitudes that carry g sit at
+        # zero, so g has no effect and ends at an end of its scan
+        center = device.mech.omega_m / TWO_PI
+        freq = np.linspace(center - 5e4, center + 5e4, 512)
+        trace = em.SpectrumTrace(freq, np.full(512, 2.6), em.SpectrumUnit.QUANTA, {})
+        fit = em.fit_full_model(trace, fixed_model)
+        assert fit.params["n_m_T"] == fit.params["n_c"] == 0.0
+        assert set(fit.at_bound) == {"n_m_T", "n_c", "g"}
+
+    def test_nnls_matches_support_enumeration(self):
+        # normal-equation NNLS against lstsq on the design matrix of each support
+        rng = np.random.default_rng(5)
+        x = np.linspace(-1.0, 1.0, 200)
+        design = np.stack([np.ones_like(x), 1.0 / (1.0 + 4.0 * x * x), np.exp(-50.0 * x * x)], axis=1)
+        for _ in range(20):
+            truth = rng.normal(size=3)
+            data = design @ truth + 0.05 * rng.normal(size=x.size)
+            weights = rng.uniform(0.5, 2.0, size=x.size)
+            wd = design * weights[:, None]
+            amps, cost = _nnls(
+                (wd.T @ design)[None], (wd.T @ data)[None], np.array([data @ (weights * data)])
+            )
+            best = (0.5 * float(data @ (weights * data)), np.zeros(3))
+            for mask in itertools.product((False, True), repeat=3):
+                cols = np.flatnonzero(mask)
+                if not cols.size:
+                    continue
+                root_w = np.sqrt(weights)
+                sol = np.linalg.lstsq(design[:, cols] * root_w[:, None], data * root_w, rcond=None)[0]
+                if np.all(sol >= 0.0):
+                    resid = (data - design[:, cols] @ sol) * root_w
+                    if 0.5 * float(resid @ resid) < best[0]:
+                        full = np.zeros(3)
+                        full[cols] = sol
+                        best = (0.5 * float(resid @ resid), full)
+            np.testing.assert_allclose(amps[0], best[1], rtol=1e-8, atol=1e-10)
+            assert cost[0] == pytest.approx(best[0], rel=1e-10)
+
 
 def calibration_trace(device, temperature, n_d, seed, n_avg=5000, points=512, noiseless=False):
     """Detected thermal spectrum in W/Hz at one cryostat temperature."""
@@ -442,6 +483,39 @@ class TestAnalyzeCoolingSweep:
         assert len(curve.points) == 2
         assert len(curve.excluded) == 1
         assert "UnitError" in curve.excluded[0][1]
+
+    def test_strong_drive_default_grid_does_not_raise(self, device):
+        # default grid, n_avg=500: the fit once drove g to ~1e-17 and the
+        # sigma propagation then raised out of the sweep
+        thermal = em.ThermalState.from_temperature(0.020, device.mech)
+        params = model_params(device, 1e5, n_m_T=thermal.n_m_T, n_add_eff=em.REFERENCE_N_ADD_EFF)
+        trace = em.generate_spectrum(params, em.NoiseConfig(n_avg=500, seed=100000))
+        curve = em.analyze_cooling_sweep([(1e5, trace)], device, thermal)
+        assert len(curve.points) + len(curve.excluded) == 1
+
+    def test_failure_after_fit_is_excluded(self, device, monkeypatch):
+        entries = cooling_sweep_entries(device, SWEEP_SPECS[:2])
+
+        def broken(*args):
+            raise ParameterError("imprecision unavailable")
+
+        monkeypatch.setattr(estimation, "imprecision_from_chain", broken)
+        curve = em.analyze_cooling_sweep(entries, device, em.ThermalState(39.0, 0.0))
+        assert curve.points == ()
+        assert [reason for _, reason in curve.excluded] == [
+            "ParameterError: imprecision unavailable"
+        ] * 2
+
+    def test_point_without_cavity_noise_gets_sigma(self, device):
+        # n_d = 100 with n_c = 0 on a 600 kHz window: once a NaN n_m_sigma
+        trace, params = output_trace(device, 100.0, n_m_T=39.0, n_c=0.0, seed=2**20)
+        curve = em.analyze_cooling_sweep([(100.0, trace)], device, em.ThermalState(39.0, 0.0))
+        (sp,) = curve.points
+        assert math.isfinite(sp.n_m_sigma) and sp.n_m_sigma > 0.0
+        truth = em.final_occupancy(
+            em.ThermalState(39.0, 0.0), params.g, device.cavity.kappa, device.mech.gamma_m
+        )
+        assert abs(sp.point.n_m - truth) <= 5.0 * sp.n_m_sigma
 
     def test_duplicate_drive_rejected(self, device):
         entries = cooling_sweep_entries(device, [(100, 0.0), (100, 0.0)])

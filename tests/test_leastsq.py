@@ -67,11 +67,13 @@ class TestOracleEquivalence:
         # weighted SSE under the fit's final (frozen) weights
         sigma = np.maximum(np.abs(res.model), 1e-300) / math.sqrt(n_avg)
 
-        def objective(candidates):
+        def objective(candidates, block=2048):
+            # one broadcast model evaluation per block of candidates
             out = np.empty(candidates.shape[0])
-            for i, p in enumerate(candidates):
-                r = (data - model(p)) / sigma
-                out[i] = 0.5 * float(r @ r)
+            for start in range(0, candidates.shape[0], block):
+                p = candidates[start : start + block, :, None]
+                r = (data - lorentzian_model(freq, p[:, 0], p[:, 1], p[:, 2], floor)) / sigma
+                out[start : start + block] = 0.5 * np.einsum("ij,ij->i", r, r)
             return out
 
         half_widths = np.array([2 * truth[1], 0.5 * truth[1], 0.3 * truth[2]])

@@ -197,6 +197,62 @@ class TestOutputNoiseSpectrum:
         assert trace.meta["center_hz"] == pytest.approx(device.mech.omega_m / TWO_PI)
 
 
+BASIS_CASES = [
+    # (n_d, n_m_T, n_c, n_add_eff, delta_tilde in units of kappa)
+    (0.0, 40.0, 0.3, 2.1, 0.0),
+    (100.0, 39.0, 0.0, 2.1, 0.0),
+    (4000.0, 40.0, 0.3, 0.0, 0.0),
+    (2e5, 40.0, 0.3, 2.1, 0.0),
+    (1e6, 5.0, 1.0, 0.7, 0.05),
+]
+
+
+class TestSeparableBasis:
+    @pytest.mark.parametrize("n_d,n_m_T,n_c,n_add_eff,dt", BASIS_CASES)
+    def test_basis_reproduces_output_noise(self, device, n_d, n_m_T, n_c, n_add_eff, dt):
+        params = model_params(device, n_d, n_m_T=n_m_T, n_c=n_c, n_add_eff=n_add_eff,
+                              delta_tilde=dt * device.cavity.kappa)
+        delta = np.linspace(-3 * device.cavity.kappa, 3 * device.cavity.kappa, 4096)
+        cav, mech = em.spectra.output_noise_basis(
+            delta, params.g, params.kappa, params.kappa_ex, params.gamma_m,
+            params.delta_tilde, params.beta,
+        )
+        separable = 0.5 + n_add_eff + n_c * cav + n_m_T * mech
+        np.testing.assert_allclose(separable, em.output_noise_values(delta, params), rtol=1e-12)
+
+    def test_basis_rows_per_coupling(self, device):
+        params = model_params(device, 4000.0)
+        delta = np.linspace(-1e6, 1e6, 257)
+        gs = np.array([0.0, 1e3, params.g, 1e6])
+        args = (params.kappa, params.kappa_ex, params.gamma_m, params.delta_tilde, params.beta)
+        cav, mech = em.spectra.output_noise_basis(delta, gs[:, None], *args)
+        assert cav.shape == mech.shape == (4, 257)
+        for row, g in enumerate(gs):
+            cav_g, mech_g = em.spectra.output_noise_basis(delta, g, *args)
+            np.testing.assert_array_equal(cav[row], cav_g)
+            np.testing.assert_array_equal(mech[row], mech_g)
+        assert not np.any(mech[0])
+
+    @pytest.mark.parametrize("n_d,n_m_T,n_c,n_add_eff,dt", BASIS_CASES[1:])
+    def test_complex_step_matches_central_difference(self, device, n_d, n_m_T, n_c, n_add_eff, dt):
+        # the fits differentiate the basis by complex steps in its shape parameters
+        params = model_params(device, n_d, n_m_T=n_m_T, n_c=n_c, n_add_eff=n_add_eff,
+                              delta_tilde=dt * device.cavity.kappa)
+        delta = np.linspace(-3 * device.cavity.kappa, 3 * device.cavity.kappa, 2048)
+        names = ("g", "kappa", "kappa_ex", "gamma_m", "delta_tilde", "beta")
+        args = {name: getattr(params, name) for name in names}
+
+        def spectrum(**changed):
+            cav, mech = em.spectra.output_noise_basis(delta, **{**args, **changed})
+            return n_c * cav + n_m_T * mech
+
+        for name in ("g", "kappa", "gamma_m", "delta_tilde"):
+            exact = spectrum(**{name: args[name] + 1e-20j}).imag / 1e-20
+            h = 1e-5 * (args[name] if name != "delta_tilde" else params.kappa)
+            fd = (spectrum(**{name: args[name] + h}) - spectrum(**{name: args[name] - h})) / (2 * h)
+            np.testing.assert_allclose(exact, fd, rtol=0, atol=1e-6 * np.max(np.abs(fd)), err_msg=name)
+
+
 class TestWeakCouplingSpectrum:
     def test_matches_exact_model(self, device):
         kappa = device.cavity.kappa
