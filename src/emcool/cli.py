@@ -275,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--device", help="device parameter file (default: bundled reference)")
     common.add_argument("--out", default=".", help="output directory (default: .)")
-    common.add_argument("--seed", type=int, default=0)
 
     thermal = argparse.ArgumentParser(add_help=False)
     thermal.add_argument("--temperature-k", type=float, default=0.020)
@@ -284,6 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     thermal.add_argument("--n-add-eff", type=float, default=REFERENCE_N_ADD_EFF)
 
     p = sub.add_parser("simulate", parents=[common, thermal], help="write a model or synthetic trace")
+    p.add_argument("--seed", type=int, default=0, help="noise seed")
     p.add_argument("--n-d", type=float, default=4000.0)
     p.add_argument("--delta-tilde-hz", type=float, default=0.0)
     p.add_argument("--points", type=int, default=4096)

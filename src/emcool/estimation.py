@@ -48,8 +48,9 @@ from .spectra import (
     ModelParams,
     SpectrumTrace,
     SpectrumUnit,
-    _pole_margin,
+    _pole_margins,
     _trapezoid,
+    _basis_factors,
     output_noise_basis,
     output_noise_values,
     peak_area,
@@ -167,10 +168,51 @@ def fit_lorentzian(trace: SpectrumTrace, n_avg: float | None = None) -> FitResul
 
 _AMPLITUDES = ("n_add_eff", "n_c", "n_m_T")  # the model is linear in these
 _BASIS_ARGS = ("g", "kappa", "kappa_ex", "gamma_m", "delta_tilde", "beta")  # of output_noise_basis
-_SUPPORTS = [np.array(list(itertools.product((False, True), repeat=k)), dtype=bool) for k in range(4)]
-# couplings solved together: 4 rows of 4096 bins keep each temporary within
-# the 128 KiB above which glibc malloc maps fresh pages for every array
-_SCAN_BLOCK = 4
+# couplings solved together: on a 2-core Xeon the solve takes 17-29 us per
+# coupling at 16 rows of 4096 bins against 44-53 us at 4 rows (best of 30),
+# and no less at 32 or 64 rows, whose larger s only raises the peak memory
+_SCAN_BLOCK = 16
+
+
+def _supports(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every support of k amplitudes: masks (2^k, k), their sizes, and the
+    indices into [gram (k*k), rhs (k), 0, 1] that build Cramer's k + 1
+    matrices per support, (k, k, 2^k, k + 1): the system, embedded with
+    identity off the support, then that system with column i replaced by
+    the support's right-hand side."""
+    masks = list(itertools.product((False, True), repeat=k))
+    zero, one = k * k + k, k * k + k + 1
+
+    def entry(mask, c, r, j):  # of row r, column j of Cramer matrix c
+        if c == j + 1:
+            return k * k + r if mask[r] else zero
+        if mask[r] and mask[j]:
+            return r * k + j
+        return one if r == j else zero
+
+    index = [[[[entry(mask, c, r, j) for c in range(k + 1)] for mask in masks] for j in range(k)] for r in range(k)]
+    return (np.array(masks, dtype=bool).reshape(2**k, k), np.array([sum(mask) for mask in masks]),
+            np.array(index, dtype=np.intp).reshape(k, k, 2**k, k + 1))
+
+
+_SUPPORTS = [_supports(k) for k in range(4)]
+# where each Gram entry of 1, A, B, d sits in the row `_Pass.gram` builds:
+# the sums of w, w d and w d^2, then s @ lin, then s^2 @ quad
+_GRAM_ENTRY = np.array([[0, 3, 4, 1], [3, 7, 8, 5], [4, 8, 9, 6], [1, 5, 6, 2]])
+
+
+def _det(mats: np.ndarray) -> np.ndarray:
+    """Determinants of k x k matrices stacked along the trailing axes of
+    mats (k, k, ...), k <= 3, by cofactor expansion."""
+    k = len(mats)
+    if k == 0:
+        return np.ones(mats.shape[2:])
+    if k == 1:
+        return mats[0, 0]
+    if k == 2:
+        return mats[0, 0] * mats[1, 1] - mats[0, 1] * mats[1, 0]
+    (a, b, c), (d, e, f), (g, h, i) = mats
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def _nnls(gram: np.ndarray, rhs: np.ndarray, yy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,31 +224,88 @@ def _nnls(gram: np.ndarray, rhs: np.ndarray, yy: np.ndarray) -> tuple[np.ndarray
     1e-12 yy of cost, so one that is zero within rounding comes out exactly
     zero.  Returns the amplitudes (m, k) and the costs (m,).
     """
-    k = rhs.shape[1]
-    masks = _SUPPORTS[k]
-    systems = np.where(masks[:, :, None] & masks[:, None, :], gram[:, None], np.eye(k) * ~masks[:, :, None])
-    sub_rhs = np.where(masks, rhs[:, None], 0.0)
-    mats = np.repeat(systems[:, :, None], k + 1, axis=2)
-    for i in range(k):
-        mats[:, :, i + 1, :, i] = sub_rhs
+    m, k = rhs.shape
+    masks, sizes, index = _SUPPORTS[k]
+    flat = np.concatenate([gram.reshape(m, k * k), rhs, np.zeros((m, 1)), np.ones((m, 1))], axis=1).T
+    sub_rhs = np.where(masks[:, :, None], rhs.T, 0.0)  # (2^k, k, m), like every array below
     with np.errstate(all="ignore"):
-        dets = np.linalg.det(mats)
-        sol = dets[..., 1:] / dets[..., :1]
-        gain = np.sum(sol * sub_rhs, axis=-1)
-        feasible = np.isfinite(gain) & np.all(sol >= 0.0, axis=-1)
-        score = np.where(feasible, gain - 1e-12 * np.abs(yy)[:, None] * masks.sum(axis=1), -np.inf)
-    best = np.argmax(score, axis=1)
-    rows = np.arange(rhs.shape[0])
-    return sol[rows, best], 0.5 * (yy - gain[rows, best])
+        dets = _det(flat[index])
+        sol = dets[:, 1:] / dets[:, :1]
+        gain = np.sum(sol * sub_rhs, axis=1)
+        feasible = np.isfinite(gain) & np.all(sol >= 0.0, axis=1)
+        score = np.where(feasible, gain - 1e-12 * np.abs(yy) * sizes[:, None], -np.inf)
+    best = np.argmax(score, axis=0)
+    rows = np.arange(m)
+    return sol[best, :, rows], 0.5 * (yy - gain[best, rows])
+
+
+class _Shape:
+    """The g-independent factors of the basis at one shape (kappa, gamma_m,
+    delta_tilde): P, Q^2, K of `spectra._basis_factors`, 4 beta kappa_ex and
+    4 gamma_m, so that A = s K and B = 4 gamma_m g^2 s."""
+
+    def __init__(self, delta: np.ndarray, vals: Mapping[str, float]) -> None:
+        kappa, kappa_ex, gamma_m, delta_tilde, beta = (vals[name] for name in _BASIS_ARGS[1:])
+        self.p, self.q2, self.k = _basis_factors(delta, kappa, gamma_m, delta_tilde)
+        self.numer, self.mech = 4.0 * beta * kappa_ex, 4.0 * gamma_m
+        self.poles = (kappa, gamma_m, delta_tilde)
+
+
+class _Pass:
+    """Normal equations of the free amplitudes at one shape under one set of
+    IRLS weights w; each coupling adds two products over the bins."""
+
+    def __init__(self, shape: _Shape, w: np.ndarray, data: np.ndarray, coef: np.ndarray) -> None:
+        wk, wd = w * shape.k, w * data
+        self.shape, self.coef = shape, coef
+        # with c = 4 gamma_m g^2: s @ lin = sums of w A, w B / c, w A d, w B d / c
+        # and s^2 @ quad = sums of w A^2, w A B / c, w B^2 / c^2
+        self.lin = np.stack([wk, w, wd * shape.k, wd], axis=1)
+        self.quad = np.stack([wk * shape.k, wk, w], axis=1)
+        self.const = (float(np.sum(w)), float(np.sum(wd)), float(wd @ data))
+
+    def gram(self, g: np.ndarray) -> np.ndarray:
+        """Weighted Gram matrices (m, 4, 4) of 1, A, B and the data, per coupling in g."""
+        sh = self.shape
+        s = np.add.outer(4.0 * g * g, sh.p)
+        np.square(s, out=s)
+        s += sh.q2
+        np.divide(sh.numer, s, out=s)
+        lin = s @ self.lin
+        quad = np.square(s, out=s) @ self.quad
+        c = sh.mech * g * g
+        lin[:, 1::2] *= c[:, None]
+        quad[:, 1] *= c
+        quad[:, 2] *= c * c
+        entries = np.empty((g.size, 10))
+        entries[:, :3] = self.const
+        entries[:, 3:7], entries[:, 7:] = lin, quad
+        return entries[:, _GRAM_ENTRY]
+
+    def solve(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exact amplitudes (m, k) and costs (m,) per coupling in g."""
+        k = self.coef.shape[0] - 1
+        normal = self.coef @ self.gram(g) @ self.coef.T
+        return _nnls(normal[:, :k, :k], normal[:, :k, k], normal[:, k, k])
+
+    def cost(self, g: np.ndarray) -> np.ndarray:
+        """Profile cost per coupling in g; inf where the dressed mode is unstable."""
+        costs = np.full(g.size, np.inf)
+        stable = np.flatnonzero(_pole_margins(g, *self.shape.poles) > 0.0)
+        for i in range(0, stable.size, _SCAN_BLOCK):
+            rows = stable[i : i + _SCAN_BLOCK]
+            costs[rows] = self.solve(g[rows])[1]
+        return costs
 
 
 def _profile_g(cost, log_g: np.ndarray, step_costs: list) -> float:
     """Coupling minimizing cost(g): scan the log-spaced nodes, then rescan
-    8 nodes between the best node's neighbours until they are 1e-5 apart."""
+    8 nodes between the best node's neighbours until they are 1e-5 apart;
+    the rescan's two ends are those neighbours, so it costs 6 new nodes."""
     best, g_best = math.inf, math.exp(log_g[0])
+    g = np.exp(log_g)
+    costs = cost(g)
     while True:
-        g = np.exp(log_g)
-        costs = np.concatenate([cost(g[i : i + _SCAN_BLOCK]) for i in range(0, g.size, _SCAN_BLOCK)])
         i = int(np.argmin(costs))
         if costs[i] < best:
             if math.isfinite(best):
@@ -214,7 +313,10 @@ def _profile_g(cost, log_g: np.ndarray, step_costs: list) -> float:
             best, g_best = float(costs[i]), float(g[i])
         if log_g[1] - log_g[0] < 1e-5:
             return g_best
-        log_g = np.linspace(log_g[max(i - 1, 0)], log_g[min(i + 1, log_g.size - 1)], 8)
+        lo, hi = max(i - 1, 0), min(i + 1, log_g.size - 1)
+        log_g = np.linspace(log_g[lo], log_g[hi], 8)
+        g = np.exp(log_g)
+        costs = np.concatenate([costs[lo : lo + 1], cost(g[1:-1]), costs[hi : hi + 1]])
 
 
 def fit_full_model(
@@ -271,30 +373,14 @@ def fit_full_model(
         else:
             coef[-1, j] -= values[name]
 
-    def solve(vals: Mapping[str, float], g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Exact amplitudes (m, k) and costs (m,) under the weights 1/sigma^2, per coupling in g."""
-        w = sigma**-2
-        weighted = np.stack([w, w * data], axis=1)
-        cav, mech = output_noise_basis(delta, g[:, None], *(vals[name] for name in _BASIS_ARGS[1:]))
-        gram = np.empty((g.size, 4, 4))
-        gram[:, 0, 0], gram[:, 0, 3] = weighted.sum(axis=0)
-        gram[:, 3, 0], gram[:, 3, 3] = gram[:, 0, 3], weighted[:, 1] @ data
-        gram[:, 1, ::3] = gram[:, ::3, 1] = cav @ weighted
-        gram[:, 2, ::3] = gram[:, ::3, 2] = mech @ weighted
-        gram[:, 1, 1] = np.einsum("ij,ij->i", cav * w, cav)
-        gram[:, 1, 2] = gram[:, 2, 1] = np.einsum("ij,ij->i", cav * w, mech)
-        gram[:, 2, 2] = np.einsum("ij,ij->i", mech * w, mech)
-        normal = coef @ gram @ coef.T
-        return _nnls(normal[:, :k, :k], normal[:, :k, k], normal[:, k, k])
-
-    def solved(vals: dict) -> ModelParams:
-        """Solve the free amplitudes into `vals` at its shape; the full parameter set."""
-        vals.update(zip(amps, solve(vals, np.array([vals["g"]]))[0][0].tolist()))
+    def solved(vals: dict, normal: _Pass) -> ModelParams:
+        """Solve the free amplitudes into `vals`; the full parameter set."""
+        vals.update(zip(amps, normal.solve(np.array([vals["g"]]))[0][0].tolist()))
         return ModelParams(**vals)
 
-    def profile_cost(g: np.ndarray) -> np.ndarray:
-        shape = (values["kappa"], values["gamma_m"], values["delta_tilde"])
-        return np.where([_pole_margin(gi, *shape) > 0.0 for gi in g], solve(values, g)[1], np.inf)
+    def projected(vals: dict) -> np.ndarray:
+        """Model at the shape in `vals` with the amplitudes solved under the current weights."""
+        return output_noise_values(delta, solved(vals, _Pass(_Shape(delta, vals), sigma**-2, data, coef)))
 
     if "g" in free:  # 16 nodes per decade of g, from optical damping 4g^2/kappa = 1e-3 gamma_m to g = 10 kappa
         lo = math.log10(0.5 * math.sqrt(1e-3 * values["kappa"] * values["gamma_m"]))
@@ -302,19 +388,22 @@ def fit_full_model(
         grid = nodes = np.log(np.logspace(lo, hi, int(math.ceil(16.0 * (hi - lo))) + 1))
     step_costs: list[tuple[float, float]] = []
     sigma = _sigma_from_model(data, n_avg)
+    shape = _Shape(delta, values)  # the IRLS loop moves only g and the weights
     for passes in range(1, 5):  # IRLS: refresh the weights from the fitted model
+        normal = _Pass(shape, sigma**-2, data, coef)
         if "g" in free:
-            values["g"] = _profile_g(profile_cost, grid, step_costs)
+            values["g"] = _profile_g(normal.cost, grid, step_costs)
             # later passes rescan one node spacing either side of this optimum
             grid = math.log(values["g"]) + (nodes[1] - nodes[0]) * np.linspace(-1.0, 1.0, 8)
-        model = output_noise_values(delta, solved(values))
+        model = output_noise_values(delta, solved(values, normal))
         sigma, previous = _sigma_from_model(model, n_avg), sigma
         if np.max(np.abs(sigma - previous) / previous) < 1e-3:
             break
+    del shape, normal  # the per-pass columns are not needed past the loop
     res = None
     if set(shapes) - {"g"}:  # Gauss-Newton over the shape parameters of the projected model
         res = fit_weighted(
-            lambda p: output_noise_values(delta, solved({**values, **dict(zip(shapes, p))})),
+            lambda p: projected({**values, **dict(zip(shapes, p))}),
             data,
             [values[name] for name in shapes],
             [name != "delta_tilde" for name in shapes],
@@ -323,7 +412,7 @@ def fit_full_model(
             scales=[values["kappa"] if name == "delta_tilde" else 1.0 for name in shapes],
         )
         values.update(zip(shapes, res.params.tolist()))
-        model = output_noise_values(delta, solved(values))
+        model = projected(values)
         sigma = _sigma_from_model(model, n_avg)
 
     # Jacobian in the natural parameters: the amplitude columns are the

@@ -179,6 +179,14 @@ def _pole_margin(g: float, kappa: float, gamma_m: float, delta_tilde: float) -> 
     return min(r.imag for r in roots)
 
 
+def _pole_margins(g: np.ndarray, kappa: float, gamma_m: float, delta_tilde: float) -> np.ndarray:
+    """`_pole_margin` for an array of couplings, in the same arithmetic."""
+    a_cpx = kappa + 2j * delta_tilde
+    b = a_cpx + gamma_m
+    disc = np.sqrt(4.0 * (4.0 * g * g + a_cpx * gamma_m) - b * b)
+    return np.minimum(((1j * b + disc) / 4.0).imag, ((1j * b - disc) / 4.0).imag)
+
+
 def _check_stable(g: float, kappa: float, gamma_m: float, delta_tilde: float) -> None:
     if _pole_margin(g, kappa, gamma_m, delta_tilde) <= 0.0:
         raise ParametricInstabilityError(
@@ -229,12 +237,22 @@ def output_noise_basis(delta, g, kappa: float, kappa_ex: float, gamma_m: float,
     `g` may broadcast against `delta` (shape (m, 1): a row per coupling);
     complex parameters give complex-step derivatives.  No stability check.
     """
-    delta = np.asarray(delta, dtype=float)
+    p, q2, k = _basis_factors(np.asarray(delta, dtype=float), kappa, gamma_m, delta_tilde)
+    re = 4.0 * np.square(g) + p
+    scale = 4.0 * beta * kappa_ex / (re * re + q2)
+    return scale * k, scale * (4.0 * gamma_m * np.square(g))
+
+
+def _basis_factors(delta: np.ndarray, kappa: float, gamma_m: float, delta_tilde: float):
+    """The g-independent factors P, Q^2, K of `output_noise_basis`.
+
+    With s = 4 beta kappa_ex / ((4 g^2 + P)^2 + Q^2) the basis is A = s K and
+    B = 4 gamma_m g^2 s, where P = kappa gamma_m - 4 delta (delta + delta_tilde),
+    Q = 2 (kappa delta + gamma_m (delta + delta_tilde)), K = kappa (gamma_m^2 + 4 delta^2).
+    """
     shifted = delta + delta_tilde
-    re = 4.0 * np.square(g) + kappa * gamma_m - 4.0 * delta * shifted
     im = 2.0 * (kappa * delta + gamma_m * shifted)
-    scale = 4.0 * beta * kappa_ex / (re * re + im * im)
-    return scale * (kappa * (gamma_m * gamma_m + 4.0 * delta * delta)), scale * (4.0 * gamma_m * np.square(g))
+    return kappa * gamma_m - 4.0 * delta * shifted, im * im, kappa * (gamma_m * gamma_m + 4.0 * delta * delta)
 
 
 def output_noise_spectrum(freq_hz, params: ModelParams, meta: dict | None = None) -> SpectrumTrace:

@@ -1,9 +1,11 @@
 import math
+from dataclasses import asdict
 
 import pytest
 from hypothesis import settings
 
 import emcool as em
+from emcool.estimation import DEFAULT_FREE
 
 TWO_PI = 2.0 * math.pi
 
@@ -20,14 +22,8 @@ def device():
 @pytest.fixture(scope="session")
 def fixed_model(device):
     """Fixed parameter set for full-model fits (everything but the defaults)."""
-    return {
-        "kappa": device.cavity.kappa,
-        "kappa_ex": device.cavity.kappa_ex,
-        "gamma_m": device.mech.gamma_m,
-        "delta_tilde": 0.0,
-        "beta": device.cavity.beta,
-        "omega_m": device.mech.omega_m,
-    }
+    pinned = asdict(em.ModelParams.for_device(device, g=0.0, n_m_T=0.0))
+    return {k: v for k, v in pinned.items() if k not in DEFAULT_FREE}
 
 
 def model_params(device, n_d, n_m_T=40.0, n_c=0.0, n_add_eff=2.1, delta_tilde=0.0):

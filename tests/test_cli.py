@@ -95,6 +95,16 @@ class TestFit:
         payload = json.loads((tmp_path / "fit.json").read_text())
         assert payload["params"]["center_hz"] == pytest.approx(device.mech.omega_m / TWO_PI, abs=50.0)
 
+    def test_seed_only_on_simulate(self, tmp_path, capsys):
+        # only simulate draws noise, so only simulate takes --seed
+        for out in ("a", "b"):
+            assert run(["simulate", "--n-d", 600, "--seed", 1, "--points", 256, "--out", tmp_path / out]) == 0
+        assert (tmp_path / "a" / "trace.csv").read_bytes() == (tmp_path / "b" / "trace.csv").read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            run(["fit", tmp_path / "a" / "trace.csv", "--seed", 1, "--out", tmp_path])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_missing_trace_exits_2(self, tmp_path):
         assert run(["fit", tmp_path / "nope.csv", "--out", tmp_path]) == 2
 

@@ -9,7 +9,8 @@ import emcool as em
 from emcool import estimation
 from emcool.constants import HBAR
 from emcool.errors import DegenerateFitError, ParameterError, PeakDetectionError, UnitError
-from emcool.estimation import DEFAULT_FREE, _nnls, lorentzian_model
+from emcool.estimation import DEFAULT_FREE, _det, _nnls, _Pass, _profile_g, _Shape, lorentzian_model
+from emcool.spectra import output_noise_basis
 from emcool.synth import periodogram_factors
 
 from conftest import gamma_total_at, model_params, output_trace
@@ -269,6 +270,51 @@ class TestFitFullModel:
             np.testing.assert_allclose(amps[0], best[1], rtol=1e-8, atol=1e-10)
             assert cost[0] == pytest.approx(best[0], rel=1e-10)
 
+
+
+class TestSeparableNormalEquations:
+    def test_gram_matches_explicit_basis(self, device):
+        # per-shape and per-pass columns with two products per block of
+        # couplings against the weighted Gram of 1, A, B, d built directly
+        # from output_noise_basis, including 4 g^2 >> kappa gamma_m
+        rng = np.random.default_rng(7)
+        kappa0, gm0 = device.cavity.kappa, device.mech.gamma_m
+        delta = np.linspace(-3.0 * kappa0, 3.0 * kappa0, 1024)
+        for _ in range(10):
+            vals = {"kappa": kappa0 * rng.uniform(0.3, 3.0), "gamma_m": gm0 * rng.uniform(0.3, 30.0),
+                    "delta_tilde": kappa0 * rng.uniform(-1.0, 1.0), "beta": rng.uniform(0.2, 1.0)}
+            vals["kappa_ex"] = vals["kappa"] * rng.uniform(0.1, 0.9)
+            w = rng.uniform(0.1, 10.0, delta.size)
+            data = rng.uniform(0.5, 50.0, delta.size)
+            lo = 0.5 * math.sqrt(1e-3 * vals["kappa"] * vals["gamma_m"])
+            g = np.exp(rng.uniform(math.log(lo), math.log(10.0 * vals["kappa"]), 7))
+            g = np.append(g, 10.0 * vals["kappa"])  # 4 g^2 = 400 kappa^2
+            gram = _Pass(_Shape(delta, vals), w, data, np.eye(4)).gram(g)
+            cav, mech = output_noise_basis(delta, g[:, None], *(vals[name] for name in estimation._BASIS_ARGS[1:]))
+            design = np.stack(np.broadcast_arrays(1.0, cav, mech, data), axis=-1)
+            explicit = np.einsum("mni,n,mnj->mij", design, w, design)
+            np.testing.assert_allclose(gram, explicit, rtol=1e-10, atol=0.0)
+
+    def test_det_matches_linalg(self):
+        rng = np.random.default_rng(3)
+        for k in range(4):
+            mats = rng.normal(size=(5, 6, k, k))
+            np.testing.assert_allclose(_det(np.moveaxis(mats, (2, 3), (0, 1))), np.linalg.det(mats), rtol=1e-12, atol=1e-12)
+
+    def test_rescans_cost_only_new_nodes(self):
+        # each rescan's ends are the last best node's neighbours, already costed
+        sizes = []
+
+        def cost(g):
+            sizes.append(g.size)
+            return (np.log(g) - 1.234) ** 2
+
+        step_costs = []
+        g_best = _profile_g(cost, np.linspace(0.0, 3.0, 49), step_costs)
+        assert sizes[0] == 49 and len(sizes) > 5
+        assert set(sizes[1:]) == {6}
+        assert math.log(g_best) == pytest.approx(1.234, abs=1e-5)
+        assert all(after < before for before, after in step_costs)
 
 def calibration_trace(device, temperature, n_d, seed, n_avg=5000, points=512, noiseless=False):
     """Detected thermal spectrum in W/Hz at one cryostat temperature."""

@@ -142,6 +142,21 @@ class TestDressedSusceptibility:
             for dt in (0.0, -kappa, 2 * device.mech.omega_m):
                 assert _pole_margin(g, kappa, gm, dt) > 0.0
 
+    def test_pole_margins_match_scalar_sign_for_sign(self, device):
+        # the array test of the g profile against the scalar one; an
+        # anti-damped bare mechanics (gamma_m < 0) is unstable at weak
+        # coupling and stabilised by strong coupling, so the grid crosses
+        from emcool.spectra import _pole_margin, _pole_margins
+
+        kappa, gm = device.cavity.kappa, device.mech.gamma_m
+        g = np.logspace(0.0, math.log10(10.0 * kappa), 200)
+        for gamma_m, dt in ((-gm, 0.0), (-gm, 0.3 * kappa), (-0.2 * kappa, -kappa), (gm, 0.0)):
+            scalar = np.array([_pole_margin(gi, kappa, gamma_m, dt) for gi in g])
+            array = _pole_margins(g, kappa, gamma_m, dt)
+            np.testing.assert_array_equal(np.sign(array), np.sign(scalar))
+            if gamma_m < 0.0:
+                assert scalar[0] < 0.0 < scalar[-1]
+
     def test_instability_error_path(self, device, monkeypatch):
         import emcool.spectra as spectra_mod
 
