@@ -34,7 +34,7 @@ from .dynamics import (
     storage_time,
     total_linewidth,
 )
-from .errors import ParameterError
+from .errors import ParameterError, UnitError
 from .estimation import (
     DEFAULT_FREE,
     FREEABLE_PARAMS,
@@ -147,7 +147,7 @@ def _read_sweep(entries) -> tuple[list, list[str]]:
     for value, trace_path, label in entries:
         try:
             sweep.append((value, read_trace(trace_path)))
-        except OSError as exc:
+        except (OSError, ParameterError, UnitError) as exc:
             skipped.append(f"skipping point {label!r}: {exc}")
     return sweep, skipped
 

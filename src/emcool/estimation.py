@@ -517,8 +517,10 @@ def calibrate_coupling(
     Per-trace sideband areas (raw power units) regress linearly on the Bose
     occupancy at each cryostat temperature; the slope equals the
     detected-power equivalent of the equipartition area x_zp^2(2n+1), which
-    pins G given the drive power reaching the output.  Points more than 5
-    sigma off the line are excluded and the regression repeated.
+    pins G given the drive power reaching the output.  The residual
+    radiation-pressure cooling by the calibration drive, which itself grows
+    with G, is undone in closed form.  Points more than 5 sigma off the line
+    are excluded and the regression repeated.
     """
     if len(sweep) < 4:
         raise ParameterError(f"need at least 4 temperatures, got {len(sweep)}")
@@ -581,21 +583,21 @@ def calibrate_coupling(
     power_out = transmitted_power(power_in, device.cavity, drive.detuning)
     x_zp = zero_point_motion(device.mech)
     kappa = device.cavity.kappa
-    # slope = (G kappa_ex / (kappa omega_m))^2 * P_o * x_zp^2, reduced by the
-    # residual radiation-pressure cooling factor gamma_m/gamma_m'; undo that
-    # factor with a short fixed-point pass (G enters it only through g0)
-    G = (kappa * device.mech.omega_m / device.cavity.kappa_ex) * math.sqrt(
-        slope / (power_out * x_zp * x_zp)
-    )
-    for _ in range(3):
-        g_cal = G * x_zp * math.sqrt(n_d)
-        _, _, gamma_opt_cal = sideband_rates(
-            g_cal, kappa, drive.detuning, device.mech.omega_m
+    # slope = c G^2 * gamma_m / (gamma_m + a G^2): the equipartition area
+    # c G^2 with c = (kappa_ex / (kappa omega_m))^2 * P_o * x_zp^2, reduced by
+    # the residual radiation-pressure cooling factor, whose optical damping is
+    # r g^2 = a G^2 with g = G x_zp sqrt(n_d); solved for G^2 in closed form
+    gamma_m = device.mech.gamma_m
+    c = (device.cavity.kappa_ex / (kappa * device.mech.omega_m)) ** 2 * power_out * x_zp * x_zp
+    _, _, r = sideband_rates(1.0, kappa, drive.detuning, device.mech.omega_m)
+    a = r * x_zp * x_zp * n_d
+    denom = c * gamma_m - a * slope
+    if denom <= 0.0:
+        raise ParameterError(
+            "thermal areas exceed what any coupling gives at this drive: "
+            "the radiation-pressure cooling correction has no solution"
         )
-        cooling_factor = device.mech.gamma_m / (device.mech.gamma_m + gamma_opt_cal)
-        G = (kappa * device.mech.omega_m / device.cavity.kappa_ex) * math.sqrt(
-            slope / (cooling_factor * power_out * x_zp * x_zp)
-        )
+    G = math.sqrt(slope * gamma_m / denom)
     G_sigma = G * slope_sigma / (2.0 * slope)
 
     points = tuple(

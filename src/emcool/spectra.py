@@ -576,7 +576,11 @@ def convert_trace(trace: SpectrumTrace, unit: SpectrumUnit, carrier_hz: float) -
 # --- CSV round trip -----------------------------------------------------------
 
 def trace_to_csv(trace: SpectrumTrace) -> str:
-    """Serialize to the trace CSV format (decimal text, 17 significant digits)."""
+    """Serialize to the trace CSV format (decimal text, 17 significant digits).
+
+    The table is formatted by one `%` call on Python floats, which gives the
+    same text as formatting each np.float64 on its own.
+    """
     lines = [f"# unit={trace.unit.value}"]
     for key, value in trace.meta.items():
         if isinstance(value, float):
@@ -584,18 +588,23 @@ def trace_to_csv(trace: SpectrumTrace) -> str:
         else:
             lines.append(f"# {key}={value}")
     lines.append("freq_hz,value")
-    for f, v in zip(trace.freq_hz, trace.values):
-        lines.append(f"{f:.17g},{v:.17g}")
-    return "\n".join(lines) + "\n"
+    table = np.column_stack((trace.freq_hz, trace.values)).ravel().tolist()
+    return "\n".join(lines) + "\n" + ("%.17g,%.17g\n" * trace.freq_hz.size) % tuple(table)
 
 
 def trace_from_csv(text: str, source: str = "<string>") -> SpectrumTrace:
+    """Parse the trace CSV format.
+
+    The preamble (`# key=value` metadata, free-form `#` comments, blank lines
+    and the `freq_hz,value` header) is read line by line; the table below it
+    is parsed by one `np.loadtxt` call.  Every error names `source`, and the
+    line where there is one.
+    """
+    lines = text.splitlines()
     unit: SpectrumUnit | None = None
     meta: dict = {}
-    freqs: list[float] = []
-    vals: list[float] = []
-    saw_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    start = None  # index in `lines` of the first line after the header
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -612,21 +621,53 @@ def trace_from_csv(text: str, source: str = "<string>") -> SpectrumTrace:
             else:
                 meta[key] = _parse_meta_value(value)
             continue
-        if not saw_header:
-            if line.replace(" ", "") != "freq_hz,value":
-                raise ParameterError(f"{source}:{lineno}: expected header 'freq_hz,value'")
-            saw_header = True
-            continue
-        f_str, sep, v_str = line.partition(",")
-        if not sep:
-            raise ParameterError(f"{source}:{lineno}: expected 'freq,value' row")
-        freqs.append(float(f_str))
-        vals.append(float(v_str))
+        if line.replace(" ", "") != "freq_hz,value":
+            raise ParameterError(f"{source}:{lineno}: expected header 'freq_hz,value'")
+        start = lineno
+        break
     if unit is None:
         raise UnitError(f"{source}: missing '# unit=...' line")
-    if not saw_header:
+    if start is None:
         raise ParameterError(f"{source}: missing 'freq_hz,value' header")
-    return SpectrumTrace(freq_hz=np.array(freqs), values=np.array(vals), unit=unit, meta=meta)
+    # loadtxt skips empty lines but reads a whitespace-only one as a row
+    rows = [row for row in lines[start:] if not row.isspace()]
+    if not any(rows):
+        raise ParameterError(f"{source}: no rows below the 'freq_hz,value' header")
+    try:
+        table = np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
+        if table.shape[1] != 2:
+            raise ValueError(f"{table.shape[1]} columns")
+    except ValueError as exc:
+        raise _row_error(lines, start, source, exc) from exc
+    freq, vals = np.ascontiguousarray(table.T)
+    try:
+        return SpectrumTrace(freq_hz=freq, values=vals, unit=unit, meta=meta)
+    except ParameterError as exc:
+        raise ParameterError(f"{source}: {exc}") from exc
+
+
+def _row_error(lines: list[str], start: int, source: str, exc: ValueError) -> ParameterError:
+    """The error for the first table row that is not two numbers.
+
+    Called only after the bulk parse has failed: each row is parsed again on
+    its own by the same parser until the row at fault is found.
+    """
+    for lineno, raw in enumerate(lines[start:], start=start + 1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            return ParameterError(
+                f"{source}:{lineno}: '#' line inside the table; "
+                "metadata must come before the 'freq_hz,value' header"
+            )
+        try:
+            ok = np.loadtxt([raw], delimiter=",", ndmin=2, comments=None).shape == (1, 2)
+        except ValueError:
+            ok = False
+        if not ok:
+            return ParameterError(f"{source}:{lineno}: expected a 'freq,value' row of two numbers, got {line!r}")
+    return ParameterError(f"{source}: {exc}")
 
 
 def _parse_meta_value(value: str):

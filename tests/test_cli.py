@@ -113,6 +113,12 @@ class TestFit:
         empty.write_text("")
         assert run(["fit", empty, "--out", tmp_path]) == 2
 
+    def test_malformed_row_exits_2_naming_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(BAD_NUMBER_TRACE)
+        assert run(["fit", bad, "--out", tmp_path]) == 2
+        assert f"{bad}:3: expected a 'freq,value' row" in capsys.readouterr().err
+
     def test_free_kappa_widens_uncertainty(self, tmp_path):
         assert run(["simulate", "--n-d", 4000, "--n-m-t", 40, "--n-avg", 20000,
                     "--points", 2048, "--halfspan-hz", 600e3, "--out", tmp_path]) == 0
@@ -138,8 +144,8 @@ class TestFit:
 
 
 class TestCalibrateAndSweep:
-    def write_calibration_manifest(self, device, tmp_path, drop_one=False):
-        temps = [0.015 + 0.03 * i for i in range(8)]
+    def write_calibration_manifest(self, device, tmp_path, drop_one=False, n_temps=8, malformed=()):
+        temps = [0.015 + 0.03 * i for i in range(n_temps)]
         entries = []
         for i, T in enumerate(temps):
             trace = calibration_trace(device, T, 3.0, seed=300 + i, n_avg=5000, points=512)
@@ -148,8 +154,22 @@ class TestCalibrateAndSweep:
             entries.append({"label": f"T{i}", "T": T, "trace_path": name})
         if drop_one:
             entries.append({"label": "ghost", "T": 0.3, "trace_path": "missing.csv"})
+        entries += write_malformed(tmp_path, malformed, "T", 0.3)
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps(entries))
+        return manifest
+
+    def write_sweep_manifest(self, device, tmp_path, malformed=()):
+        specs = [(60, 0.0), (600, 0.0), (6000, 0.02), (5e4, 0.28)]
+        entries = cooling_sweep_entries(device, specs)
+        manifest_entries = []
+        for i, (n_d, trace) in enumerate(entries):
+            name = f"sweep_{i}.csv"
+            em.write_trace(trace, tmp_path / name)
+            manifest_entries.append({"label": f"p{i}", "n_d": n_d, "trace_path": name})
+        manifest_entries += write_malformed(tmp_path, malformed, "n_d", 3e3)
+        manifest = tmp_path / "sweep.json"
+        manifest.write_text(json.dumps(manifest_entries))
         return manifest
 
     def test_calibrate(self, device, tmp_path):
@@ -166,15 +186,7 @@ class TestCalibrateAndSweep:
         assert "skipping point" in capsys.readouterr().err
 
     def test_sweep(self, device, tmp_path):
-        specs = [(60, 0.0), (600, 0.0), (6000, 0.02), (5e4, 0.28)]
-        entries = cooling_sweep_entries(device, specs)
-        manifest_entries = []
-        for i, (n_d, trace) in enumerate(entries):
-            name = f"sweep_{i}.csv"
-            em.write_trace(trace, tmp_path / name)
-            manifest_entries.append({"label": f"p{i}", "n_d": n_d, "trace_path": name})
-        manifest = tmp_path / "sweep.json"
-        manifest.write_text(json.dumps(manifest_entries))
+        manifest = self.write_sweep_manifest(device, tmp_path)
         code = run(["sweep", manifest, "--n-m-t", 39, "--out", tmp_path])
         assert code == 0
         lines = (tmp_path / "cooling_curve.csv").read_text().strip().splitlines()
@@ -184,6 +196,44 @@ class TestCalibrateAndSweep:
         assert n_ms[0] > n_ms[1] > n_ms[2]
         payload = json.loads((tmp_path / "cooling_curve.json").read_text())
         assert len(payload["points"]) == 4
+
+    def test_calibrate_skips_malformed_trace(self, device, tmp_path, capsys):
+        manifest = self.write_calibration_manifest(device, tmp_path, malformed=[("bad", BAD_NUMBER_TRACE)])
+        assert run(["calibrate", manifest, "--out", tmp_path]) == 0
+        err = capsys.readouterr().err
+        assert "skipping point 'bad': " in err and "bad.csv:3: expected a 'freq,value' row" in err
+        payload = json.loads((tmp_path / "calibration.json").read_text())
+        assert len(payload["points"]) == 8
+        assert payload["G"] == pytest.approx(device.coupling.G, rel=0.04)
+
+    def test_calibrate_counts_only_readable_traces(self, device, tmp_path, capsys):
+        malformed = [("bad", BAD_NUMBER_TRACE), ("no_unit", "freq_hz,value\n1,2\n")]
+        manifest = self.write_calibration_manifest(device, tmp_path, n_temps=3, malformed=malformed)
+        assert run(["calibrate", manifest, "--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert "skipping point 'bad'" in err and "skipping point 'no_unit'" in err
+        assert "need at least 4 temperatures, got 3" in err
+
+    def test_sweep_skips_malformed_trace(self, device, tmp_path, capsys):
+        manifest = self.write_sweep_manifest(device, tmp_path, malformed=[("bad", BAD_NUMBER_TRACE)])
+        assert run(["sweep", manifest, "--n-m-t", 39, "--out", tmp_path]) == 0
+        err = capsys.readouterr().err
+        assert "skipping point 'bad': " in err and "bad.csv:3: expected a 'freq,value' row" in err
+        payload = json.loads((tmp_path / "cooling_curve.json").read_text())
+        assert len(payload["points"]) == 4
+
+
+# one unreadable number on line 3
+BAD_NUMBER_TRACE = "# unit=quanta\nfreq_hz,value\n1,abc\n" + "".join(f"{i},1\n" for i in range(2, 10))
+
+
+def write_malformed(tmp_path, malformed, key, value):
+    """Write each (label, text) pair to <label>.csv; return its manifest entries."""
+    entries = []
+    for label, text in malformed:
+        (tmp_path / f"{label}.csv").write_text(text)
+        entries.append({"label": label, key: value, "trace_path": f"{label}.csv"})
+    return entries
 
 
 @pytest.fixture(scope="module")

@@ -395,6 +395,50 @@ class TestCalibrateCoupling:
         assert payload["G"] == pytest.approx(result.G)
         assert len(payload["points"]) == 24
 
+    def test_closed_form_matches_fixed_point(self, device, noisy_sweep):
+        drive = em.DriveConfig.red_detuned(device, n_d=3.0)
+        result = em.calibrate_coupling(noisy_sweep, device, drive)
+        assert result.G == pytest.approx(fixed_point_G(result.slope, device, drive, 200), rel=1e-12)
+
+    def test_closed_form_at_non_weak_drive(self, device):
+        # gamma_opt = 2.5 gamma_m at n_d = 100: each fixed-point pass shrinks
+        # the error only by gamma_opt / (gamma_m + gamma_opt) = 0.71
+        temps = [0.015, 0.05, 0.1, 0.15, 0.2, 0.25]
+        sweep = [(T, calibration_trace(device, T, 100.0, 0, noiseless=True)) for T in temps]
+        drive = em.DriveConfig.red_detuned(device, n_d=100.0)
+        result = em.calibrate_coupling(sweep, device, drive)
+        assert result.G == pytest.approx(fixed_point_G(result.slope, device, drive, 200), rel=1e-12)
+        assert result.G == pytest.approx(device.coupling.G, rel=0.01)
+        assert abs(fixed_point_G(result.slope, device, drive, 3) / result.G - 1.0) > 0.01
+
+    def test_no_coupling_explains_slope(self, device, noisy_sweep):
+        # a larger G also cools the mode harder, so at n_d = 3 no G gives an
+        # area slope above (gamma_m + gamma_opt) / gamma_opt = 14.4 times the
+        # slope of these traces
+        sweep = [
+            (T, em.SpectrumTrace(trace.freq_hz, trace.values * 20.0, trace.unit, dict(trace.meta)))
+            for T, trace in noisy_sweep
+        ]
+        drive = em.DriveConfig.red_detuned(device, n_d=3.0)
+        with pytest.raises(ParameterError, match="no solution"):
+            em.calibrate_coupling(sweep, device, drive)
+
+
+def fixed_point_G(slope, device, drive, passes):
+    """G by refreshing the radiation-pressure cooling factor `passes` times,
+    starting from the uncorrected equipartition value."""
+    mech, cavity = device.mech, device.cavity
+    n_d = drive.photons(device)
+    p_in = drive.power_in if drive.power_in is not None else em.drive_power_for_photons(n_d, drive, cavity)
+    p_out = em.transmitted_power(p_in, cavity, drive.detuning)
+    x_zp = em.zero_point_motion(mech)
+    scale = cavity.kappa * mech.omega_m / cavity.kappa_ex
+    G = scale * math.sqrt(slope / (p_out * x_zp * x_zp))
+    for _ in range(passes):
+        _, _, gamma_opt = em.sideband_rates(G * x_zp * math.sqrt(n_d), cavity.kappa, drive.detuning, mech.omega_m)
+        G = scale * math.sqrt(slope * (mech.gamma_m + gamma_opt) / (mech.gamma_m * p_out * x_zp * x_zp))
+    return G
+
 
 def cooling_sweep_entries(device, specs, n_avg=20000):
     """(n_d, trace) pairs; window resolves the line at low power and the

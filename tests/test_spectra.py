@@ -542,6 +542,97 @@ class TestTraceInfrastructure:
             em.convert_trace(trace, em.SpectrumUnit.M2_PER_HZ, 7.54e9)
 
 
+# trace_to_csv text of TestTraceCsv.golden_trace, as the per-row formatter wrote it
+GOLDEN_CSV = (
+    "# unit=quanta\n"
+    "# n_avg=500\n"
+    "# carrier_hz=0.30000000000000004\n"
+    "# device=ref A\n"
+    "freq_hz,value\n"
+    "1,4.9406564584124654e-324\n"
+    "2.5,1e-300\n"
+    "1000,1.0000000000000001e+300\n"
+    "1000000.1,0.10000000000000001\n"
+    "4000000000,0\n"
+    "4000000001,1\n"
+    "5000000000,0.66666666666666663\n"
+    "6.02e+23,123456.789\n"
+)
+
+HEAD = "# unit=quanta\nfreq_hz,value\n"
+ROWS = [f"{1e6 + i:.17g},{1.0 + i:.17g}" for i in range(8)]
+TABLE = "".join(row + "\n" for row in ROWS)
+
+# (text, error, message start); the source is "t.csv"
+MALFORMED = {
+    "unknown unit": ("# unit=parsecs\nfreq_hz,value\n" + TABLE, UnitError, "t.csv:1: unknown unit 'parsecs'"),
+    "missing unit": ("freq_hz,value\n" + TABLE, UnitError, "t.csv: missing '# unit=...' line"),
+    "missing header": ("# unit=quanta\n" + TABLE, ParameterError, "t.csv:2: expected header"),
+    "bare value row": (HEAD + TABLE + "9\n", ParameterError, "t.csv:11: expected a 'freq,value' row"),
+    "bare value table": (HEAD + "".join(f"{i}\n" for i in range(8)), ParameterError,
+                         "t.csv:3: expected a 'freq,value' row"),
+    "bad number": (HEAD + "1,abc\n", ParameterError, "t.csv:3: expected a 'freq,value' row"),
+    "bad number mid-table": (HEAD + TABLE + "2e6,abc\n" + TABLE, ParameterError, "t.csv:11: expected"),
+    "three fields": (HEAD + "1,2,3\n", ParameterError, "t.csv:3: expected a 'freq,value' row"),
+    "three fields mid-table": (HEAD + TABLE + "2e6,1,3\n", ParameterError, "t.csv:11: expected"),
+    "metadata inside table": (HEAD + "\n".join(ROWS[:4]) + "\n# n_avg=500\n" + "\n".join(ROWS[4:]) + "\n",
+                              ParameterError, "t.csv:7: '#' line inside the table"),
+    "header with no rows": (HEAD, ParameterError, "t.csv: no rows below the 'freq_hz,value' header"),
+    "header with blank rows": (HEAD + "\n  \n", ParameterError, "t.csv: no rows below"),
+    "too few rows": (HEAD + "1,2\n", ParameterError, "t.csv: need at least 8 samples"),
+}
+
+ACCEPTED = {
+    "blank lines inside table": HEAD + "\n".join(ROWS[:3]) + "\n\n   \n\t\n" + "\n".join(ROWS[3:]) + "\n\n",
+    "crlf line endings": (HEAD + TABLE).replace("\n", "\r\n"),
+    "no final newline": HEAD + TABLE.rstrip("\n"),
+    "spaces around fields": HEAD + "".join(row.replace(",", " , ") + "\n" for row in ROWS),
+}
+
+
+class TestTraceCsv:
+    @staticmethod
+    def golden_trace():
+        freq = np.array([1.0, 2.5, 1e3, 1e6 + 0.1, 4e9, 4e9 + 1.0, 5e9, 6.02e23])
+        vals = np.array([5e-324, 1e-300, 1e300, 0.1, 0.0, 1.0, 2.0 / 3.0, 123456.789])
+        meta = {"n_avg": 500, "carrier_hz": 0.1 + 0.2, "device": "ref A"}
+        return em.SpectrumTrace(freq, vals, em.SpectrumUnit.QUANTA, meta)
+
+    def test_golden_bytes(self):
+        trace = self.golden_trace()
+        assert trace_to_csv(trace) == GOLDEN_CSV
+        loaded = trace_from_csv(GOLDEN_CSV)
+        assert loaded.freq_hz.tobytes() == trace.freq_hz.tobytes()
+        assert loaded.values.tobytes() == trace.values.tobytes()
+        assert loaded.meta == trace.meta
+
+    def test_round_trip_8192_bins_bit_exact(self, tmp_path):
+        rng = np.random.Generator(np.random.Philox(key=11))
+        freq = 6e6 + np.cumsum(rng.uniform(1.0, 500.0, 8192))
+        vals = 10.0 ** rng.uniform(-30.0, 30.0, 8192) * rng.uniform(1.0, 2.0, 8192)
+        trace = em.SpectrumTrace(freq, vals, em.SpectrumUnit.WATTS_PER_HZ, {"n_avg": 5000})
+        path = tmp_path / "trace.csv"
+        em.write_trace(trace, path)
+        loaded = em.read_trace(path)
+        assert loaded.freq_hz.tobytes() == trace.freq_hz.tobytes()
+        assert loaded.values.tobytes() == trace.values.tobytes()
+        assert loaded.meta == {"n_avg": 5000}
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed(self, case):
+        text, error, start = MALFORMED[case]
+        with pytest.raises(error) as exc:
+            trace_from_csv(text, source="t.csv")
+        assert str(exc.value).startswith(start)
+
+    @pytest.mark.parametrize("case", sorted(ACCEPTED))
+    def test_accepted_layouts(self, case):
+        loaded = trace_from_csv(ACCEPTED[case])
+        assert np.array_equal(loaded.freq_hz, 1e6 + np.arange(8.0))
+        assert np.array_equal(loaded.values, 1.0 + np.arange(8.0))
+        assert loaded.unit is em.SpectrumUnit.QUANTA
+
+
 class TestGrids:
     def test_default_span_capped(self, device):
         grid = em.sideband_grid(device.mech.omega_m, TWO_PI * 1e3, device.cavity.kappa)
