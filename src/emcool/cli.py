@@ -29,10 +29,8 @@ from .dynamics import (
     DriveConfig,
     ThermalState,
     coupling_rate,
-    final_occupancy,
-    sideband_rates,
+    predict_cooling_point,
     storage_time,
-    total_linewidth,
 )
 from .errors import ParameterError, UnitError
 from .estimation import (
@@ -214,29 +212,26 @@ def cmd_report(args) -> int:
     rows = ["n_d,g_hz,gamma_opt_hz,gamma_total_hz,s_x_imp_m2_per_hz,n_imp,n_m"]
     best = None
     for n_d in nd_values:
-        g = coupling_rate(device.coupling, mech, n_d)
-        _, _, gamma_opt = sideband_rates(g, cavity.kappa, -mech.omega_m, mech.omega_m)
-        gamma_total = total_linewidth(mech.gamma_m, gamma_opt)
+        pt = predict_cooling_point(device, thermal, n_d)
         n_imp = imprecision_from_chain(
-            g, cavity.kappa, cavity.kappa_ex, mech.gamma_m, cavity.beta, args.n_add_eff
+            pt.g, cavity.kappa, cavity.kappa_ex, mech.gamma_m, cavity.beta, args.n_add_eff
         )
-        s_x_imp = 8.0 * x_zp * x_zp * n_imp / gamma_total
-        n_m = final_occupancy(thermal, g, cavity.kappa, mech.gamma_m)
+        s_x_imp = 8.0 * x_zp * x_zp * n_imp / pt.gamma_total
         rows.append(
             ",".join(
                 f"{v:.17g}"
                 for v in (
                     n_d,
-                    g / TWO_PI,
-                    gamma_opt / TWO_PI,
-                    gamma_total / TWO_PI,
+                    pt.g / TWO_PI,
+                    pt.gamma_opt / TWO_PI,
+                    pt.gamma_total / TWO_PI,
                     s_x_imp,
                     n_imp,
-                    n_m,
+                    pt.n_m,
                 )
             )
         )
-        n_ba = n_m + 0.5  # conservative bound: all residual occupancy blamed on backaction
+        n_ba = pt.n_m + 0.5  # conservative bound: all residual occupancy blamed on backaction
         product = 4.0 * math.sqrt(n_imp * n_ba)
         if best is None or product < best[0]:
             best = (
@@ -245,7 +240,7 @@ def cmd_report(args) -> int:
                     n_imp=n_imp,
                     n_ba=n_ba,
                     s_x_imp=s_x_imp,
-                    s_f_total=total_force_psd(mech, gamma_total, n_m),
+                    s_f_total=total_force_psd(mech, pt.gamma_total, pt.n_m),
                 ),
                 n_d,
             )

@@ -5,7 +5,8 @@ the spectrum is linear in n_add_eff, n_c and n_m_T, which are solved exactly
 by weighted NNLS for every trial shape; g is profiled on a log scan from
 4g^2/kappa = 1e-3 gamma_m to 10 kappa, and a freed kappa, gamma_m or
 delta_tilde goes to the damped Gauss-Newton engine in `leastsq` on the
-projected model.  An outer IRLS loop refreshes the sigmas model/sqrt(n_avg);
+projected model, whose complex-step Jacobian is the exact variable-projection
+one.  An outer IRLS loop refreshes the sigmas model/sqrt(n_avg);
 the covariance is inv(J^T J) in the natural parameters.  kappa and
 delta_tilde stay fixed by default because they are measured independently
 with a probe tone at each drive power, but any subset of
@@ -37,6 +38,7 @@ from .dynamics import (
 )
 from .errors import ParameterError, UnitError
 from .leastsq import (
+    COMPLEX_STEP,
     LeastSquaresResult,
     _check_degenerate,
     _covariance,
@@ -51,6 +53,7 @@ from .spectra import (
     _pole_margins,
     _trapezoid,
     _basis_factors,
+    _check_stable,
     output_noise_basis,
     output_noise_values,
     peak_area,
@@ -222,7 +225,9 @@ def _nnls(gram: np.ndarray, rhs: np.ndarray, yy: np.ndarray) -> tuple[np.ndarray
     support is solved by Cramer's rule, embedded in a k x k system with
     identity off the support; each amplitude in a support must buy more than
     1e-12 yy of cost, so one that is zero within rounding comes out exactly
-    zero.  Returns the amplitudes (m, k) and the costs (m,).
+    zero.  Returns the amplitudes (m, k) and the costs (m,).  Complex input
+    (a complex step) picks the support and the best score from the real parts
+    only, so the imaginary parts are derivatives on a fixed support.
     """
     m, k = rhs.shape
     masks, sizes, index = _SUPPORTS[k]
@@ -232,8 +237,8 @@ def _nnls(gram: np.ndarray, rhs: np.ndarray, yy: np.ndarray) -> tuple[np.ndarray
         dets = _det(flat[index])
         sol = dets[:, 1:] / dets[:, :1]
         gain = np.sum(sol * sub_rhs, axis=1)
-        feasible = np.isfinite(gain) & np.all(sol >= 0.0, axis=1)
-        score = np.where(feasible, gain - 1e-12 * np.abs(yy) * sizes[:, None], -np.inf)
+        feasible = np.isfinite(gain.real) & np.all(sol.real >= 0.0, axis=1)
+        score = np.where(feasible, gain.real - 1e-12 * np.abs(yy.real) * sizes[:, None], -np.inf)
     best = np.argmax(score, axis=0)
     rows = np.arange(m)
     return sol[best, :, rows], 0.5 * (yy - gain[best, rows])
@@ -277,7 +282,7 @@ class _Pass:
         lin[:, 1::2] *= c[:, None]
         quad[:, 1] *= c
         quad[:, 2] *= c * c
-        entries = np.empty((g.size, 10))
+        entries = np.empty((g.size, 10), dtype=s.dtype)
         entries[:, :3] = self.const
         entries[:, 3:7], entries[:, 7:] = lin, quad
         return entries[:, _GRAM_ENTRY]
@@ -334,7 +339,8 @@ def fit_full_model(
     free g is profiled, and freed kappa, gamma_m or delta_tilde go to
     `fit_weighted` starting from `init` (else 1.5 kappa_ex, 2 pi 10 Hz, 0).
     `at_bound` names the amplitudes held at zero by their non-negativity
-    constraint and a g at or past an end of its scan.
+    constraint, a g at or past an end of its scan and a freed kappa on its
+    kappa >= kappa_ex limit.
     """
     if trace.unit is not SpectrumUnit.QUANTA:
         raise UnitError(f"full-model fit needs a quanta trace, got {trace.unit.value}")
@@ -374,13 +380,18 @@ def fit_full_model(
             coef[-1, j] -= values[name]
 
     def solved(vals: dict, normal: _Pass) -> ModelParams:
-        """Solve the free amplitudes into `vals`; the full parameter set."""
+        """Solve the free amplitudes into `vals`; the full parameter set, at its real parts."""
         vals.update(zip(amps, normal.solve(np.array([vals["g"]]))[0][0].tolist()))
-        return ModelParams(**vals)
+        return ModelParams(**{name: v.real for name, v in vals.items()})
 
     def projected(vals: dict) -> np.ndarray:
-        """Model at the shape in `vals` with the amplitudes solved under the current weights."""
-        return output_noise_values(delta, solved(vals, _Pass(_Shape(delta, vals), sigma**-2, data, coef)))
+        """Model at the shape in `vals` with the amplitudes solved under the
+        current weights; analytic in the shape and g, so a complex step in
+        them gives the exact variable-projection derivative."""
+        real = solved(vals, _Pass(_Shape(delta, vals), sigma**-2, data, coef))
+        _check_stable(real.g, real.kappa, real.gamma_m, real.delta_tilde)
+        cav, mech = output_noise_basis(delta, *(vals[name] for name in _BASIS_ARGS))
+        return 0.5 + vals["n_add_eff"] + vals["n_c"] * cav + vals["n_m_T"] * mech
 
     if "g" in free:  # 16 nodes per decade of g, from optical damping 4g^2/kappa = 1e-3 gamma_m to g = 10 kappa
         lo = math.log10(0.5 * math.sqrt(1e-3 * values["kappa"] * values["gamma_m"]))
@@ -420,9 +431,9 @@ def fit_full_model(
     cav, mech = output_noise_basis(delta, *(values[name] for name in _BASIS_ARGS))
     columns = {"n_add_eff": np.ones_like(delta), "n_c": cav, "n_m_T": mech}
     for name in shapes:
-        stepped = {**values, name: values[name] + 1e-20j}
+        stepped = {**values, name: values[name] + COMPLEX_STEP * 1j}
         cav, mech = output_noise_basis(delta, *(stepped[arg] for arg in _BASIS_ARGS))
-        columns[name] = (values["n_c"] * cav + values["n_m_T"] * mech).imag / 1e-20
+        columns[name] = (values["n_c"] * cav + values["n_m_T"] * mech).imag / COMPLEX_STEP
     jac = np.column_stack([columns[name] for name in free]) / sigma[:, None]
     _check_degenerate(jac[:, [free.index(name) for name in amps]], amps)
     converged = res is None or res.converged
@@ -432,6 +443,8 @@ def fit_full_model(
         flagged |= {name for name, hit in zip(shapes, res.at_bound) if hit}
     if "g" in free and not math.exp(nodes[0]) < values["g"] < math.exp(nodes[-1]):
         flagged.add("g")
+    if "kappa" in free and values["kappa"] <= values["kappa_ex"] * (1.0 + 1e-9):
+        flagged.add("kappa")
     resid = (data - model) / sigma
     return FitResult(
         params={name: values[name] for name in free},
@@ -598,7 +611,8 @@ def calibrate_coupling(
             "the radiation-pressure cooling correction has no solution"
         )
     G = math.sqrt(slope * gamma_m / denom)
-    G_sigma = G * slope_sigma / (2.0 * slope)
+    # d ln G / d ln slope = c gamma_m / (2 denom) = (gamma_m + gamma_opt) / (2 gamma_m)
+    G_sigma = G * slope_sigma * c * gamma_m / (2.0 * slope * denom)
 
     points = tuple(
         CalibrationPoint(

@@ -241,6 +241,42 @@ class TestFitFullModel:
         assert fit.params["n_m_T"] == fit.params["n_c"] == 0.0
         assert set(fit.at_bound) == {"n_m_T", "n_c", "g"}
 
+    def test_freed_kappa_on_its_limit_is_flagged(self, device, fixed_model):
+        # this seed drives the freed kappa onto kappa >= kappa_ex, where the
+        # engine stops at a stationary point and reports convergence
+        trace, _ = output_trace(device, 4000.0, seed=3, n_avg=20000, points=2048)
+        fixed = {k: v for k, v in fixed_model.items() if k != "kappa"}
+        fit = em.fit_full_model(trace, fixed, free=DEFAULT_FREE + ("kappa",))
+        assert fit.params["kappa"] <= device.cavity.kappa_ex * (1.0 + 1e-9)
+        assert "kappa" in fit.at_bound
+
+    def test_nnls_complex_step_keeps_support(self):
+        # a complex step in the normal equations keeps the real solve's
+        # support and differentiates the amplitudes on it
+        rng = np.random.default_rng(11)
+        x = np.linspace(-1.0, 1.0, 200)
+        design = np.stack([np.ones_like(x), 1.0 / (1.0 + 4.0 * x * x), np.exp(-50.0 * x * x)], axis=1)
+        tangent = np.stack([np.zeros_like(x), x * x, -np.exp(-50.0 * x * x) * x * x], axis=1)
+        for _ in range(20):
+            data = design @ rng.normal(size=3) + 0.05 * rng.normal(size=x.size)
+            weights = rng.uniform(0.5, 2.0, size=x.size)
+
+            def normal(t):
+                d = design + t * tangent
+                return ((d.T * weights) @ d)[None], ((d.T * weights) @ data)[None], np.array([data @ (weights * data)])
+
+            (gram, rhs, yy), (d_gram, d_rhs, _) = normal(0.0), normal(1.0)
+            d_gram = (d_gram - gram) - (tangent.T * weights) @ tangent  # the part linear in t
+            d_rhs = d_rhs - rhs
+            amps, cost = _nnls(gram + 1e-20j * d_gram, rhs + 1e-20j * d_rhs, yy)
+            real_amps, real_cost = _nnls(gram, rhs, yy)
+            assert np.array_equal(amps.real == 0.0, real_amps == 0.0)  # same support
+            np.testing.assert_allclose(amps.real, real_amps, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(cost.real, real_cost, rtol=1e-12)
+            hi, lo = (_nnls(*normal(t))[0] for t in (1e-6, -1e-6))
+            np.testing.assert_allclose(amps.imag / 1e-20, (hi - lo) / 2e-6, rtol=1e-5, atol=1e-8)
+            assert np.all(amps.imag[real_amps == 0.0] == 0.0)
+
     def test_nnls_matches_support_enumeration(self):
         # normal-equation NNLS against lstsq on the design matrix of each support
         rng = np.random.default_rng(5)
@@ -410,6 +446,25 @@ class TestCalibrateCoupling:
         assert result.G == pytest.approx(fixed_point_G(result.slope, device, drive, 200), rel=1e-12)
         assert result.G == pytest.approx(device.coupling.G, rel=0.01)
         assert abs(fixed_point_G(result.slope, device, drive, 3) / result.G - 1.0) > 0.01
+
+    def test_G_sigma_follows_cooling_correction(self, device):
+        # at n_d = 100 the drive's own cooling makes G grow as slope^1.74, not
+        # slope^0.5; G_sigma must carry the same d ln G / d ln slope as the
+        # change in G when every trace is rescaled
+        temps = [0.015, 0.05, 0.1, 0.15, 0.2, 0.25]
+        sweep = [(T, calibration_trace(device, T, 100.0, 0, noiseless=True)) for T in temps]
+        drive = em.DriveConfig.red_detuned(device, n_d=100.0)
+        result = em.calibrate_coupling(sweep, device, drive)
+
+        def scaled(factor):
+            traces = [(T, em.SpectrumTrace(t.freq_hz, t.values * factor, t.unit, dict(t.meta))) for T, t in sweep]
+            return em.calibrate_coupling(traces, device, drive)
+
+        hi, lo = scaled(1.0 + 1e-4), scaled(1.0 - 1e-4)
+        measured = math.log(hi.G / lo.G) / math.log(hi.slope / lo.slope)
+        assert measured == pytest.approx(1.743, abs=0.01)
+        reported = (result.G_sigma / result.G) / (result.slope_sigma / result.slope)
+        assert reported == pytest.approx(measured, rel=1e-3)
 
     def test_no_coupling_explains_slope(self, device, noisy_sweep):
         # a larger G also cools the mode harder, so at n_d = 3 no G gives an

@@ -6,7 +6,7 @@ import pytest
 import emcool as em
 from emcool.errors import DegenerateFitError, ParameterError
 from emcool.estimation import lorentzian_model
-from emcool.leastsq import fit_weighted
+from emcool.leastsq import _jacobian, fit_weighted
 from emcool.synth import periodogram_factors
 
 
@@ -167,7 +167,6 @@ class TestOptimizerContracts:
 
         res = fit_weighted(
             model, data, p0=(2.5, 1.0), log_scale=[False, True], names=("floor", "amp"),
-            max_iter=300,
         )
         assert res.params[1] < 1e-8
         assert res.at_bound is not None and bool(res.at_bound[1])
@@ -212,3 +211,35 @@ class TestOptimizerContracts:
         )
         assert res.converged
         np.testing.assert_allclose(res.params, truth, rtol=1e-7)
+
+
+class TestComplexStepJacobian:
+    def test_lorentzian_matches_closed_form(self):
+        freq = np.linspace(-10.0, 10.0, 256)
+        p = np.array([0.3, 2.0, 40.0, 1.5])  # center, fwhm, area, floor
+        log_scale = np.array([False, True, True, False])
+        scale = np.array([2.0, 1.0, 1.0, 0.7])
+        sigma = np.linspace(0.5, 2.0, freq.size)
+        calls = []
+
+        def model(q):
+            calls.append(q.copy())
+            return lorentzian_model(freq, *q)
+
+        jac = _jacobian(model, p, np.where(log_scale, p, scale), sigma)
+        assert len(calls) == p.size  # one model call per column
+
+        # L = floor + h / (1 + x^2) with h = 2 area / (pi fwhm), x = 2 (f - center) / fwhm
+        center, fwhm, area, _ = p
+        x = 2.0 * (freq - center) / fwhm
+        h = 2.0 * area / (math.pi * fwhm)
+        den = 1.0 + x * x
+        d_center = 4.0 * h * x / (fwhm * den * den)
+        d_fwhm = -h / (fwhm * den) + 2.0 * h * x * x / (fwhm * den * den)
+        d_area = h / (area * den)
+        d_floor = np.ones_like(freq)
+        # u = center / scale, log fwhm, log area, floor / scale; r = (data - L) / sigma
+        expected = -np.stack(
+            [d_center * scale[0], d_fwhm * fwhm, d_area * area, d_floor * scale[3]], axis=1
+        ) / sigma[:, None]
+        np.testing.assert_allclose(jac, expected, rtol=1e-12, atol=0.0)
