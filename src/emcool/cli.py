@@ -1,8 +1,8 @@
 """Command-line front end: simulate | fit | calibrate | sweep | report.
 
-Exit codes: 0 success, 2 config/input error, 3 fit non-convergence.  Every
-command is deterministic given its options and seed, and rerunning
-overwrites its outputs identically.
+Exit codes: 0 success, 2 config/input error, 3 fit non-convergence, no
+resolved peak or a degenerate fit.  Every command is deterministic given
+its options and seed, and rerunning overwrites its outputs identically.
 """
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,7 @@ from .dynamics import (
     predict_cooling_point,
     storage_time,
 )
-from .errors import ParameterError, UnitError
+from .errors import DegenerateFitError, ParameterError, PeakDetectionError, UnitError
 from .estimation import (
     DEFAULT_FREE,
     FREEABLE_PARAMS,
@@ -116,9 +115,8 @@ def cmd_fit(args) -> int:
     if args.model == "lorentzian":
         result = fit_lorentzian(trace)
     else:
-        free = tuple(args.free) if args.free else DEFAULT_FREE
-        pinned = asdict(_model_params(args, device, _thermal_from_args(args, device)))
-        result = fit_full_model(trace, {k: v for k, v in pinned.items() if k not in free}, free=free)
+        params = _model_params(args, device, _thermal_from_args(args, device))
+        result = fit_full_model(trace, params, free=tuple(args.free) if args.free else DEFAULT_FREE)
     out = _out_dir(args) / "fit.json"
     out.write_text(result.to_json() + "\n", encoding="utf-8")
     print(result.to_json())
@@ -328,6 +326,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (PeakDetectionError, DegenerateFitError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -7,9 +7,10 @@ by weighted NNLS for every trial shape; g is profiled on a log scan from
 delta_tilde goes to the damped Gauss-Newton engine in `leastsq` on the
 projected model, whose complex-step Jacobian is the exact variable-projection
 one.  An outer IRLS loop refreshes the sigmas model/sqrt(n_avg);
-the covariance is inv(J^T J) in the natural parameters.  kappa and
-delta_tilde stay fixed by default because they are measured independently
-with a probe tone at each drive power, but any subset of
+the covariance is inv(J^T J) in the natural parameters.  One `ModelParams`
+carries the pinned values and the shape starts.  kappa and delta_tilde stay
+fixed by default because they are measured independently with a probe tone
+at each drive power, but any subset of
 {g, kappa, delta_tilde, gamma_m, n_m_T, n_c, n_add_eff} may be freed.
 """
 from __future__ import annotations
@@ -59,18 +60,6 @@ from .spectra import (
     peak_area,
 )
 
-FULL_MODEL_PARAMS = (
-    "g",
-    "kappa",
-    "kappa_ex",
-    "gamma_m",
-    "delta_tilde",
-    "n_m_T",
-    "n_c",
-    "n_add_eff",
-    "beta",
-    "omega_m",
-)
 FREEABLE_PARAMS = frozenset(
     {"g", "kappa", "delta_tilde", "gamma_m", "n_m_T", "n_c", "n_add_eff"}
 )
@@ -326,18 +315,17 @@ def _profile_g(cost, log_g: np.ndarray, step_costs: list) -> float:
 
 def fit_full_model(
     trace: SpectrumTrace,
-    fixed: Mapping[str, float],
+    params: ModelParams,
     free: Sequence[str] = DEFAULT_FREE,
-    init: Mapping[str, float] | None = None,
     n_avg: float | None = None,
 ) -> FitResult:
     """Fit the exact output-spectrum model to a quanta-unit trace.
 
-    `fixed` holds the pinned parameter values; `free` (default
-    {n_m_T, n_c, g, n_add_eff}) are estimated.  Together they must cover the
-    full parameter set of the model.  Free amplitudes are solved exactly, a
-    free g is profiled, and freed kappa, gamma_m or delta_tilde go to
-    `fit_weighted` starting from `init` (else 1.5 kappa_ex, 2 pi 10 Hz, 0).
+    `free` (default {n_m_T, n_c, g, n_add_eff}) are estimated; `params`
+    holds every other value, pinned, and the start of a freed kappa, gamma_m
+    or delta_tilde, which go to `fit_weighted`.  The values it holds for a
+    free amplitude or a free g are not read: free amplitudes are solved
+    exactly and a free g is profiled on its fixed scan.
     `at_bound` names the amplitudes held at zero by their non-negativity
     constraint, a g at or past an end of its scan and a freed kappa on its
     kappa >= kappa_ex limit.
@@ -350,24 +338,16 @@ def fit_full_model(
         raise ParameterError(f"cannot free parameters: {sorted(bad)}")
     if len(set(free)) != len(free):
         raise ParameterError("duplicate names in free")
-    overlap = set(free) & set(fixed)
-    if overlap:
-        raise ParameterError(f"parameters both fixed and free: {sorted(overlap)}")
-    covered = set(free) | set(fixed)
-    missing = set(FULL_MODEL_PARAMS) - covered
-    if missing:
-        raise ParameterError(f"model parameters neither fixed nor free: {sorted(missing)}")
     if n_avg is None:
         n_avg = float(trace.meta.get("n_avg", 1))
     if n_avg < 1.0:
         raise ParameterError(f"n_avg must be >= 1, got {n_avg!r}")
 
-    delta = TWO_PI * trace.freq_hz - fixed["omega_m"]
+    delta = TWO_PI * trace.freq_hz - params.omega_m
     data = trace.values
     amps = tuple(name for name in free if name in _AMPLITUDES)
     shapes = tuple(name for name in free if name not in _AMPLITUDES)
-    values = {"kappa": 1.5 * fixed["kappa_ex"], "gamma_m": TWO_PI * 10.0, "delta_tilde": 0.0,
-              **{k: v for k, v in (init or {}).items() if k in shapes}, **fixed}
+    values = asdict(params)
     # normal equations = coef (weighted Gram matrix of 1, A, B, data) coef^T:
     # one row per free amplitude, then data minus the fixed part of the model
     k = len(amps)
@@ -722,54 +702,52 @@ def analyze_cooling_sweep(
 ) -> CoolingCurve:
     """Fit every drive power of a cooling sweep and assemble the curve.
 
-    Per point: full-model fit (kappa, delta_tilde etc. pinned from the
-    device), cooled occupancy from the fitted bath parameters, imprecision
-    quanta from the fitted chain noise, and the relative deviation of the
-    fitted g from the sqrt(n_d) prediction.  Two per-point identifiability
-    guards adapt the free set: n_c is pinned to the thermal state when the
-    trace window cannot resolve the cavity mode, and g is pinned to the
-    calibrated sqrt(n_d) value when the predicted radiation-pressure
-    broadening is below 10% of gamma_m (only the product g^2 n_m_T is
-    measurable there).  A point whose fit raises, does not converge, or
-    whose derived quantities fail is excluded with a diagnostic; the rest
-    of the curve is still returned.  n_m_sigma propagates the fit
-    covariance through the analytic gradient of `final_occupancy`.
+    Per point: full-model fit of one `ModelParams.for_device` at the
+    calibrated sqrt(n_d) coupling and the thermal occupancies, which pins
+    every parameter not in `free` (kappa, delta_tilde etc. from the device;
+    g to the sqrt(n_d) value), cooled occupancy from the fitted bath
+    parameters, imprecision quanta from the fitted chain noise, and the
+    relative deviation of a fitted g from the sqrt(n_d) prediction.
+    n_add_eff has no device value, so a `free` without it raises
+    ParameterError.  Two per-point identifiability guards drop names from
+    the free set: n_c, pinned to the thermal state, when the trace window
+    cannot resolve the cavity mode, and g, pinned to the sqrt(n_d) value,
+    when the predicted radiation-pressure broadening is below 10% of
+    gamma_m (only the product g^2 n_m_T is measurable there).  A point
+    whose fit raises, does not converge, or whose derived quantities fail
+    is excluded with a diagnostic; the rest of the curve is still returned.
+    n_m_sigma propagates the fit covariance through the analytic gradient
+    of `final_occupancy`.
     """
     cavity, mech = device.cavity, device.mech
-    # device values and thermal occupancies: pinned, or the start when freed
-    pinned = asdict(ModelParams.for_device(device, g=0.0, n_m_T=thermal.n_m_T, n_c=thermal.n_c))
-    del pinned["g"], pinned["n_add_eff"]
-    fixed = {k: v for k, v in pinned.items() if k not in free}
-    init = {k: v for k, v in pinned.items() if k in free}
-
+    free = tuple(free)
+    if "n_add_eff" not in free:
+        raise ParameterError("the sweep has no value to pin n_add_eff to: it must be free")
     entries = sorted(sweep, key=lambda item: item[0])
     points: list[SweepPoint] = []
     excluded: list[tuple[float, str]] = []
     for n_d, trace in entries:
         g_pred = coupling_rate(device.coupling, mech, n_d)
-        point_free = tuple(free)
-        point_fixed = dict(fixed)
+        # device values, thermal occupancies and the sqrt(n_d) coupling:
+        # pinned, or the start when freed
+        point_params = ModelParams.for_device(device, g=g_pred, n_m_T=thermal.n_m_T, n_c=thermal.n_c)
+        point_free = free
         # n_c rides on the kappa-wide cavity mode; a window that does not
         # resolve it leaves n_c degenerate with n_add_eff, so pin it there
         halfspan_rad = math.pi * (trace.freq_hz[-1] - trace.freq_hz[0])
-        if "n_c" in point_free and halfspan_rad < 0.5 * cavity.kappa:
+        if halfspan_rad < 0.5 * cavity.kappa:
             point_free = tuple(name for name in point_free if name != "n_c")
-            point_fixed["n_c"] = thermal.n_c
         # below ~10% linewidth broadening the spectrum only constrains the
         # product g^2 n_m_T; pin g to the calibrated sqrt(n_d) prediction
         _, _, gamma_opt_pred = sideband_rates(g_pred, cavity.kappa, -mech.omega_m, mech.omega_m)
-        g_was_fitted = "g" in point_free
-        if g_was_fitted and gamma_opt_pred < 0.1 * mech.gamma_m:
+        if gamma_opt_pred < 0.1 * mech.gamma_m:
             point_free = tuple(name for name in point_free if name != "g")
-            point_fixed["g"] = g_pred
-            g_was_fitted = False
         try:  # per-point failures must not kill the sweep
-            fit = fit_full_model(trace, point_fixed, free=point_free, init=init)
+            fit = fit_full_model(trace, point_params, free=point_free)
             if not fit.converged:
                 excluded.append((n_d, f"fit did not converge: {fit.message}"))
                 continue
-            full = dict(point_fixed)
-            full.update(fit.params)
+            full = {**asdict(point_params), **fit.params}
             g_fit, kappa, gamma_m = full["g"], full["kappa"], full["gamma_m"]
             _, _, gamma_opt = sideband_rates(g_fit, kappa, -mech.omega_m, mech.omega_m)
             state = ThermalState(n_m_T=full["n_m_T"], n_c=full["n_c"])
@@ -791,7 +769,7 @@ def analyze_cooling_sweep(
                     n_imp=imprecision_from_chain(
                         g_fit, kappa, full["kappa_ex"], gamma_m, full["beta"], full["n_add_eff"]
                     ),
-                    g_rel_deviation=(g_fit - g_pred) / g_pred if g_was_fitted and g_pred > 0.0 else math.nan,
+                    g_rel_deviation=(g_fit - g_pred) / g_pred if "g" in point_free and g_pred > 0.0 else math.nan,
                     fit=fit,
                 )
             )

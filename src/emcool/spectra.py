@@ -375,13 +375,12 @@ class PeakSummary:
     covered_fraction: float
 
 
-def peak_area(trace: SpectrumTrace, floor_estimate: float | None = None) -> PeakSummary:
+def peak_area(trace: SpectrumTrace) -> PeakSummary:
     """Integrate the resonance above the background.
 
-    The floor starts from the median of the outer 20% of bins (unless given
-    explicitly) and is then refined by subtracting the predicted Lorentzian
-    tail level at those bins, so slowly decaying wings do not get absorbed
-    into the background.  The trapezoidal integral over the grid is divided
+    The floor starts from the median of the outer 20% of bins and is then
+    refined by subtracting the predicted Lorentzian tail level at those
+    bins, so slowly decaying wings do not get absorbed into the background.  The trapezoidal integral over the grid is divided
     by the analytic Lorentzian coverage fraction (from the half-max width)
     to correct for truncation at the grid edges.  Raises PeakDetectionError
     when the peak rises less than 3 noise standard deviations above the
@@ -393,7 +392,7 @@ def peak_area(trace: SpectrumTrace, floor_estimate: float | None = None) -> Peak
     n_edge = max(4, n // 10)
     edge_idx = np.concatenate([np.arange(n_edge), np.arange(n - n_edge, n)])
     edge_vals = vals[edge_idx]
-    floor = float(np.median(edge_vals)) if floor_estimate is None else float(floor_estimate)
+    floor = float(np.median(edge_vals))
     # robust noise scale of the background
     sigma_floor = 1.4826 * float(np.median(np.abs(edge_vals - np.median(edge_vals))))
 
@@ -431,21 +430,20 @@ def peak_area(trace: SpectrumTrace, floor_estimate: float | None = None) -> Peak
             f"is {snr:.2f} noise sigmas (need >= 3)"
         )
 
-    if floor_estimate is None:
-        # Refinement passes: subtract the modeled tail level at the edge bins
-        # from the floor estimate, then redo the geometry.  The fixed point
-        # contracts slowly (~4x per pass) on deeply truncated grids.
-        for _ in range(8):
-            area_total = raw_area / frac
-            tail = (2.0 * area_total / (math.pi * fwhm)) / (
-                1.0 + (2.0 * (freq[edge_idx] - center) / fwhm) ** 2
-            )
-            floor_new = float(np.median(edge_vals - tail))
-            moved = abs(floor_new - floor)
-            floor = floor_new
-            height, center, fwhm, raw_area, frac = geometry(floor)
-            if moved <= 1e-6 * max(height, abs(floor)):
-                break
+    # Refinement passes: subtract the modeled tail level at the edge bins
+    # from the floor estimate, then redo the geometry.  The fixed point
+    # contracts slowly (~4x per pass) on deeply truncated grids.
+    for _ in range(8):
+        area_total = raw_area / frac
+        tail = (2.0 * area_total / (math.pi * fwhm)) / (
+            1.0 + (2.0 * (freq[edge_idx] - center) / fwhm) ** 2
+        )
+        floor_new = float(np.median(edge_vals - tail))
+        moved = abs(floor_new - floor)
+        floor = floor_new
+        height, center, fwhm, raw_area, frac = geometry(floor)
+        if moved <= 1e-6 * max(height, abs(floor)):
+            break
 
     area = raw_area / frac
     area_sigma = area_noise / frac
@@ -498,7 +496,6 @@ def _flank_halfwidth(freq, excess, i_peak: int, half: float, step: int) -> float
 def integrate_mech_peak(
     trace: SpectrumTrace,
     mech: MechanicalMode,
-    floor_estimate: float | None = None,
     convention: str = "thermal",
 ) -> float:
     """Occupancy of the mechanical mode from the area under its resonance.
@@ -513,7 +510,7 @@ def integrate_mech_peak(
         raise UnitError(f"occupancy extraction needs an m2_per_hz trace, got {trace.unit.value}")
     if convention not in ("thermal", "sideband"):
         raise ParameterError(f"unknown convention {convention!r}")
-    summary = peak_area(trace, floor_estimate)
+    summary = peak_area(trace)
     x_zp2 = zero_point_motion(mech) ** 2
     n_plus_half = summary.area / (2.0 * x_zp2)
     return n_plus_half - 0.5 if convention == "thermal" else n_plus_half

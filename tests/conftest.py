@@ -1,11 +1,9 @@
 import math
-from dataclasses import asdict
 
 import pytest
 from hypothesis import settings
 
 import emcool as em
-from emcool.estimation import DEFAULT_FREE
 
 TWO_PI = 2.0 * math.pi
 
@@ -20,10 +18,10 @@ def device():
 
 
 @pytest.fixture(scope="session")
-def fixed_model(device):
-    """Fixed parameter set for full-model fits (everything but the defaults)."""
-    pinned = asdict(em.ModelParams.for_device(device, g=0.0, n_m_T=0.0))
-    return {k: v for k, v in pinned.items() if k not in DEFAULT_FREE}
+def device_model(device):
+    """Model parameters of the device for full-model fits: the values a fit
+    pins (kappa, gamma_m, ...); its g and amplitudes are free by default."""
+    return em.ModelParams.for_device(device, g=0.0, n_m_T=0.0)
 
 
 def model_params(device, n_d, n_m_T=40.0, n_c=0.0, n_add_eff=2.1, delta_tilde=0.0):

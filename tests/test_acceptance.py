@@ -164,7 +164,7 @@ def test_criterion_10_property_suite(device):
     report(10, ok, detail)
 
 
-def test_criterion_11_inference_round_trips(device, fixed_model):
+def test_criterion_11_inference_round_trips(device, device_model):
     results = []
 
     # (a) Lorentzian fit: all four parameters within 3 sigma in >= 95% of 200 runs
@@ -184,7 +184,7 @@ def test_criterion_11_inference_round_trips(device, fixed_model):
     errors = []
     for seed in (1, 2, 3, 4):
         trace, params = output_trace(device, 2.5e4, n_c=0.25, seed=seed, n_avg=20000)
-        fit = em.fit_full_model(trace, fixed_model, init={"g": params.g, "n_m_T": 40.0})
+        fit = em.fit_full_model(trace, device_model)
         n_fit = em.final_occupancy(
             em.ThermalState(max(fit.params["n_m_T"], 0.0), max(fit.params["n_c"], 0.0)),
             fit.params["g"], device.cavity.kappa, device.mech.gamma_m,
@@ -195,7 +195,7 @@ def test_criterion_11_inference_round_trips(device, fixed_model):
         errors.append(n_fit - n_true)
     for seed in (5, 6, 7, 8):
         trace, params = output_trace(device, 4000.0, n_c=0.0, seed=seed, n_avg=20000)
-        fit = em.fit_full_model(trace, fixed_model)
+        fit = em.fit_full_model(trace, device_model)
         n_fit = em.final_occupancy(
             em.ThermalState(max(fit.params["n_m_T"], 0.0), max(fit.params["n_c"], 0.0)),
             fit.params["g"], device.cavity.kappa, device.mech.gamma_m,

@@ -18,14 +18,14 @@ def run(argv):
 
 
 class TestSimulate:
-    def test_noiseless_round_trip(self, device, fixed_model, tmp_path):
+    def test_noiseless_round_trip(self, device, device_model, tmp_path):
         code = run(
             ["simulate", "--noiseless", "--n-d", 4000, "--n-m-t", 40, "--n-c", 0,
              "--points", 2048, "--halfspan-hz", 60e3, "--out", tmp_path]
         )
         assert code == 0
         trace = em.read_trace(tmp_path / "trace.csv")
-        fit = em.fit_full_model(trace, fixed_model)
+        fit = em.fit_full_model(trace, device_model)
         n_m = em.final_occupancy(
             em.ThermalState(fit.params["n_m_T"], max(fit.params["n_c"], 0.0)),
             fit.params["g"],
@@ -142,6 +142,19 @@ class TestFit:
         monkeypatch.setattr(cli, "fit_full_model", lambda *a, **k: stuck)
         assert run(["fit", tmp_path / "trace.csv", "--out", tmp_path]) == 3
 
+    @pytest.mark.parametrize("model", ["full", "lorentzian"])
+    def test_flat_trace_exits_3(self, tmp_path, capsys, model):
+        # no line on a window far narrower than kappa: the full model's n_m_T
+        # and n_add_eff columns are degenerate, and the Lorentzian finds no peak
+        assert run(["simulate", "--noiseless", "--n-d", 0, "--points", 256,
+                    "--halfspan-hz", 1e4, "--out", tmp_path]) == 0
+        capsys.readouterr()
+        assert run(["fit", tmp_path / "trace.csv", "--model", model, "--out", tmp_path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "fit.json").exists()
+
 
 class TestCalibrateAndSweep:
     def write_calibration_manifest(self, device, tmp_path, drop_one=False, n_temps=8, malformed=()):
@@ -184,6 +197,19 @@ class TestCalibrateAndSweep:
         code = run(["calibrate", manifest, "--out", tmp_path])
         assert code == 0
         assert "skipping point" in capsys.readouterr().err
+
+    def test_calibrate_without_peaks_exits_3(self, device, tmp_path, capsys):
+        center = device.mech.omega_m / TWO_PI
+        freq = np.linspace(center - 1e3, center + 1e3, 256)
+        entries = []
+        for i in range(4):
+            flat = em.SpectrumTrace(freq, np.full(256, 1e-20), em.SpectrumUnit.WATTS_PER_HZ, {})
+            em.write_trace(flat, tmp_path / f"flat_{i}.csv")
+            entries.append({"label": f"T{i}", "T": 0.015 + 0.03 * i, "trace_path": f"flat_{i}.csv"})
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(entries))
+        assert run(["calibrate", manifest, "--out", tmp_path]) == 3
+        assert capsys.readouterr().err.startswith("error: no resolved peak")
 
     def test_sweep(self, device, tmp_path):
         manifest = self.write_sweep_manifest(device, tmp_path)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from emcool import estimation
 from emcool.constants import HBAR
 from emcool.errors import DegenerateFitError, ParameterError, PeakDetectionError, UnitError
 from emcool.estimation import DEFAULT_FREE, _det, _nnls, _Pass, _profile_g, _Shape, lorentzian_model
+from emcool.leastsq import fit_weighted
 from emcool.spectra import output_noise_basis
 from emcool.synth import periodogram_factors
 
@@ -121,25 +123,19 @@ class TestFitLorentzian:
 
 
 class TestFitFullModel:
-    def test_validation(self, device, fixed_model):
+    def test_validation(self, device, device_model):
         trace, _ = output_trace(device, 4000.0, seed=0, points=256)
         with pytest.raises(ParameterError):
-            em.fit_full_model(trace, fixed_model, free=("beta",))
-        with pytest.raises(ParameterError):
-            em.fit_full_model(trace, {}, free=DEFAULT_FREE)  # misses kappa etc.
-        both = dict(fixed_model)
-        both["g"] = 1.0
-        with pytest.raises(ParameterError):
-            em.fit_full_model(trace, both, free=DEFAULT_FREE)
+            em.fit_full_model(trace, device_model, free=("beta",))
         wrong_unit = em.SpectrumTrace(
             trace.freq_hz, trace.values, em.SpectrumUnit.WATTS_PER_HZ, {}
         )
         with pytest.raises(UnitError):
-            em.fit_full_model(wrong_unit, fixed_model)
+            em.fit_full_model(wrong_unit, device_model)
 
-    def test_round_trip_moderate_drive(self, device, fixed_model):
+    def test_round_trip_moderate_drive(self, device, device_model):
         trace, params = output_trace(device, 4000.0, seed=5, n_avg=20000)
-        fit = em.fit_full_model(trace, fixed_model)
+        fit = em.fit_full_model(trace, device_model)
         assert fit.converged
         n_m_fit = em.final_occupancy(
             em.ThermalState(n_m_T=fit.params["n_m_T"], n_c=max(fit.params["n_c"], 0.0)),
@@ -152,37 +148,34 @@ class TestFitFullModel:
         )
         assert abs(n_m_fit - n_m_true) < 0.05
 
-    def test_null_cavity_occupancy_recovery(self, device, fixed_model):
+    def test_null_cavity_occupancy_recovery(self, device, device_model):
         trace, _ = output_trace(device, 4000.0, seed=6, n_avg=20000)
-        fit = em.fit_full_model(trace, fixed_model)
+        fit = em.fit_full_model(trace, device_model)
         sigma_nc = fit.sigmas["n_c"] if fit.sigmas else 0.0
         assert fit.params["n_c"] <= 2 * max(sigma_nc, 0.025)
 
-    def test_strong_coupling_pins_g(self, device, fixed_model):
+    def test_strong_coupling_pins_g(self, device, device_model):
         # hybridized point with a thermally occupied cavity: the split pins g
         for seed in (1, 2, 3):
             trace, params = output_trace(
                 device, 2e5, n_c=0.3, seed=seed, n_avg=20000, halfspan_hz=900e3
             )
-            fit = em.fit_full_model(trace, fixed_model)
+            fit = em.fit_full_model(trace, device_model)
             assert fit.converged
             assert fit.params["g"] == pytest.approx(params.g, rel=0.02)
 
-    def test_degenerate_zero_effect(self, device, fixed_model):
+    def test_degenerate_zero_effect(self, device, device_model):
         # g fixed at zero: n_m_T has no effect on the model at all
         center = device.mech.omega_m / TWO_PI
         freq = np.linspace(center - 1e5, center + 1e5, 128)
         params = model_params(device, 0.0, n_c=0.3)
         trace = em.output_noise_spectrum(freq, params)
-        fixed = dict(fixed_model)
-        fixed["g"] = 0.0
-        fixed["n_c"] = 0.3
-        fixed["n_add_eff"] = 2.1
+        pinned = replace(device_model, g=0.0, n_c=0.3, n_add_eff=2.1)
         with pytest.raises(DegenerateFitError) as err:
-            em.fit_full_model(trace, fixed, free=("n_m_T",), init={"n_m_T": 40.0})
+            em.fit_full_model(trace, pinned, free=("n_m_T",))
         assert err.value.pair == ("n_m_T", "n_m_T")
 
-    def test_degenerate_collinear_pair(self, device, fixed_model):
+    def test_degenerate_collinear_pair(self, device, device_model):
         # over a window << kappa (with no mechanical line), the cavity term
         # is flat: n_c and n_add_eff are indistinguishable
         kappa = device.cavity.kappa
@@ -191,64 +184,82 @@ class TestFitFullModel:
         freq = np.linspace(center - halfspan, center + halfspan, 64)
         params = model_params(device, 0.0, n_c=0.3)
         trace = em.output_noise_spectrum(freq, params)
-        fixed = dict(fixed_model)
-        fixed["g"] = 0.0
-        fixed["n_m_T"] = 0.0
+        pinned = replace(device_model, g=0.0, n_m_T=0.0)
         with pytest.raises(DegenerateFitError) as err:
-            em.fit_full_model(
-                trace, fixed, free=("n_c", "n_add_eff"), init={"n_c": 0.3, "n_add_eff": 2.1}
-            )
+            em.fit_full_model(trace, pinned, free=("n_c", "n_add_eff"))
         assert set(err.value.pair) == {"n_c", "n_add_eff"}
 
-    def test_json_round_trip(self, device, fixed_model):
+    def test_json_round_trip(self, device, device_model):
         trace, _ = output_trace(device, 4000.0, seed=7, points=512)
-        fit = em.fit_full_model(trace, fixed_model)
+        fit = em.fit_full_model(trace, device_model)
         payload = json.loads(fit.to_json())
         assert payload["converged"] is True
         assert set(payload["params"]) == set(DEFAULT_FREE)
 
-    def test_reproducible_bit_identical(self, device, fixed_model):
+    def test_reproducible_bit_identical(self, device, device_model):
         trace, _ = output_trace(device, 4000.0, seed=11, points=512)
-        fit1 = em.fit_full_model(trace, fixed_model)
-        fit2 = em.fit_full_model(trace, fixed_model)
+        fit1 = em.fit_full_model(trace, device_model)
+        fit2 = em.fit_full_model(trace, device_model)
         assert fit1.params == fit2.params
         assert fit1.sigmas == fit2.sigmas
         assert fit1.n_iter == fit2.n_iter
         assert fit1.step_costs == fit2.step_costs
 
-    def test_at_bound_flag_when_peak_absent(self, device, fixed_model):
+    def test_at_bound_flag_when_peak_absent(self, device, device_model):
         # exactly flat trace, g pinned to a real coupling: the data actively
         # prefers no mechanical noise, so the bath occupancy collapses
         # against zero and gets flagged
         center = device.mech.omega_m / TWO_PI
         freq = np.linspace(center - 5e4, center + 5e4, 512)
         trace = em.SpectrumTrace(freq, np.full(512, 2.6), em.SpectrumUnit.QUANTA, {})
-        fixed = dict(fixed_model)
-        fixed["g"] = em.coupling_rate(device.coupling, device.mech, 4000.0)
-        fixed["n_c"] = 0.0
-        fit = em.fit_full_model(trace, fixed, free=("n_m_T", "n_add_eff"), init={"n_m_T": 10.0})
+        pinned = replace(device_model, g=em.coupling_rate(device.coupling, device.mech, 4000.0), n_c=0.0)
+        fit = em.fit_full_model(trace, pinned, free=("n_m_T", "n_add_eff"))
         assert fit.converged
         assert "n_m_T" in fit.at_bound
         assert fit.params["n_m_T"] < 1e-7
 
-    def test_at_bound_flags_unidentified_g(self, device, fixed_model):
+    def test_at_bound_flags_unidentified_g(self, device, device_model):
         # flat trace, default free set: both amplitudes that carry g sit at
         # zero, so g has no effect and ends at an end of its scan
         center = device.mech.omega_m / TWO_PI
         freq = np.linspace(center - 5e4, center + 5e4, 512)
         trace = em.SpectrumTrace(freq, np.full(512, 2.6), em.SpectrumUnit.QUANTA, {})
-        fit = em.fit_full_model(trace, fixed_model)
+        fit = em.fit_full_model(trace, device_model)
         assert fit.params["n_m_T"] == fit.params["n_c"] == 0.0
         assert set(fit.at_bound) == {"n_m_T", "n_c", "g"}
 
-    def test_freed_kappa_on_its_limit_is_flagged(self, device, fixed_model):
+    def test_freed_kappa_on_its_limit_is_flagged(self, device, device_model):
         # this seed drives the freed kappa onto kappa >= kappa_ex, where the
         # engine stops at a stationary point and reports convergence
         trace, _ = output_trace(device, 4000.0, seed=3, n_avg=20000, points=2048)
-        fixed = {k: v for k, v in fixed_model.items() if k != "kappa"}
-        fit = em.fit_full_model(trace, fixed, free=DEFAULT_FREE + ("kappa",))
+        fit = em.fit_full_model(trace, device_model, free=DEFAULT_FREE + ("kappa",))
         assert fit.params["kappa"] <= device.cavity.kappa_ex * (1.0 + 1e-9)
         assert "kappa" in fit.at_bound
+
+    def test_free_values_in_params_are_not_read(self, device, device_model):
+        # under the default free set only the pinned values of params count:
+        # the amplitudes are solved and g is profiled on its fixed scan
+        trace, truth = output_trace(device, 4000.0, seed=5, points=1024)
+        other = replace(truth, g=3.0 * truth.g, n_m_T=7.0, n_c=0.4, n_add_eff=9.0)
+        first, *rest = (em.fit_full_model(trace, p) for p in (device_model, truth, other))
+        for fit in rest:
+            assert fit.to_json() == first.to_json()
+            assert fit.step_costs == first.step_costs
+            assert fit.covariance.tobytes() == first.covariance.tobytes()
+
+    def test_freed_gamma_m_starts_from_params(self, device, device_model, monkeypatch):
+        trace, _ = output_trace(device, 4000.0, seed=5, points=1024)
+        starts = []
+
+        def recording(model_fn, data, p0, log_scale, names, **kwargs):
+            starts.append(dict(zip(names, p0))["gamma_m"])
+            return fit_weighted(model_fn, data, p0, log_scale, names, **kwargs)
+
+        monkeypatch.setattr(estimation, "fit_weighted", recording)
+        gamma_ms = [device.mech.gamma_m, 1.5 * device.mech.gamma_m]
+        for gamma_m in gamma_ms:
+            em.fit_full_model(trace, replace(device_model, gamma_m=gamma_m), free=DEFAULT_FREE + ("gamma_m",))
+        assert starts == gamma_ms
 
     def test_nnls_complex_step_keeps_support(self):
         # a complex step in the normal equations keeps the real solve's
@@ -617,6 +628,25 @@ class TestAnalyzeCoolingSweep:
             # flat at the bath occupancy within the reported error bars
             assert abs(sp.point.n_m - 39.0) <= max(3 * sp.n_m_sigma, 0.05 * 39.0)
             assert math.isnan(sp.g_rel_deviation)  # g not fitted here
+
+    def test_free_set_without_g_pins_g_everywhere(self, device):
+        # g left out of free: every point pins it to the sqrt(n_d)
+        # prediction, as the weak-drive guard does
+        entries = cooling_sweep_entries(device, SWEEP_SPECS)
+        thermal = em.ThermalState(n_m_T=39.0, n_c=0.0)
+        curve = em.analyze_cooling_sweep(entries, device, thermal, free=("n_m_T", "n_c", "n_add_eff"))
+        assert curve.excluded == ()
+        assert len(curve.points) == len(SWEEP_SPECS)
+        for sp in curve.points:
+            assert sp.point.g == em.coupling_rate(device.coupling, device.mech, sp.point.n_d)
+            assert "g" not in sp.fit.param_names
+            assert math.isnan(sp.g_rel_deviation)
+
+    def test_free_set_without_n_add_eff_raises(self, device):
+        entries = cooling_sweep_entries(device, SWEEP_SPECS[:2])
+        thermal = em.ThermalState(n_m_T=39.0, n_c=0.0)
+        with pytest.raises(ParameterError, match="n_add_eff"):
+            em.analyze_cooling_sweep(entries, device, thermal, free=("n_m_T", "n_c", "g"))
 
     def test_bad_point_excluded_with_diagnostic(self, device):
         entries = cooling_sweep_entries(device, SWEEP_SPECS[:3])
