@@ -273,9 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
     thermal.add_argument("--temperature-k", type=float, default=0.020)
     thermal.add_argument("--n-m-t", type=float, default=None, help="bath occupancy override")
     thermal.add_argument("--n-c", type=float, default=0.0)
-    thermal.add_argument("--n-add-eff", type=float, default=REFERENCE_N_ADD_EFF)
 
-    p = sub.add_parser("simulate", parents=[common, thermal], help="write a model or synthetic trace")
+    added = argparse.ArgumentParser(add_help=False)
+    added.add_argument("--n-add-eff", type=float, default=REFERENCE_N_ADD_EFF)
+
+    p = sub.add_parser("simulate", parents=[common, thermal, added], help="write a model or synthetic trace")
     p.add_argument("--seed", type=int, default=0, help="noise seed")
     p.add_argument("--n-d", type=float, default=4000.0)
     p.add_argument("--delta-tilde-hz", type=float, default=0.0)
@@ -285,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-avg", type=int, default=500)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("fit", parents=[common, thermal], help="fit a trace CSV")
+    p = sub.add_parser("fit", parents=[common, thermal, added], help="fit a trace CSV")
     p.add_argument("trace")
     p.add_argument("--model", choices=("lorentzian", "full"), default="full")
     p.add_argument("--free", nargs="+", choices=sorted(FREEABLE_PARAMS), default=None)
@@ -302,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest", help="JSON array of {label, n_d, trace_path}")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("report", parents=[common, thermal], help="forward-model summary tables")
+    p = sub.add_parser("report", parents=[common, thermal, added], help="forward-model summary tables")
     p.add_argument("--nd-min", type=float, default=1.0)
     p.add_argument("--nd-max", type=float, default=1e6)
     p.add_argument("--t-min-mk", type=float, default=15.0)

@@ -23,7 +23,7 @@ class DeviceFileError(ValueError):
 
 
 class PeakDetectionError(RuntimeError):
-    """No mechanical peak resolved above the noise floor (SNR < 3)."""
+    """No mechanical line resolved: its fitted area is below 3 of its sigmas, or the fit failed."""
 
 
 class DegenerateFitError(RuntimeError):

@@ -40,7 +40,6 @@ from .dynamics import (
 from .errors import ParameterError, UnitError
 from .leastsq import (
     COMPLEX_STEP,
-    LeastSquaresResult,
     _check_degenerate,
     _covariance,
     _sigma_from_model,
@@ -52,9 +51,9 @@ from .spectra import (
     SpectrumTrace,
     SpectrumUnit,
     _pole_margins,
-    _trapezoid,
     _basis_factors,
     _check_stable,
+    _fit_line,
     output_noise_basis,
     output_noise_values,
     peak_area,
@@ -98,26 +97,6 @@ class FitResult:
         return json.dumps(payload, indent=indent)
 
 
-def _wrap_result(res: LeastSquaresResult, names: Sequence[str]) -> FitResult:
-    params = {name: float(v) for name, v in zip(names, res.params)}
-    sigmas = None
-    if res.converged and res.sigmas is not None:
-        sigmas = {name: float(s) for name, s in zip(names, res.sigmas)}
-    at_bound = tuple(n for n, flag in zip(names, res.at_bound) if flag) if res.at_bound is not None else ()
-    return FitResult(
-        params=params,
-        sigmas=sigmas,
-        residual_rms=res.residual_rms,
-        converged=res.converged,
-        n_iter=res.n_iter,
-        param_names=tuple(names),
-        covariance=res.covariance if res.converged else None,
-        at_bound=at_bound,
-        step_costs=tuple(res.step_costs),
-        message=res.message,
-    )
-
-
 # --- Lorentzian peak fit -------------------------------------------------------
 
 def lorentzian_model(freq_hz: np.ndarray, center: float, fwhm: float, area: float, floor: float) -> np.ndarray:
@@ -126,34 +105,23 @@ def lorentzian_model(freq_hz: np.ndarray, center: float, fwhm: float, area: floa
     return floor + (2.0 * area / (math.pi * fwhm)) / (1.0 + x * x)
 
 
-def fit_lorentzian(trace: SpectrumTrace, n_avg: float | None = None) -> FitResult:
-    """Weighted least-squares fit of floor + Lorentzian to a single peak.
-
-    Initialization: center at the (leftmost) maximal bin, floor at the trace
-    median, width from the half-max crossings, area from the trapezoid.
-    Raises PeakDetectionError when no peak clears 3 noise sigmas.
-    """
-    summary = peak_area(trace)  # also enforces the SNR >= 3 precondition
-    freq = trace.freq_hz
-    vals = trace.values
-    floor0 = float(np.median(vals))
-    center0 = float(freq[int(np.argmax(vals))])
-    fwhm0 = summary.fwhm_hz
-    area0 = max(float(_trapezoid(vals - floor0, freq)), 1e-300)
-    if n_avg is None:
-        n_avg = float(trace.meta.get("n_avg", 1))
-
+def fit_lorentzian(trace: SpectrumTrace) -> FitResult:
+    """Fit floor + Lorentzian to a single peak: the line fit of `peak_area`, with
+    the covariance inv(J^T J) under the sigmas model/sqrt(n_avg), not rescaled
+    by chi^2.  Raises PeakDetectionError as `peak_area` does."""
+    peak, fisher, chi2, steps, passes = _fit_line(trace)
+    covariance = np.linalg.inv(fisher)
     names = ("center_hz", "fwhm_hz", "area", "floor")
-    p0 = np.array([center0, fwhm0, area0, floor0])
-    log_scale = (False, True, True, False)
-    height0 = float(np.max(vals)) - floor0
-    scales = (fwhm0, 1.0, 1.0, max(abs(floor0), 0.01 * height0, 1e-300))
-
-    def model(p: np.ndarray) -> np.ndarray:
-        return lorentzian_model(freq, *p)
-
-    res = fit_weighted(model, vals, p0, log_scale, names, n_avg=n_avg, scales=scales)
-    return _wrap_result(res, names)
+    return FitResult(
+        params=dict(zip(names, (peak.center_hz, peak.fwhm_hz, peak.area, peak.floor))),
+        sigmas=dict(zip(names, np.sqrt(np.diag(covariance)).tolist())),
+        residual_rms=math.sqrt(chi2 / trace.freq_hz.size),
+        converged=True,
+        n_iter=steps,
+        param_names=names,
+        covariance=covariance,
+        message=f"line fit: {passes} IRLS passes, {steps} Gauss-Newton steps",
+    )
 
 
 # --- full output-spectrum fit ----------------------------------------------
@@ -317,7 +285,6 @@ def fit_full_model(
     trace: SpectrumTrace,
     params: ModelParams,
     free: Sequence[str] = DEFAULT_FREE,
-    n_avg: float | None = None,
 ) -> FitResult:
     """Fit the exact output-spectrum model to a quanta-unit trace.
 
@@ -338,11 +305,7 @@ def fit_full_model(
         raise ParameterError(f"cannot free parameters: {sorted(bad)}")
     if len(set(free)) != len(free):
         raise ParameterError("duplicate names in free")
-    if n_avg is None:
-        n_avg = float(trace.meta.get("n_avg", 1))
-    if n_avg < 1.0:
-        raise ParameterError(f"n_avg must be >= 1, got {n_avg!r}")
-
+    n_avg = trace.n_avg
     delta = TWO_PI * trace.freq_hz - params.omega_m
     data = trace.values
     amps = tuple(name for name in free if name in _AMPLITUDES)
@@ -512,8 +475,9 @@ def calibrate_coupling(
     detected-power equivalent of the equipartition area x_zp^2(2n+1), which
     pins G given the drive power reaching the output.  The residual
     radiation-pressure cooling by the calibration drive, which itself grows
-    with G, is undone in closed form.  Points more than 5 sigma off the line
-    are excluded and the regression repeated.
+    with G, is undone in closed form.  Points more than 5 sigma off the line,
+    in units of their own area_sigma on a robust (MAD) scale, are excluded one
+    at a time and the regression repeated.
     """
     if len(sweep) < 4:
         raise ParameterError(f"need at least 4 temperatures, got {len(sweep)}")
@@ -543,23 +507,26 @@ def calibrate_coupling(
     x = np.asarray(occup)
     y = np.asarray(areas)
     s = np.asarray(area_sigmas)
-    weights = 1.0 / (s * s) if np.all(s > 0.0) else np.ones_like(y)
+    if not np.all(s > 0.0):
+        s = np.ones_like(y)
+    weights = 1.0 / (s * s)
 
     include = np.ones(x.size, dtype=bool)
     while True:
         slope, intercept, slope_sigma, intercept_sigma, r2, resid = _weighted_line(
             x[include], y[include], weights[include]
         )
-        # robust (median-based) residual scale so one wild point cannot
-        # widen its own exclusion fence
-        resid_scale = 1.4826 * float(np.median(np.abs(resid - np.median(resid))))
-        if resid_scale <= 0.0 or np.sum(include) <= 4:
+        # residuals in units of each point's sigma, on a robust (median-based)
+        # scale so one wild point cannot widen its own exclusion fence
+        z = resid / s[include]
+        z_scale = 1.4826 * float(np.median(np.abs(z - np.median(z))))
+        if z_scale <= 0.0 or np.sum(include) <= 4:
             break
-        full_resid = y - (slope * x + intercept)
-        outliers = include & (np.abs(full_resid) > 5.0 * resid_scale)
+        full_z = np.abs(y - (slope * x + intercept)) / s
+        outliers = include & (full_z > 5.0 * z_scale)
         if not np.any(outliers):
             break
-        worst = int(np.argmax(np.where(outliers, np.abs(full_resid), -np.inf)))
+        worst = int(np.argmax(np.where(outliers, full_z, -np.inf)))
         include[worst] = False
         warnings_.append(f"excluded >5 sigma outlier at T={temps[worst]:.4g} K")
 

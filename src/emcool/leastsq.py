@@ -7,9 +7,10 @@ lam *= 10 and the solve is retried.  Internal coordinates are log(p) for
 positive parameters (so positivity cannot be violated) and p/scale for the
 rest; the convergence test is the gradient infinity norm in these scaled
 coordinates against 1e-8 * max(1, cost).  Per-bin sigmas follow the
-averaged-periodogram law sigma_i = model_i / sqrt(n_avg) and are refreshed
-from the current model after every accepted step.  Jacobians are complex
-steps (Squire & Trapp, SIAM Rev. 40, 110 (1998)): one model call per column
+averaged-periodogram law sigma_i = model_i / sqrt(n_avg); they are frozen
+within each minimization and refreshed from its converged model in an
+outer IRLS loop, at most 4 passes, until they move by less than 1e-3.
+Jacobians are complex steps (Squire & Trapp, SIAM Rev. 40, 110 (1998)): one model call per column
 at p + 1e-20 i (dp/du)_j e_j, exact to rounding, so the model must be
 analytic in its parameters (numpy arithmetic on a complex p).
 Everything is deterministic: same inputs, bit-identical result.
@@ -52,7 +53,9 @@ class LeastSquaresResult:
 def _sigma_from_model(model: np.ndarray, n_avg: float) -> np.ndarray:
     scale = np.abs(model)
     floor = 1e-12 * float(np.max(scale)) if scale.size else 0.0
-    return np.maximum(scale, max(floor, 1e-300)) / math.sqrt(n_avg)
+    np.maximum(scale, max(floor, 1e-300), out=scale)
+    scale /= math.sqrt(n_avg)
+    return scale
 
 
 def _eval_model(model_fn, p: np.ndarray) -> np.ndarray | None:

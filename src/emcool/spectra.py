@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from .constants import HBAR, TWO_PI
 from .device import DeviceParams, MechanicalMode, zero_point_motion
 from .dynamics import DriveConfig
 from .errors import ParameterError, ParametricInstabilityError, PeakDetectionError, UnitError
+from .leastsq import _sigma_from_model
 
 # numpy renamed trapz -> trapezoid in 2.0
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -59,6 +61,14 @@ class SpectrumTrace:
             raise ParameterError(f"negative PSD values not allowed for unit {self.unit.value}")
         freq.setflags(write=False)
         vals.setflags(write=False)
+
+    @property
+    def n_avg(self) -> float:
+        """Spectra averaged per bin, from the `n_avg` metadata (1 when absent)."""
+        value = self.meta.get("n_avg", 1)
+        if not isinstance(value, numbers.Real) or not 1.0 <= value < math.inf:
+            raise ParameterError(f"n_avg must be a finite number >= 1, got {value!r}")
+        return float(value)
 
     def with_meta(self, **extra) -> "SpectrumTrace":
         meta = dict(self.meta)
@@ -359,138 +369,120 @@ def thermal_displacement_psd(
     return SpectrumTrace(freq_hz=freq_hz, values=values, unit=SpectrumUnit.M2_PER_HZ, meta=out_meta)
 
 
-# --- peak integration ---------------------------------------------------------
+# --- the line fit: floor + Lorentzian -------------------------------------------
+
+LINE_STEP_TOL = 1e-7  # a Gauss-Newton step this small ends a pass (centre in fwhm units, log-fwhm)
+LINE_MAX_STEPS = 100
+
 
 @dataclass(frozen=True)
 class PeakSummary:
-    """Background-subtracted area of the mechanical peak plus diagnostics."""
+    """The line fitted by `peak_area`: area in value-unit * Hz, tails beyond the
+    grid included, its sigma scaled by the reduced chi^2, snr = area / area_sigma."""
 
-    area: float          # tail-corrected, in value-unit * Hz
+    area: float
     floor: float
     center_hz: float
     fwhm_hz: float
     snr: float
-    sigma_floor: float
     area_sigma: float
-    covered_fraction: float
+
+
+def _line_terms(freq: np.ndarray, center: float, fwhm: float, terms: np.ndarray, resid: np.ndarray):
+    """Rows s q, s x q^2, s q^2 of `terms` at one shape (x = 2 (f - center) / fwhm,
+    q = 1 / (1 + x^2); row 0 is s = 1/sigma, row 4 the weighted data); they span
+    the weighted derivatives s, s q, 4b s x q^2, 2b s (q - q^2) of floor + b q
+    in floor, b, center / fwhm, log(fwhm).  Returns the rows' products and the
+    exact (floor, b); the weighted residual goes to `resid`."""
+    s, sq, sxq2, sq2, sy = terms
+    np.subtract(freq, center, out=sxq2)
+    sxq2 *= 2.0 / fwhm
+    np.square(sxq2, out=sq2)
+    sq2 += 1.0
+    np.reciprocal(sq2, out=sq2)
+    np.multiply(s, sq2, out=sq)
+    sq2 *= sq
+    sxq2 *= sq2
+    products = terms[:4] @ terms.T  # a GEMM: the 4 x 4 product of rows 0-3 alone runs as a slower SYRK
+    linear = np.linalg.solve(products[:2, :2], products[:2, 4])
+    np.matmul(terms[:2].T, -linear, out=resid)
+    resid += sy
+    return products, linear
+
+
+def _fit_line(trace: SpectrumTrace) -> tuple[PeakSummary, np.ndarray, float, int, int]:
+    """Separable fit of floor + Lorentzian (README, "Notes on the fits"): the line,
+    J^T J in (center, fwhm, area, floor), chi^2, Gauss-Newton steps and IRLS
+    passes.  Raises PeakDetectionError when the fit fails or the area is
+    not 3 of its chi^2-scaled sigmas."""
+    freq, vals = trace.freq_hz, trace.values
+    n, n_avg = freq.size, trace.n_avg
+    n_edge, win = max(4, n // 10), max(1, n // 256)
+    floor = float(np.median(np.concatenate([vals[:n_edge], vals[-n_edge:]])))
+    smooth = np.convolve(vals - floor, np.full(win, 1.0 / win), mode="same")
+    i_peak = int(np.argmax(smooth))  # the leftmost maximal bin
+    height, center = float(smooth[i_peak]), float(freq[i_peak])
+    fwhm = 2.0 * float(np.sum(smooth) * (freq[-1] - freq[0])) / ((n - 1) * math.pi * height) if height > 0.0 else 0.0
+    del smooth
+    if not fwhm > 0.0:
+        raise PeakDetectionError(f"no resolved peak: nothing rises above the floor {floor:.3g}")
+    sigma = _sigma_from_model(floor + height / (1.0 + np.square(2.0 * (freq - center) / fwhm)), n_avg)
+    terms, resid = np.empty((5, n)), np.empty(n)  # from here on the fit's only arrays of n bins
+    np.divide(1.0, sigma, out=terms[0])
+    del sigma
+    steps = 0
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for passes in range(1, 5):
+                np.multiply(terms[0], vals, out=terms[4])
+                products, linear = _line_terms(freq, center, fwhm, terms, resid)
+                cost, size = float(resid @ resid), math.inf
+                while size >= LINE_STEP_TOL:
+                    steps += 1
+                    if steps > LINE_MAX_STEPS:
+                        raise PeakDetectionError(f"no resolved peak: no line fit within {LINE_MAX_STEPS} steps")
+                    # the gradient's floor and b rows vanish: this is the Schur-complement step
+                    step = np.linalg.solve(products[:, :4], products[:, 4] - products[:, :2] @ linear)[2:]
+                    step /= (4.0 * linear[1], -2.0 * linear[1])  # in center / fwhm and log(fwhm)
+                    step /= max(float(np.max(np.abs(step))), 1.0)  # at most one fwhm and a factor e
+                    while True:  # halved until the cost does not rise; a step below the tolerance is taken
+                        size = float(np.max(np.abs(step)))
+                        trial = (center + fwhm * float(step[0]), fwhm * math.exp(step[1]))
+                        found = _line_terms(freq, *trial, terms, resid)
+                        if size < LINE_STEP_TOL or resid @ resid <= cost:
+                            break
+                        step /= 2.0
+                    (center, fwhm), (products, linear) = trial, found
+                    cost = float(resid @ resid)
+                resid /= -terms[0]  # `terms` and `resid` are those of the last, accepted step
+                resid += vals  # the fitted model
+                np.multiply(_sigma_from_model(resid, n_avg), terms[0], out=resid)  # new over previous sigma
+                terms[0] /= resid  # 1 / new sigma
+                if max(resid.max() - 1.0, 1.0 - resid.min()) < 1e-3:
+                    break
+            np.multiply(terms[0], vals, out=terms[4])
+            products, linear = _line_terms(freq, center, fwhm, terms, resid)
+            b, h = linear[1] / fwhm, 2.0 / (math.pi * fwhm)
+            # weighted derivatives in center, fwhm, area and floor on rows 0-3 of `terms`
+            jac = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, b, h, 0.0], [4.0 * b, 0.0, 0.0, 0.0], [0.0, -2.0 * b, 0.0, 0.0]])
+            fisher = jac.T @ products[:, :4] @ jac
+            area_var = np.linalg.solve(fisher, np.array([0.0, 0.0, 1.0, 0.0]))[2]  # one solve, not the inverse
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        raise PeakDetectionError(f"no resolved peak: the line fit failed ({exc})") from exc
+    area, chi2 = float(linear[1]) / h, float(resid @ resid)
+    area_var *= chi2 / (n - 4)  # negative when the fit is degenerate
+    area_sigma = math.sqrt(area_var) if area_var >= 0.0 else math.nan
+    if not area > 3.0 * area_sigma:
+        raise PeakDetectionError(f"no resolved peak: line area {area:.3g} is below 3 of its sigma {area_sigma:.3g}")
+    snr = area / area_sigma if area_sigma > 0.0 else math.inf
+    return PeakSummary(area, float(linear[0]), center, fwhm, snr, area_sigma), fisher, chi2, steps, passes
 
 
 def peak_area(trace: SpectrumTrace) -> PeakSummary:
-    """Integrate the resonance above the background.
-
-    The floor starts from the median of the outer 20% of bins and is then
-    refined by subtracting the predicted Lorentzian tail level at those
-    bins, so slowly decaying wings do not get absorbed into the background.  The trapezoidal integral over the grid is divided
-    by the analytic Lorentzian coverage fraction (from the half-max width)
-    to correct for truncation at the grid edges.  Raises PeakDetectionError
-    when the peak rises less than 3 noise standard deviations above the
-    floor.
-    """
-    freq = trace.freq_hz
-    vals = trace.values
-    n = freq.size
-    n_edge = max(4, n // 10)
-    edge_idx = np.concatenate([np.arange(n_edge), np.arange(n - n_edge, n)])
-    edge_vals = vals[edge_idx]
-    floor = float(np.median(edge_vals))
-    # robust noise scale of the background
-    sigma_floor = 1.4826 * float(np.median(np.abs(edge_vals - np.median(edge_vals))))
-
-    # geometry comes from a lightly smoothed trace so single noisy bins
-    # cannot pose as peaks or fake half-max crossings
-    win = max(1, n // 256)
-    sigma_smooth = sigma_floor / math.sqrt(win)
-
-    def geometry(floor_now: float):
-        excess = vals - floor_now
-        smooth = (
-            np.convolve(excess, np.ones(win) / win, mode="same") if win > 1 else excess
-        )
-        i_peak = int(np.argmax(smooth))  # argmax takes the leftmost maximal bin
-        center, fwhm, frac = _peak_geometry(freq, smooth, i_peak)
-        raw_area = float(_trapezoid(excess, freq))
-        return float(smooth[i_peak]), center, fwhm, raw_area, frac
-
-    height, center, fwhm, raw_area, frac = geometry(floor)
-
-    # detection: the peak bin must clear the smoothed noise AND the excess
-    # integrated over +-3 widths must be significant against the local area noise
-    df = np.gradient(freq)
-    area_noise = sigma_floor * float(np.sqrt(np.sum(df * df)))
-    if sigma_floor > 0.0:
-        region = np.abs(freq - center) <= 3.0 * fwhm
-        region_area = float(_trapezoid((vals - floor)[region], freq[region])) if np.sum(region) > 1 else 0.0
-        region_noise = sigma_floor * float(np.sqrt(np.sum(df[region] ** 2)))
-        snr = min(height / sigma_smooth, abs(region_area) / region_noise if region_noise > 0 else 0.0)
-    else:
-        snr = math.inf if height > 0.0 else 0.0
-    if snr < 3.0:
-        raise PeakDetectionError(
-            f"no resolved peak: height {height:.3g} above floor {floor:.3g} "
-            f"is {snr:.2f} noise sigmas (need >= 3)"
-        )
-
-    # Refinement passes: subtract the modeled tail level at the edge bins
-    # from the floor estimate, then redo the geometry.  The fixed point
-    # contracts slowly (~4x per pass) on deeply truncated grids.
-    for _ in range(8):
-        area_total = raw_area / frac
-        tail = (2.0 * area_total / (math.pi * fwhm)) / (
-            1.0 + (2.0 * (freq[edge_idx] - center) / fwhm) ** 2
-        )
-        floor_new = float(np.median(edge_vals - tail))
-        moved = abs(floor_new - floor)
-        floor = floor_new
-        height, center, fwhm, raw_area, frac = geometry(floor)
-        if moved <= 1e-6 * max(height, abs(floor)):
-            break
-
-    area = raw_area / frac
-    area_sigma = area_noise / frac
-    return PeakSummary(
-        area=area,
-        floor=floor,
-        center_hz=center,
-        fwhm_hz=fwhm,
-        snr=snr,
-        sigma_floor=sigma_floor,
-        area_sigma=area_sigma,
-        covered_fraction=frac,
-    )
-
-
-def _peak_geometry(freq: np.ndarray, excess: np.ndarray, i_peak: int) -> tuple[float, float, float]:
-    """Center, half-max width, and Lorentzian coverage fraction of the grid."""
-    n = freq.size
-    center = float(freq[i_peak])
-    half = 0.5 * float(excess[i_peak])
-    fwhm = _flank_halfwidth(freq, excess, i_peak, half, step=-1) + _flank_halfwidth(
-        freq, excess, i_peak, half, step=+1
-    )
-    if not fwhm > 0.0:
-        fwhm = float(freq[min(i_peak + 1, n - 1)] - freq[max(i_peak - 1, 0)])
-    frac = (
-        math.atan(2.0 * (freq[-1] - center) / fwhm) + math.atan(2.0 * (center - freq[0]) / fwhm)
-    ) / math.pi
-    frac = min(max(frac, 1e-6), 1.0)
-    return center, fwhm, frac
-
-
-def _flank_halfwidth(freq, excess, i_peak: int, half: float, step: int) -> float:
-    """Distance from the peak bin to the interpolated half-max crossing."""
-    i = i_peak
-    while 0 <= i + step < freq.size and excess[i + step] > half:
-        i += step
-    j = i + step
-    if not 0 <= j < freq.size:
-        return abs(freq[i] - freq[i_peak])
-    # linear interpolation between bins i (above half) and j (below half)
-    y0, y1 = excess[i], excess[j]
-    if y0 == y1:
-        x = freq[j]
-    else:
-        x = freq[i] + (half - y0) * (freq[j] - freq[i]) / (y1 - y0)
-    return abs(x - freq[i_peak])
+    """Area of the resonance above the background: the whole Lorentzian's of the line
+    fit `fit_lorentzian` shares, so a grid that cuts its tails needs no correction.
+    Raises PeakDetectionError when it is not 3 of its chi^2-scaled sigmas."""
+    return _fit_line(trace)[0]
 
 
 def integrate_mech_peak(

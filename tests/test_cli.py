@@ -211,6 +211,13 @@ class TestCalibrateAndSweep:
         assert run(["calibrate", manifest, "--out", tmp_path]) == 3
         assert capsys.readouterr().err.startswith("error: no resolved peak")
 
+    def test_sweep_takes_no_n_add_eff(self, tmp_path, capsys):
+        # the sweep always fits n_add_eff; simulate, fit and report keep the flag
+        with pytest.raises(SystemExit) as exc:
+            run(["sweep", tmp_path / "manifest.json", "--n-add-eff", 3, "--out", tmp_path])
+        assert exc.value.code == 2
+        assert "--n-add-eff" in capsys.readouterr().err
+
     def test_sweep(self, device, tmp_path):
         manifest = self.write_sweep_manifest(device, tmp_path)
         code = run(["sweep", manifest, "--n-m-t", 39, "--out", tmp_path])

@@ -113,6 +113,31 @@ class TestFitLorentzian:
         assert abs(per_param.mean() - 0.68) < 0.05
         assert np.all(per_param > 0.60) and np.all(per_param < 0.78)
 
+    @pytest.mark.parametrize("halfspan_widths", [12, 1.5])
+    def test_noiseless_line_exact_in_both_fits(self, device, halfspan_widths):
+        # floor and area are solved exactly and the shape converges to
+        # rounding, also on a window that cuts most of the tails; peak_area
+        # reports the same line as fit_lorentzian
+        trace, truth = thermal_quanta_trace(device, halfspan_widths=halfspan_widths)
+        fit = em.fit_lorentzian(trace)
+        peak = estimation.peak_area(trace)
+        assert (peak.center_hz, peak.fwhm_hz, peak.area, peak.floor) == tuple(fit.params[name] for name in truth)
+        for name, value in truth.items():
+            assert fit.params[name] == pytest.approx(value, rel=1e-9)
+
+    def test_detection(self, device):
+        # a flat trace and noise-only traces hold no line; a noiseless line
+        # without n_avg is judged by its own scatter, which is rounding
+        center = device.mech.omega_m / TWO_PI
+        freq = np.linspace(center - 1e4, center + 1e4, 1024)
+        peakless = [np.full(1024, 2.6)] + [2.6 * periodogram_factors(1024, 500, seed) for seed in range(20)]
+        for vals in peakless:
+            with pytest.raises(PeakDetectionError):
+                estimation.peak_area(em.SpectrumTrace(freq, vals, em.SpectrumUnit.QUANTA, {"n_avg": 500}))
+        trace, truth = thermal_quanta_trace(device)
+        assert "n_avg" not in trace.meta
+        assert estimation.peak_area(trace).area == pytest.approx(truth["area"], rel=1e-9)
+
     def test_reproducible_bit_identical(self, device):
         trace, _ = thermal_quanta_trace(device, n_avg=500, seed=3)
         fit1 = em.fit_lorentzian(trace)
@@ -132,6 +157,15 @@ class TestFitFullModel:
         )
         with pytest.raises(UnitError):
             em.fit_full_model(wrong_unit, device_model)
+
+    @pytest.mark.parametrize("n_avg", ["many", 0.5, math.nan])
+    def test_n_avg_read_from_the_trace_and_checked(self, device, device_model, n_avg):
+        trace, _ = thermal_quanta_trace(device)
+        bad = trace.with_meta(n_avg=n_avg)
+        with pytest.raises(ParameterError, match="n_avg"):
+            em.fit_full_model(bad, device_model)
+        with pytest.raises(ParameterError, match="n_avg"):
+            em.fit_lorentzian(bad)
 
     def test_round_trip_moderate_drive(self, device, device_model):
         trace, params = output_trace(device, 4000.0, seed=5, n_avg=20000)
@@ -424,6 +458,27 @@ class TestCalibrateCoupling:
         assert result.points[5].excluded
         assert result.G == pytest.approx(device.coupling.G, rel=0.04)
         assert any("outlier" in w for w in result.warnings)
+
+    def test_displaced_lowest_point_excluded(self, device, noisy_sweep):
+        # 20% high at the lowest temperature is 27 of that point's sigmas, but
+        # within 5 robust scales of the unweighted residuals, which the hotter
+        # points' larger scatter sets: the fence measures each point in its
+        # own area_sigma
+        sweep = list(noisy_sweep)
+        T0, trace0 = sweep[0]
+        sweep[0] = (T0, em.SpectrumTrace(trace0.freq_hz, trace0.values * 1.2, trace0.unit, dict(trace0.meta)))
+        drive = em.DriveConfig.red_detuned(device, n_d=3.0)
+        result = em.calibrate_coupling(sweep, device, drive)
+        assert [p.excluded for p in result.points] == [True] + [False] * 23
+        assert result.G == pytest.approx(device.coupling.G, rel=0.01)
+
+    def test_area_sigma_matches_scatter(self, device):
+        # 60 seeds at 95 mK: area_sigma is the areas' real scatter, the
+        # peak's own multiplicative noise included
+        truth = estimation.peak_area(calibration_trace(device, 0.095, 3.0, 0, noiseless=True)).area
+        peaks = [estimation.peak_area(calibration_trace(device, 0.095, 3.0, seed=2000 + i)) for i in range(60)]
+        z = [(p.area - truth) / p.area_sigma for p in peaks]
+        assert 0.8 <= np.std(z, ddof=1) <= 1.2
 
     def test_too_few_points(self, device, noisy_sweep):
         drive = em.DriveConfig.red_detuned(device, n_d=3.0)

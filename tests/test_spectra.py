@@ -415,8 +415,8 @@ class TestIntegrateMechPeak:
             em.integrate_mech_peak(flat, device.mech)
 
     def test_truncated_grid_corrected(self, device):
-        # only +-1.5 linewidths covered: raw integral misses ~20%, the
-        # analytic tail correction brings it back within 2%
+        # only +-1.5 linewidths covered: the raw integral misses ~20%, the
+        # fitted Lorentzian's area counts the tails beyond the grid
         trace = self.make_thermal_trace(device, 30.0, halfspan_widths=1.5, points=1024)
         n = em.integrate_mech_peak(trace, device.mech)
         assert n == pytest.approx(30.0, rel=0.02)
