@@ -3,7 +3,8 @@
 The full-model fit is separable (variable projection, Golub & Pereyra 1973):
 the spectrum is linear in n_add_eff, n_c and n_m_T, which are solved exactly
 by weighted NNLS for every trial shape; g is profiled on a log scan from
-4g^2/kappa = 1e-3 gamma_m to 10 kappa, and a freed kappa, gamma_m or
+4g^2/kappa = 1e-3 gamma_m to 10 kappa, refined by bracketed parabolic steps
+to 1e-5 in ln g, and a freed kappa, gamma_m or
 delta_tilde goes to the damped Gauss-Newton engine in `leastsq` on the
 projected model, whose complex-step Jacobian is the exact variable-projection
 one.  An outer IRLS loop refreshes the sigmas model/sqrt(n_avg);
@@ -260,25 +261,55 @@ class _Pass:
         return costs
 
 
-def _profile_g(cost, log_g: np.ndarray, step_costs: list) -> float:
-    """Coupling minimizing cost(g): scan the log-spaced nodes, then rescan
-    8 nodes between the best node's neighbours until they are 1e-5 apart;
-    the rescan's two ends are those neighbours, so it costs 6 new nodes."""
-    best, g_best = math.inf, math.exp(log_g[0])
-    g = np.exp(log_g)
-    costs = cost(g)
-    while True:
-        i = int(np.argmin(costs))
-        if costs[i] < best:
-            if math.isfinite(best):
-                step_costs.append((best, float(costs[i])))
-            best, g_best = float(costs[i]), float(g[i])
-        if log_g[1] - log_g[0] < 1e-5:
-            return g_best
-        lo, hi = max(i - 1, 0), min(i + 1, log_g.size - 1)
-        log_g = np.linspace(log_g[lo], log_g[hi], 8)
-        g = np.exp(log_g)
-        costs = np.concatenate([costs[lo : lo + 1], cost(g[1:-1]), costs[hi : hi + 1]])
+_PROFILE_TOL = 1e-5  # in ln g
+
+
+def _profile_g(cost, log_g: np.ndarray, step_costs: list) -> tuple[float, int]:
+    """Coupling minimizing cost(g), and the number of nodes costed.
+
+    The log-spaced nodes are costed in one call; the best node and its
+    neighbours bracket the minimum, which parabolic steps (Brent 1973) narrow
+    to 2e-5 in ln g.  Each step costs the vertex of the parabola through the
+    bracket in a 1-node call.  When the vertex is not strictly inside the
+    bracket, or moves at least half as far from the best node as the step
+    before last did (a lopsided profile, on which parabolas creep), the step
+    bisects the bracket's larger side instead; a step within 1e-5 of the
+    best node costs best +- 1e-5 in one 2-node call.  The result never
+    leaves the nodes' range: a best node at an end stays there unless a node
+    inside costs less.
+    """
+    costs = cost(np.exp(log_g))
+    i = int(np.argmin(costs))
+    near = (max(i - 1, 0), i, min(i + 1, log_g.size - 1))  # at an end the bracket has one side
+    a, b, c = (float(log_g[j]) for j in near)
+    fa, fb, fc = (float(costs[j]) for j in near)
+    nodes, moves = log_g.size, [math.inf, math.inf]  # |step - best| of every step
+    while c - a > 2.0 * _PROFILE_TOL:
+        p = (b - a) ** 2 * (fb - fc) - (b - c) ** 2 * (fb - fa)
+        q = (b - a) * (fb - fc) - (b - c) * (fb - fa)
+        u = b - 0.5 * p / q if q != 0.0 else math.nan
+        if not (a < u < c and abs(u - b) < 0.5 * moves[-2]):
+            u = 0.5 * (a + b) if b - a > c - b else 0.5 * (b + c)
+        moves.append(abs(u - b))
+        trial = [u] if abs(u - b) >= _PROFILE_TOL else [x for x in (b - _PROFILE_TOL, b + _PROFILE_TOL) if a < x < c]
+        if not trial:  # the bracket is best +- 1e-5 up to rounding
+            break
+        nodes += len(trial)
+        for x, f in zip(trial, cost(np.exp(trial)).tolist()):
+            if not a < x < c:  # cut off by the first of two nodes
+                continue
+            if f < fb:
+                step_costs.append((fb, f))
+                if x < b:
+                    c, fc = b, fb
+                else:
+                    a, fa = b, fb
+                b, fb = x, f
+            elif x < b:
+                a, fa = x, f
+            else:
+                c, fc = x, f
+    return math.exp(b), nodes
 
 
 def fit_full_model(
@@ -294,8 +325,10 @@ def fit_full_model(
     free amplitude or a free g are not read: free amplitudes are solved
     exactly and a free g is profiled on its fixed scan.
     `at_bound` names the amplitudes held at zero by their non-negativity
-    constraint, a g at or past an end of its scan and a freed kappa on its
-    kappa >= kappa_ex limit.
+    constraint, a g at or past an end of its scan or with both amplitudes
+    that carry it (n_c and n_m_T, free or pinned) at zero, and a freed kappa
+    on its kappa >= kappa_ex limit.  `message` gives the IRLS passes and the
+    number of couplings the g profile costed.
     """
     if trace.unit is not SpectrumUnit.QUANTA:
         raise UnitError(f"full-model fit needs a quanta trace, got {trace.unit.value}")
@@ -341,12 +374,14 @@ def fit_full_model(
         hi = math.log10(10.0 * values["kappa"])
         grid = nodes = np.log(np.logspace(lo, hi, int(math.ceil(16.0 * (hi - lo))) + 1))
     step_costs: list[tuple[float, float]] = []
+    profile_nodes = 0
     sigma = _sigma_from_model(data, n_avg)
     shape = _Shape(delta, values)  # the IRLS loop moves only g and the weights
     for passes in range(1, 5):  # IRLS: refresh the weights from the fitted model
         normal = _Pass(shape, sigma**-2, data, coef)
         if "g" in free:
-            values["g"] = _profile_g(normal.cost, grid, step_costs)
+            values["g"], costed = _profile_g(normal.cost, grid, step_costs)
+            profile_nodes += costed
             # later passes rescan one node spacing either side of this optimum
             grid = math.log(values["g"]) + (nodes[1] - nodes[0]) * np.linspace(-1.0, 1.0, 8)
         model = output_noise_values(delta, solved(values, normal))
@@ -384,7 +419,8 @@ def fit_full_model(
     flagged = {name for name in amps if values[name] == 0.0}
     if res is not None:
         flagged |= {name for name, hit in zip(shapes, res.at_bound) if hit}
-    if "g" in free and not math.exp(nodes[0]) < values["g"] < math.exp(nodes[-1]):
+    # g is not identified at a scan end, nor when both amplitudes that carry it are zero
+    if "g" in free and (not math.exp(nodes[0]) < values["g"] < math.exp(nodes[-1]) or values["n_c"] == values["n_m_T"] == 0.0):
         flagged.add("g")
     if "kappa" in free and values["kappa"] <= values["kappa_ex"] * (1.0 + 1e-9):
         flagged.add("kappa")
@@ -399,7 +435,7 @@ def fit_full_model(
         covariance=covariance,
         at_bound=tuple(name for name in free if name in flagged),
         step_costs=tuple(step_costs) + (tuple(res.step_costs) if res else ()),
-        message=f"separable fit: {passes} IRLS passes" + (f"; {res.message}" if res else "") + note,
+        message=f"separable fit: {passes} IRLS passes, {profile_nodes} profile nodes" + (f"; {res.message}" if res else "") + note,
     )
 
 

@@ -454,6 +454,8 @@ def _fit_line(trace: SpectrumTrace) -> tuple[PeakSummary, np.ndarray, float, int
                         step /= 2.0
                     (center, fwhm), (products, linear) = trial, found
                     cost = float(resid @ resid)
+                    if not (freq[-1] - freq[0]) / (n - 1) <= fwhm <= freq[-1] - freq[0]:  # a noise-only trace drifts out
+                        raise PeakDetectionError(f"no resolved peak: the line width {fwhm:.3g} Hz is below one bin or wider than the window")
                 resid /= -terms[0]  # `terms` and `resid` are those of the last, accepted step
                 resid += vals  # the fitted model
                 np.multiply(_sigma_from_model(resid, n_avg), terms[0], out=resid)  # new over previous sigma

@@ -12,7 +12,7 @@ from emcool.constants import HBAR
 from emcool.errors import DegenerateFitError, ParameterError, PeakDetectionError, UnitError
 from emcool.estimation import DEFAULT_FREE, _det, _nnls, _Pass, _profile_g, _Shape, lorentzian_model
 from emcool.leastsq import fit_weighted
-from emcool.spectra import output_noise_basis
+from emcool.spectra import grid_for, output_noise_basis
 from emcool.synth import periodogram_factors
 
 from conftest import gamma_total_at, model_params, output_trace
@@ -262,6 +262,37 @@ class TestFitFullModel:
         assert fit.params["n_m_T"] == fit.params["n_c"] == 0.0
         assert set(fit.at_bound) == {"n_m_T", "n_c", "g"}
 
+    def test_g_flagged_when_its_amplitudes_are_zero(self, device, device_model, monkeypatch):
+        # wherever inside its scan a flat trace leaves g, it carries no signal
+        center = device.mech.omega_m / TWO_PI
+        freq = np.linspace(center - 5e4, center + 5e4, 512)
+        trace = em.SpectrumTrace(freq, np.full(512, 2.6), em.SpectrumUnit.QUANTA, {})
+        monkeypatch.setattr(estimation, "_profile_g", lambda cost, log_g, step_costs: (math.exp(np.median(log_g)), 0))
+        fit = em.fit_full_model(trace, device_model)
+        assert fit.params["n_m_T"] == fit.params["n_c"] == 0.0
+        assert "g" in fit.at_bound
+        fit = em.fit_full_model(trace, replace(device_model, n_c=0.1), free=("n_m_T", "g", "n_add_eff"))
+        assert "g" not in fit.at_bound  # a pinned n_c > 0 carries g
+
+    @pytest.mark.parametrize("case", ["readme", "sweep"])
+    def test_profile_node_count(self, device, device_model, monkeypatch, case):
+        # exact counts of the couplings the g profile costs per fit, reported
+        # in the message; an 8-node zoom to the same precision costs 225 and 175 here
+        if case == "readme":  # `emcool simulate --n-d 4000 --seed 0`, in process
+            thermal = em.ThermalState.from_temperature(0.020, device.mech)
+            g = em.coupling_rate(device.coupling, device.mech, 4000.0)
+            params = em.ModelParams.for_device(device, g=g, n_m_T=thermal.n_m_T, n_add_eff=em.REFERENCE_N_ADD_EFF)
+            trace = em.generate_spectrum(params, em.NoiseConfig(n_avg=500, seed=0), freq_hz=grid_for(params))
+        else:  # one cooling-sweep point on a 600 kHz half-span
+            trace, _ = output_trace(device, 1e4, n_m_T=39.0, seed=0)
+        sizes = []
+        cost = estimation._Pass.cost
+        monkeypatch.setattr(estimation._Pass, "cost", lambda normal, g: sizes.append(g.size) or cost(normal, g))
+        fit = em.fit_full_model(trace, device_model)
+        assert fit.converged
+        assert f", {sum(sizes)} profile nodes" in fit.message
+        assert sum(sizes) <= {"readme": 130, "sweep": 120}[case]
+
     def test_freed_kappa_on_its_limit_is_flagged(self, device, device_model):
         # this seed drives the freed kappa onto kappa >= kappa_ex, where the
         # engine stops at a stationary point and reports convergence
@@ -382,20 +413,65 @@ class TestSeparableNormalEquations:
             mats = rng.normal(size=(5, 6, k, k))
             np.testing.assert_allclose(_det(np.moveaxis(mats, (2, 3), (0, 1))), np.linalg.det(mats), rtol=1e-12, atol=1e-12)
 
-    def test_rescans_cost_only_new_nodes(self):
-        # each rescan's ends are the last best node's neighbours, already costed
-        sizes = []
 
-        def cost(g):
-            sizes.append(g.size)
-            return (np.log(g) - 1.234) ** 2
+# 16 nodes per decade over three decades, like the fit's scan of g
+PROFILE_GRID = np.log(np.logspace(0.0, 3.0, 49))
+SPACING = PROFILE_GRID[1] - PROFILE_GRID[0]
 
-        step_costs = []
-        g_best = _profile_g(cost, np.linspace(0.0, 3.0, 49), step_costs)
-        assert sizes[0] == 49 and len(sizes) > 5
-        assert set(sizes[1:]) == {6}
-        assert math.log(g_best) == pytest.approx(1.234, abs=1e-5)
-        assert all(after < before for before, after in step_costs)
+
+def profile(shape, x0):
+    """_profile_g on cost = shape(ln g - x0): ln g, step_costs and the node count of every cost call."""
+    sizes = []
+
+    def cost(g):
+        sizes.append(g.size)
+        return shape(np.log(g) - x0)
+
+    step_costs = []
+    g_best, nodes = _profile_g(cost, PROFILE_GRID, step_costs)
+    assert sizes[0] == PROFILE_GRID.size and set(sizes[1:]) <= {1, 2}
+    assert nodes == sum(sizes)
+    assert all(after < before for before, after in step_costs)
+    return math.log(g_best), step_costs, sizes
+
+
+class TestProfileG:
+    @pytest.mark.parametrize("shape", [
+        lambda t: t * t,
+        lambda t: np.exp(3.0 * t) - 3.0 * t,  # skewed: steep above the minimum
+        lambda t: np.exp(-4.0 * t) + 4.0 * t,  # and below it
+    ], ids=["quadratic", "steep-above", "steep-below"])
+    @pytest.mark.parametrize("x0", [0.5, 1.234, 3.3, 5.0 + 0.5 * SPACING, 6.2])
+    def test_smooth_minimum_to_1e_5_in_few_calls(self, shape, x0):
+        log_g, step_costs, sizes = profile(shape, x0)
+        assert log_g == pytest.approx(x0, abs=1e-5)
+        assert step_costs  # the refinement moved off the best scan node
+        assert len(sizes) <= 1 + 10
+
+    def test_lopsided_minimum_does_not_creep(self):
+        # curvature 10x larger below the minimum than above: parabolas through
+        # a stale bracket end creep toward it, so the step bisects instead
+        for x0 in np.linspace(1.0, 6.0, 11):
+            log_g, _, sizes = profile(lambda t: np.where(t < 0.0, 10.0 * t * t, t * t), x0)
+            assert log_g == pytest.approx(x0, abs=1e-5)
+            assert len(sizes) <= 1 + 40
+
+    @pytest.mark.parametrize("end", [0, -1])
+    def test_minimum_beside_a_grid_end(self, end):
+        inward = 1.0 if end == 0 else -1.0
+        log_g, _, sizes = profile(lambda t: t * t, PROFILE_GRID[end] + 0.3 * inward * SPACING)
+        assert log_g == pytest.approx(PROFILE_GRID[end] + 0.3 * inward * SPACING, abs=1e-5)
+        assert len(sizes) <= 1 + 10
+        # past the end the result stays on the end node, where the fit flags it
+        log_g, step_costs, sizes = profile(lambda t: t * t, PROFILE_GRID[end] - inward)
+        assert log_g == PROFILE_GRID[end] and step_costs == []
+        assert len(sizes) <= 1 + 14
+
+    def test_flat_profile_returns_the_first_node(self):
+        log_g, step_costs, sizes = profile(np.zeros_like, 2.0)
+        assert log_g == PROFILE_GRID[0] and step_costs == []
+        assert len(sizes) <= 1 + 14
+
 
 def calibration_trace(device, temperature, n_d, seed, n_avg=5000, points=512, noiseless=False):
     """Detected thermal spectrum in W/Hz at one cryostat temperature."""

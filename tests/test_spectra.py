@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import emcool as em
+from emcool import spectra
 from emcool.constants import HBAR
 from emcool.errors import (
     ParameterError,
@@ -12,6 +13,7 @@ from emcool.errors import (
     UnitError,
 )
 from emcool.spectra import _trapezoid, grid_for, trace_from_csv, trace_to_csv, weak_coupling_values
+from emcool.synth import periodogram_factors
 
 from conftest import gamma_total_at, model_params
 
@@ -390,6 +392,21 @@ class TestThermalDisplacementPsd:
         raw = _trapezoid(trace.values, grid)
         covered = (2 / math.pi) * math.atan(2 * 300)
         assert raw / covered == pytest.approx(em.zero_point_motion(mech) ** 2, rel=1e-6)
+
+
+class TestLineFitFailsFast:
+    @pytest.mark.parametrize("seed", [9, 11, 13, 15])
+    def test_noise_only_trace_stops_when_the_width_leaves_the_grid(self, seed, monkeypatch):
+        # noise-only 256-bin traces whose line fit ran to the 100-step cap
+        # while its width shrank below one bin
+        evals = []
+        line_terms = spectra._line_terms
+        monkeypatch.setattr(spectra, "_line_terms", lambda *args: evals.append(1) or line_terms(*args))
+        freq = np.linspace(2.0e6, 2.1e6, 256)
+        vals = 2.6 * periodogram_factors(256, 500, seed)
+        with pytest.raises(PeakDetectionError, match="line width"):
+            spectra.peak_area(em.SpectrumTrace(freq, vals, em.SpectrumUnit.QUANTA, {"n_avg": 500}))
+        assert len(evals) <= 10
 
 
 class TestIntegrateMechPeak:
