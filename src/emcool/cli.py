@@ -7,6 +7,7 @@ its options and seed, and rerunning overwrites its outputs identically.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -253,7 +254,9 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of `main`, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="emcool",
         description="Sideband-cooling spectra: simulate, fit, calibrate, sweep, report.",

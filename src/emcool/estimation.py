@@ -4,11 +4,12 @@ The full-model fit is separable (variable projection, Golub & Pereyra 1973):
 the spectrum is linear in n_add_eff, n_c and n_m_T, which are solved exactly
 by weighted NNLS for every trial shape; g is profiled on a log scan from
 4g^2/kappa = 1e-3 gamma_m to 10 kappa, refined by bracketed parabolic steps
-to 1e-5 in ln g, and a freed kappa, gamma_m or
+of three-node stencils to 1e-5 in ln g, and a freed kappa, gamma_m or
 delta_tilde goes to the damped Gauss-Newton engine in `leastsq` on the
 projected model, whose complex-step Jacobian is the exact variable-projection
-one.  An outer IRLS loop refreshes the sigmas model/sqrt(n_avg);
-the covariance is inv(J^T J) in the natural parameters.  One `ModelParams`
+one.  An outer IRLS loop refreshes the sigmas model/sqrt(n_avg) and profiles
+g again from its last optimum; the covariance is inv(J^T J) in the natural
+parameters.  One `ModelParams`
 carries the pinned values and the shape starts.  kappa and delta_tilde stay
 fixed by default because they are measured independently with a probe tone
 at each drive power, but any subset of
@@ -51,7 +52,6 @@ from .spectra import (
     ModelParams,
     SpectrumTrace,
     SpectrumUnit,
-    _pole_margins,
     _basis_factors,
     _check_stable,
     _fit_line,
@@ -135,68 +135,75 @@ _BASIS_ARGS = ("g", "kappa", "kappa_ex", "gamma_m", "delta_tilde", "beta")  # of
 _SCAN_BLOCK = 16
 
 
-def _supports(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every support of k amplitudes: masks (2^k, k), their sizes, and the
-    indices into [gram (k*k), rhs (k), 0, 1] that build Cramer's k + 1
-    matrices per support, (k, k, 2^k, k + 1): the system, embedded with
-    identity off the support, then that system with column i replaced by
-    the support's right-hand side."""
+# the cofactor expansion of a 3 x 3 matrix P along its first row, sum over j
+# of (-1)^j P[0, j] (P[1, x] P[2, y] - P[1, y] P[2, x]) with x < y the other
+# two columns: the (row, column) of each of these five factors, per j
+_COFACTOR = (((0, 0), (0, 1), (0, 2)), ((1, 1), (1, 0), (1, 0)), ((2, 2), (2, 2), (2, 1)),
+             ((1, 2), (1, 2), (1, 1)), ((2, 1), (2, 0), (2, 0)))
+
+
+def _supports(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every support of k <= 3 amplitudes: its 1e-12 cost margin per
+    amplitude, (2^k, 1), and the indices into [normal ((k + 1)^2), 0, 1] of
+    the `_COFACTOR` factors of Cramer's k + 1 matrices per support, (5, 3,
+    2^k, k + 1): the system, embedded with identity off the support, then
+    that system with column i replaced by the support's right-hand side,
+    each padded to 3 x 3 with identity."""
     masks = list(itertools.product((False, True), repeat=k))
-    zero, one = k * k + k, k * k + k + 1
+    size = k + 1  # of the normal equations: k amplitudes, then the data
+    zero, one = size * size, size * size + 1
 
     def entry(mask, c, r, j):  # of row r, column j of Cramer matrix c
-        if c == j + 1:
-            return k * k + r if mask[r] else zero
-        if mask[r] and mask[j]:
-            return r * k + j
+        if r < k and j < k and c == j + 1:
+            return r * size + k if mask[r] else zero
+        if r < k and j < k and mask[r] and mask[j]:
+            return r * size + j
         return one if r == j else zero
 
-    index = [[[[entry(mask, c, r, j) for c in range(k + 1)] for mask in masks] for j in range(k)] for r in range(k)]
-    return (np.array(masks, dtype=bool).reshape(2**k, k), np.array([sum(mask) for mask in masks]),
-            np.array(index, dtype=np.intp).reshape(k, k, 2**k, k + 1))
+    index = [[[[entry(mask, c, r, j) for c in range(k + 1)] for mask in masks] for r, j in factor] for factor in _COFACTOR]
+    return 1e-12 * np.array([[sum(mask)] for mask in masks], dtype=float), np.array(index, dtype=np.intp)
 
 
 _SUPPORTS = [_supports(k) for k in range(4)]
-# where each Gram entry of 1, A, B, d sits in the row `_Pass.gram` builds:
+# where each Gram entry of 1, A, B, d sits in the row of Gram entries:
 # the sums of w, w d and w d^2, then s @ lin, then s^2 @ quad
 _GRAM_ENTRY = np.array([[0, 3, 4, 1], [3, 7, 8, 5], [4, 8, 9, 6], [1, 5, 6, 2]])
+# the power of c = 4 gamma_m g^2 that scales each product of s @ lin, s^2 @ quad
+_C_POWER = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 2.0])
 
 
-def _det(mats: np.ndarray) -> np.ndarray:
-    """Determinants of k x k matrices stacked along the trailing axes of
-    mats (k, k, ...), k <= 3, by cofactor expansion."""
-    k = len(mats)
-    if k == 0:
-        return np.ones(mats.shape[2:])
-    if k == 1:
-        return mats[0, 0]
-    if k == 2:
-        return mats[0, 0] * mats[1, 1] - mats[0, 1] * mats[1, 0]
-    (a, b, c), (d, e, f), (g, h, i) = mats
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+def _det(factors: np.ndarray) -> np.ndarray:
+    """Determinants of 3 x 3 matrices from their `_COFACTOR` factors (5, 3, ...)."""
+    terms = factors[0] * (factors[1] * factors[2] - factors[3] * factors[4])
+    return terms[0] - terms[1] + terms[2]
 
 
-def _nnls(gram: np.ndarray, rhs: np.ndarray, yy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _nnls(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched non-negative least squares from the normal equations.
 
-    gram (m, k, k), rhs (m, k), yy (m,) the weighted data norm.  Every
-    support is solved by Cramer's rule, embedded in a k x k system with
-    identity off the support; each amplitude in a support must buy more than
-    1e-12 yy of cost, so one that is zero within rounding comes out exactly
-    zero.  Returns the amplitudes (m, k) and the costs (m,).  Complex input
-    (a complex step) picks the support and the best score from the real parts
-    only, so the imaginary parts are derivatives on a fixed support.
+    normal (m, k + 1, k + 1): the weighted Gram matrices of the k amplitude
+    columns and the data column, whose last entry is the weighted data norm
+    yy.  Every support is solved by Cramer's rule, embedded in a k x k
+    system with identity off the support; each amplitude in a support must
+    buy more than 1e-12 yy of cost, so one that is zero within rounding
+    comes out exactly zero.  Returns the amplitudes (m, k) and the costs
+    (m,).  Complex input (a complex step) picks the support and the best
+    score from the real parts only, so the imaginary parts are derivatives
+    on a fixed support.
     """
-    m, k = rhs.shape
-    masks, sizes, index = _SUPPORTS[k]
-    flat = np.concatenate([gram.reshape(m, k * k), rhs, np.zeros((m, 1)), np.ones((m, 1))], axis=1).T
-    sub_rhs = np.where(masks[:, :, None], rhs.T, 0.0)  # (2^k, k, m), like every array below
+    m, size = normal.shape[:2]
+    k = size - 1
+    margin, index = _SUPPORTS[k]
+    flat = np.empty((size * size + 2, m), dtype=normal.dtype)  # (entries, m), like every array below
+    flat[:-2] = normal.reshape(m, -1).T
+    flat[-2:] = ((0.0,), (1.0,))
+    yy = flat[size * size - 1]
     with np.errstate(all="ignore"):
         dets = _det(flat[index])
-        sol = dets[:, 1:] / dets[:, :1]
-        gain = np.sum(sol * sub_rhs, axis=1)
-        feasible = np.isfinite(gain.real) & np.all(sol.real >= 0.0, axis=1)
-        score = np.where(feasible, gain.real - 1e-12 * np.abs(yy.real) * sizes[:, None], -np.inf)
+        sol = dets[:, 1:] / dets[:, :1]  # exactly 0 off the support, whose Cramer matrices have a zero row
+        gain = np.add.reduce(sol * flat[k : k * size : size], axis=1)
+        feasible = np.isfinite(gain.real) & (sol.real >= 0.0).all(axis=1)
+        score = np.where(feasible, gain.real - margin * np.abs(yy.real), -np.inf)
     best = np.argmax(score, axis=0)
     rows = np.arange(m)
     return sol[best, :, rows], 0.5 * (yy - gain[best, rows])
@@ -211,7 +218,6 @@ class _Shape:
         kappa, kappa_ex, gamma_m, delta_tilde, beta = (vals[name] for name in _BASIS_ARGS[1:])
         self.p, self.q2, self.k = _basis_factors(delta, kappa, gamma_m, delta_tilde)
         self.numer, self.mech = 4.0 * beta * kappa_ex, 4.0 * gamma_m
-        self.poles = (kappa, gamma_m, delta_tilde)
 
 
 class _Pass:
@@ -220,96 +226,121 @@ class _Pass:
 
     def __init__(self, shape: _Shape, w: np.ndarray, data: np.ndarray, coef: np.ndarray) -> None:
         wk, wd = w * shape.k, w * data
-        self.shape, self.coef = shape, coef
+        self.shape = shape
         # with c = 4 gamma_m g^2: s @ lin = sums of w A, w B / c, w A d, w B d / c
-        # and s^2 @ quad = sums of w A^2, w A B / c, w B^2 / c^2
-        self.lin = np.stack([wk, w, wd * shape.k, wd], axis=1)
-        self.quad = np.stack([wk * shape.k, wk, w], axis=1)
-        self.const = (float(np.sum(w)), float(np.sum(wd)), float(wd @ data))
+        # and s^2 @ quad = sums of w A^2, w A B / c, w B^2 / c^2; each column
+        # contiguous (the transpose of stacked rows), which BLAS reads twice as fast
+        self.lin = np.stack([wk, w, wd * shape.k, wd]).T
+        self.quad = np.stack([wk * shape.k, wk, w]).T
+        # normal equations = coef (Gram matrix of 1, A, B, d) coef^T = entries @ fold,
+        # fold[e] summing coef[:, i] coef[:, j]^T over the positions (i, j) of entry e
+        fold = np.einsum("pi,qj,ije->epq", coef, coef, _GRAM_ENTRY[:, :, None] == np.arange(10)).reshape(10, -1)
+        self.base = np.array([np.sum(w), np.sum(wd), wd @ data]) @ fold[:3]  # the constant entries
+        self.fold, self.size = fold[3:], coef.shape[0]
 
     def gram(self, g: np.ndarray) -> np.ndarray:
-        """Weighted Gram matrices (m, 4, 4) of 1, A, B and the data, per coupling in g."""
+        """Normal equations (m, k + 1, k + 1) per coupling in g: the weighted
+        Gram matrices of 1, A, B and the data, mapped by coef."""
         sh = self.shape
-        s = np.add.outer(4.0 * g * g, sh.p)
+        g2 = g * g
+        s = np.add.outer(4.0 * g2, sh.p)
         np.square(s, out=s)
         s += sh.q2
         np.divide(sh.numer, s, out=s)
         lin = s @ self.lin
-        quad = np.square(s, out=s) @ self.quad
-        c = sh.mech * g * g
-        lin[:, 1::2] *= c[:, None]
-        quad[:, 1] *= c
-        quad[:, 2] *= c * c
-        entries = np.empty((g.size, 10), dtype=s.dtype)
-        entries[:, :3] = self.const
-        entries[:, 3:7], entries[:, 7:] = lin, quad
-        return entries[:, _GRAM_ENTRY]
+        entries = np.concatenate((lin, np.square(s, out=s) @ self.quad), axis=1)
+        entries *= (sh.mech * g2)[:, None] ** _C_POWER
+        return (self.base + entries @ self.fold).reshape(g.size, self.size, self.size)
 
     def solve(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Exact amplitudes (m, k) and costs (m,) per coupling in g."""
-        k = self.coef.shape[0] - 1
-        normal = self.coef @ self.gram(g) @ self.coef.T
-        return _nnls(normal[:, :k, :k], normal[:, :k, k], normal[:, k, k])
+        return _nnls(self.gram(g))
 
     def cost(self, g: np.ndarray) -> np.ndarray:
-        """Profile cost per coupling in g; inf where the dressed mode is unstable."""
-        costs = np.full(g.size, np.inf)
-        stable = np.flatnonzero(_pole_margins(g, *self.shape.poles) > 0.0)
-        for i in range(0, stable.size, _SCAN_BLOCK):
-            rows = stable[i : i + _SCAN_BLOCK]
-            costs[rows] = self.solve(g[rows])[1]
-        return costs
+        """Profile cost per coupling in g, in blocks of `_SCAN_BLOCK`; every
+        g >= 0 is stable (see `spectra._pole_margin`)."""
+        return np.concatenate([self.solve(g[i : i + _SCAN_BLOCK])[1] for i in range(0, g.size, _SCAN_BLOCK)])
 
 
 _PROFILE_TOL = 1e-5  # in ln g
+# half-width of a warm start's first call, in ln g: between IRLS passes the
+# optimum moves 4e-4 at the median and 2.3e-3 at p90 of the cooling-sweep fits
+_WARM_STEP = 1e-3
 
 
-def _profile_g(cost, log_g: np.ndarray, step_costs: list) -> tuple[float, int]:
-    """Coupling minimizing cost(g), and the number of nodes costed.
+def _vertex(x: list, f: list) -> float:
+    """Minimum of the parabola through three nodes x0 < x1 < x2; nan when
+    there are fewer nodes or the parabola is not convex."""
+    if len(x) < 3:
+        return math.nan
+    (x0, x1, x2), (f0, f1, f2) = x, f
+    p = (x1 - x0) ** 2 * (f1 - f2) - (x1 - x2) ** 2 * (f1 - f0)
+    q = (x1 - x0) * (f1 - f2) - (x1 - x2) * (f1 - f0)  # < 0 when convex
+    return x1 - 0.5 * p / q if q < 0.0 else math.nan
 
-    The log-spaced nodes are costed in one call; the best node and its
-    neighbours bracket the minimum, which parabolic steps (Brent 1973) narrow
-    to 2e-5 in ln g.  Each step costs the vertex of the parabola through the
-    bracket in a 1-node call.  When the vertex is not strictly inside the
-    bracket, or moves at least half as far from the best node as the step
-    before last did (a lopsided profile, on which parabolas creep), the step
-    bisects the bracket's larger side instead; a step within 1e-5 of the
-    best node costs best +- 1e-5 in one 2-node call.  The result never
-    leaves the nodes' range: a best node at an end stays there unless a node
-    inside costs less.
+
+def _profile_g(cost, scan: np.ndarray, step_costs: list, start: float | None = None) -> tuple[float, int, int]:
+    """ln g minimizing cost(g) over the range of `scan` (in ln g), and the
+    numbers of nodes costed and of cost calls.
+
+    The first call costs the scan's nodes or, warm-started from the ln g
+    `start` of an earlier IRLS pass, start and start +- 1e-3.  Every later
+    call costs a stencil u, u +- d around a vertex u of the parabola through
+    the best costed node b and its two nearest costed nodes.  While b is the
+    lowest or highest costed node but not a scan end, the minimum is not
+    bracketed and u steps outward: to the vertex, at most 10 times those
+    three nodes' span from b, or twice that span when the parabola is not
+    convex, with d = |u - b|/2.  Once b's neighbours bracket the minimum,
+    parabolic steps (Brent 1973) take d = max(|u - b|/4, 1e-5), a vertex
+    within 1e-5 of b taken as b, until the bracket is at most 2e-5 wide.  When the vertex is not
+    strictly inside the bracket, or moves at least half as far from b as the
+    step before last did (Brent's progress test: parabolas creep on lopsided
+    profiles), the step costs the quarter points of the bracket's larger side
+    instead.  No node leaves the scan's range: a best node at a scan end
+    stays there unless a node inside costs less.
     """
-    costs = cost(np.exp(log_g))
-    i = int(np.argmin(costs))
-    near = (max(i - 1, 0), i, min(i + 1, log_g.size - 1))  # at an end the bracket has one side
-    a, b, c = (float(log_g[j]) for j in near)
-    fa, fb, fc = (float(costs[j]) for j in near)
-    nodes, moves = log_g.size, [math.inf, math.inf]  # |step - best| of every step
-    while c - a > 2.0 * _PROFILE_TOL:
-        p = (b - a) ** 2 * (fb - fc) - (b - c) ** 2 * (fb - fa)
-        q = (b - a) * (fb - fc) - (b - c) * (fb - fa)
-        u = b - 0.5 * p / q if q != 0.0 else math.nan
-        if not (a < u < c and abs(u - b) < 0.5 * moves[-2]):
-            u = 0.5 * (a + b) if b - a > c - b else 0.5 * (b + c)
-        moves.append(abs(u - b))
-        trial = [u] if abs(u - b) >= _PROFILE_TOL else [x for x in (b - _PROFILE_TOL, b + _PROFILE_TOL) if a < x < c]
-        if not trial:  # the bracket is best +- 1e-5 up to rounding
+    lo, hi = float(scan[0]), float(scan[-1])
+    if start is None:
+        xs = scan.tolist()
+    else:
+        xs = sorted({min(max(x, lo), hi) for x in (start - _WARM_STEP, start, start + _WARM_STEP)})
+    fs = cost(np.exp(xs)).tolist()
+    nodes, calls, moves = len(xs), 1, [math.inf, math.inf]  # |u - b| of every bracketed step
+    while True:
+        i = fs.index(min(fs))
+        k = max(i - 2, 0)  # nodes more than two places from b take no further part
+        xs, fs, i = xs[k : i + 3], fs[k : i + 3], i - k
+        b, fb = xs[i], fs[i]
+        a, c = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]  # at a scan end the bracket has one side
+        near = sorted(sorted(range(len(xs)), key=lambda j: abs(xs[j] - b))[:3])  # b and its two nearest costed nodes
+        u, span = _vertex([xs[j] for j in near], [fs[j] for j in near]), xs[near[-1]] - xs[near[0]]
+        if a == b > lo or b == c < hi:  # not bracketed: step outward, up to a scan end
+            side = 1.0 if b == c else -1.0
+            out = side * (u - b)  # nan when not convex
+            u = b + side * (min(out, 10.0 * span) if out > 0.0 else 2.0 * span)
+            d = max(abs(u - b) / 2.0, _PROFILE_TOL)  # a profile that keeps falling doubles the step
+            trial = {min(max(x, lo), hi) for x in (u - d, u, u + d)}
+        elif c - a <= 2.0 * _PROFILE_TOL:
             break
-        nodes += len(trial)
-        for x, f in zip(trial, cost(np.exp(trial)).tolist()):
-            if not a < x < c:  # cut off by the first of two nodes
-                continue
-            if f < fb:
-                step_costs.append((fb, f))
-                if x < b:
-                    c, fc = b, fb
-                else:
-                    a, fa = b, fb
-                b, fb = x, f
-            elif x < b:
-                a, fa = x, f
-            else:
-                c, fc = x, f
-    return math.exp(b), nodes
+        else:
+            if a < u < c and abs(u - b) < 0.5 * moves[-2]:
+                moves.append(abs(u - b))
+                u = u if moves[-1] >= _PROFILE_TOL else b  # b's own stencil then closes the bracket
+                d = max(abs(u - b) / 4.0, _PROFILE_TOL)
+            else:  # the quarter points of the larger side
+                u = 0.5 * (a + b) if b - a > c - b else 0.5 * (b + c)
+                moves.append(abs(u - b))
+                d = 0.5 * abs(u - b)
+            trial = {x for x in (u - d, u, u + d) if a < x < c}
+        trial = sorted(trial - set(xs))
+        if not trial:
+            break
+        f_trial = cost(np.exp(trial)).tolist()
+        nodes, calls = nodes + len(trial), calls + 1
+        if min(f_trial) < fb:
+            step_costs.append((fb, min(f_trial)))
+        xs, fs = (list(v) for v in zip(*sorted(zip(xs + trial, fs + f_trial))))
+    return b, nodes, calls
 
 
 def fit_full_model(
@@ -328,7 +359,7 @@ def fit_full_model(
     constraint, a g at or past an end of its scan or with both amplitudes
     that carry it (n_c and n_m_T, free or pinned) at zero, and a freed kappa
     on its kappa >= kappa_ex limit.  `message` gives the IRLS passes and the
-    number of couplings the g profile costed.
+    numbers of couplings the g profile costed and of its cost calls.
     """
     if trace.unit is not SpectrumUnit.QUANTA:
         raise UnitError(f"full-model fit needs a quanta trace, got {trace.unit.value}")
@@ -372,18 +403,17 @@ def fit_full_model(
     if "g" in free:  # 16 nodes per decade of g, from optical damping 4g^2/kappa = 1e-3 gamma_m to g = 10 kappa
         lo = math.log10(0.5 * math.sqrt(1e-3 * values["kappa"] * values["gamma_m"]))
         hi = math.log10(10.0 * values["kappa"])
-        grid = nodes = np.log(np.logspace(lo, hi, int(math.ceil(16.0 * (hi - lo))) + 1))
+        scan = np.log(np.logspace(lo, hi, int(math.ceil(16.0 * (hi - lo))) + 1))
     step_costs: list[tuple[float, float]] = []
-    profile_nodes = 0
+    profile_nodes = profile_calls = 0
+    start = None  # later passes warm-start the profile from the last g
     sigma = _sigma_from_model(data, n_avg)
     shape = _Shape(delta, values)  # the IRLS loop moves only g and the weights
     for passes in range(1, 5):  # IRLS: refresh the weights from the fitted model
         normal = _Pass(shape, sigma**-2, data, coef)
         if "g" in free:
-            values["g"], costed = _profile_g(normal.cost, grid, step_costs)
-            profile_nodes += costed
-            # later passes rescan one node spacing either side of this optimum
-            grid = math.log(values["g"]) + (nodes[1] - nodes[0]) * np.linspace(-1.0, 1.0, 8)
+            start, costed, calls = _profile_g(normal.cost, scan, step_costs, start)
+            values["g"], profile_nodes, profile_calls = math.exp(start), profile_nodes + costed, profile_calls + calls
         model = output_noise_values(delta, solved(values, normal))
         sigma, previous = _sigma_from_model(model, n_avg), sigma
         if np.max(np.abs(sigma - previous) / previous) < 1e-3:
@@ -420,7 +450,7 @@ def fit_full_model(
     if res is not None:
         flagged |= {name for name, hit in zip(shapes, res.at_bound) if hit}
     # g is not identified at a scan end, nor when both amplitudes that carry it are zero
-    if "g" in free and (not math.exp(nodes[0]) < values["g"] < math.exp(nodes[-1]) or values["n_c"] == values["n_m_T"] == 0.0):
+    if "g" in free and (not math.exp(scan[0]) < values["g"] < math.exp(scan[-1]) or values["n_c"] == values["n_m_T"] == 0.0):
         flagged.add("g")
     if "kappa" in free and values["kappa"] <= values["kappa_ex"] * (1.0 + 1e-9):
         flagged.add("kappa")
@@ -435,7 +465,7 @@ def fit_full_model(
         covariance=covariance,
         at_bound=tuple(name for name in free if name in flagged),
         step_costs=tuple(step_costs) + (tuple(res.step_costs) if res else ()),
-        message=f"separable fit: {passes} IRLS passes, {profile_nodes} profile nodes" + (f"; {res.message}" if res else "") + note,
+        message=f"separable fit: {passes} IRLS passes, {profile_nodes} profile nodes in {profile_calls} calls" + (f"; {res.message}" if res else "") + note,
     )
 
 

@@ -181,20 +181,17 @@ def _pole_margin(g: float, kappa: float, gamma_m: float, delta_tilde: float) -> 
 
     Poles solve 4 delta^2 - 2j(A+gamma_m) delta - (4g^2 + A gamma_m) = 0 with
     A = kappa + 2j delta_tilde; stable modes sit in the upper half plane.
+    The model is passive: at g = 0 the poles are j gamma_m/2 and j A/2, and
+    a pole reaches the real axis only where the real and imaginary parts of
+    the equation vanish together, at delta = -delta_tilde gamma_m/(kappa +
+    gamma_m) and 4g^2 = -kappa gamma_m (1 + 4 delta_tilde^2/(kappa +
+    gamma_m)^2) < 0.  So for kappa, gamma_m > 0 every real g is stable.
     """
     a_cpx = kappa + 2j * delta_tilde
     b = a_cpx + gamma_m
     disc = cmath.sqrt(4.0 * (4.0 * g * g + a_cpx * gamma_m) - b * b)
     roots = ((1j * b + disc) / 4.0, (1j * b - disc) / 4.0)
     return min(r.imag for r in roots)
-
-
-def _pole_margins(g: np.ndarray, kappa: float, gamma_m: float, delta_tilde: float) -> np.ndarray:
-    """`_pole_margin` for an array of couplings, in the same arithmetic."""
-    a_cpx = kappa + 2j * delta_tilde
-    b = a_cpx + gamma_m
-    disc = np.sqrt(4.0 * (4.0 * g * g + a_cpx * gamma_m) - b * b)
-    return np.minimum(((1j * b + disc) / 4.0).imag, ((1j * b - disc) / 4.0).imag)
 
 
 def _check_stable(g: float, kappa: float, gamma_m: float, delta_tilde: float) -> None:

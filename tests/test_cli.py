@@ -325,3 +325,12 @@ class TestTopLevel:
     def test_no_command_shows_help(self, capsys):
         assert run([]) == 2
         assert "simulate" in capsys.readouterr().out
+
+    def test_parser_built_once_and_reused_unchanged(self):
+        # main parses every call with one parser per process; a parse leaves
+        # nothing in it for the next one
+        parser = cli.build_parser()
+        first = parser.parse_args(["simulate", "--n-d", "600", "--seed", "3"])
+        again = cli.build_parser().parse_args(["simulate"])
+        assert cli.build_parser() is parser
+        assert (first.n_d, first.seed, again.n_d, again.seed) == (600.0, 3, 4000.0, 0)

@@ -267,7 +267,7 @@ class TestFitFullModel:
         center = device.mech.omega_m / TWO_PI
         freq = np.linspace(center - 5e4, center + 5e4, 512)
         trace = em.SpectrumTrace(freq, np.full(512, 2.6), em.SpectrumUnit.QUANTA, {})
-        monkeypatch.setattr(estimation, "_profile_g", lambda cost, log_g, step_costs: (math.exp(np.median(log_g)), 0))
+        monkeypatch.setattr(estimation, "_profile_g", lambda cost, scan, step_costs, start: (np.median(scan), 0, 0))
         fit = em.fit_full_model(trace, device_model)
         assert fit.params["n_m_T"] == fit.params["n_c"] == 0.0
         assert "g" in fit.at_bound
@@ -276,8 +276,10 @@ class TestFitFullModel:
 
     @pytest.mark.parametrize("case", ["readme", "sweep"])
     def test_profile_node_count(self, device, device_model, monkeypatch, case):
-        # exact counts of the couplings the g profile costs per fit, reported
-        # in the message; an 8-node zoom to the same precision costs 225 and 175 here
+        # exact counts of the couplings the g profile costs per fit and of its
+        # cost calls, reported in the message; an 8-node zoom to the same
+        # precision costs 225 and 175 nodes here, 1-node parabolic steps and
+        # 8-node grids in later passes 113 nodes in 19 calls and 98 in 12
         if case == "readme":  # `emcool simulate --n-d 4000 --seed 0`, in process
             thermal = em.ThermalState.from_temperature(0.020, device.mech)
             g = em.coupling_rate(device.coupling, device.mech, 4000.0)
@@ -290,8 +292,43 @@ class TestFitFullModel:
         monkeypatch.setattr(estimation._Pass, "cost", lambda normal, g: sizes.append(g.size) or cost(normal, g))
         fit = em.fit_full_model(trace, device_model)
         assert fit.converged
-        assert f", {sum(sizes)} profile nodes" in fit.message
-        assert sum(sizes) <= {"readme": 130, "sweep": 120}[case]
+        assert f", {sum(sizes)} profile nodes in {len(sizes)} calls" in fit.message
+        assert (sum(sizes), len(sizes)) == {"readme": (108, 13), "sweep": (94, 7)}[case]
+
+    def test_later_pass_follows_a_moving_optimum(self, device, device_model, monkeypatch):
+        # a cooling-sweep point at n_d = 100 whose second IRLS pass finds g
+        # 0.78 in ln g, five scan spacings, from the first pass's: a local
+        # grid one spacing either side stopped on its end with the cost still
+        # falling; the warm start steps outward until the minimum is bracketed
+        trace, _ = output_trace(device, 100.0, n_m_T=39.0, seed=(1 << 20) + 98)
+        passes = []
+        profile_g = estimation._profile_g
+
+        def recording(cost, scan, step_costs, start):
+            costed = {}
+
+            def recorded(g):
+                f = cost(g)
+                costed.update(zip(np.log(g).tolist(), f.tolist()))
+                return f
+
+            log_g, nodes, calls = profile_g(recorded, scan, step_costs, start)
+            passes.append((start, log_g, sorted(costed.items()), scan))
+            return log_g, nodes, calls
+
+        monkeypatch.setattr(estimation, "_profile_g", recording)
+        fit = em.fit_full_model(trace, device_model)
+        assert fit.converged and len(passes) >= 2
+        start, log_g, costed, scan = passes[1]
+        assert abs(log_g - start) > 5.0 * (scan[1] - scan[0])
+        for start, log_g, costed, scan in passes[1:]:
+            x = [node for node, _ in costed]
+            i = int(np.argmin(np.abs(np.array(x) - log_g)))
+            if 0 < i < len(x) - 1:  # strictly inside a bracket at most 2e-5 wide
+                assert x[i + 1] - x[i - 1] <= 2e-5 + 1e-12
+                assert costed[i - 1][1] >= costed[i][1] <= costed[i + 1][1]
+            else:  # or on a scan end, where g is flagged
+                assert log_g in (scan[0], scan[-1]) and "g" in fit.at_bound
 
     def test_freed_kappa_on_its_limit_is_flagged(self, device, device_model):
         # this seed drives the freed kappa onto kappa >= kappa_ex, where the
@@ -337,19 +374,18 @@ class TestFitFullModel:
             data = design @ rng.normal(size=3) + 0.05 * rng.normal(size=x.size)
             weights = rng.uniform(0.5, 2.0, size=x.size)
 
-            def normal(t):
-                d = design + t * tangent
-                return ((d.T * weights) @ d)[None], ((d.T * weights) @ data)[None], np.array([data @ (weights * data)])
+            def normal(t):  # the weighted Gram matrix of the columns and the data
+                d = np.column_stack([design + t * tangent, data])
+                return ((d.T * weights) @ d)[None]
 
-            (gram, rhs, yy), (d_gram, d_rhs, _) = normal(0.0), normal(1.0)
-            d_gram = (d_gram - gram) - (tangent.T * weights) @ tangent  # the part linear in t
-            d_rhs = d_rhs - rhs
-            amps, cost = _nnls(gram + 1e-20j * d_gram, rhs + 1e-20j * d_rhs, yy)
-            real_amps, real_cost = _nnls(gram, rhs, yy)
+            moved = np.column_stack([tangent, np.zeros_like(x)])
+            d_normal = normal(1.0) - normal(0.0) - (moved.T * weights) @ moved  # the part linear in t
+            amps, cost = _nnls(normal(0.0) + 1e-20j * d_normal)
+            real_amps, real_cost = _nnls(normal(0.0))
             assert np.array_equal(amps.real == 0.0, real_amps == 0.0)  # same support
             np.testing.assert_allclose(amps.real, real_amps, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(cost.real, real_cost, rtol=1e-12)
-            hi, lo = (_nnls(*normal(t))[0] for t in (1e-6, -1e-6))
+            hi, lo = (_nnls(normal(t))[0] for t in (1e-6, -1e-6))
             np.testing.assert_allclose(amps.imag / 1e-20, (hi - lo) / 2e-6, rtol=1e-5, atol=1e-8)
             assert np.all(amps.imag[real_amps == 0.0] == 0.0)
 
@@ -362,10 +398,8 @@ class TestFitFullModel:
             truth = rng.normal(size=3)
             data = design @ truth + 0.05 * rng.normal(size=x.size)
             weights = rng.uniform(0.5, 2.0, size=x.size)
-            wd = design * weights[:, None]
-            amps, cost = _nnls(
-                (wd.T @ design)[None], (wd.T @ data)[None], np.array([data @ (weights * data)])
-            )
+            columns = np.column_stack([design, data])
+            amps, cost = _nnls(((columns.T * weights) @ columns)[None])
             best = (0.5 * float(data @ (weights * data)), np.zeros(3))
             for mask in itertools.product((False, True), repeat=3):
                 cols = np.flatnonzero(mask)
@@ -408,10 +442,15 @@ class TestSeparableNormalEquations:
             np.testing.assert_allclose(gram, explicit, rtol=1e-10, atol=0.0)
 
     def test_det_matches_linalg(self):
+        # k x k matrices padded to 3 x 3 with identity, as `_nnls` pads
+        # Cramer's matrices, through their cofactor factors
         rng = np.random.default_rng(3)
         for k in range(4):
             mats = rng.normal(size=(5, 6, k, k))
-            np.testing.assert_allclose(_det(np.moveaxis(mats, (2, 3), (0, 1))), np.linalg.det(mats), rtol=1e-12, atol=1e-12)
+            padded = np.broadcast_to(np.eye(3), (5, 6, 3, 3)).copy()
+            padded[:, :, :k, :k] = mats
+            factors = np.array([[padded[:, :, r, j] for r, j in factor] for factor in estimation._COFACTOR])
+            np.testing.assert_allclose(_det(factors), np.linalg.det(mats), rtol=1e-12, atol=1e-12)
 
 
 # 16 nodes per decade over three decades, like the fit's scan of g
@@ -419,20 +458,33 @@ PROFILE_GRID = np.log(np.logspace(0.0, 3.0, 49))
 SPACING = PROFILE_GRID[1] - PROFILE_GRID[0]
 
 
-def profile(shape, x0):
-    """_profile_g on cost = shape(ln g - x0): ln g, step_costs and the node count of every cost call."""
-    sizes = []
+def profile(shape, x0, start=None):
+    """_profile_g on cost = shape(ln g - x0), from the scan or warm-started at
+    ln g = start: ln g, step_costs and the node count of every cost call.
+    Checks that the result ends strictly inside a bracket of costed nodes at
+    most 2e-5 wide, or on a scan end."""
+    sizes, costed = [], {}
 
     def cost(g):
         sizes.append(g.size)
-        return shape(np.log(g) - x0)
+        f = shape(np.log(g) - x0)
+        costed.update(zip(np.log(g).tolist(), f.tolist()))
+        return f
 
     step_costs = []
-    g_best, nodes = _profile_g(cost, PROFILE_GRID, step_costs)
-    assert sizes[0] == PROFILE_GRID.size and set(sizes[1:]) <= {1, 2}
-    assert nodes == sum(sizes)
+    log_g, nodes, calls = _profile_g(cost, PROFILE_GRID, step_costs, start)
+    assert sizes[0] == PROFILE_GRID.size if start is None else 2 <= sizes[0] <= 3
+    assert set(sizes[1:]) <= {1, 2, 3}  # one stencil per step
+    assert nodes == sum(sizes) and calls == len(sizes)
     assert all(after < before for before, after in step_costs)
-    return math.log(g_best), step_costs, sizes
+    xs = sorted(costed)
+    i = int(np.argmin(np.abs(np.array(xs) - log_g)))
+    if 0 < i < len(xs) - 1:
+        assert xs[i + 1] - xs[i - 1] <= 2e-5 + 1e-12
+        assert costed[xs[i - 1]] >= costed[xs[i]] <= costed[xs[i + 1]]
+    else:
+        assert log_g == PROFILE_GRID[0 if i == 0 else -1]
+    return log_g, step_costs, sizes
 
 
 class TestProfileG:
@@ -466,6 +518,30 @@ class TestProfileG:
         log_g, step_costs, sizes = profile(lambda t: t * t, PROFILE_GRID[end] - inward)
         assert log_g == PROFILE_GRID[end] and step_costs == []
         assert len(sizes) <= 1 + 14
+
+    @pytest.mark.parametrize("shape", [lambda t: t * t, lambda t: np.exp(3.0 * t) - 3.0 * t], ids=["quadratic", "skewed"])
+    @pytest.mark.parametrize("moved", [-2.5, -1.01, 0.0004, 1.7, 6.0])  # in scan spacings
+    def test_warm_start_follows_a_moving_optimum(self, shape, moved):
+        # a later IRLS pass costs start and start +- 1e-3, then steps outward
+        # until the minimum is bracketed: an 8-node grid one spacing either
+        # side of the start stopped on its end when the optimum moved further
+        log_g, _, sizes = profile(shape, 3.0 + moved * SPACING, start=3.0)
+        assert log_g == pytest.approx(3.0 + moved * SPACING, abs=1e-5)
+        assert len(sizes) <= 1 + 10
+
+    @pytest.mark.parametrize("end", [0, -1])
+    def test_warm_start_stops_on_a_scan_end(self, end):
+        inward = 1.0 if end == 0 else -1.0
+        for start in (PROFILE_GRID[end], PROFILE_GRID[end] + 0.5 * inward * SPACING):
+            log_g, _, sizes = profile(lambda t: t * t, PROFILE_GRID[end] - inward, start=start)
+            assert log_g == PROFILE_GRID[end]
+            assert len(sizes) <= 1 + 14
+        # from mid-scan, profiles that fall all the way to the end: the outward
+        # steps double per call, so ~4 units of ln g take ~12 doublings of 1e-3
+        for shape in (lambda t: inward * t, lambda t: -((t - 10.0 * inward) ** 2)):
+            log_g, _, sizes = profile(shape, 0.0, start=3.0)
+            assert log_g == PROFILE_GRID[end]
+            assert len(sizes) <= 1 + 20
 
     def test_flat_profile_returns_the_first_node(self):
         log_g, step_costs, sizes = profile(np.zeros_like, 2.0)

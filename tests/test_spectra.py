@@ -134,30 +134,20 @@ class TestDressedSusceptibility:
         assert fwhm == pytest.approx(expected, rel=0.01)
 
     def test_pole_margin_positive_across_regimes(self, device):
-        # the rotating-wave model is passive: dressed poles stay in the upper
-        # half plane for any physical parameters (blue-detuned runaway lives
-        # in the counter-rotating sector the model excludes)
+        # the rotating-wave model is passive: a dressed pole reaches the real
+        # axis only at 4g^2 = -kappa gamma_m (1 + 4 delta_tilde^2/(kappa + gamma_m)^2) < 0,
+        # so every coupling is stable, over many decades of kappa and gamma_m
+        # and detunings of either sign (blue-detuned runaway lives in the
+        # counter-rotating sector the model excludes)
         from emcool.spectra import _pole_margin
 
-        kappa, gm = device.cavity.kappa, device.mech.gamma_m
-        for g in (0.0, kappa / 100, kappa):
-            for dt in (0.0, -kappa, 2 * device.mech.omega_m):
-                assert _pole_margin(g, kappa, gm, dt) > 0.0
-
-    def test_pole_margins_match_scalar_sign_for_sign(self, device):
-        # the array test of the g profile against the scalar one; an
-        # anti-damped bare mechanics (gamma_m < 0) is unstable at weak
-        # coupling and stabilised by strong coupling, so the grid crosses
-        from emcool.spectra import _pole_margin, _pole_margins
-
-        kappa, gm = device.cavity.kappa, device.mech.gamma_m
-        g = np.logspace(0.0, math.log10(10.0 * kappa), 200)
-        for gamma_m, dt in ((-gm, 0.0), (-gm, 0.3 * kappa), (-0.2 * kappa, -kappa), (gm, 0.0)):
-            scalar = np.array([_pole_margin(gi, kappa, gamma_m, dt) for gi in g])
-            array = _pole_margins(g, kappa, gamma_m, dt)
-            np.testing.assert_array_equal(np.sign(array), np.sign(scalar))
-            if gamma_m < 0.0:
-                assert scalar[0] < 0.0 < scalar[-1]
+        rng = np.random.default_rng(2011)
+        for _ in range(2000):
+            kappa = 10.0 ** rng.uniform(0.0, 8.0)
+            gamma_m = 10.0 ** rng.uniform(-3.0, 5.0)
+            dt = rng.uniform(-2.0, 2.0) * device.mech.omega_m
+            g = rng.choice([0.0, 10.0 * kappa * rng.uniform(), 10.0 * kappa * 10.0 ** rng.uniform(-8.0, 0.0)])
+            assert _pole_margin(g, kappa, gamma_m, dt) > 0.0
 
     def test_instability_error_path(self, device, monkeypatch):
         import emcool.spectra as spectra_mod
