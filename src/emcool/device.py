@@ -160,8 +160,6 @@ DEVICE_FILE_KEYS = (
     "G_hz_per_m",
 )
 
-_ANGULAR_KEYS = frozenset(k for k in DEVICE_FILE_KEYS if k.endswith("_hz") or k == "G_hz_per_m")
-
 
 def parse_device_text(text: str, source: str = "<string>") -> DeviceParams:
     """Parse a device parameter file body into DeviceParams."""

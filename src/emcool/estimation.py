@@ -4,15 +4,15 @@ The full-model fit is separable (variable projection, Golub & Pereyra 1973):
 the spectrum is linear in n_add_eff, n_c and n_m_T, which are solved exactly
 by weighted NNLS for every trial shape; g is profiled on a log scan from
 4g^2/kappa = 1e-3 gamma_m to 10 kappa, refined by bracketed parabolic steps
-of three-node stencils to 1e-5 in ln g, and a freed kappa, gamma_m or
-delta_tilde goes to the damped Gauss-Newton engine in `leastsq` on the
-projected model, whose complex-step Jacobian is the exact variable-projection
-one.  An outer IRLS loop refreshes the sigmas model/sqrt(n_avg) and profiles
-g again from its last optimum; the covariance is inv(J^T J) in the natural
-parameters.  One `ModelParams`
-carries the pinned values and the shape starts.  kappa and delta_tilde stay
-fixed by default because they are measured independently with a probe tone
-at each drive power, but any subset of
+of three-node stencils to 1e-5 in ln g.  One IRLS loop, the fit's only one,
+refreshes the sigmas model/sqrt(n_avg) and profiles g again from its last
+optimum; in each pass a freed kappa, gamma_m or delta_tilde then goes to the
+damped Gauss-Newton engine in `leastsq` on the projected model, at that
+pass's sigmas, and its complex-step Jacobian is the exact variable-projection
+one.  The covariance is inv(J^T J) in the natural parameters.  One
+`ModelParams` carries the pinned values and the shape starts.  kappa and
+delta_tilde stay fixed by default because they are measured independently
+with a probe tone at each drive power, but any subset of
 {g, kappa, delta_tilde, gamma_m, n_m_T, n_c, n_add_eff} may be freed.
 """
 from __future__ import annotations
@@ -40,21 +40,15 @@ from .dynamics import (
     transmitted_power,
 )
 from .errors import ParameterError, UnitError
-from .leastsq import (
-    COMPLEX_STEP,
-    _check_degenerate,
-    _covariance,
-    _sigma_from_model,
-    fit_weighted,
-)
+from .leastsq import COMPLEX_STEP, _check_degenerate, _covariance, fit_weighted
 from .limits import imprecision_from_chain
 from .spectra import (
     ModelParams,
     SpectrumTrace,
     SpectrumUnit,
     _basis_factors,
-    _check_stable,
     _fit_line,
+    _sigma_from_model,
     output_noise_basis,
     output_noise_values,
     peak_area,
@@ -258,7 +252,7 @@ class _Pass:
 
     def cost(self, g: np.ndarray) -> np.ndarray:
         """Profile cost per coupling in g, in blocks of `_SCAN_BLOCK`; every
-        g >= 0 is stable (see `spectra._pole_margin`)."""
+        g >= 0 is stable (see `spectra.output_noise_values`)."""
         return np.concatenate([self.solve(g[i : i + _SCAN_BLOCK])[1] for i in range(0, g.size, _SCAN_BLOCK)])
 
 
@@ -352,14 +346,20 @@ def fit_full_model(
 
     `free` (default {n_m_T, n_c, g, n_add_eff}) are estimated; `params`
     holds every other value, pinned, and the start of a freed kappa, gamma_m
-    or delta_tilde, which go to `fit_weighted`.  The values it holds for a
-    free amplitude or a free g are not read: free amplitudes are solved
-    exactly and a free g is profiled on its fixed scan.
+    or delta_tilde.  The values it holds for a free amplitude or a free g
+    are not read: free amplitudes are solved exactly and a free g is
+    profiled on its fixed scan.  With a shape freed, each IRLS pass follows
+    its profile with one `fit_weighted` over the freed shapes and g, at that
+    pass's sigmas, and a pass whose Gauss-Newton does not converge ends the
+    loop unconverged.
     `at_bound` names the amplitudes held at zero by their non-negativity
     constraint, a g at or past an end of its scan or with both amplitudes
-    that carry it (n_c and n_m_T, free or pinned) at zero, and a freed kappa
-    on its kappa >= kappa_ex limit.  `message` gives the IRLS passes and the
-    numbers of couplings the g profile costed and of its cost calls.
+    that carry it (n_c and n_m_T, free or pinned) at zero, a freed kappa
+    on its kappa >= kappa_ex limit, and a freed kappa or gamma_m six decades
+    below its start in `params`.  `n_iter` counts the accepted steps in
+    `step_costs`, of the profile and the Gauss-Newton alike.  `message`
+    gives the IRLS passes and the numbers of couplings the g profile costed
+    and of its cost calls.
     """
     if trace.unit is not SpectrumUnit.QUANTA:
         raise UnitError(f"full-model fit needs a quanta trace, got {trace.unit.value}")
@@ -393,10 +393,9 @@ def fit_full_model(
 
     def projected(vals: dict) -> np.ndarray:
         """Model at the shape in `vals` with the amplitudes solved under the
-        current weights; analytic in the shape and g, so a complex step in
+        pass's weights; analytic in the shape and g, so a complex step in
         them gives the exact variable-projection derivative."""
-        real = solved(vals, _Pass(_Shape(delta, vals), sigma**-2, data, coef))
-        _check_stable(real.g, real.kappa, real.gamma_m, real.delta_tilde)
+        solved(vals, _Pass(_Shape(delta, vals), sigma**-2, data, coef))
         cav, mech = output_noise_basis(delta, *(vals[name] for name in _BASIS_ARGS))
         return 0.5 + vals["n_add_eff"] + vals["n_c"] * cav + vals["n_m_T"] * mech
 
@@ -407,32 +406,34 @@ def fit_full_model(
     step_costs: list[tuple[float, float]] = []
     profile_nodes = profile_calls = 0
     start = None  # later passes warm-start the profile from the last g
+    res = None  # the last pass's Gauss-Newton over the shape parameters
     sigma = _sigma_from_model(data, n_avg)
-    shape = _Shape(delta, values)  # the IRLS loop moves only g and the weights
+    shape = _Shape(delta, values)
     for passes in range(1, 5):  # IRLS: refresh the weights from the fitted model
         normal = _Pass(shape, sigma**-2, data, coef)
         if "g" in free:
             start, costed, calls = _profile_g(normal.cost, scan, step_costs, start)
             values["g"], profile_nodes, profile_calls = math.exp(start), profile_nodes + costed, profile_calls + calls
+        if set(shapes) - {"g"}:  # the shapes and g of the projected model, at this pass's sigmas
+            res = fit_weighted(
+                lambda p: projected({**values, **dict(zip(shapes, p))}),
+                data,
+                [values[name] for name in shapes],
+                [name != "delta_tilde" for name in shapes],
+                shapes,
+                sigma,
+                scales=[values["kappa"] if name == "delta_tilde" else 1.0 for name in shapes],
+            )
+            step_costs += res.step_costs
+            values.update(zip(shapes, res.params.tolist()))
+            start = math.log(values["g"]) if "g" in free else None
+            shape = _Shape(delta, values)
+            normal = _Pass(shape, sigma**-2, data, coef)
         model = output_noise_values(delta, solved(values, normal))
         sigma, previous = _sigma_from_model(model, n_avg), sigma
-        if np.max(np.abs(sigma - previous) / previous) < 1e-3:
+        if res is not None and not res.converged or np.max(np.abs(sigma - previous) / previous) < 1e-3:
             break
     del shape, normal  # the per-pass columns are not needed past the loop
-    res = None
-    if set(shapes) - {"g"}:  # Gauss-Newton over the shape parameters of the projected model
-        res = fit_weighted(
-            lambda p: projected({**values, **dict(zip(shapes, p))}),
-            data,
-            [values[name] for name in shapes],
-            [name != "delta_tilde" for name in shapes],
-            shapes,
-            n_avg=n_avg,
-            scales=[values["kappa"] if name == "delta_tilde" else 1.0 for name in shapes],
-        )
-        values.update(zip(shapes, res.params.tolist()))
-        model = projected(values)
-        sigma = _sigma_from_model(model, n_avg)
 
     # Jacobian in the natural parameters: the amplitude columns are the
     # basis, shape columns its complex-step derivatives (exact to rounding)
@@ -445,10 +446,11 @@ def fit_full_model(
     jac = np.column_stack([columns[name] for name in free]) / sigma[:, None]
     _check_degenerate(jac[:, [free.index(name) for name in amps]], amps)
     converged = res is None or res.converged
-    covariance, sigmas, note = _covariance(jac, np.ones(len(free))) if converged else (None, None, "")
+    covariance, sigmas, note = _covariance(jac) if converged else (None, None, "")
     flagged = {name for name in amps if values[name] == 0.0}
-    if res is not None:
-        flagged |= {name for name, hit in zip(shapes, res.at_bound) if hit}
+    # a kappa or gamma_m six decades below its start is pinned against its
+    # positivity bound for any realistic start
+    flagged |= {name for name in ("kappa", "gamma_m") if name in free and values[name] < 1e-6 * getattr(params, name)}
     # g is not identified at a scan end, nor when both amplitudes that carry it are zero
     if "g" in free and (not math.exp(scan[0]) < values["g"] < math.exp(scan[-1]) or values["n_c"] == values["n_m_T"] == 0.0):
         flagged.add("g")
@@ -460,11 +462,11 @@ def fit_full_model(
         sigmas=None if sigmas is None else dict(zip(free, sigmas.tolist())),
         residual_rms=math.sqrt(float(resid @ resid) / data.size),
         converged=converged,
-        n_iter=len(step_costs) + (res.n_iter if res else 0),
+        n_iter=len(step_costs),
         param_names=free,
         covariance=covariance,
         at_bound=tuple(name for name in free if name in flagged),
-        step_costs=tuple(step_costs) + (tuple(res.step_costs) if res else ()),
+        step_costs=tuple(step_costs),
         message=f"separable fit: {passes} IRLS passes, {profile_nodes} profile nodes in {profile_calls} calls" + (f"; {res.message}" if res else "") + note,
     )
 

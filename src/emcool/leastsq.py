@@ -1,15 +1,14 @@
 """Damped Gauss-Newton (Levenberg-Marquardt style) weighted least squares.
 
-The update rule: solve (J^T J + lam * diag(J^T J)) step = J^T r in internal
-coordinates, accept the step only if it strictly lowers the weighted cost
-under the weights in force for that iteration, then lam /= 3; on rejection
-lam *= 10 and the solve is retried.  Internal coordinates are log(p) for
-positive parameters (so positivity cannot be violated) and p/scale for the
-rest; the convergence test is the gradient infinity norm in these scaled
-coordinates against 1e-8 * max(1, cost).  Per-bin sigmas follow the
-averaged-periodogram law sigma_i = model_i / sqrt(n_avg); they are frozen
-within each minimization and refreshed from its converged model in an
-outer IRLS loop, at most 4 passes, until they move by less than 1e-3.
+One minimization of 0.5 ||(data - model(p)) / sigma||^2 at per-bin sigmas
+the caller passes and this module never changes; reweighting, if any, is
+the caller's.  The update rule: solve (J^T J + lam * diag(J^T J)) step =
+J^T r in internal coordinates, accept the step only if it strictly lowers
+the cost, then lam /= 3; on rejection lam *= 10 and the solve is retried.
+Internal coordinates are log(p) for positive parameters (so positivity
+cannot be violated) and p/scale for the rest; the convergence test is the
+gradient infinity norm in these scaled coordinates against
+1e-8 * max(1, cost).
 Jacobians are complex steps (Squire & Trapp, SIAM Rev. 40, 110 (1998)): one model call per column
 at p + 1e-20 i (dp/du)_j e_j, exact to rounding, so the model must be
 analytic in its parameters (numpy arithmetic on a complex p).
@@ -17,7 +16,6 @@ Everything is deterministic: same inputs, bit-identical result.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -38,24 +36,11 @@ COMPLEX_STEP = 1e-20
 @dataclass
 class LeastSquaresResult:
     params: np.ndarray
-    sigmas: np.ndarray | None
-    covariance: np.ndarray | None
     cost: float
-    residual_rms: float
     converged: bool
     n_iter: int
-    model: np.ndarray | None = None
     step_costs: list[tuple[float, float]] = field(default_factory=list)
-    at_bound: np.ndarray | None = None
     message: str = ""
-
-
-def _sigma_from_model(model: np.ndarray, n_avg: float) -> np.ndarray:
-    scale = np.abs(model)
-    floor = 1e-12 * float(np.max(scale)) if scale.size else 0.0
-    np.maximum(scale, max(floor, 1e-300), out=scale)
-    scale /= math.sqrt(n_avg)
-    return scale
 
 
 def _eval_model(model_fn, p: np.ndarray) -> np.ndarray | None:
@@ -129,9 +114,9 @@ def _check_degenerate(jac: np.ndarray, names: Sequence[str]) -> None:
                 raise DegenerateFitError((names[i], names[j]))
 
 
-def _covariance(jac: np.ndarray, scale: np.ndarray):
-    """inv(J^T J) (pseudo-inverse, noted, if singular) times outer(scale, scale),
-    and its sigmas; both None unless every sigma is finite."""
+def _covariance(jac: np.ndarray):
+    """inv(J^T J) (pseudo-inverse, noted, if singular) and its sigmas; both
+    None unless every sigma is finite."""
     gram = jac.T @ jac
     note = ""
     try:
@@ -139,7 +124,6 @@ def _covariance(jac: np.ndarray, scale: np.ndarray):
     except np.linalg.LinAlgError:
         cov = np.linalg.pinv(gram, rcond=1e-12)
         note = "; covariance from pseudo-inverse (near-degenerate)"
-    cov = cov * np.outer(scale, scale)
     with np.errstate(invalid="ignore"):
         sigmas = np.sqrt(np.diag(cov))
     if not np.all(np.isfinite(sigmas)):
@@ -153,17 +137,18 @@ def fit_weighted(
     p0: Sequence[float],
     log_scale: Sequence[bool],
     names: Sequence[str],
-    n_avg: float = 1.0,
+    sigma: np.ndarray,
     scales: Sequence[float] | None = None,
 ) -> LeastSquaresResult:
-    """Minimize the weighted residual norm of model_fn against data.
+    """Minimize 0.5 ||(data - model_fn(p)) / sigma||^2 at the given sigmas.
 
     `scales` sets the characteristic magnitude of non-log parameters
     (defaults to max(|p0|, 1)); log parameters are scale-free already.
-    Convergence is the dual gradient test in _stationary: raw norm below
-    GTOL * max(1, cost) or every gradient cosine below 1e-6.
-    Non-convergence within MAX_ITER iterations is reported via the
-    `converged` flag, never an exception.
+    The first Jacobian is checked for zero and collinear columns
+    (DegenerateFitError).  Convergence is the dual gradient test in
+    _stationary: raw norm below GTOL * max(1, cost) or every gradient cosine
+    below 1e-6.  Non-convergence within MAX_ITER iterations is reported via
+    the `converged` flag, never an exception.
     """
     data = np.asarray(data, dtype=float)
     p = np.asarray(p0, dtype=float).copy()
@@ -172,8 +157,6 @@ def fit_weighted(
         raise ParameterError("p0, log_scale and names must have equal length")
     if np.any(log_scale & (p <= 0.0)):
         raise ParameterError("log-scaled parameters need positive initial values")
-    if n_avg < 1.0:
-        raise ParameterError(f"n_avg must be >= 1, got {n_avg!r}")
     if scales is None:
         lin_scale = np.maximum(np.abs(p), 1.0)
     else:
@@ -189,106 +172,61 @@ def fit_weighted(
     converged = False
     message = "iteration limit reached"
     n_iter = 0
-    sigma = _sigma_from_model(model, n_avg)
-    first_jacobian = True
+    resid = (data - model) / sigma
+    cost = 0.5 * float(resid @ resid)
+    lam = 1e-3
+    jac = _jacobian(model_fn, p, np.where(log_scale, p, lin_scale), sigma)
+    _check_degenerate(jac, names)
+    while n_iter < MAX_ITER:
+        grad = jac.T @ resid
+        if _stationary(grad, jac, resid, cost):
+            converged = True
+            message = "gradient criterion satisfied"
+            break
 
-    # Outer IRLS loop: minimize with frozen weights, refresh the weights from
-    # the converged model, repeat until the weights stabilize.  Keeping the
-    # weights frozen inside each minimization preserves strict cost descent.
-    for _ in range(4):
-        resid = (data - model) / sigma
-        cost = 0.5 * float(resid @ resid)
-        lam = 1e-3
-        jac = _jacobian(model_fn, p, np.where(log_scale, p, lin_scale), sigma)
-        if first_jacobian:
-            _check_degenerate(jac, names)
-            first_jacobian = False
+        gram = jac.T @ jac
+        diag = np.diag(gram).copy()
+        diag[diag <= 0.0] = max(float(np.max(diag)), 1.0) * 1e-12
 
-        inner_done = False
-        while n_iter < MAX_ITER:
-            grad = jac.T @ resid
-            if _stationary(grad, jac, resid, cost):
-                converged = True
-                message = "gradient criterion satisfied"
-                inner_done = True
-                break
-
-            gram = jac.T @ jac
-            diag = np.diag(gram).copy()
-            diag[diag <= 0.0] = max(float(np.max(diag)), 1.0) * 1e-12
-
-            n_iter += 1
-            accepted = False
-            while lam <= MAX_LAMBDA:
-                try:
-                    step = np.linalg.solve(gram + lam * np.diag(diag), -grad)
-                except np.linalg.LinAlgError:
-                    lam *= LAMBDA_UP
-                    continue
-                p_trial = p.copy()
-                p_trial[log_scale] = p[log_scale] * np.exp(np.clip(step[log_scale], -60.0, 60.0))
-                p_trial[~log_scale] = p[~log_scale] + lin_scale[~log_scale] * step[~log_scale]
-                model_trial = _eval_model(model_fn, p_trial)
-                if model_trial is not None:
-                    resid_trial = (data - model_trial) / sigma
-                    cost_trial = 0.5 * float(resid_trial @ resid_trial)
-                    if cost_trial < cost:
-                        step_costs.append((cost, cost_trial))
-                        p = p_trial
-                        model = model_trial
-                        resid = resid_trial
-                        cost = cost_trial
-                        lam = max(lam / LAMBDA_DOWN, 1e-12)
-                        accepted = True
-                        break
+        n_iter += 1
+        accepted = False
+        while lam <= MAX_LAMBDA:
+            try:
+                step = np.linalg.solve(gram + lam * np.diag(diag), -grad)
+            except np.linalg.LinAlgError:
                 lam *= LAMBDA_UP
-            if not accepted:
-                # no lambda admits a lower cost: at the floating-point
-                # minimum if the residual is (loosely) orthogonal to the
-                # model tangent space
-                converged = _stationary(grad, jac, resid, cost, relax=100.0)
-                message = (
-                    "trust parameter exhausted at a stationary point"
-                    if converged
-                    else "trust parameter exhausted without improvement"
-                )
-                inner_done = True
-                break
-            jac = _jacobian(model_fn, p, np.where(log_scale, p, lin_scale), sigma)
-
-        if not inner_done:
-            message = "iteration limit reached"
-            converged = False
+                continue
+            p_trial = p.copy()
+            p_trial[log_scale] = p[log_scale] * np.exp(np.clip(step[log_scale], -60.0, 60.0))
+            p_trial[~log_scale] = p[~log_scale] + lin_scale[~log_scale] * step[~log_scale]
+            model_trial = _eval_model(model_fn, p_trial)
+            if model_trial is not None:
+                resid_trial = (data - model_trial) / sigma
+                cost_trial = 0.5 * float(resid_trial @ resid_trial)
+                if cost_trial < cost:
+                    step_costs.append((cost, cost_trial))
+                    p, resid, cost = p_trial, resid_trial, cost_trial
+                    lam = max(lam / LAMBDA_DOWN, 1e-12)
+                    accepted = True
+                    break
+            lam *= LAMBDA_UP
+        if not accepted:
+            # no lambda admits a lower cost: at the floating-point minimum if
+            # the residual is (loosely) orthogonal to the model tangent space
+            converged = _stationary(grad, jac, resid, cost, relax=100.0)
+            message = (
+                "trust parameter exhausted at a stationary point"
+                if converged
+                else "trust parameter exhausted without improvement"
+            )
             break
-        sigma_new = _sigma_from_model(model, n_avg)
-        drift = float(np.max(np.abs(sigma_new - sigma) / sigma))
-        sigma = sigma_new
-        if drift < 1e-3:
-            break
-
-    sigmas = covariance = None
-    if converged:
-        dp_du = np.where(log_scale, p, lin_scale)
-        covariance, sigmas, note = _covariance(_jacobian(model_fn, p, dp_du, sigma), dp_du)
-        message += note
-
-    # a log parameter that fell six decades below its start is pinned
-    # against the positivity bound for any realistic initialization
-    p0_arr = np.asarray(p0, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        collapsed = np.where(p0_arr != 0.0, p / p0_arr, 1.0) < 1e-6
-    at_bound = log_scale & collapsed
+        jac = _jacobian(model_fn, p, np.where(log_scale, p, lin_scale), sigma)
 
     return LeastSquaresResult(
         params=p,
-        sigmas=sigmas,
-        covariance=covariance,
         cost=cost,
-        residual_rms=math.sqrt(2.0 * cost / data.size),
         converged=converged,
         n_iter=n_iter,
-        model=model,
         step_costs=step_costs,
-        at_bound=at_bound,
         message=message,
     )

@@ -8,7 +8,6 @@ d(omega)/2pi, so areas on a Hz axis are plain integrals over f.
 """
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 import numbers
@@ -20,8 +19,7 @@ import numpy as np
 from .constants import HBAR, TWO_PI
 from .device import DeviceParams, MechanicalMode, zero_point_motion
 from .dynamics import DriveConfig
-from .errors import ParameterError, ParametricInstabilityError, PeakDetectionError, UnitError
-from .leastsq import _sigma_from_model
+from .errors import ParameterError, PeakDetectionError, UnitError
 
 # numpy renamed trapz -> trapezoid in 2.0
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -74,6 +72,16 @@ class SpectrumTrace:
         meta = dict(self.meta)
         meta.update(extra)
         return replace(self, meta=meta)
+
+
+def _sigma_from_model(model: np.ndarray, n_avg: float) -> np.ndarray:
+    """Per-bin sigmas of an average of n_avg periodograms: |model| / sqrt(n_avg),
+    floored at 1e-12 of the largest."""
+    scale = np.abs(model)
+    floor = 1e-12 * float(np.max(scale)) if scale.size else 0.0
+    np.maximum(scale, max(floor, 1e-300), out=scale)
+    scale /= math.sqrt(n_avg)
+    return scale
 
 
 @dataclass(frozen=True)
@@ -176,39 +184,12 @@ def self_energy(delta, g: float, kappa: float, delta_tilde: float, omega_m: floa
     return -1j * g * g * (chi - np.conj(chi_cr))
 
 
-def _pole_margin(g: float, kappa: float, gamma_m: float, delta_tilde: float) -> float:
-    """Smallest imaginary part of the dressed-mode poles (rad/s).
-
-    Poles solve 4 delta^2 - 2j(A+gamma_m) delta - (4g^2 + A gamma_m) = 0 with
-    A = kappa + 2j delta_tilde; stable modes sit in the upper half plane.
-    The model is passive: at g = 0 the poles are j gamma_m/2 and j A/2, and
-    a pole reaches the real axis only where the real and imaginary parts of
-    the equation vanish together, at delta = -delta_tilde gamma_m/(kappa +
-    gamma_m) and 4g^2 = -kappa gamma_m (1 + 4 delta_tilde^2/(kappa +
-    gamma_m)^2) < 0.  So for kappa, gamma_m > 0 every real g is stable.
-    """
-    a_cpx = kappa + 2j * delta_tilde
-    b = a_cpx + gamma_m
-    disc = cmath.sqrt(4.0 * (4.0 * g * g + a_cpx * gamma_m) - b * b)
-    roots = ((1j * b + disc) / 4.0, (1j * b - disc) / 4.0)
-    return min(r.imag for r in roots)
-
-
-def _check_stable(g: float, kappa: float, gamma_m: float, delta_tilde: float) -> None:
-    if _pole_margin(g, kappa, gamma_m, delta_tilde) <= 0.0:
-        raise ParametricInstabilityError(
-            "dressed mechanical mode has a pole on or below the real axis "
-            "(parametric instability); spectrum is undefined"
-        )
-
-
 def dressed_mech_susceptibility(delta, params: ModelParams, approx: bool = False):
     """Mechanical response dressed by the drive, chi_m / (1 + j chi_m Sigma).
 
     With approx=True this equals the closed form
     chi_c^-1 / (g^2 + chi_m^-1 chi_c^-1) identically.
     """
-    _check_stable(params.g, params.kappa, params.gamma_m, params.delta_tilde)
     delta = np.asarray(delta, dtype=float)
     sigma = self_energy(delta, params.g, params.kappa, params.delta_tilde, params.omega_m, approx=approx)
     # chi_m/(1 + j chi_m Sigma) written as 1/(chi_m^-1 + j Sigma)
@@ -223,8 +204,16 @@ def output_noise_values(delta, params: ModelParams) -> np.ndarray:
     S/(hbar omega) = 1/2 + n_add' +
         4 beta kappa_ex [kappa n_c (gamma_m^2 + 4 delta^2) + 4 gamma_m n_m^T g^2]
         / |4 g^2 + (kappa + 2j(delta+delta_tilde))(gamma_m + 2j delta)|^2
+
+    Every `ModelParams` is stable, so no check is made.  The dressed-mode
+    poles solve 4 delta^2 - 2j(A+gamma_m) delta - (4g^2 + A gamma_m) = 0 with
+    A = kappa + 2j delta_tilde, and stable modes sit in the upper half plane.
+    The model is passive: at g = 0 the poles are j gamma_m/2 and j A/2, and
+    a pole reaches the real axis only where the real and imaginary parts of
+    the equation vanish together, at delta = -delta_tilde gamma_m/(kappa +
+    gamma_m) and 4g^2 = -kappa gamma_m (1 + 4 delta_tilde^2/(kappa +
+    gamma_m)^2) < 0.  So for kappa, gamma_m > 0 every real g is stable.
     """
-    _check_stable(params.g, params.kappa, params.gamma_m, params.delta_tilde)
     delta = np.asarray(delta, dtype=float)
     g2 = params.g * params.g
     denom = 4.0 * g2 + (params.kappa + 2j * (delta + params.delta_tilde)) * (
@@ -242,7 +231,7 @@ def output_noise_basis(delta, g, kappa: float, kappa_ex: float, gamma_m: float,
     """Terms A, B of S/(hbar omega) = 1/2 + n_add' + n_c A + n_m^T B (`output_noise_values`).
 
     `g` may broadcast against `delta` (shape (m, 1): a row per coupling);
-    complex parameters give complex-step derivatives.  No stability check.
+    complex parameters give complex-step derivatives.
     """
     p, q2, k = _basis_factors(np.asarray(delta, dtype=float), kappa, gamma_m, delta_tilde)
     re = 4.0 * np.square(g) + p

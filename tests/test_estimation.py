@@ -350,18 +350,41 @@ class TestFitFullModel:
             assert fit.covariance.tobytes() == first.covariance.tobytes()
 
     def test_freed_gamma_m_starts_from_params(self, device, device_model, monkeypatch):
+        # the first Gauss-Newton call of each fit starts from params; later
+        # IRLS passes start from the pass before
         trace, _ = output_trace(device, 4000.0, seed=5, points=1024)
-        starts = []
+        starts = []  # per fit, the gamma_m start of each call
 
-        def recording(model_fn, data, p0, log_scale, names, **kwargs):
-            starts.append(dict(zip(names, p0))["gamma_m"])
-            return fit_weighted(model_fn, data, p0, log_scale, names, **kwargs)
+        def recording(model_fn, data, p0, log_scale, names, sigma, **kwargs):
+            starts[-1].append(dict(zip(names, p0))["gamma_m"])
+            return fit_weighted(model_fn, data, p0, log_scale, names, sigma, **kwargs)
 
         monkeypatch.setattr(estimation, "fit_weighted", recording)
         gamma_ms = [device.mech.gamma_m, 1.5 * device.mech.gamma_m]
         for gamma_m in gamma_ms:
+            starts.append([])
             em.fit_full_model(trace, replace(device_model, gamma_m=gamma_m), free=DEFAULT_FREE + ("gamma_m",))
-        assert starts == gamma_ms
+        assert [calls[0] for calls in starts] == gamma_ms
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_freed_kappa_runaway_is_not_reported_clean(self, device, device_model, seed):
+        # a 1.2 MHz window narrower than kappa does not identify kappa; on
+        # these seeds a second reweighting loop once ran kappa to 190-250x
+        # truth and reported convergence with nothing flagged
+        trace, _ = output_trace(device, 4000.0, seed=seed, n_avg=20000, points=2048)
+        try:
+            fit = em.fit_full_model(trace, device_model, free=DEFAULT_FREE + ("kappa",))
+        except DegenerateFitError:
+            return
+        assert not fit.converged or fit.at_bound
+
+    def test_collapsed_gamma_m_is_flagged(self, device, device_model):
+        # on this seed the freed gamma_m runs to zero, n_m_T to infinity: the
+        # collapse is measured from the start in params, not a pass's start
+        trace, _ = output_trace(device, 4000.0, seed=1, n_avg=20000, points=2048)
+        fit = em.fit_full_model(trace, device_model, free=DEFAULT_FREE + ("gamma_m",))
+        assert fit.params["gamma_m"] < 1e-6 * device.mech.gamma_m
+        assert "gamma_m" in fit.at_bound
 
     def test_nnls_complex_step_keeps_support(self):
         # a complex step in the normal equations keeps the real solve's
