@@ -4,16 +4,18 @@ The full-model fit is separable (variable projection, Golub & Pereyra 1973):
 the spectrum is linear in n_add_eff, n_c and n_m_T, which are solved exactly
 by weighted NNLS for every trial shape; g is profiled on a log scan from
 4g^2/kappa = 1e-3 gamma_m to 10 kappa, refined by bracketed parabolic steps
-of three-node stencils to 1e-5 in ln g.  One IRLS loop, the fit's only one,
-refreshes the sigmas model/sqrt(n_avg) and profiles g again from its last
-optimum; in each pass a freed kappa, gamma_m or delta_tilde then goes to the
-damped Gauss-Newton engine in `leastsq` on the projected model, at that
-pass's sigmas, and its complex-step Jacobian is the exact variable-projection
-one.  The covariance is inv(J^T J) in the natural parameters.  One
-`ModelParams` carries the pinned values and the shape starts.  kappa and
-delta_tilde stay fixed by default because they are measured independently
-with a probe tone at each drive power, but any subset of
-{g, kappa, delta_tilde, gamma_m, n_m_T, n_c, n_add_eff} may be freed.
+of three-node stencils to 1e-5 in ln g.  One IRLS loop refreshes the sigmas
+model/sqrt(n_avg) and profiles g again from its last optimum.  A freed
+kappa, gamma_m or delta_tilde is profiled the same way one level out: each
+pass scans it afresh, every node of that scan profiling g at its own shape,
+so each nonlinear parameter has a profile, and a shape whose 95% set
+reaches an end of its scan is flagged.  The covariance is inv(J^T J) in the
+natural parameters, a shape's column a complex step of the basis.  One
+`ModelParams` carries the pinned values and the shape starts.  kappa,
+delta_tilde and gamma_m stay fixed by default because they are measured
+independently (a probe tone at each drive power, the low-drive line width),
+but any subset of {g, n_m_T, n_c, n_add_eff} and at most one of the three
+may be freed.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,8 +41,7 @@ from .dynamics import (
     total_linewidth,
     transmitted_power,
 )
-from .errors import ParameterError, UnitError
-from .leastsq import COMPLEX_STEP, _check_degenerate, _covariance, fit_weighted
+from .errors import DegenerateFitError, ParameterError, UnitError
 from .limits import imprecision_from_chain
 from .spectra import (
     ModelParams,
@@ -54,9 +55,9 @@ from .spectra import (
     peak_area,
 )
 
-FREEABLE_PARAMS = frozenset(
-    {"g", "kappa", "delta_tilde", "gamma_m", "n_m_T", "n_c", "n_add_eff"}
-)
+_AMPLITUDES = ("n_add_eff", "n_c", "n_m_T")  # the model is linear in these
+_SHAPES = ("kappa", "gamma_m", "delta_tilde")  # at most one of these is freed
+FREEABLE_PARAMS = frozenset(("g",) + _AMPLITUDES + _SHAPES)
 DEFAULT_FREE = ("n_m_T", "n_c", "g", "n_add_eff")
 
 
@@ -121,7 +122,6 @@ def fit_lorentzian(trace: SpectrumTrace) -> FitResult:
 
 # --- full output-spectrum fit ----------------------------------------------
 
-_AMPLITUDES = ("n_add_eff", "n_c", "n_m_T")  # the model is linear in these
 _BASIS_ARGS = ("g", "kappa", "kappa_ex", "gamma_m", "delta_tilde", "beta")  # of output_noise_basis
 # couplings solved together: on a 2-core Xeon the solve takes 17-29 us per
 # coupling at 16 rows of 4096 bins against 44-53 us at 4 rows (best of 30),
@@ -181,14 +181,12 @@ def _nnls(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     system with identity off the support; each amplitude in a support must
     buy more than 1e-12 yy of cost, so one that is zero within rounding
     comes out exactly zero.  Returns the amplitudes (m, k) and the costs
-    (m,).  Complex input (a complex step) picks the support and the best
-    score from the real parts only, so the imaginary parts are derivatives
-    on a fixed support.
+    (m,).
     """
     m, size = normal.shape[:2]
     k = size - 1
     margin, index = _SUPPORTS[k]
-    flat = np.empty((size * size + 2, m), dtype=normal.dtype)  # (entries, m), like every array below
+    flat = np.empty((size * size + 2, m))  # (entries, m), like every array below
     flat[:-2] = normal.reshape(m, -1).T
     flat[-2:] = ((0.0,), (1.0,))
     yy = flat[size * size - 1]
@@ -196,8 +194,8 @@ def _nnls(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         dets = _det(flat[index])
         sol = dets[:, 1:] / dets[:, :1]  # exactly 0 off the support, whose Cramer matrices have a zero row
         gain = np.add.reduce(sol * flat[k : k * size : size], axis=1)
-        feasible = np.isfinite(gain.real) & (sol.real >= 0.0).all(axis=1)
-        score = np.where(feasible, gain.real - margin * np.abs(yy.real), -np.inf)
+        feasible = np.isfinite(gain) & (sol >= 0.0).all(axis=1)
+        score = np.where(feasible, gain - margin * np.abs(yy), -np.inf)
     best = np.argmax(score, axis=0)
     rows = np.arange(m)
     return sol[best, :, rows], 0.5 * (yy - gain[best, rows])
@@ -337,6 +335,109 @@ def _profile_g(cost, scan: np.ndarray, step_costs: list, start: float | None = N
     return b, nodes, calls
 
 
+def _log_scan(lo: float, hi: float) -> np.ndarray:
+    """ln of a scan from lo to hi at 16 nodes per decade."""
+    lo, hi = math.log10(lo), math.log10(hi)
+    return np.log(np.logspace(lo, hi, int(math.ceil(16.0 * (hi - lo))) + 1))
+
+
+def _check_free(free: Sequence[str]) -> tuple[str, ...]:
+    """`free` as a tuple of distinct freeable names with at most one shape."""
+    free = tuple(free)
+    bad = set(free) - FREEABLE_PARAMS
+    if bad:
+        raise ParameterError(f"cannot free parameters: {sorted(bad)}")
+    if len(set(free)) != len(free):
+        raise ParameterError("duplicate names in free")
+    shapes = [name for name in free if name in _SHAPES]
+    if len(shapes) > 1:
+        raise ParameterError(
+            f"cannot free {' and '.join(shapes)} together: pin kappa and delta_tilde to the probe-tone "
+            "measurement at each drive power and gamma_m to the low-drive line width, and free at most one"
+        )
+    return free
+
+
+COMPLEX_STEP = 1e-20  # of the covariance's shape column (Squire & Trapp, SIAM Rev. 40, 110 (1998))
+_DELTA_95 = 1.92  # half the 95% quantile of chi^2 with one degree of freedom, in cost (chi^2 / 2)
+
+
+def _check_degenerate(jac: np.ndarray, names: Sequence[str]) -> None:
+    """Reject exactly zero columns and (scale-invariant) collinear pairs."""
+    norms = np.sqrt(np.sum(jac * jac, axis=0))
+    zero = [name for name, nrm in zip(names, norms) if nrm == 0.0]
+    if zero:
+        raise DegenerateFitError((zero[0], zero[0]), f"parameter {zero[0]!r} has no measurable effect on the model here")
+    for i, j in itertools.combinations(range(len(names)), 2):
+        if abs(float(jac[:, i] @ jac[:, j]) / (norms[i] * norms[j])) > 1.0 - 1e-8:
+            raise DegenerateFitError((names[i], names[j]))
+
+
+def _covariance(jac: np.ndarray):
+    """inv(J^T J) (pseudo-inverse, noted, if singular) and its sigmas; both
+    None unless every sigma is finite."""
+    gram, note = jac.T @ jac, ""
+    try:
+        cov = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        cov, note = np.linalg.pinv(gram, rcond=1e-12), "; covariance from pseudo-inverse (near-degenerate)"
+    with np.errstate(invalid="ignore"):
+        sigmas = np.sqrt(np.diag(cov))
+    return (cov, sigmas, note) if np.all(np.isfinite(sigmas)) else (None, None, note)
+
+
+class ShapeProfile(NamedTuple):
+    """The outer profile of one freed shape at one IRLS pass's weights."""
+
+    params: tuple[float, float]  # the cost argument v at the outer minimum, and g there
+    n_iter: int  # accepted outer steps, appended to the caller's step_costs
+    bounded: bool  # the 95% set {cost - min <= 1.92} reaches neither end of the scan
+    counts: tuple[int, int, int, int]  # the g profiles' nodes and cost calls, then the outer profile's
+
+
+def fit_weighted(pass_at, scan: np.ndarray, g_scan: np.ndarray | None, g: float, step_costs: list) -> ShapeProfile:
+    """Minimize the cost over one freed shape at one IRLS pass's weights.
+
+    The outer profile is `_profile_g` over `scan`: `pass_at(v)` builds the
+    normal equations at the shape that its cost argument v maps to, and the
+    node's cost is the minimum over g there, by `_profile_g` over `g_scan`
+    warm-started from the g of the nearest node costed so far (the first
+    node scans cold), or the cost at the pinned g when `g_scan` is None.
+    """
+    costed: list[tuple[float, float, float | None, float]] = []  # x, v, ln g, cost per outer node
+    g_counts = [0, 0]
+
+    def cost(v: np.ndarray) -> np.ndarray:
+        for vi in v.tolist():
+            x, normal = math.log(vi), pass_at(vi)
+            if g_scan is None:
+                costed.append((x, vi, None, float(normal.cost(np.array([g]))[0])))
+                continue
+            seen: list[float] = []
+
+            def inner(gs: np.ndarray, normal: _Pass = normal) -> np.ndarray:
+                f = normal.cost(gs)
+                seen.extend(f.tolist())
+                return f
+
+            start = min(costed, key=lambda node: abs(node[0] - x))[2] if costed else None
+            log_g, nodes, calls = _profile_g(inner, g_scan, [], start)
+            g_counts[0], g_counts[1] = g_counts[0] + nodes, g_counts[1] + calls
+            costed.append((x, vi, log_g, min(seen)))  # the g profile ends on its lowest node
+        return np.array([node[3] for node in costed[-v.size :]])
+
+    n_steps = len(step_costs)
+    x, nodes, calls = _profile_g(cost, scan, step_costs)
+    _, v, log_g, best = min(costed, key=lambda node: abs(node[0] - x))
+    ends = (min(costed, key=lambda node: node[0])[3], max(costed, key=lambda node: node[0])[3])  # the scan's end nodes
+    return ShapeProfile(
+        params=(v, g if log_g is None else math.exp(log_g)),
+        n_iter=len(step_costs) - n_steps,
+        bounded=min(ends) - best > _DELTA_95,
+        counts=(*g_counts, nodes, calls),
+    )
+
+
 def fit_full_model(
     trace: SpectrumTrace,
     params: ModelParams,
@@ -344,36 +445,31 @@ def fit_full_model(
 ) -> FitResult:
     """Fit the exact output-spectrum model to a quanta-unit trace.
 
-    `free` (default {n_m_T, n_c, g, n_add_eff}) are estimated; `params`
-    holds every other value, pinned, and the start of a freed kappa, gamma_m
-    or delta_tilde.  The values it holds for a free amplitude or a free g
+    `free` (default {n_m_T, n_c, g, n_add_eff}; at most one of kappa,
+    gamma_m and delta_tilde) are estimated; `params` holds every other
+    value, pinned, and the start of a freed shape, about which its outer
+    scan is laid.  The values it holds for a free amplitude or a free g
     are not read: free amplitudes are solved exactly and a free g is
-    profiled on its fixed scan.  With a shape freed, each IRLS pass follows
-    its profile with one `fit_weighted` over the freed shapes and g, at that
-    pass's sigmas, and a pass whose Gauss-Newton does not converge ends the
-    loop unconverged.
+    profiled on its fixed scan.  With a shape freed, each IRLS pass
+    profiles it by `fit_weighted`, g nested inside.
     `at_bound` names the amplitudes held at zero by their non-negativity
     constraint, a g at or past an end of its scan or with both amplitudes
-    that carry it (n_c and n_m_T, free or pinned) at zero, a freed kappa
-    on its kappa >= kappa_ex limit, and a freed kappa or gamma_m six decades
-    below its start in `params`.  `n_iter` counts the accepted steps in
-    `step_costs`, of the profile and the Gauss-Newton alike.  `message`
-    gives the IRLS passes and the numbers of couplings the g profile costed
-    and of its cost calls.
+    that carry it (n_c and n_m_T, free or pinned) at zero, and a freed
+    shape whose 95% set {cost - min <= 1.92} on its scan reaches a scan
+    end.  `n_iter` counts the accepted profile steps in `step_costs`: of
+    the g profile, or of the outer profile when a shape is freed.
+    `message` gives the IRLS passes and the numbers of couplings the g
+    profiles costed and of their cost calls, then the same for a freed
+    shape's outer profile and whether its last pass's 95% set is open.
     """
     if trace.unit is not SpectrumUnit.QUANTA:
         raise UnitError(f"full-model fit needs a quanta trace, got {trace.unit.value}")
-    free = tuple(free)
-    bad = set(free) - FREEABLE_PARAMS
-    if bad:
-        raise ParameterError(f"cannot free parameters: {sorted(bad)}")
-    if len(set(free)) != len(free):
-        raise ParameterError("duplicate names in free")
+    free = _check_free(free)
     n_avg = trace.n_avg
     delta = TWO_PI * trace.freq_hz - params.omega_m
     data = trace.values
     amps = tuple(name for name in free if name in _AMPLITUDES)
-    shapes = tuple(name for name in free if name not in _AMPLITUDES)
+    freed = next((name for name in free if name in _SHAPES), None)
     values = asdict(params)
     # normal equations = coef (weighted Gram matrix of 1, A, B, data) coef^T:
     # one row per free amplitude, then data minus the fixed part of the model
@@ -386,88 +482,72 @@ def fit_full_model(
         else:
             coef[-1, j] -= values[name]
 
-    def solved(vals: dict, normal: _Pass) -> ModelParams:
-        """Solve the free amplitudes into `vals`; the full parameter set, at its real parts."""
-        vals.update(zip(amps, normal.solve(np.array([vals["g"]]))[0][0].tolist()))
-        return ModelParams(**{name: v.real for name, v in vals.items()})
-
-    def projected(vals: dict) -> np.ndarray:
-        """Model at the shape in `vals` with the amplitudes solved under the
-        pass's weights; analytic in the shape and g, so a complex step in
-        them gives the exact variable-projection derivative."""
-        solved(vals, _Pass(_Shape(delta, vals), sigma**-2, data, coef))
-        cav, mech = output_noise_basis(delta, *(vals[name] for name in _BASIS_ARGS))
-        return 0.5 + vals["n_add_eff"] + vals["n_c"] * cav + vals["n_m_T"] * mech
-
+    scan = None
     if "g" in free:  # 16 nodes per decade of g, from optical damping 4g^2/kappa = 1e-3 gamma_m to g = 10 kappa
-        lo = math.log10(0.5 * math.sqrt(1e-3 * values["kappa"] * values["gamma_m"]))
-        hi = math.log10(10.0 * values["kappa"])
-        scan = np.log(np.logspace(lo, hi, int(math.ceil(16.0 * (hi - lo))) + 1))
+        scan = _log_scan(0.5 * math.sqrt(1e-3 * values["kappa"] * values["gamma_m"]), 10.0 * values["kappa"])
+    if freed == "delta_tilde":  # delta_tilde / kappa on [-1, 1]: the cost gets v = exp(delta_tilde / kappa)
+        outer, value_of = np.linspace(-1.0, 1.0, 33), lambda v: params.kappa * math.log(v)
+    elif freed is not None:  # ln kappa on [ln kappa_ex, ln 10 kappa], ln gamma_m over six decades
+        lo, hi = (params.kappa_ex, 10.0 * params.kappa) if freed == "kappa" else (1e-3 * params.gamma_m, 1e3 * params.gamma_m)
+        outer, value_of = _log_scan(lo, hi), float
     step_costs: list[tuple[float, float]] = []
-    profile_nodes = profile_calls = 0
+    counts = [0, 0, 0, 0]  # nodes and cost calls of the g profiles, then of a freed shape's
     start = None  # later passes warm-start the profile from the last g
-    res = None  # the last pass's Gauss-Newton over the shape parameters
     sigma = _sigma_from_model(data, n_avg)
     shape = _Shape(delta, values)
     for passes in range(1, 5):  # IRLS: refresh the weights from the fitted model
-        normal = _Pass(shape, sigma**-2, data, coef)
-        if "g" in free:
-            start, costed, calls = _profile_g(normal.cost, scan, step_costs, start)
-            values["g"], profile_nodes, profile_calls = math.exp(start), profile_nodes + costed, profile_calls + calls
-        if set(shapes) - {"g"}:  # the shapes and g of the projected model, at this pass's sigmas
+        w = sigma**-2
+        if freed is not None:
             res = fit_weighted(
-                lambda p: projected({**values, **dict(zip(shapes, p))}),
-                data,
-                [values[name] for name in shapes],
-                [name != "delta_tilde" for name in shapes],
-                shapes,
-                sigma,
-                scales=[values["kappa"] if name == "delta_tilde" else 1.0 for name in shapes],
+                lambda v: _Pass(_Shape(delta, {**values, freed: value_of(v)}), w, data, coef),
+                outer, scan, values["g"], step_costs,
             )
-            step_costs += res.step_costs
-            values.update(zip(shapes, res.params.tolist()))
-            start = math.log(values["g"]) if "g" in free else None
+            v, values["g"] = res.params
+            values[freed] = value_of(v)
+            counts = [n + m for n, m in zip(counts, res.counts)]
             shape = _Shape(delta, values)
-            normal = _Pass(shape, sigma**-2, data, coef)
-        model = output_noise_values(delta, solved(values, normal))
+        normal = _Pass(shape, w, data, coef)
+        if freed is None and scan is not None:
+            start, costed, calls = _profile_g(normal.cost, scan, step_costs, start)
+            values["g"], counts[0], counts[1] = math.exp(start), counts[0] + costed, counts[1] + calls
+        values.update(zip(amps, normal.solve(np.array([values["g"]]))[0][0].tolist()))
+        model = output_noise_values(delta, ModelParams(**values))
         sigma, previous = _sigma_from_model(model, n_avg), sigma
-        if res is not None and not res.converged or np.max(np.abs(sigma - previous) / previous) < 1e-3:
+        if np.max(np.abs(sigma - previous) / previous) < 1e-3:
             break
     del shape, normal  # the per-pass columns are not needed past the loop
 
     # Jacobian in the natural parameters: the amplitude columns are the
-    # basis, shape columns its complex-step derivatives (exact to rounding)
+    # basis, the columns of g and a shape its complex-step derivatives (exact to rounding)
     cav, mech = output_noise_basis(delta, *(values[name] for name in _BASIS_ARGS))
     columns = {"n_add_eff": np.ones_like(delta), "n_c": cav, "n_m_T": mech}
-    for name in shapes:
+    for name in (name for name in free if name not in _AMPLITUDES):
         stepped = {**values, name: values[name] + COMPLEX_STEP * 1j}
         cav, mech = output_noise_basis(delta, *(stepped[arg] for arg in _BASIS_ARGS))
         columns[name] = (values["n_c"] * cav + values["n_m_T"] * mech).imag / COMPLEX_STEP
     jac = np.column_stack([columns[name] for name in free]) / sigma[:, None]
     _check_degenerate(jac[:, [free.index(name) for name in amps]], amps)
-    converged = res is None or res.converged
-    covariance, sigmas, note = _covariance(jac) if converged else (None, None, "")
+    covariance, sigmas, note = _covariance(jac)
     flagged = {name for name in amps if values[name] == 0.0}
-    # a kappa or gamma_m six decades below its start is pinned against its
-    # positivity bound for any realistic start
-    flagged |= {name for name in ("kappa", "gamma_m") if name in free and values[name] < 1e-6 * getattr(params, name)}
     # g is not identified at a scan end, nor when both amplitudes that carry it are zero
     if "g" in free and (not math.exp(scan[0]) < values["g"] < math.exp(scan[-1]) or values["n_c"] == values["n_m_T"] == 0.0):
         flagged.add("g")
-    if "kappa" in free and values["kappa"] <= values["kappa_ex"] * (1.0 + 1e-9):
-        flagged.add("kappa")
+    if freed is not None:
+        if not res.bounded:
+            flagged.add(freed)
+        note = f"; {freed} profile: {counts[2]} nodes in {counts[3]} calls, 95% set {'bounded' if res.bounded else 'open'}" + note
     resid = (data - model) / sigma
     return FitResult(
         params={name: values[name] for name in free},
         sigmas=None if sigmas is None else dict(zip(free, sigmas.tolist())),
         residual_rms=math.sqrt(float(resid @ resid) / data.size),
-        converged=converged,
+        converged=True,
         n_iter=len(step_costs),
         param_names=free,
         covariance=covariance,
         at_bound=tuple(name for name in free if name in flagged),
         step_costs=tuple(step_costs),
-        message=f"separable fit: {passes} IRLS passes, {profile_nodes} profile nodes in {profile_calls} calls" + (f"; {res.message}" if res else "") + note,
+        message=f"separable fit: {passes} IRLS passes, {counts[0]} profile nodes in {counts[1]} calls" + note,
     )
 
 
@@ -743,9 +823,10 @@ def analyze_cooling_sweep(
     g to the sqrt(n_d) value), cooled occupancy from the fitted bath
     parameters, imprecision quanta from the fitted chain noise, and the
     relative deviation of a fitted g from the sqrt(n_d) prediction.
-    n_add_eff has no device value, so a `free` without it raises
-    ParameterError.  Two per-point identifiability guards drop names from
-    the free set: n_c, pinned to the thermal state, when the trace window
+    A `free` that `fit_full_model` refuses raises ParameterError before
+    any fit, and so does one without n_add_eff, which has no device
+    value.  Two per-point identifiability guards drop names from the free
+    set: n_c, pinned to the thermal state, when the trace window
     cannot resolve the cavity mode, and g, pinned to the sqrt(n_d) value,
     when the predicted radiation-pressure broadening is below 10% of
     gamma_m (only the product g^2 n_m_T is measurable there).  A point
@@ -755,7 +836,7 @@ def analyze_cooling_sweep(
     of `final_occupancy`.
     """
     cavity, mech = device.cavity, device.mech
-    free = tuple(free)
+    free = _check_free(free)  # once, so that a bad set raises instead of failing every point
     if "n_add_eff" not in free:
         raise ParameterError("the sweep has no value to pin n_add_eff to: it must be free")
     entries = sorted(sweep, key=lambda item: item[0])

@@ -133,6 +133,16 @@ class TestFit:
         sig_b = json.loads((out_b / "fit.json").read_text())["sigmas"]["n_m_T"]
         assert sig_b > sig_a
 
+    def test_two_freed_shapes_exit_2(self, tmp_path, capsys):
+        assert run(["simulate", "--n-d", 4000, "--points", 256, "--out", tmp_path]) == 0
+        capsys.readouterr()
+        assert run(["fit", tmp_path / "trace.csv", "--out", tmp_path,
+                    "--free", "n_m_T", "n_c", "g", "n_add_eff", "kappa", "gamma_m"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot free kappa and gamma_m together")
+        assert "probe-tone" in err and "line width" in err
+        assert not (tmp_path / "fit.json").exists()
+
     def test_nonconvergence_exits_3(self, tmp_path, monkeypatch):
         assert run(["simulate", "--n-d", 600, "--points", 256, "--out", tmp_path]) == 0
         stuck = em.FitResult(

@@ -11,7 +11,6 @@ from emcool import estimation
 from emcool.constants import HBAR
 from emcool.errors import DegenerateFitError, ParameterError, PeakDetectionError, UnitError
 from emcool.estimation import DEFAULT_FREE, _det, _nnls, _Pass, _profile_g, _Shape, lorentzian_model
-from emcool.leastsq import fit_weighted
 from emcool.spectra import grid_for, output_noise_basis
 from emcool.synth import periodogram_factors
 
@@ -331,8 +330,8 @@ class TestFitFullModel:
                 assert log_g in (scan[0], scan[-1]) and "g" in fit.at_bound
 
     def test_freed_kappa_on_its_limit_is_flagged(self, device, device_model):
-        # this seed drives the freed kappa onto kappa >= kappa_ex, where the
-        # engine stops at a stationary point and reports convergence
+        # on this seed the freed kappa's profile falls all the way to its
+        # scan's lower end, kappa = kappa_ex
         trace, _ = output_trace(device, 4000.0, seed=3, n_avg=20000, points=2048)
         fit = em.fit_full_model(trace, device_model, free=DEFAULT_FREE + ("kappa",))
         assert fit.params["kappa"] <= device.cavity.kappa_ex * (1.0 + 1e-9)
@@ -350,21 +349,24 @@ class TestFitFullModel:
             assert fit.covariance.tobytes() == first.covariance.tobytes()
 
     def test_freed_gamma_m_starts_from_params(self, device, device_model, monkeypatch):
-        # the first Gauss-Newton call of each fit starts from params; later
-        # IRLS passes start from the pass before
+        # every IRLS pass scans ln gamma_m three decades either side of the
+        # start in params, not of the pass before
         trace, _ = output_trace(device, 4000.0, seed=5, points=1024)
-        starts = []  # per fit, the gamma_m start of each call
+        scans = []  # per fit, the outer scan of each pass
+        fit_weighted = estimation.fit_weighted
 
-        def recording(model_fn, data, p0, log_scale, names, sigma, **kwargs):
-            starts[-1].append(dict(zip(names, p0))["gamma_m"])
-            return fit_weighted(model_fn, data, p0, log_scale, names, sigma, **kwargs)
+        def recording(pass_at, scan, g_scan, g, step_costs):
+            scans[-1].append(scan)
+            return fit_weighted(pass_at, scan, g_scan, g, step_costs)
 
         monkeypatch.setattr(estimation, "fit_weighted", recording)
-        gamma_ms = [device.mech.gamma_m, 1.5 * device.mech.gamma_m]
-        for gamma_m in gamma_ms:
-            starts.append([])
-            em.fit_full_model(trace, replace(device_model, gamma_m=gamma_m), free=DEFAULT_FREE + ("gamma_m",))
-        assert [calls[0] for calls in starts] == gamma_ms
+        for gamma_m in (device.mech.gamma_m, 1.5 * device.mech.gamma_m):
+            scans.append([])
+            fit = em.fit_full_model(trace, replace(device_model, gamma_m=gamma_m), free=DEFAULT_FREE + ("gamma_m",))
+            assert "gamma_m profile: " in fit.message and scans[-1]
+            for scan in scans[-1]:
+                assert math.exp(0.5 * (scan[0] + scan[-1])) == pytest.approx(gamma_m, rel=1e-12)
+                assert scan[-1] - scan[0] == pytest.approx(6.0 * math.log(10.0), rel=1e-12)
 
     @pytest.mark.parametrize("seed", [5, 6])
     def test_freed_kappa_runaway_is_not_reported_clean(self, device, device_model, seed):
@@ -379,38 +381,11 @@ class TestFitFullModel:
         assert not fit.converged or fit.at_bound
 
     def test_collapsed_gamma_m_is_flagged(self, device, device_model):
-        # on this seed the freed gamma_m runs to zero, n_m_T to infinity: the
-        # collapse is measured from the start in params, not a pass's start
+        # on this seed the freed gamma_m once ran to zero, n_m_T to infinity;
+        # its profile now falls to the low end of its scan, which flags it
         trace, _ = output_trace(device, 4000.0, seed=1, n_avg=20000, points=2048)
         fit = em.fit_full_model(trace, device_model, free=DEFAULT_FREE + ("gamma_m",))
-        assert fit.params["gamma_m"] < 1e-6 * device.mech.gamma_m
         assert "gamma_m" in fit.at_bound
-
-    def test_nnls_complex_step_keeps_support(self):
-        # a complex step in the normal equations keeps the real solve's
-        # support and differentiates the amplitudes on it
-        rng = np.random.default_rng(11)
-        x = np.linspace(-1.0, 1.0, 200)
-        design = np.stack([np.ones_like(x), 1.0 / (1.0 + 4.0 * x * x), np.exp(-50.0 * x * x)], axis=1)
-        tangent = np.stack([np.zeros_like(x), x * x, -np.exp(-50.0 * x * x) * x * x], axis=1)
-        for _ in range(20):
-            data = design @ rng.normal(size=3) + 0.05 * rng.normal(size=x.size)
-            weights = rng.uniform(0.5, 2.0, size=x.size)
-
-            def normal(t):  # the weighted Gram matrix of the columns and the data
-                d = np.column_stack([design + t * tangent, data])
-                return ((d.T * weights) @ d)[None]
-
-            moved = np.column_stack([tangent, np.zeros_like(x)])
-            d_normal = normal(1.0) - normal(0.0) - (moved.T * weights) @ moved  # the part linear in t
-            amps, cost = _nnls(normal(0.0) + 1e-20j * d_normal)
-            real_amps, real_cost = _nnls(normal(0.0))
-            assert np.array_equal(amps.real == 0.0, real_amps == 0.0)  # same support
-            np.testing.assert_allclose(amps.real, real_amps, rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(cost.real, real_cost, rtol=1e-12)
-            hi, lo = (_nnls(normal(t))[0] for t in (1e-6, -1e-6))
-            np.testing.assert_allclose(amps.imag / 1e-20, (hi - lo) / 2e-6, rtol=1e-5, atol=1e-8)
-            assert np.all(amps.imag[real_amps == 0.0] == 0.0)
 
     def test_nnls_matches_support_enumeration(self):
         # normal-equation NNLS against lstsq on the design matrix of each support
@@ -871,6 +846,19 @@ class TestAnalyzeCoolingSweep:
             assert sp.point.g == em.coupling_rate(device.coupling, device.mech, sp.point.n_d)
             assert "g" not in sp.fit.param_names
             assert math.isnan(sp.g_rel_deviation)
+
+    @pytest.mark.parametrize("free", [
+        ("n_add_eff", "beta"),  # not freeable
+        ("n_m_T", "n_add_eff", "n_m_T"),  # a duplicate
+        ("n_m_T", "g", "n_add_eff", "kappa", "delta_tilde"),  # two shapes
+    ])
+    def test_bad_free_set_raises_before_any_fit(self, device, monkeypatch, free):
+        # once every point was excluded with the same error, and the sweep
+        # returned an empty curve
+        entries = cooling_sweep_entries(device, SWEEP_SPECS[:2])
+        monkeypatch.setattr(estimation, "fit_full_model", lambda *a, **k: pytest.fail("fit before the check"))
+        with pytest.raises(ParameterError, match="cannot free|duplicate"):
+            em.analyze_cooling_sweep(entries, device, em.ThermalState(39.0, 0.0), free=free)
 
     def test_free_set_without_n_add_eff_raises(self, device):
         entries = cooling_sweep_entries(device, SWEEP_SPECS[:2])
