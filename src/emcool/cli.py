@@ -1,8 +1,8 @@
 """Command-line front end: simulate | fit | calibrate | sweep | report.
 
-Exit codes: 0 success, 2 config/input error, 3 fit non-convergence, no
-resolved peak or a degenerate fit.  Every command is deterministic given
-its options and seed, and rerunning overwrites its outputs identically.
+Exit codes: 0 success, 2 config/input error, 3 no resolved peak or a
+degenerate fit.  Every command is deterministic given its options and
+seed, and rerunning overwrites its outputs identically.
 """
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -121,7 +122,7 @@ def cmd_fit(args) -> int:
     out = _out_dir(args) / "fit.json"
     out.write_text(result.to_json() + "\n", encoding="utf-8")
     print(result.to_json())
-    return 0 if result.converged else 3
+    return 0
 
 
 def _load_manifest(path: str, key: str) -> list[tuple[float, Path, str]]:
@@ -131,30 +132,35 @@ def _load_manifest(path: str, key: str) -> list[tuple[float, Path, str]]:
         raise ParameterError(f"{path}: manifest must be a JSON array")
     out = []
     for i, entry in enumerate(entries):
+        where = f"{path}[{i}]"
+        if not isinstance(entry, dict):
+            raise ParameterError(f"{where}: entry must be a JSON object, got {entry!r}")
         if key not in entry or "trace_path" not in entry:
-            raise ParameterError(f"{path}[{i}]: entries need '{key}' and 'trace_path'")
-        trace_path = manifest_path.parent / entry["trace_path"]
-        out.append((float(entry[key]), trace_path, str(entry.get("label", i))))
+            raise ParameterError(f"{where}: entries need '{key}' and 'trace_path'")
+        if not isinstance(entry["trace_path"], str):
+            raise ParameterError(f"{where}: 'trace_path' must be a string, got {entry['trace_path']!r}")
+        try:
+            value = float(entry[key])
+        except (TypeError, ValueError):
+            raise ParameterError(f"{where}: '{key}' must be a number, got {entry[key]!r}") from None
+        out.append((value, manifest_path.parent / entry["trace_path"], str(entry.get("label", i))))
     return out
 
 
-def _read_sweep(entries) -> tuple[list, list[str]]:
+def _read_sweep(entries) -> list:
+    """The traces of `entries` that read; each that does not is named on stderr and skipped."""
     sweep = []
-    skipped = []
     for value, trace_path, label in entries:
         try:
             sweep.append((value, read_trace(trace_path)))
         except (OSError, ParameterError, UnitError) as exc:
-            skipped.append(f"skipping point {label!r}: {exc}")
-    return sweep, skipped
+            print(f"skipping point {label!r}: {exc}", file=sys.stderr)
+    return sweep
 
 
 def cmd_calibrate(args) -> int:
     device = _load_device_arg(args.device)
-    entries = _load_manifest(args.manifest, key="T")
-    sweep, skipped = _read_sweep(entries)
-    for line in skipped:
-        print(line, file=sys.stderr)
+    sweep = _read_sweep(_load_manifest(args.manifest, key="T"))
     drive = DriveConfig.red_detuned(device, n_d=args.n_d)
     result = calibrate_coupling(sweep, device, drive)
     out = _out_dir(args) / "calibration.json"
@@ -165,10 +171,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_sweep(args) -> int:
     device = _load_device_arg(args.device)
-    entries = _load_manifest(args.manifest, key="n_d")
-    sweep, skipped = _read_sweep(entries)
-    for line in skipped:
-        print(line, file=sys.stderr)
+    sweep = _read_sweep(_load_manifest(args.manifest, key="n_d"))
     thermal = _thermal_from_args(args, device)
     curve = analyze_cooling_sweep(sweep, device, thermal)
     for n_d, reason in curve.excluded:
@@ -245,7 +248,7 @@ def cmd_report(args) -> int:
             )
     (out_dir / "drive_sweep.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
 
-    report = json.loads(best[1].to_json())
+    report = asdict(best[1])
     report["n_d"] = best[2]
     report["note"] = "product_over_hbar is an upper bound (n_ba <= n_m + 1/2 assumed)"
     report["storage_time_s"] = storage_time(thermal, mech.gamma_m)
@@ -328,7 +331,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (PeakDetectionError, DegenerateFitError) as exc:

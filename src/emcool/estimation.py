@@ -65,32 +65,29 @@ DEFAULT_FREE = ("n_m_T", "n_c", "g", "n_add_eff")
 class FitResult:
     """Estimates, 1-sigma errors and diagnostics of one spectral fit.
 
-    sigmas and covariance are present only for converged fits; covariance is
-    ordered like param_names.
+    sigmas and covariance are None when J^T J is singular or a sigma is not
+    finite; covariance is ordered like params.
     """
 
     params: dict[str, float]
     sigmas: dict[str, float] | None
     residual_rms: float
-    converged: bool
     n_iter: int
-    param_names: tuple[str, ...]
     covariance: np.ndarray | None = None
     at_bound: tuple[str, ...] = ()
     step_costs: tuple[tuple[float, float], ...] = ()
     message: str = ""
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         payload = {
             "params": self.params,
             "sigmas": self.sigmas,
             "residual_rms": self.residual_rms,
-            "converged": self.converged,
             "n_iter": self.n_iter,
             "at_bound": list(self.at_bound),
             "message": self.message,
         }
-        return json.dumps(payload, indent=indent)
+        return json.dumps(payload, indent=2)
 
 
 # --- Lorentzian peak fit -------------------------------------------------------
@@ -112,9 +109,7 @@ def fit_lorentzian(trace: SpectrumTrace) -> FitResult:
         params=dict(zip(names, (peak.center_hz, peak.fwhm_hz, peak.area, peak.floor))),
         sigmas=dict(zip(names, np.sqrt(np.diag(covariance)).tolist())),
         residual_rms=math.sqrt(chi2 / trace.freq_hz.size),
-        converged=True,
         n_iter=steps,
-        param_names=names,
         covariance=covariance,
         message=f"line fit: {passes} IRLS passes, {steps} Gauss-Newton steps",
     )
@@ -374,16 +369,15 @@ def _check_degenerate(jac: np.ndarray, names: Sequence[str]) -> None:
 
 
 def _covariance(jac: np.ndarray):
-    """inv(J^T J) (pseudo-inverse, noted, if singular) and its sigmas; both
-    None unless every sigma is finite."""
-    gram, note = jac.T @ jac, ""
+    """inv(J^T J) and its sigmas; both None when J^T J is singular or a
+    sigma is not finite."""
     try:
-        cov = np.linalg.inv(gram)
+        cov = np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:
-        cov, note = np.linalg.pinv(gram, rcond=1e-12), "; covariance from pseudo-inverse (near-degenerate)"
+        return None, None
     with np.errstate(invalid="ignore"):
         sigmas = np.sqrt(np.diag(cov))
-    return (cov, sigmas, note) if np.all(np.isfinite(sigmas)) else (None, None, note)
+    return (cov, sigmas) if np.all(np.isfinite(sigmas)) else (None, None)
 
 
 class ShapeProfile(NamedTuple):
@@ -527,23 +521,22 @@ def fit_full_model(
         columns[name] = (values["n_c"] * cav + values["n_m_T"] * mech).imag / COMPLEX_STEP
     jac = np.column_stack([columns[name] for name in free]) / sigma[:, None]
     _check_degenerate(jac[:, [free.index(name) for name in amps]], amps)
-    covariance, sigmas, note = _covariance(jac)
+    covariance, sigmas = _covariance(jac)
     flagged = {name for name in amps if values[name] == 0.0}
     # g is not identified at a scan end, nor when both amplitudes that carry it are zero
     if "g" in free and (not math.exp(scan[0]) < values["g"] < math.exp(scan[-1]) or values["n_c"] == values["n_m_T"] == 0.0):
         flagged.add("g")
+    note = ""
     if freed is not None:
         if not res.bounded:
             flagged.add(freed)
-        note = f"; {freed} profile: {counts[2]} nodes in {counts[3]} calls, 95% set {'bounded' if res.bounded else 'open'}" + note
+        note = f"; {freed} profile: {counts[2]} nodes in {counts[3]} calls, 95% set {'bounded' if res.bounded else 'open'}"
     resid = (data - model) / sigma
     return FitResult(
         params={name: values[name] for name in free},
         sigmas=None if sigmas is None else dict(zip(free, sigmas.tolist())),
         residual_rms=math.sqrt(float(resid @ resid) / data.size),
-        converged=True,
         n_iter=len(step_costs),
-        param_names=free,
         covariance=covariance,
         at_bound=tuple(name for name in free if name in flagged),
         step_costs=tuple(step_costs),
@@ -581,11 +574,11 @@ class CalibrationResult:
         if not -1e-12 <= self.linearity_r2 <= 1.0 + 1e-12:
             raise ParameterError(f"r^2 out of [0, 1]: {self.linearity_r2!r}")
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         payload = asdict(self)
         payload["points"] = [asdict(p) for p in self.points]
         payload["warnings"] = list(self.warnings)
-        return json.dumps(payload, indent=indent)
+        return json.dumps(payload, indent=2)
 
 
 def _weighted_line(x: np.ndarray, y: np.ndarray, w: np.ndarray):
@@ -731,7 +724,7 @@ def calibrate_coupling(
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One converged sweep point: physics summary plus fit provenance."""
+    """One sweep point: physics summary plus fit provenance."""
 
     point: CoolingPoint
     n_m_sigma: float
@@ -757,8 +750,6 @@ class CoolingCurve:
         n_ds = [sp.point.n_d for sp in self.points]
         if any(b <= a for a, b in zip(n_ds, n_ds[1:])):
             raise ParameterError("sweep points must have strictly increasing n_d")
-        if any(not sp.fit.converged for sp in self.points):
-            raise ParameterError("cooling curves carry converged fits only")
 
     @property
     def product_bound(self) -> float:
@@ -784,7 +775,7 @@ class CoolingCurve:
             lines.append(",".join(f"{v:.17g}" for v in row))
         return "\n".join(lines) + "\n"
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         payload = {
             "points": [
                 {
@@ -798,7 +789,6 @@ class CoolingCurve:
                     "n_c_sigma": sp.n_c_sigma,
                     "n_imp": sp.n_imp,
                     "g_rel_deviation": sp.g_rel_deviation,
-                    "fit_converged": sp.fit.converged,
                     "fit_residual_rms": sp.fit.residual_rms,
                 }
                 for sp in self.points
@@ -806,7 +796,7 @@ class CoolingCurve:
             "excluded": [{"n_d": nd, "reason": reason} for nd, reason in self.excluded],
             "product_bound": self.product_bound,
         }
-        return json.dumps(payload, indent=indent)
+        return json.dumps(payload, indent=2)
 
 
 def analyze_cooling_sweep(
@@ -830,8 +820,8 @@ def analyze_cooling_sweep(
     cannot resolve the cavity mode, and g, pinned to the sqrt(n_d) value,
     when the predicted radiation-pressure broadening is below 10% of
     gamma_m (only the product g^2 n_m_T is measurable there).  A point
-    whose fit raises, does not converge, or whose derived quantities fail
-    is excluded with a diagnostic; the rest of the curve is still returned.
+    whose fit or derived quantities raise is excluded with a diagnostic;
+    the rest of the curve is still returned.
     n_m_sigma propagates the fit covariance through the analytic gradient
     of `final_occupancy`.
     """
@@ -860,15 +850,12 @@ def analyze_cooling_sweep(
             point_free = tuple(name for name in point_free if name != "g")
         try:  # per-point failures must not kill the sweep
             fit = fit_full_model(trace, point_params, free=point_free)
-            if not fit.converged:
-                excluded.append((n_d, f"fit did not converge: {fit.message}"))
-                continue
             full = {**asdict(point_params), **fit.params}
             g_fit, kappa, gamma_m = full["g"], full["kappa"], full["gamma_m"]
             _, _, gamma_opt = sideband_rates(g_fit, kappa, -mech.omega_m, mech.omega_m)
             state = ThermalState(n_m_T=full["n_m_T"], n_c=full["n_c"])
             grad = final_occupancy_gradient(state, g_fit, kappa, gamma_m)
-            vec = np.array([grad.get(name, 0.0) for name in fit.param_names])  # delta method
+            vec = np.array([grad.get(name, 0.0) for name in fit.params])  # delta method
             n_m_sigma = math.nan if fit.covariance is None else math.sqrt(max(vec @ fit.covariance @ vec, 0.0))
             points.append(
                 SweepPoint(

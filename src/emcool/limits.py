@@ -171,5 +171,5 @@ class LimitReport:
             product_over_hbar=heisenberg_product(n_imp, n_ba, red_detuned=red_detuned),
         )
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(asdict(self), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), indent=2)

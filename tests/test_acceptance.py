@@ -175,7 +175,7 @@ def test_criterion_11_inference_round_trips(device, device_model):
         vals = clean * periodogram_factors(clean.size, 500, seed)
         trace = em.SpectrumTrace(trace0.freq_hz, vals, em.SpectrumUnit.QUANTA, {"n_avg": 500})
         fit = em.fit_lorentzian(trace)
-        if fit.converged and fit.sigmas is not None:
+        if fit.sigmas is not None:
             hits += all(abs(fit.params[k] - truth[k]) <= 3 * fit.sigmas[k] for k in truth)
     coverage = hits / 200
     results.append(("lorentzian 3-sigma coverage", coverage >= 0.95, f"{coverage:.1%}"))

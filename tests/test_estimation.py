@@ -41,7 +41,6 @@ class TestFitLorentzian:
     def test_noiseless_exact_recovery(self, device):
         trace, truth = thermal_quanta_trace(device)
         fit = em.fit_lorentzian(trace)
-        assert fit.converged
         for name, value in truth.items():
             assert fit.params[name] == pytest.approx(value, rel=1e-6)
 
@@ -71,7 +70,7 @@ class TestFitLorentzian:
     def test_sigma_scale(self, device):
         trace, truth = thermal_quanta_trace(device, n_avg=500, seed=12)
         fit = em.fit_lorentzian(trace)
-        assert fit.converged and fit.sigmas is not None
+        assert fit.sigmas is not None
         # center is pinned to a small fraction of the linewidth at this SNR
         assert fit.sigmas["center_hz"] < 0.05 * truth["fwhm_hz"]
 
@@ -84,7 +83,7 @@ class TestFitLorentzian:
             vals = clean * periodogram_factors(clean.size, 500, seed)
             trace = em.SpectrumTrace(trace0.freq_hz, vals, em.SpectrumUnit.QUANTA, {"n_avg": 500})
             fit = em.fit_lorentzian(trace)
-            if fit.converged and fit.sigmas is not None:
+            if fit.sigmas is not None:
                 hits += all(
                     abs(fit.params[k] - truth[k]) <= 3 * fit.sigmas[k] for k in truth
                 )
@@ -102,7 +101,7 @@ class TestFitLorentzian:
             vals = clean * periodogram_factors(clean.size, 500, 10_000 + seed)
             trace = em.SpectrumTrace(trace0.freq_hz, vals, em.SpectrumUnit.QUANTA, {"n_avg": 500})
             fit = em.fit_lorentzian(trace)
-            if fit.converged and fit.sigmas is not None:
+            if fit.sigmas is not None:
                 n_conv += 1
                 covered += [
                     abs(fit.params[k] - truth[k]) <= fit.sigmas[k] for k in names
@@ -169,7 +168,6 @@ class TestFitFullModel:
     def test_round_trip_moderate_drive(self, device, device_model):
         trace, params = output_trace(device, 4000.0, seed=5, n_avg=20000)
         fit = em.fit_full_model(trace, device_model)
-        assert fit.converged
         n_m_fit = em.final_occupancy(
             em.ThermalState(n_m_T=fit.params["n_m_T"], n_c=max(fit.params["n_c"], 0.0)),
             fit.params["g"],
@@ -194,7 +192,6 @@ class TestFitFullModel:
                 device, 2e5, n_c=0.3, seed=seed, n_avg=20000, halfspan_hz=900e3
             )
             fit = em.fit_full_model(trace, device_model)
-            assert fit.converged
             assert fit.params["g"] == pytest.approx(params.g, rel=0.02)
 
     def test_degenerate_zero_effect(self, device, device_model):
@@ -226,7 +223,7 @@ class TestFitFullModel:
         trace, _ = output_trace(device, 4000.0, seed=7, points=512)
         fit = em.fit_full_model(trace, device_model)
         payload = json.loads(fit.to_json())
-        assert payload["converged"] is True
+        assert set(payload) == {"params", "sigmas", "residual_rms", "n_iter", "at_bound", "message"}
         assert set(payload["params"]) == set(DEFAULT_FREE)
 
     def test_reproducible_bit_identical(self, device, device_model):
@@ -247,7 +244,6 @@ class TestFitFullModel:
         trace = em.SpectrumTrace(freq, np.full(512, 2.6), em.SpectrumUnit.QUANTA, {})
         pinned = replace(device_model, g=em.coupling_rate(device.coupling, device.mech, 4000.0), n_c=0.0)
         fit = em.fit_full_model(trace, pinned, free=("n_m_T", "n_add_eff"))
-        assert fit.converged
         assert "n_m_T" in fit.at_bound
         assert fit.params["n_m_T"] < 1e-7
 
@@ -260,6 +256,18 @@ class TestFitFullModel:
         fit = em.fit_full_model(trace, device_model)
         assert fit.params["n_m_T"] == fit.params["n_c"] == 0.0
         assert set(fit.at_bound) == {"n_m_T", "n_c", "g"}
+
+    @pytest.mark.parametrize("points,halfspan_hz", [(512, 5e4), (1024, 2e5), (4096, 2e6)])
+    def test_unidentified_g_has_no_sigmas(self, device, device_model, points, halfspan_hz):
+        # flat trace, default free set: with n_c = n_m_T = 0 the column of g
+        # is exactly zero, so J^T J is singular and no sigma is reported
+        center = device.mech.omega_m / TWO_PI
+        freq = np.linspace(center - halfspan_hz, center + halfspan_hz, points)
+        trace = em.SpectrumTrace(freq, np.full(points, 2.6), em.SpectrumUnit.QUANTA, {})
+        fit = em.fit_full_model(trace, device_model)
+        assert fit.sigmas is None and fit.covariance is None
+        assert "g" in fit.at_bound
+        assert json.loads(fit.to_json())["sigmas"] is None
 
     def test_g_flagged_when_its_amplitudes_are_zero(self, device, device_model, monkeypatch):
         # wherever inside its scan a flat trace leaves g, it carries no signal
@@ -290,7 +298,6 @@ class TestFitFullModel:
         cost = estimation._Pass.cost
         monkeypatch.setattr(estimation._Pass, "cost", lambda normal, g: sizes.append(g.size) or cost(normal, g))
         fit = em.fit_full_model(trace, device_model)
-        assert fit.converged
         assert f", {sum(sizes)} profile nodes in {len(sizes)} calls" in fit.message
         assert (sum(sizes), len(sizes)) == {"readme": (108, 13), "sweep": (94, 7)}[case]
 
@@ -317,7 +324,7 @@ class TestFitFullModel:
 
         monkeypatch.setattr(estimation, "_profile_g", recording)
         fit = em.fit_full_model(trace, device_model)
-        assert fit.converged and len(passes) >= 2
+        assert len(passes) >= 2
         start, log_g, costed, scan = passes[1]
         assert abs(log_g - start) > 5.0 * (scan[1] - scan[0])
         for start, log_g, costed, scan in passes[1:]:
@@ -378,7 +385,7 @@ class TestFitFullModel:
             fit = em.fit_full_model(trace, device_model, free=DEFAULT_FREE + ("kappa",))
         except DegenerateFitError:
             return
-        assert not fit.converged or fit.at_bound
+        assert fit.at_bound
 
     def test_collapsed_gamma_m_is_flagged(self, device, device_model):
         # on this seed the freed gamma_m once ran to zero, n_m_T to infinity;
@@ -844,7 +851,7 @@ class TestAnalyzeCoolingSweep:
         assert len(curve.points) == len(SWEEP_SPECS)
         for sp in curve.points:
             assert sp.point.g == em.coupling_rate(device.coupling, device.mech, sp.point.n_d)
-            assert "g" not in sp.fit.param_names
+            assert "g" not in sp.fit.params
             assert math.isnan(sp.g_rel_deviation)
 
     @pytest.mark.parametrize("free", [

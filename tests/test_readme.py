@@ -10,4 +10,6 @@ def test_library_example_runs():
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     namespace = {}
     exec(compile(code, "README.md (Library example)", "exec"), namespace)
-    assert namespace["fit"].converged
+    fit, g = namespace["fit"], namespace["g"]
+    assert fit.sigmas is not None
+    assert 0.5 < fit.params["g"] / g < 2.0
