@@ -102,8 +102,7 @@ def cmd_simulate(args) -> int:
     if args.noiseless:
         trace = output_noise_spectrum(grid, params)
     else:
-        noise = NoiseConfig(n_avg=args.n_avg, seed=args.seed, points=args.points)
-        trace = generate_spectrum(params, noise, freq_hz=grid)
+        trace = generate_spectrum(params, NoiseConfig(n_avg=args.n_avg, seed=args.seed), freq_hz=grid)
     trace = trace.with_meta(n_d=args.n_d, device=args.device or "reference")
     out = _out_dir(args) / "trace.csv"
     write_trace(trace, out)
@@ -120,8 +119,9 @@ def cmd_fit(args) -> int:
         params = _model_params(args, device, _thermal_from_args(args, device))
         result = fit_full_model(trace, params, free=tuple(args.free) if args.free else DEFAULT_FREE)
     out = _out_dir(args) / "fit.json"
-    out.write_text(result.to_json() + "\n", encoding="utf-8")
-    print(result.to_json())
+    text = result.to_json()
+    out.write_text(text + "\n", encoding="utf-8")
+    print(text)
     return 0
 
 
@@ -164,8 +164,9 @@ def cmd_calibrate(args) -> int:
     drive = DriveConfig.red_detuned(device, n_d=args.n_d)
     result = calibrate_coupling(sweep, device, drive)
     out = _out_dir(args) / "calibration.json"
-    out.write_text(result.to_json() + "\n", encoding="utf-8")
-    print(result.to_json())
+    text = result.to_json()
+    out.write_text(text + "\n", encoding="utf-8")
+    print(text)
     return 0
 
 

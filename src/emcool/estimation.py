@@ -23,7 +23,7 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -124,20 +124,13 @@ _BASIS_ARGS = ("g", "kappa", "kappa_ex", "gamma_m", "delta_tilde", "beta")  # of
 _SCAN_BLOCK = 16
 
 
-# the cofactor expansion of a 3 x 3 matrix P along its first row, sum over j
-# of (-1)^j P[0, j] (P[1, x] P[2, y] - P[1, y] P[2, x]) with x < y the other
-# two columns: the (row, column) of each of these five factors, per j
-_COFACTOR = (((0, 0), (0, 1), (0, 2)), ((1, 1), (1, 0), (1, 0)), ((2, 2), (2, 2), (2, 1)),
-             ((1, 2), (1, 2), (1, 1)), ((2, 1), (2, 0), (2, 0)))
-
-
 def _supports(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Every support of k <= 3 amplitudes: its 1e-12 cost margin per
     amplitude, (2^k, 1), and the indices into [normal ((k + 1)^2), 0, 1] of
-    the `_COFACTOR` factors of Cramer's k + 1 matrices per support, (5, 3,
-    2^k, k + 1): the system, embedded with identity off the support, then
-    that system with column i replaced by the support's right-hand side,
-    each padded to 3 x 3 with identity."""
+    the entries of Cramer's k + 1 matrices per support, (3, 3, 2^k, k + 1):
+    the system, embedded with identity off the support, then that system
+    with column i replaced by the support's right-hand side, each padded to
+    3 x 3 with identity."""
     masks = list(itertools.product((False, True), repeat=k))
     size = k + 1  # of the normal equations: k amplitudes, then the data
     zero, one = size * size, size * size + 1
@@ -149,7 +142,7 @@ def _supports(k: int) -> tuple[np.ndarray, np.ndarray]:
             return r * size + j
         return one if r == j else zero
 
-    index = [[[[entry(mask, c, r, j) for c in range(k + 1)] for mask in masks] for r, j in factor] for factor in _COFACTOR]
+    index = [[[[entry(mask, c, r, j) for c in range(k + 1)] for mask in masks] for j in range(3)] for r in range(3)]
     return 1e-12 * np.array([[sum(mask)] for mask in masks], dtype=float), np.array(index, dtype=np.intp)
 
 
@@ -161,22 +154,17 @@ _GRAM_ENTRY = np.array([[0, 3, 4, 1], [3, 7, 8, 5], [4, 8, 9, 6], [1, 5, 6, 2]])
 _C_POWER = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 2.0])
 
 
-def _det(factors: np.ndarray) -> np.ndarray:
-    """Determinants of 3 x 3 matrices from their `_COFACTOR` factors (5, 3, ...)."""
-    terms = factors[0] * (factors[1] * factors[2] - factors[3] * factors[4])
-    return terms[0] - terms[1] + terms[2]
-
-
 def _nnls(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched non-negative least squares from the normal equations.
 
     normal (m, k + 1, k + 1): the weighted Gram matrices of the k amplitude
     columns and the data column, whose last entry is the weighted data norm
     yy.  Every support is solved by Cramer's rule, embedded in a k x k
-    system with identity off the support; each amplitude in a support must
-    buy more than 1e-12 yy of cost, so one that is zero within rounding
-    comes out exactly zero.  Returns the amplitudes (m, k) and the costs
-    (m,).
+    system with identity off the support; the determinants of its 3 x 3
+    padded matrices are their cofactor expansions along the first row.
+    Each amplitude in a support must buy more than 1e-12 yy of cost, so one
+    that is zero within rounding comes out exactly zero.  Returns the
+    amplitudes (m, k) and the costs (m,).
     """
     m, size = normal.shape[:2]
     k = size - 1
@@ -185,8 +173,9 @@ def _nnls(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     flat[:-2] = normal.reshape(m, -1).T
     flat[-2:] = ((0.0,), (1.0,))
     yy = flat[size * size - 1]
+    (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = flat[index]
     with np.errstate(all="ignore"):
-        dets = _det(flat[index])
+        dets = p00 * (p11 * p22 - p12 * p21) - p01 * (p10 * p22 - p12 * p20) + p02 * (p10 * p21 - p11 * p20)
         sol = dets[:, 1:] / dets[:, :1]  # exactly 0 off the support, whose Cramer matrices have a zero row
         gain = np.add.reduce(sol * flat[k : k * size : size], axis=1)
         feasible = np.isfinite(gain) & (sol >= 0.0).all(axis=1)
@@ -196,29 +185,20 @@ def _nnls(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sol[best, :, rows], 0.5 * (yy - gain[best, rows])
 
 
-class _Shape:
-    """The g-independent factors of the basis at one shape (kappa, gamma_m,
-    delta_tilde): P, Q^2, K of `spectra._basis_factors`, 4 beta kappa_ex and
-    4 gamma_m, so that A = s K and B = 4 gamma_m g^2 s."""
-
-    def __init__(self, delta: np.ndarray, vals: Mapping[str, float]) -> None:
-        kappa, kappa_ex, gamma_m, delta_tilde, beta = (vals[name] for name in _BASIS_ARGS[1:])
-        self.p, self.q2, self.k = _basis_factors(delta, kappa, gamma_m, delta_tilde)
-        self.numer, self.mech = 4.0 * beta * kappa_ex, 4.0 * gamma_m
-
-
 class _Pass:
     """Normal equations of the free amplitudes at one shape under one set of
-    IRLS weights w; each coupling adds two products over the bins."""
+    IRLS weights w; each coupling adds two products over the bins.  `shape`
+    holds the g-independent factors P, Q^2, K, 4 beta kappa_ex and 4 gamma_m
+    of `spectra._basis_factors`, so that A = s K and B = 4 gamma_m g^2 s."""
 
-    def __init__(self, shape: _Shape, w: np.ndarray, data: np.ndarray, coef: np.ndarray) -> None:
-        wk, wd = w * shape.k, w * data
-        self.shape = shape
+    def __init__(self, shape: tuple, w: np.ndarray, data: np.ndarray, coef: np.ndarray) -> None:
+        self.p, self.q2, k, self.numer, self.mech = shape
+        wk, wd = w * k, w * data
         # with c = 4 gamma_m g^2: s @ lin = sums of w A, w B / c, w A d, w B d / c
         # and s^2 @ quad = sums of w A^2, w A B / c, w B^2 / c^2; each column
         # contiguous (the transpose of stacked rows), which BLAS reads twice as fast
-        self.lin = np.stack([wk, w, wd * shape.k, wd]).T
-        self.quad = np.stack([wk * shape.k, wk, w]).T
+        self.lin = np.stack([wk, w, wd * k, wd]).T
+        self.quad = np.stack([wk * k, wk, w]).T
         # normal equations = coef (Gram matrix of 1, A, B, d) coef^T = entries @ fold,
         # fold[e] summing coef[:, i] coef[:, j]^T over the positions (i, j) of entry e
         fold = np.einsum("pi,qj,ije->epq", coef, coef, _GRAM_ENTRY[:, :, None] == np.arange(10)).reshape(10, -1)
@@ -228,15 +208,14 @@ class _Pass:
     def gram(self, g: np.ndarray) -> np.ndarray:
         """Normal equations (m, k + 1, k + 1) per coupling in g: the weighted
         Gram matrices of 1, A, B and the data, mapped by coef."""
-        sh = self.shape
         g2 = g * g
-        s = np.add.outer(4.0 * g2, sh.p)
+        s = np.add.outer(4.0 * g2, self.p)
         np.square(s, out=s)
-        s += sh.q2
-        np.divide(sh.numer, s, out=s)
+        s += self.q2
+        np.divide(self.numer, s, out=s)
         lin = s @ self.lin
         entries = np.concatenate((lin, np.square(s, out=s) @ self.quad), axis=1)
-        entries *= (sh.mech * g2)[:, None] ** _C_POWER
+        entries *= (self.mech * g2)[:, None] ** _C_POWER
         return (self.base + entries @ self.fold).reshape(g.size, self.size, self.size)
 
     def solve(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -249,7 +228,7 @@ class _Pass:
         return np.concatenate([self.solve(g[i : i + _SCAN_BLOCK])[1] for i in range(0, g.size, _SCAN_BLOCK)])
 
 
-_PROFILE_TOL = 1e-5  # in ln g
+_PROFILE_TOL = 1e-5  # in the scan's coordinate: ln g, ln kappa, ln gamma_m or delta_tilde / kappa
 # half-width of a warm start's first call, in ln g: between IRLS passes the
 # optimum moves 4e-4 at the median and 2.3e-3 at p90 of the cooling-sweep fits
 _WARM_STEP = 1e-3
@@ -266,11 +245,12 @@ def _vertex(x: list, f: list) -> float:
     return x1 - 0.5 * p / q if q < 0.0 else math.nan
 
 
-def _profile_g(cost, scan: np.ndarray, step_costs: list, start: float | None = None) -> tuple[float, int, int]:
-    """ln g minimizing cost(g) over the range of `scan` (in ln g), and the
-    numbers of nodes costed and of cost calls.
+def _profile_g(cost, scan: np.ndarray, step_costs: list, start: float | None = None) -> tuple[float, float, int, int]:
+    """The node x minimizing cost(x) over the range of `scan`, its cost, and
+    the numbers of nodes costed and of cost calls.  `cost` receives nodes
+    of the scan's own coordinate: ln g for g, or a freed shape's.
 
-    The first call costs the scan's nodes or, warm-started from the ln g
+    The first call costs the scan's nodes or, warm-started from the node
     `start` of an earlier IRLS pass, start and start +- 1e-3.  Every later
     call costs a stencil u, u +- d around a vertex u of the parabola through
     the best costed node b and its two nearest costed nodes.  While b is the
@@ -291,7 +271,7 @@ def _profile_g(cost, scan: np.ndarray, step_costs: list, start: float | None = N
         xs = scan.tolist()
     else:
         xs = sorted({min(max(x, lo), hi) for x in (start - _WARM_STEP, start, start + _WARM_STEP)})
-    fs = cost(np.exp(xs)).tolist()
+    fs = cost(np.array(xs)).tolist()
     nodes, calls, moves = len(xs), 1, [math.inf, math.inf]  # |u - b| of every bracketed step
     while True:
         i = fs.index(min(fs))
@@ -322,12 +302,12 @@ def _profile_g(cost, scan: np.ndarray, step_costs: list, start: float | None = N
         trial = sorted(trial - set(xs))
         if not trial:
             break
-        f_trial = cost(np.exp(trial)).tolist()
+        f_trial = cost(np.array(trial)).tolist()
         nodes, calls = nodes + len(trial), calls + 1
         if min(f_trial) < fb:
             step_costs.append((fb, min(f_trial)))
         xs, fs = (list(v) for v in zip(*sorted(zip(xs + trial, fs + f_trial))))
-    return b, nodes, calls
+    return b, fb, nodes, calls
 
 
 def _log_scan(lo: float, hi: float) -> np.ndarray:
@@ -383,7 +363,7 @@ def _covariance(jac: np.ndarray):
 class ShapeProfile(NamedTuple):
     """The outer profile of one freed shape at one IRLS pass's weights."""
 
-    params: tuple[float, float]  # the cost argument v at the outer minimum, and g there
+    params: tuple[float, float]  # the scan node x at the outer minimum, and g there
     n_iter: int  # accepted outer steps, appended to the caller's step_costs
     bounded: bool  # the 95% set {cost - min <= 1.92} reaches neither end of the scan
     counts: tuple[int, int, int, int]  # the g profiles' nodes and cost calls, then the outer profile's
@@ -392,40 +372,33 @@ class ShapeProfile(NamedTuple):
 def fit_weighted(pass_at, scan: np.ndarray, g_scan: np.ndarray | None, g: float, step_costs: list) -> ShapeProfile:
     """Minimize the cost over one freed shape at one IRLS pass's weights.
 
-    The outer profile is `_profile_g` over `scan`: `pass_at(v)` builds the
-    normal equations at the shape that its cost argument v maps to, and the
-    node's cost is the minimum over g there, by `_profile_g` over `g_scan`
-    warm-started from the g of the nearest node costed so far (the first
-    node scans cold), or the cost at the pinned g when `g_scan` is None.
+    The outer profile is `_profile_g` over `scan`: `pass_at(x)` builds the
+    normal equations at the shape of scan node x, and the node's cost is
+    the minimum over g there, by `_profile_g` over `g_scan` warm-started
+    from the ln g of the nearest node costed so far (the first node scans
+    cold), or the cost at the pinned g when `g_scan` is None.
     """
-    costed: list[tuple[float, float, float | None, float]] = []  # x, v, ln g, cost per outer node
+    costed: dict[float, tuple[float | None, float]] = {}  # ln g and cost per outer node
     g_counts = [0, 0]
 
-    def cost(v: np.ndarray) -> np.ndarray:
-        for vi in v.tolist():
-            x, normal = math.log(vi), pass_at(vi)
+    def cost(xs: np.ndarray) -> np.ndarray:
+        for x in xs.tolist():
+            normal = pass_at(x)
             if g_scan is None:
-                costed.append((x, vi, None, float(normal.cost(np.array([g]))[0])))
+                costed[x] = None, float(normal.cost(np.array([g]))[0])
                 continue
-            seen: list[float] = []
-
-            def inner(gs: np.ndarray, normal: _Pass = normal) -> np.ndarray:
-                f = normal.cost(gs)
-                seen.extend(f.tolist())
-                return f
-
-            start = min(costed, key=lambda node: abs(node[0] - x))[2] if costed else None
-            log_g, nodes, calls = _profile_g(inner, g_scan, [], start)
+            start = costed[min(costed, key=lambda node: abs(node - x))][0] if costed else None
+            log_g, f, nodes, calls = _profile_g(lambda ln_g: normal.cost(np.exp(ln_g)), g_scan, [], start)
             g_counts[0], g_counts[1] = g_counts[0] + nodes, g_counts[1] + calls
-            costed.append((x, vi, log_g, min(seen)))  # the g profile ends on its lowest node
-        return np.array([node[3] for node in costed[-v.size :]])
+            costed[x] = log_g, f
+        return np.array([costed[x][1] for x in xs.tolist()])
 
     n_steps = len(step_costs)
-    x, nodes, calls = _profile_g(cost, scan, step_costs)
-    _, v, log_g, best = min(costed, key=lambda node: abs(node[0] - x))
-    ends = (min(costed, key=lambda node: node[0])[3], max(costed, key=lambda node: node[0])[3])  # the scan's end nodes
+    x, best, nodes, calls = _profile_g(cost, scan, step_costs)
+    log_g = costed[x][0]
+    ends = (costed[min(costed)][1], costed[max(costed)][1])  # the scan's end nodes
     return ShapeProfile(
-        params=(v, g if log_g is None else math.exp(log_g)),
+        params=(x, g if log_g is None else math.exp(log_g)),
         n_iter=len(step_costs) - n_steps,
         bounded=min(ends) - best > _DELTA_95,
         counts=(*g_counts, nodes, calls),
@@ -479,30 +452,31 @@ def fit_full_model(
     scan = None
     if "g" in free:  # 16 nodes per decade of g, from optical damping 4g^2/kappa = 1e-3 gamma_m to g = 10 kappa
         scan = _log_scan(0.5 * math.sqrt(1e-3 * values["kappa"] * values["gamma_m"]), 10.0 * values["kappa"])
-    if freed == "delta_tilde":  # delta_tilde / kappa on [-1, 1]: the cost gets v = exp(delta_tilde / kappa)
-        outer, value_of = np.linspace(-1.0, 1.0, 33), lambda v: params.kappa * math.log(v)
+    if freed == "delta_tilde":  # delta_tilde / kappa on [-1, 1]
+        outer, value_of = np.linspace(-1.0, 1.0, 33), lambda x: params.kappa * x
     elif freed is not None:  # ln kappa on [ln kappa_ex, ln 10 kappa], ln gamma_m over six decades
         lo, hi = (params.kappa_ex, 10.0 * params.kappa) if freed == "kappa" else (1e-3 * params.gamma_m, 1e3 * params.gamma_m)
-        outer, value_of = _log_scan(lo, hi), float
+        outer, value_of = _log_scan(lo, hi), math.exp
     step_costs: list[tuple[float, float]] = []
     counts = [0, 0, 0, 0]  # nodes and cost calls of the g profiles, then of a freed shape's
     start = None  # later passes warm-start the profile from the last g
     sigma = _sigma_from_model(data, n_avg)
-    shape = _Shape(delta, values)
+    shape_of = lambda vals: _basis_factors(delta, *(vals[name] for name in _BASIS_ARGS[1:]))
+    shape = shape_of(values)
     for passes in range(1, 5):  # IRLS: refresh the weights from the fitted model
         w = sigma**-2
         if freed is not None:
             res = fit_weighted(
-                lambda v: _Pass(_Shape(delta, {**values, freed: value_of(v)}), w, data, coef),
+                lambda x: _Pass(shape_of({**values, freed: value_of(x)}), w, data, coef),
                 outer, scan, values["g"], step_costs,
             )
-            v, values["g"] = res.params
-            values[freed] = value_of(v)
+            x, values["g"] = res.params
+            values[freed] = value_of(x)
             counts = [n + m for n, m in zip(counts, res.counts)]
-            shape = _Shape(delta, values)
+            shape = shape_of(values)
         normal = _Pass(shape, w, data, coef)
         if freed is None and scan is not None:
-            start, costed, calls = _profile_g(normal.cost, scan, step_costs, start)
+            start, _, costed, calls = _profile_g(lambda ln_g: normal.cost(np.exp(ln_g)), scan, step_costs, start)
             values["g"], counts[0], counts[1] = math.exp(start), counts[0] + costed, counts[1] + calls
         values.update(zip(amps, normal.solve(np.array([values["g"]]))[0][0].tolist()))
         model = output_noise_values(delta, ModelParams(**values))

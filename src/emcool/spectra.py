@@ -233,14 +233,15 @@ def output_noise_basis(delta, g, kappa: float, kappa_ex: float, gamma_m: float,
     `g` may broadcast against `delta` (shape (m, 1): a row per coupling);
     complex parameters give complex-step derivatives.
     """
-    p, q2, k = _basis_factors(np.asarray(delta, dtype=float), kappa, gamma_m, delta_tilde)
+    p, q2, k, numer, mech = _basis_factors(np.asarray(delta, dtype=float), kappa, kappa_ex, gamma_m, delta_tilde, beta)
     re = 4.0 * np.square(g) + p
-    scale = 4.0 * beta * kappa_ex / (re * re + q2)
-    return scale * k, scale * (4.0 * gamma_m * np.square(g))
+    scale = numer / (re * re + q2)
+    return scale * k, scale * (mech * np.square(g))
 
 
-def _basis_factors(delta: np.ndarray, kappa: float, gamma_m: float, delta_tilde: float):
-    """The g-independent factors P, Q^2, K of `output_noise_basis`.
+def _basis_factors(delta: np.ndarray, kappa: float, kappa_ex: float, gamma_m: float, delta_tilde: float, beta: float):
+    """The g-independent factors P, Q^2, K, 4 beta kappa_ex and 4 gamma_m of
+    `output_noise_basis`.
 
     With s = 4 beta kappa_ex / ((4 g^2 + P)^2 + Q^2) the basis is A = s K and
     B = 4 gamma_m g^2 s, where P = kappa gamma_m - 4 delta (delta + delta_tilde),
@@ -248,7 +249,8 @@ def _basis_factors(delta: np.ndarray, kappa: float, gamma_m: float, delta_tilde:
     """
     shifted = delta + delta_tilde
     im = 2.0 * (kappa * delta + gamma_m * shifted)
-    return kappa * gamma_m - 4.0 * delta * shifted, im * im, kappa * (gamma_m * gamma_m + 4.0 * delta * delta)
+    return (kappa * gamma_m - 4.0 * delta * shifted, im * im, kappa * (gamma_m * gamma_m + 4.0 * delta * delta),
+            4.0 * beta * kappa_ex, 4.0 * gamma_m)
 
 
 def output_noise_spectrum(freq_hz, params: ModelParams, meta: dict | None = None) -> SpectrumTrace:

@@ -8,6 +8,7 @@ import emcool as em
 import emcool.cli as cli
 from emcool.device import parse_device_text
 
+from conftest import gamma_total_at
 from test_estimation import calibration_trace, cooling_sweep_entries
 
 TWO_PI = 2.0 * math.pi
@@ -86,13 +87,19 @@ class TestFit:
         assert math.isfinite(sigma_g) and sigma_g > 0.0
 
     def test_lorentzian_model_option(self, device, tmp_path):
-        gamma_total = 0.0
         assert run(["simulate", "--n-d", 600, "--n-m-t", 40, "--n-avg", 20000,
                     "--points", 1024, "--halfspan-hz", 6e3, "--out", tmp_path]) == 0
         code = run(["fit", tmp_path / "trace.csv", "--model", "lorentzian", "--out", tmp_path])
         assert code == 0
         payload = json.loads((tmp_path / "fit.json").read_text())
         assert payload["params"]["center_hz"] == pytest.approx(device.mech.omega_m / TWO_PI, abs=50.0)
+        # the README's line-fit flow: its trace at README defaults on a
+        # +-100 kHz window, where the line stands out across the window
+        out = tmp_path / "line"
+        assert run(["simulate", "--n-d", 4000, "--seed", 0, "--halfspan-hz", 100e3, "--out", out]) == 0
+        assert run(["fit", out / "trace.csv", "--model", "lorentzian", "--out", out]) == 0
+        fwhm_hz = json.loads((out / "fit.json").read_text())["params"]["fwhm_hz"]
+        assert fwhm_hz == pytest.approx(gamma_total_at(device, 4000.0) / TWO_PI, rel=0.3)
 
     def test_seed_only_on_simulate(self, tmp_path, capsys):
         # only simulate draws noise, so only simulate takes --seed

@@ -10,8 +10,8 @@ import emcool as em
 from emcool import estimation
 from emcool.constants import HBAR
 from emcool.errors import DegenerateFitError, ParameterError, PeakDetectionError, UnitError
-from emcool.estimation import DEFAULT_FREE, _det, _nnls, _Pass, _profile_g, _Shape, lorentzian_model
-from emcool.spectra import grid_for, output_noise_basis
+from emcool.estimation import DEFAULT_FREE, _nnls, _Pass, _profile_g, lorentzian_model
+from emcool.spectra import _basis_factors, grid_for, output_noise_basis
 from emcool.synth import periodogram_factors
 
 from conftest import gamma_total_at, model_params, output_trace
@@ -274,7 +274,7 @@ class TestFitFullModel:
         center = device.mech.omega_m / TWO_PI
         freq = np.linspace(center - 5e4, center + 5e4, 512)
         trace = em.SpectrumTrace(freq, np.full(512, 2.6), em.SpectrumUnit.QUANTA, {})
-        monkeypatch.setattr(estimation, "_profile_g", lambda cost, scan, step_costs, start: (np.median(scan), 0, 0))
+        monkeypatch.setattr(estimation, "_profile_g", lambda cost, scan, step_costs, start: (np.median(scan), 0.0, 0, 0))
         fit = em.fit_full_model(trace, device_model)
         assert fit.params["n_m_T"] == fit.params["n_c"] == 0.0
         assert "g" in fit.at_bound
@@ -313,14 +313,14 @@ class TestFitFullModel:
         def recording(cost, scan, step_costs, start):
             costed = {}
 
-            def recorded(g):
-                f = cost(g)
-                costed.update(zip(np.log(g).tolist(), f.tolist()))
+            def recorded(x):
+                f = cost(x)
+                costed.update(zip(x.tolist(), f.tolist()))
                 return f
 
-            log_g, nodes, calls = profile_g(recorded, scan, step_costs, start)
-            passes.append((start, log_g, sorted(costed.items()), scan))
-            return log_g, nodes, calls
+            result = profile_g(recorded, scan, step_costs, start)
+            passes.append((start, result[0], sorted(costed.items()), scan))
+            return result
 
         monkeypatch.setattr(estimation, "_profile_g", recording)
         fit = em.fit_full_model(trace, device_model)
@@ -395,31 +395,35 @@ class TestFitFullModel:
         assert "gamma_m" in fit.at_bound
 
     def test_nnls_matches_support_enumeration(self):
-        # normal-equation NNLS against lstsq on the design matrix of each support
+        # normal-equation NNLS against lstsq on the design matrix of each
+        # support, with k = 1, 2 and 3 free amplitudes: the first k columns,
+        # whose Cramer matrices `_nnls` pads to 3 x 3 with identity
         rng = np.random.default_rng(5)
         x = np.linspace(-1.0, 1.0, 200)
-        design = np.stack([np.ones_like(x), 1.0 / (1.0 + 4.0 * x * x), np.exp(-50.0 * x * x)], axis=1)
-        for _ in range(20):
-            truth = rng.normal(size=3)
-            data = design @ truth + 0.05 * rng.normal(size=x.size)
-            weights = rng.uniform(0.5, 2.0, size=x.size)
-            columns = np.column_stack([design, data])
-            amps, cost = _nnls(((columns.T * weights) @ columns)[None])
-            best = (0.5 * float(data @ (weights * data)), np.zeros(3))
-            for mask in itertools.product((False, True), repeat=3):
-                cols = np.flatnonzero(mask)
-                if not cols.size:
-                    continue
-                root_w = np.sqrt(weights)
-                sol = np.linalg.lstsq(design[:, cols] * root_w[:, None], data * root_w, rcond=None)[0]
-                if np.all(sol >= 0.0):
-                    resid = (data - design[:, cols] @ sol) * root_w
-                    if 0.5 * float(resid @ resid) < best[0]:
-                        full = np.zeros(3)
-                        full[cols] = sol
-                        best = (0.5 * float(resid @ resid), full)
-            np.testing.assert_allclose(amps[0], best[1], rtol=1e-8, atol=1e-10)
-            assert cost[0] == pytest.approx(best[0], rel=1e-10)
+        design3 = np.stack([np.ones_like(x), 1.0 / (1.0 + 4.0 * x * x), np.exp(-50.0 * x * x)], axis=1)
+        for k in (3, 2, 1):
+            design = design3[:, :k]
+            for _ in range(20):
+                truth = rng.normal(size=k)
+                data = design @ truth + 0.05 * rng.normal(size=x.size)
+                weights = rng.uniform(0.5, 2.0, size=x.size)
+                columns = np.column_stack([design, data])
+                amps, cost = _nnls(((columns.T * weights) @ columns)[None])
+                best = (0.5 * float(data @ (weights * data)), np.zeros(k))
+                for mask in itertools.product((False, True), repeat=k):
+                    cols = np.flatnonzero(mask)
+                    if not cols.size:
+                        continue
+                    root_w = np.sqrt(weights)
+                    sol = np.linalg.lstsq(design[:, cols] * root_w[:, None], data * root_w, rcond=None)[0]
+                    if np.all(sol >= 0.0):
+                        resid = (data - design[:, cols] @ sol) * root_w
+                        if 0.5 * float(resid @ resid) < best[0]:
+                            full = np.zeros(k)
+                            full[cols] = sol
+                            best = (0.5 * float(resid @ resid), full)
+                np.testing.assert_allclose(amps[0], best[1], rtol=1e-8, atol=1e-10)
+                assert cost[0] == pytest.approx(best[0], rel=1e-10)
 
 
 
@@ -440,22 +444,12 @@ class TestSeparableNormalEquations:
             lo = 0.5 * math.sqrt(1e-3 * vals["kappa"] * vals["gamma_m"])
             g = np.exp(rng.uniform(math.log(lo), math.log(10.0 * vals["kappa"]), 7))
             g = np.append(g, 10.0 * vals["kappa"])  # 4 g^2 = 400 kappa^2
-            gram = _Pass(_Shape(delta, vals), w, data, np.eye(4)).gram(g)
-            cav, mech = output_noise_basis(delta, g[:, None], *(vals[name] for name in estimation._BASIS_ARGS[1:]))
+            args = [vals[name] for name in estimation._BASIS_ARGS[1:]]
+            gram = _Pass(_basis_factors(delta, *args), w, data, np.eye(4)).gram(g)
+            cav, mech = output_noise_basis(delta, g[:, None], *args)
             design = np.stack(np.broadcast_arrays(1.0, cav, mech, data), axis=-1)
             explicit = np.einsum("mni,n,mnj->mij", design, w, design)
             np.testing.assert_allclose(gram, explicit, rtol=1e-10, atol=0.0)
-
-    def test_det_matches_linalg(self):
-        # k x k matrices padded to 3 x 3 with identity, as `_nnls` pads
-        # Cramer's matrices, through their cofactor factors
-        rng = np.random.default_rng(3)
-        for k in range(4):
-            mats = rng.normal(size=(5, 6, k, k))
-            padded = np.broadcast_to(np.eye(3), (5, 6, 3, 3)).copy()
-            padded[:, :, :k, :k] = mats
-            factors = np.array([[padded[:, :, r, j] for r, j in factor] for factor in estimation._COFACTOR])
-            np.testing.assert_allclose(_det(factors), np.linalg.det(mats), rtol=1e-12, atol=1e-12)
 
 
 # 16 nodes per decade over three decades, like the fit's scan of g
@@ -467,17 +461,18 @@ def profile(shape, x0, start=None):
     """_profile_g on cost = shape(ln g - x0), from the scan or warm-started at
     ln g = start: ln g, step_costs and the node count of every cost call.
     Checks that the result ends strictly inside a bracket of costed nodes at
-    most 2e-5 wide, or on a scan end."""
+    most 2e-5 wide, or on a scan end, and comes with the lowest cost."""
     sizes, costed = [], {}
 
-    def cost(g):
-        sizes.append(g.size)
-        f = shape(np.log(g) - x0)
-        costed.update(zip(np.log(g).tolist(), f.tolist()))
+    def cost(log_g):
+        sizes.append(log_g.size)
+        f = shape(log_g - x0)
+        costed.update(zip(log_g.tolist(), f.tolist()))
         return f
 
     step_costs = []
-    log_g, nodes, calls = _profile_g(cost, PROFILE_GRID, step_costs, start)
+    log_g, f, nodes, calls = _profile_g(cost, PROFILE_GRID, step_costs, start)
+    assert f == costed[log_g] == min(costed.values())
     assert sizes[0] == PROFILE_GRID.size if start is None else 2 <= sizes[0] <= 3
     assert set(sizes[1:]) <= {1, 2, 3}  # one stencil per step
     assert nodes == sum(sizes) and calls == len(sizes)

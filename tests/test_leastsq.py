@@ -1,6 +1,8 @@
 """Freed-shape fits: the outer profile over a freed kappa, gamma_m or
 delta_tilde (`estimation.fit_weighted`) at the weighted least-squares cost of
-`fit_full_model`, with g profiled inside it."""
+`fit_full_model`, with g profiled inside it, each in its scan's own
+coordinate (ln kappa, ln gamma_m, delta_tilde / kappa).  The module keeps the
+name of the Gauss-Newton engine `emcool.leastsq` whose tests it replaced."""
 import math
 import re
 from dataclasses import replace
@@ -67,16 +69,16 @@ class TestOracleEquivalence:
         kappa = device_model.kappa
 
         def objective(x, log_g):  # cost on the lattice x = delta_tilde / kappa by ln g
-            return np.array([pass_at(math.exp(xi)).cost(np.exp(log_g)) for xi in x])
+            return np.array([pass_at(xi).cost(np.exp(log_g)) for xi in x])
 
-        x_fit, g_fit = math.log(res.params[0]), res.params[1]
-        assert fit.params["delta_tilde"] == kappa * x_fit  # delta_tilde = kappa ln v
+        x_fit, g_fit = res.params
+        assert fit.params["delta_tilde"] == kappa * x_fit  # the scan node x = delta_tilde / kappa
         assert fit.params["g"] == g_fit
         # about the truth, at least 7 sigma of delta_tilde and 4 of ln g either side
         best, best_cost, resolution = grid_search_oracle(objective, (truth.delta_tilde / kappa, math.log(truth.g)), (0.1, 0.15))
         gap = np.abs(np.array([x_fit, math.log(g_fit)]) - best)
         assert np.all(gap <= resolution), f"fit-oracle gap {gap} exceeds lattice {resolution}"
-        fit_cost = float(pass_at(res.params[0]).cost(np.array([g_fit]))[0])
+        fit_cost = float(pass_at(x_fit).cost(np.array([g_fit]))[0])
         assert fit_cost <= best_cost + 1e-6 * max(best_cost, 1.0)
         return fit
 
@@ -157,17 +159,17 @@ class TestOuterProfile:
         # test_estimation's test_freed_gamma_m_starts_from_params)
         trace, _ = output_trace(device, 4000.0, seed=5, points=1024)
         start = replace(device_model, kappa=1.5 * device_model.kappa)
-        expected = {  # scan ends, as the cost receives them, and spacing
-            "kappa": (start.kappa_ex, 10.0 * start.kappa, math.log(10.0) / 16.0),
-            "delta_tilde": (math.exp(-1.0), math.e, 1.0 / 16.0),
+        expected = {  # scan ends in the scan's own coordinate, as the cost receives them, and spacing
+            "kappa": (math.log(start.kappa_ex), math.log(10.0 * start.kappa), math.log(10.0) / 16.0),
+            "delta_tilde": (-1.0, 1.0, 1.0 / 16.0),
         }
         for name, (lo, hi, spacing) in expected.items():
             calls = recorded_profiles(monkeypatch)
             em.fit_full_model(trace, start, free=DEFAULT_FREE + (name,))
             assert calls
             for (_, scan, _, _), _ in calls:
-                assert math.exp(scan[0]) == pytest.approx(lo, rel=1e-12)
-                assert math.exp(scan[-1]) == pytest.approx(hi, rel=1e-12)
+                assert scan[0] == pytest.approx(lo, abs=1e-12)
+                assert scan[-1] == pytest.approx(hi, abs=1e-12)
                 assert np.all(np.diff(scan) <= spacing * (1.0 + 1e-9))
                 assert np.all(np.diff(scan) > 0.9 * spacing)
 
