@@ -4,7 +4,8 @@ The full-model fit is separable (variable projection, Golub & Pereyra 1973):
 the spectrum is linear in n_add_eff, n_c and n_m_T, which are solved exactly
 by weighted NNLS for every trial shape; g is profiled on a log scan from
 4g^2/kappa = 1e-3 gamma_m to 10 kappa, refined by bracketed parabolic steps
-of three-node stencils to 1e-5 in ln g.  One IRLS loop refreshes the sigmas
+of three-node stencils until the parabola predicts a gain below 1e-5 in
+cost (chi^2 / 2).  One IRLS loop refreshes the sigmas
 model/sqrt(n_avg) and profiles g again from its last optimum.  A freed
 kappa, gamma_m or delta_tilde is profiled the same way one level out: each
 pass scans it afresh, every node of that scan profiling g at its own shape,
@@ -185,13 +186,22 @@ def _nnls(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sol[best, :, rows], 0.5 * (yy - gain[best, rows])
 
 
+def _fold(coef: np.ndarray) -> np.ndarray:
+    """The map from the 10 Gram entries of 1, A, B, d to the normal equations
+    coef (Gram matrix) coef^T, (10, (k + 1)^2): fold[e] sums coef[:, i]
+    coef[:, j]^T over the positions (i, j) of entry e."""
+    return np.einsum("pi,qj,ije->epq", coef, coef, _GRAM_ENTRY[:, :, None] == np.arange(10)).reshape(10, -1)
+
+
 class _Pass:
     """Normal equations of the free amplitudes at one shape under one set of
     IRLS weights w; each coupling adds two products over the bins.  `shape`
     holds the g-independent factors P, Q^2, K, 4 beta kappa_ex and 4 gamma_m
-    of `spectra._basis_factors`, so that A = s K and B = 4 gamma_m g^2 s."""
+    of `spectra._basis_factors`, so that A = s K and B = 4 gamma_m g^2 s.
+    `fold` is `_fold(coef)`, which depends only on the fit's free set and
+    pinned amplitudes, so that a fit builds it once."""
 
-    def __init__(self, shape: tuple, w: np.ndarray, data: np.ndarray, coef: np.ndarray) -> None:
+    def __init__(self, shape: tuple, w: np.ndarray, data: np.ndarray, fold: np.ndarray) -> None:
         self.p, self.q2, k, self.numer, self.mech = shape
         wk, wd = w * k, w * data
         # with c = 4 gamma_m g^2: s @ lin = sums of w A, w B / c, w A d, w B d / c
@@ -199,11 +209,9 @@ class _Pass:
         # contiguous (the transpose of stacked rows), which BLAS reads twice as fast
         self.lin = np.stack([wk, w, wd * k, wd]).T
         self.quad = np.stack([wk * k, wk, w]).T
-        # normal equations = coef (Gram matrix of 1, A, B, d) coef^T = entries @ fold,
-        # fold[e] summing coef[:, i] coef[:, j]^T over the positions (i, j) of entry e
-        fold = np.einsum("pi,qj,ije->epq", coef, coef, _GRAM_ENTRY[:, :, None] == np.arange(10)).reshape(10, -1)
+        # normal equations = entries @ fold
         self.base = np.array([np.sum(w), np.sum(wd), wd @ data]) @ fold[:3]  # the constant entries
-        self.fold, self.size = fold[3:], coef.shape[0]
+        self.fold, self.size = fold[3:], math.isqrt(fold.shape[1])
 
     def gram(self, g: np.ndarray) -> np.ndarray:
         """Normal equations (m, k + 1, k + 1) per coupling in g: the weighted
@@ -223,26 +231,42 @@ class _Pass:
         return _nnls(self.gram(g))
 
     def cost(self, g: np.ndarray) -> np.ndarray:
-        """Profile cost per coupling in g, in blocks of `_SCAN_BLOCK`; every
-        g >= 0 is stable (see `spectra.output_noise_values`)."""
-        return np.concatenate([self.solve(g[i : i + _SCAN_BLOCK])[1] for i in range(0, g.size, _SCAN_BLOCK)])
+        """Profile cost per coupling in g: the normal equations in blocks of
+        `_SCAN_BLOCK` couplings, which bounds their memory, then one NNLS
+        over all of them; every g >= 0 is stable (see
+        `spectra.output_noise_values`)."""
+        return _nnls(np.concatenate([self.gram(g[i : i + _SCAN_BLOCK]) for i in range(0, g.size, _SCAN_BLOCK)]))[1]
 
 
-_PROFILE_TOL = 1e-5  # in the scan's coordinate: ln g, ln kappa, ln gamma_m or delta_tilde / kappa
+# a stencil's minimum half-width, and the width of a one-sided bracket at
+# which a best node on a scan end stays there, in the scan's coordinate:
+# ln g, ln kappa, ln gamma_m or delta_tilde / kappa
+_PROFILE_TOL = 1e-5
+# a bracketed refinement ends once the parabola about the best node predicts
+# a gain below this, in cost units (chi^2 / 2 under the pass's weights): on a
+# quadratic profile, a step of sqrt(2e-5) = 4.5e-3 sigma.  An outer shape
+# profile's node costs are inner g profiles' ends, each within about this of
+# its own minimum, so the outer stop sits at the inner profiles' own error
+_GAIN_TOL = 1e-5
 # half-width of a warm start's first call, in ln g: between IRLS passes the
 # optimum moves 4e-4 at the median and 2.3e-3 at p90 of the cooling-sweep fits
 _WARM_STEP = 1e-3
 
 
-def _vertex(x: list, f: list) -> float:
-    """Minimum of the parabola through three nodes x0 < x1 < x2; nan when
-    there are fewer nodes or the parabola is not convex."""
+def _vertex(x: list, f: list) -> tuple[float, float]:
+    """Minimum u of the parabola through three nodes x0 < x1 < x2 and the
+    gain it predicts, min(f) - parabola(u); both nan when there are fewer
+    nodes or the parabola is not convex."""
     if len(x) < 3:
-        return math.nan
+        return math.nan, math.nan
     (x0, x1, x2), (f0, f1, f2) = x, f
     p = (x1 - x0) ** 2 * (f1 - f2) - (x1 - x2) ** 2 * (f1 - f0)
     q = (x1 - x0) * (f1 - f2) - (x1 - x2) * (f1 - f0)  # < 0 when convex
-    return x1 - 0.5 * p / q if q < 0.0 else math.nan
+    if not q < 0.0:
+        return math.nan, math.nan
+    u = x1 - 0.5 * p / q
+    curvature = -q / ((x1 - x0) * (x2 - x1) * (x2 - x0))  # half the second derivative
+    return u, min(f) - f1 + curvature * (u - x1) ** 2
 
 
 def _profile_g(cost, scan: np.ndarray, step_costs: list, start: float | None = None) -> tuple[float, float, int, int]:
@@ -258,13 +282,16 @@ def _profile_g(cost, scan: np.ndarray, step_costs: list, start: float | None = N
     bracketed and u steps outward: to the vertex, at most 10 times those
     three nodes' span from b, or twice that span when the parabola is not
     convex, with d = |u - b|/2.  Once b's neighbours bracket the minimum,
-    parabolic steps (Brent 1973) take d = max(|u - b|/4, 1e-5), a vertex
-    within 1e-5 of b taken as b, until the bracket is at most 2e-5 wide.  When the vertex is not
-    strictly inside the bracket, or moves at least half as far from b as the
-    step before last did (Brent's progress test: parabolas creep on lopsided
-    profiles), the step costs the quarter points of the bracket's larger side
-    instead.  No node leaves the scan's range: a best node at a scan end
-    stays there unless a node inside costs less.
+    parabolic steps (Brent 1973) take d = max(|u - b|/4, 1e-5) until the
+    parabola predicts a gain below `_GAIN_TOL` in cost units.  When the
+    vertex is not strictly inside the bracket, or moves at least half as far
+    from b as the step before last did (Brent's progress test: parabolas
+    creep on lopsided profiles), the step costs the quarter points of the
+    bracket's larger side instead.  No node leaves the scan's range: a best
+    node at a scan end stays there unless a node inside costs less.  The
+    gain stop does not apply there; the refinement ends on a scan end once
+    the parabola, with three nodes, puts no minimum strictly inside the
+    scan, or once the one-sided bracket is at most 2e-5 wide.
     """
     lo, hi = float(scan[0]), float(scan[-1])
     if start is None:
@@ -280,19 +307,20 @@ def _profile_g(cost, scan: np.ndarray, step_costs: list, start: float | None = N
         b, fb = xs[i], fs[i]
         a, c = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]  # at a scan end the bracket has one side
         near = sorted(sorted(range(len(xs)), key=lambda j: abs(xs[j] - b))[:3])  # b and its two nearest costed nodes
-        u, span = _vertex([xs[j] for j in near], [fs[j] for j in near]), xs[near[-1]] - xs[near[0]]
+        (u, gain), span = _vertex([xs[j] for j in near], [fs[j] for j in near]), xs[near[-1]] - xs[near[0]]
         if a == b > lo or b == c < hi:  # not bracketed: step outward, up to a scan end
             side = 1.0 if b == c else -1.0
             out = side * (u - b)  # nan when not convex
             u = b + side * (min(out, 10.0 * span) if out > 0.0 else 2.0 * span)
             d = max(abs(u - b) / 2.0, _PROFILE_TOL)  # a profile that keeps falling doubles the step
             trial = {min(max(x, lo), hi) for x in (u - d, u, u + d)}
-        elif c - a <= 2.0 * _PROFILE_TOL:
+        elif a < b < c and gain < _GAIN_TOL:  # bracketed, and a further step gains too little
             break
+        elif (a == b or b == c) and (c - a <= 2.0 * _PROFILE_TOL or len(near) == 3 and not a < u < c):
+            break  # on a scan end, with no minimum strictly inside the scan or none resolved
         else:
             if a < u < c and abs(u - b) < 0.5 * moves[-2]:
                 moves.append(abs(u - b))
-                u = u if moves[-1] >= _PROFILE_TOL else b  # b's own stencil then closes the bracket
                 d = max(abs(u - b) / 4.0, _PROFILE_TOL)
             else:  # the quarter points of the larger side
                 u = 0.5 * (a + b) if b - a > c - b else 0.5 * (b + c)
@@ -448,6 +476,7 @@ def fit_full_model(
             coef[amps.index(name), j] = 1.0
         else:
             coef[-1, j] -= values[name]
+    fold = _fold(coef)
 
     scan = None
     if "g" in free:  # 16 nodes per decade of g, from optical damping 4g^2/kappa = 1e-3 gamma_m to g = 10 kappa
@@ -467,14 +496,14 @@ def fit_full_model(
         w = sigma**-2
         if freed is not None:
             res = fit_weighted(
-                lambda x: _Pass(shape_of({**values, freed: value_of(x)}), w, data, coef),
+                lambda x: _Pass(shape_of({**values, freed: value_of(x)}), w, data, fold),
                 outer, scan, values["g"], step_costs,
             )
             x, values["g"] = res.params
             values[freed] = value_of(x)
             counts = [n + m for n, m in zip(counts, res.counts)]
             shape = shape_of(values)
-        normal = _Pass(shape, w, data, coef)
+        normal = _Pass(shape, w, data, fold)
         if freed is None and scan is not None:
             start, _, costed, calls = _profile_g(lambda ln_g: normal.cost(np.exp(ln_g)), scan, step_costs, start)
             values["g"], counts[0], counts[1] = math.exp(start), counts[0] + costed, counts[1] + calls

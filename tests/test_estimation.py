@@ -10,13 +10,24 @@ import emcool as em
 from emcool import estimation
 from emcool.constants import HBAR
 from emcool.errors import DegenerateFitError, ParameterError, PeakDetectionError, UnitError
-from emcool.estimation import DEFAULT_FREE, _nnls, _Pass, _profile_g, lorentzian_model
+from emcool.estimation import _GAIN_TOL, DEFAULT_FREE, _nnls, _Pass, _profile_g, lorentzian_model
 from emcool.spectra import _basis_factors, grid_for, output_noise_basis
 from emcool.synth import periodogram_factors
 
 from conftest import gamma_total_at, model_params, output_trace
 
 TWO_PI = 2.0 * math.pi
+
+
+def profile_case_trace(device, case):
+    """The README trace (`emcool simulate --n-d 4000 --seed 0`, in process)
+    or one cooling-sweep point on a 600 kHz half-span."""
+    if case == "readme":
+        thermal = em.ThermalState.from_temperature(0.020, device.mech)
+        g = em.coupling_rate(device.coupling, device.mech, 4000.0)
+        params = em.ModelParams.for_device(device, g=g, n_m_T=thermal.n_m_T, n_add_eff=em.REFERENCE_N_ADD_EFF)
+        return em.generate_spectrum(params, em.NoiseConfig(n_avg=500, seed=0), freq_hz=grid_for(params))
+    return output_trace(device, 1e4, n_m_T=39.0, seed=0)[0]
 
 
 def thermal_quanta_trace(device, n_m=30.0, n_d=4000.0, points=1024, halfspan_widths=12,
@@ -284,22 +295,33 @@ class TestFitFullModel:
     @pytest.mark.parametrize("case", ["readme", "sweep"])
     def test_profile_node_count(self, device, device_model, monkeypatch, case):
         # exact counts of the couplings the g profile costs per fit and of its
-        # cost calls, reported in the message; an 8-node zoom to the same
-        # precision costs 225 and 175 nodes here, 1-node parabolic steps and
-        # 8-node grids in later passes 113 nodes in 19 calls and 98 in 12
-        if case == "readme":  # `emcool simulate --n-d 4000 --seed 0`, in process
-            thermal = em.ThermalState.from_temperature(0.020, device.mech)
-            g = em.coupling_rate(device.coupling, device.mech, 4000.0)
-            params = em.ModelParams.for_device(device, g=g, n_m_T=thermal.n_m_T, n_add_eff=em.REFERENCE_N_ADD_EFF)
-            trace = em.generate_spectrum(params, em.NoiseConfig(n_avg=500, seed=0), freq_hz=grid_for(params))
-        else:  # one cooling-sweep point on a 600 kHz half-span
-            trace, _ = output_trace(device, 1e4, n_m_T=39.0, seed=0)
+        # cost calls, reported in the message
+        trace = profile_case_trace(device, case)
         sizes = []
         cost = estimation._Pass.cost
         monkeypatch.setattr(estimation._Pass, "cost", lambda normal, g: sizes.append(g.size) or cost(normal, g))
         fit = em.fit_full_model(trace, device_model)
         assert f", {sum(sizes)} profile nodes in {len(sizes)} calls" in fit.message
-        assert (sum(sizes), len(sizes)) == {"readme": (108, 13), "sweep": (94, 7)}[case]
+        assert (sum(sizes), len(sizes)) == {"readme": (92, 6), "sweep": (89, 5)}[case]
+
+    @pytest.mark.parametrize("case", ["readme", "sweep"])
+    def test_fitted_g_within_gain_tol_of_a_dense_grid(self, device, device_model, monkeypatch, case):
+        # the last pass's profile ends within _GAIN_TOL, in cost units, of
+        # the least cost on 2001 nodes spanning +-0.01 in ln g about its g
+        profiles = []
+        profile_g = estimation._profile_g
+
+        def recording(cost, scan, step_costs, start):
+            result = profile_g(cost, scan, step_costs, start)
+            dense = cost(np.linspace(result[0] - 0.01, result[0] + 0.01, 2001))  # before the pass is gone
+            profiles.append((result, float(np.min(dense))))
+            return result
+
+        monkeypatch.setattr(estimation, "_profile_g", recording)
+        fit = em.fit_full_model(profile_case_trace(device, case), device_model)
+        (log_g, f, _, _), least = profiles[-1]
+        assert fit.params["g"] == math.exp(log_g) and "g" not in fit.at_bound
+        assert least <= f <= least + _GAIN_TOL
 
     def test_later_pass_follows_a_moving_optimum(self, device, device_model, monkeypatch):
         # a cooling-sweep point at n_d = 100 whose second IRLS pass finds g
@@ -319,20 +341,23 @@ class TestFitFullModel:
                 return f
 
             result = profile_g(recorded, scan, step_costs, start)
-            passes.append((start, result[0], sorted(costed.items()), scan))
+            x = sorted(costed)
+            i = x.index(result[0])  # the pass's cost is gone once the fit returns
+            dense = min(cost(np.linspace(x[i - 1], x[i + 1], 2001))) if 0 < i < len(x) - 1 else None
+            passes.append((start, result[0], sorted(costed.items()), scan, dense))
             return result
 
         monkeypatch.setattr(estimation, "_profile_g", recording)
         fit = em.fit_full_model(trace, device_model)
         assert len(passes) >= 2
-        start, log_g, costed, scan = passes[1]
+        start, log_g, costed, scan, _ = passes[1]
         assert abs(log_g - start) > 5.0 * (scan[1] - scan[0])
-        for start, log_g, costed, scan in passes[1:]:
+        for start, log_g, costed, scan, dense in passes[1:]:
             x = [node for node, _ in costed]
             i = int(np.argmin(np.abs(np.array(x) - log_g)))
-            if 0 < i < len(x) - 1:  # strictly inside a bracket at most 2e-5 wide
-                assert x[i + 1] - x[i - 1] <= 2e-5 + 1e-12
+            if 0 < i < len(x) - 1:  # strictly inside a bracket, within _GAIN_TOL of its minimum
                 assert costed[i - 1][1] >= costed[i][1] <= costed[i + 1][1]
+                assert costed[i][1] - dense <= _GAIN_TOL
             else:  # or on a scan end, where g is flagged
                 assert log_g in (scan[0], scan[-1]) and "g" in fit.at_bound
 
@@ -445,11 +470,30 @@ class TestSeparableNormalEquations:
             g = np.exp(rng.uniform(math.log(lo), math.log(10.0 * vals["kappa"]), 7))
             g = np.append(g, 10.0 * vals["kappa"])  # 4 g^2 = 400 kappa^2
             args = [vals[name] for name in estimation._BASIS_ARGS[1:]]
-            gram = _Pass(_basis_factors(delta, *args), w, data, np.eye(4)).gram(g)
+            gram = _Pass(_basis_factors(delta, *args), w, data, estimation._fold(np.eye(4))).gram(g)
             cav, mech = output_noise_basis(delta, g[:, None], *args)
             design = np.stack(np.broadcast_arrays(1.0, cav, mech, data), axis=-1)
             explicit = np.einsum("mni,n,mnj->mij", design, w, design)
             np.testing.assert_allclose(gram, explicit, rtol=1e-10, atol=0.0)
+
+    def test_cost_solves_the_blocks_at_once(self, device, device_model, monkeypatch):
+        # the coarse scan's normal equations, built in blocks of _SCAN_BLOCK
+        # couplings, go to one NNLS, whose costs equal those of the blocks
+        # solved one by one
+        trace, _ = output_trace(device, 1e4, n_m_T=39.0, seed=0)
+        kappa, gamma_m = device_model.kappa, device_model.gamma_m
+        delta = TWO_PI * trace.freq_hz - device_model.omega_m
+        args = [getattr(device_model, name) for name in estimation._BASIS_ARGS[1:]]
+        w = trace.values**-2.0 * trace.n_avg
+        normal = _Pass(_basis_factors(delta, *args), w, trace.values, estimation._fold(np.eye(4)))
+        g = np.exp(estimation._log_scan(0.5 * math.sqrt(1e-3 * kappa * gamma_m), 10.0 * kappa))
+        assert g.size > 4 * estimation._SCAN_BLOCK
+        blocks = [normal.solve(g[i : i + estimation._SCAN_BLOCK])[1] for i in range(0, g.size, estimation._SCAN_BLOCK)]
+        rows = []
+        nnls = estimation._nnls
+        monkeypatch.setattr(estimation, "_nnls", lambda normal: rows.append(normal.shape[0]) or nnls(normal))
+        assert np.array_equal(normal.cost(g), np.concatenate(blocks))
+        assert rows == [g.size]
 
 
 # 16 nodes per decade over three decades, like the fit's scan of g
@@ -460,8 +504,8 @@ SPACING = PROFILE_GRID[1] - PROFILE_GRID[0]
 def profile(shape, x0, start=None):
     """_profile_g on cost = shape(ln g - x0), from the scan or warm-started at
     ln g = start: ln g, step_costs and the node count of every cost call.
-    Checks that the result ends strictly inside a bracket of costed nodes at
-    most 2e-5 wide, or on a scan end, and comes with the lowest cost."""
+    Checks that the result ends strictly inside a bracket of costed nodes,
+    or on a scan end, and comes with the lowest cost."""
     sizes, costed = [], {}
 
     def cost(log_g):
@@ -480,11 +524,16 @@ def profile(shape, x0, start=None):
     xs = sorted(costed)
     i = int(np.argmin(np.abs(np.array(xs) - log_g)))
     if 0 < i < len(xs) - 1:
-        assert xs[i + 1] - xs[i - 1] <= 2e-5 + 1e-12
         assert costed[xs[i - 1]] >= costed[xs[i]] <= costed[xs[i + 1]]
     else:
         assert log_g == PROFILE_GRID[0 if i == 0 else -1]
     return log_g, step_costs, sizes
+
+
+def excess(shape, log_g, x0):
+    """shape(ln g - x0) - min(shape), in cost units: every shape below has
+    its minimum at 0."""
+    return float(shape(np.array([log_g - x0]))[0] - shape(np.zeros(1))[0])
 
 
 class TestProfileG:
@@ -496,28 +545,42 @@ class TestProfileG:
     @pytest.mark.parametrize("x0", [0.5, 1.234, 3.3, 5.0 + 0.5 * SPACING, 6.2])
     def test_smooth_minimum_to_1e_5_in_few_calls(self, shape, x0):
         log_g, step_costs, sizes = profile(shape, x0)
-        assert log_g == pytest.approx(x0, abs=1e-5)
+        assert excess(shape, log_g, x0) <= _GAIN_TOL
         assert step_costs  # the refinement moved off the best scan node
         assert len(sizes) <= 1 + 10
 
     def test_lopsided_minimum_does_not_creep(self):
         # curvature 10x larger below the minimum than above: parabolas through
         # a stale bracket end creep toward it, so the step bisects instead
+        lopsided = lambda t: np.where(t < 0.0, 10.0 * t * t, t * t)
         for x0 in np.linspace(1.0, 6.0, 11):
-            log_g, _, sizes = profile(lambda t: np.where(t < 0.0, 10.0 * t * t, t * t), x0)
-            assert log_g == pytest.approx(x0, abs=1e-5)
+            log_g, _, sizes = profile(lopsided, x0)
+            assert excess(lopsided, log_g, x0) <= _GAIN_TOL
             assert len(sizes) <= 1 + 40
 
     @pytest.mark.parametrize("end", [0, -1])
     def test_minimum_beside_a_grid_end(self, end):
         inward = 1.0 if end == 0 else -1.0
-        log_g, _, sizes = profile(lambda t: t * t, PROFILE_GRID[end] + 0.3 * inward * SPACING)
-        assert log_g == pytest.approx(PROFILE_GRID[end] + 0.3 * inward * SPACING, abs=1e-5)
+        x0 = PROFILE_GRID[end] + 0.3 * inward * SPACING
+        log_g, _, sizes = profile(lambda t: t * t, x0)
+        assert excess(lambda t: t * t, log_g, x0) <= _GAIN_TOL
         assert len(sizes) <= 1 + 10
         # past the end the result stays on the end node, where the fit flags it
         log_g, step_costs, sizes = profile(lambda t: t * t, PROFILE_GRID[end] - inward)
         assert log_g == PROFILE_GRID[end] and step_costs == []
         assert len(sizes) <= 1 + 14
+
+    @pytest.mark.parametrize("end", [0, -1])
+    def test_minimum_within_gain_tol_of_a_grid_end_leaves_the_end(self, end):
+        # the gain stop holds only for a bracketed best node: a minimum just
+        # inside the scan, whose gain over the end node is below _GAIN_TOL,
+        # still draws the result off the end node, where the fit would flag g
+        x0 = PROFILE_GRID[end] + (1e-3 if end == 0 else -1e-3)
+        assert excess(lambda t: t * t, PROFILE_GRID[end], x0) < _GAIN_TOL
+        log_g, step_costs, sizes = profile(lambda t: t * t, x0)
+        assert log_g != PROFILE_GRID[end] and step_costs
+        assert excess(lambda t: t * t, log_g, x0) <= _GAIN_TOL
+        assert len(sizes) <= 1 + 10
 
     @pytest.mark.parametrize("shape", [lambda t: t * t, lambda t: np.exp(3.0 * t) - 3.0 * t], ids=["quadratic", "skewed"])
     @pytest.mark.parametrize("moved", [-2.5, -1.01, 0.0004, 1.7, 6.0])  # in scan spacings
@@ -526,7 +589,7 @@ class TestProfileG:
         # until the minimum is bracketed: an 8-node grid one spacing either
         # side of the start stopped on its end when the optimum moved further
         log_g, _, sizes = profile(shape, 3.0 + moved * SPACING, start=3.0)
-        assert log_g == pytest.approx(3.0 + moved * SPACING, abs=1e-5)
+        assert excess(shape, log_g, 3.0 + moved * SPACING) <= _GAIN_TOL
         assert len(sizes) <= 1 + 10
 
     @pytest.mark.parametrize("end", [0, -1])

@@ -181,9 +181,10 @@ class TestOuterProfile:
         assert f", {g_nodes} profile nodes in {g_calls} calls; delta_tilde profile: {nodes} nodes in {outer_calls} calls, 95% set bounded" in fit.message
         assert re.match(rf"separable fit: {len(calls)} IRLS passes", fit.message)
         assert sum(res.n_iter for _, res in calls) == fit.n_iter
-        # exact counts: warm-starting each node's g profile from its nearest
-        # costed node, not the first, saves ~30% of the g nodes here
-        assert (g_nodes, g_calls, nodes, outer_calls) == (1049, 329, 82, 8)
+        # exact counts: each node's g profile warm-starts from its nearest
+        # costed node, and every bracketed profile ends at a predicted gain
+        # below _GAIN_TOL in cost
+        assert (g_nodes, g_calls, nodes, outer_calls) == (838, 230, 78, 6)
 
     def test_pinned_g(self, device, device_model):
         # without g in free each outer node costs the pinned g alone
