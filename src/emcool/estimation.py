@@ -6,12 +6,17 @@ by weighted NNLS for every trial shape; g is profiled on a log scan from
 4g^2/kappa = 1e-3 gamma_m to 10 kappa, refined by bracketed parabolic steps
 of three-node stencils until the parabola predicts a gain below 1e-5 in
 cost (chi^2 / 2).  One IRLS loop refreshes the sigmas
-model/sqrt(n_avg) and profiles g again from its last optimum.  A freed
+model/sqrt(n_avg) and profiles g again from its last optimum.  Each pass
+solves its amplitudes from its normal equations at its fitted g and forms
+the basis row s there once (`spectra._basis_row`, the arithmetic of the
+normal equations): it gives the pass's model and, after the last pass, J's
+amplitude columns, so the fit never evaluates `output_noise_values`.  A freed
 kappa, gamma_m or delta_tilde is profiled the same way one level out: each
 pass scans it afresh, every node of that scan profiling g at its own shape,
 so each nonlinear parameter has a profile, and a shape whose 95% set
 reaches an end of its scan is flagged.  The covariance is inv(J^T J) in the
-natural parameters, a shape's column a complex step of the basis.  One
+natural parameters, the columns of g and a shape complex steps of the
+basis; one J^T J serves it and the degeneracy check.  One
 `ModelParams` carries the pinned values and the shape starts.  kappa,
 delta_tilde and gamma_m stay fixed by default because they are measured
 independently (a probe tone at each drive power, the low-drive line width),
@@ -49,10 +54,12 @@ from .spectra import (
     SpectrumTrace,
     SpectrumUnit,
     _basis_factors,
+    _basis_row,
+    _basis_terms,
     _fit_line,
     _sigma_from_model,
-    output_noise_basis,
-    output_noise_values,
+    noise_floor,
+    output_noise_values,  # uncalled; benchmarks/tracing.py wraps this name until ROADMAP item 6 moves it
     peak_area,
 )
 
@@ -202,13 +209,18 @@ class _Pass:
     pinned amplitudes, so that a fit builds it once."""
 
     def __init__(self, shape: tuple, w: np.ndarray, data: np.ndarray, fold: np.ndarray) -> None:
-        self.p, self.q2, k, self.numer, self.mech = shape
-        wk, wd = w * k, w * data
+        self.shape, k, self.mech = shape, shape[2], shape[4]
         # with c = 4 gamma_m g^2: s @ lin = sums of w A, w B / c, w A d, w B d / c
-        # and s^2 @ quad = sums of w A^2, w A B / c, w B^2 / c^2; each column
-        # contiguous (the transpose of stacked rows), which BLAS reads twice as fast
-        self.lin = np.stack([wk, w, wd * k, wd]).T
-        self.quad = np.stack([wk * k, wk, w]).T
+        # and s^2 @ quad = sums of w A^2, w A B / c, w B^2 / c^2; the seven
+        # weighted columns are written as rows of one array, so that each
+        # column of its transpose is contiguous, which BLAS reads twice as fast
+        cols = np.empty((7, w.size))
+        wk, wd = np.multiply(w, k, out=cols[0]), np.multiply(w, data, out=cols[3])
+        np.multiply(wd, k, out=cols[2])
+        np.multiply(wk, k, out=cols[4])
+        cols[1] = cols[6] = w
+        cols[5] = wk
+        self.lin, self.quad = cols[:4].T, cols[4:].T
         # normal equations = entries @ fold
         self.base = np.array([np.sum(w), np.sum(wd), wd @ data]) @ fold[:3]  # the constant entries
         self.fold, self.size = fold[3:], math.isqrt(fold.shape[1])
@@ -217,24 +229,17 @@ class _Pass:
         """Normal equations (m, k + 1, k + 1) per coupling in g: the weighted
         Gram matrices of 1, A, B and the data, mapped by coef."""
         g2 = g * g
-        s = np.add.outer(4.0 * g2, self.p)
-        np.square(s, out=s)
-        s += self.q2
-        np.divide(self.numer, s, out=s)
+        s = _basis_row(self.shape, g[:, None])
         lin = s @ self.lin
         entries = np.concatenate((lin, np.square(s, out=s) @ self.quad), axis=1)
         entries *= (self.mech * g2)[:, None] ** _C_POWER
         return (self.base + entries @ self.fold).reshape(g.size, self.size, self.size)
 
-    def solve(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Exact amplitudes (m, k) and costs (m,) per coupling in g."""
-        return _nnls(self.gram(g))
-
     def cost(self, g: np.ndarray) -> np.ndarray:
         """Profile cost per coupling in g: the normal equations in blocks of
         `_SCAN_BLOCK` couplings, which bounds their memory, then one NNLS
-        over all of them; every g >= 0 is stable (see
-        `spectra.output_noise_values`)."""
+        over all of them; every g >= 0 gives finite rows (see
+        `spectra._basis_row`)."""
         return _nnls(np.concatenate([self.gram(g[i : i + _SCAN_BLOCK]) for i in range(0, g.size, _SCAN_BLOCK)]))[1]
 
 
@@ -365,22 +370,23 @@ COMPLEX_STEP = 1e-20  # of the covariance's shape column (Squire & Trapp, SIAM R
 _DELTA_95 = 1.92  # half the 95% quantile of chi^2 with one degree of freedom, in cost (chi^2 / 2)
 
 
-def _check_degenerate(jac: np.ndarray, names: Sequence[str]) -> None:
-    """Reject exactly zero columns and (scale-invariant) collinear pairs."""
-    norms = np.sqrt(np.sum(jac * jac, axis=0))
+def _check_degenerate(jtj: np.ndarray, names: Sequence[str]) -> None:
+    """Reject exactly zero columns of J and (scale-invariant) collinear
+    pairs, read from J^T J."""
+    norms = np.sqrt(np.diag(jtj))
     zero = [name for name, nrm in zip(names, norms) if nrm == 0.0]
     if zero:
         raise DegenerateFitError((zero[0], zero[0]), f"parameter {zero[0]!r} has no measurable effect on the model here")
     for i, j in itertools.combinations(range(len(names)), 2):
-        if abs(float(jac[:, i] @ jac[:, j]) / (norms[i] * norms[j])) > 1.0 - 1e-8:
+        if abs(float(jtj[i, j]) / (norms[i] * norms[j])) > 1.0 - 1e-8:
             raise DegenerateFitError((names[i], names[j]))
 
 
-def _covariance(jac: np.ndarray):
+def _covariance(jtj: np.ndarray):
     """inv(J^T J) and its sigmas; both None when J^T J is singular or a
     sigma is not finite."""
     try:
-        cov = np.linalg.inv(jac.T @ jac)
+        cov = np.linalg.inv(jtj)
     except np.linalg.LinAlgError:
         return None, None
     with np.errstate(invalid="ignore"):
@@ -465,7 +471,7 @@ def fit_full_model(
     data = trace.values
     amps = tuple(name for name in free if name in _AMPLITUDES)
     freed = next((name for name in free if name in _SHAPES), None)
-    values = asdict(params)
+    values = dict(vars(params))
     # normal equations = coef (weighted Gram matrix of 1, A, B, data) coef^T:
     # one row per free amplitude, then data minus the fixed part of the model
     k = len(amps)
@@ -493,7 +499,7 @@ def fit_full_model(
     shape_of = lambda vals: _basis_factors(delta, *(vals[name] for name in _BASIS_ARGS[1:]))
     shape = shape_of(values)
     for passes in range(1, 5):  # IRLS: refresh the weights from the fitted model
-        w = sigma**-2
+        w = 1.0 / (sigma * sigma)
         if freed is not None:
             res = fit_weighted(
                 lambda x: _Pass(shape_of({**values, freed: value_of(x)}), w, data, fold),
@@ -507,24 +513,32 @@ def fit_full_model(
         if freed is None and scan is not None:
             start, _, costed, calls = _profile_g(lambda ln_g: normal.cost(np.exp(ln_g)), scan, step_costs, start)
             values["g"], counts[0], counts[1] = math.exp(start), counts[0] + costed, counts[1] + calls
-        values.update(zip(amps, normal.solve(np.array([values["g"]]))[0][0].tolist()))
-        model = output_noise_values(delta, ModelParams(**values))
+        g = values["g"]
+        values.update(zip(amps, _nnls(normal.gram(np.array([g])))[0][0].tolist()))
+        s = _basis_row(shape, g)  # the row at the pass's g, as in gram: the model's and J's
+        fitted = ModelParams(**values)  # validates the pass's values
+        # 1/2 + n_add_eff + n_c A + n_m_T B with A = s K and B = 4 gamma_m g^2 s
+        model = noise_floor(fitted) + s * (fitted.n_c * shape[2] + fitted.n_m_T * (shape[4] * (g * g)))
         sigma, previous = _sigma_from_model(model, n_avg), sigma
         if np.max(np.abs(sigma - previous) / previous) < 1e-3:
             break
-    del shape, normal  # the per-pass columns are not needed past the loop
+    del normal  # the per-pass columns are not needed past the loop
 
     # Jacobian in the natural parameters: the amplitude columns are the
-    # basis, the columns of g and a shape its complex-step derivatives (exact to rounding)
-    cav, mech = output_noise_basis(delta, *(values[name] for name in _BASIS_ARGS))
+    # basis at the last pass's row s, the columns of g and a shape its
+    # complex-step derivatives (exact to rounding)
+    cav, mech = _basis_terms(shape, g, s)
     columns = {"n_add_eff": np.ones_like(delta), "n_c": cav, "n_m_T": mech}
     for name in (name for name in free if name not in _AMPLITUDES):
         stepped = {**values, name: values[name] + COMPLEX_STEP * 1j}
-        cav, mech = output_noise_basis(delta, *(stepped[arg] for arg in _BASIS_ARGS))
+        factors = shape if name == "g" else shape_of(stepped)  # the shape's factors do not move with g
+        cav, mech = _basis_terms(factors, stepped["g"], _basis_row(factors, stepped["g"]))
         columns[name] = (values["n_c"] * cav + values["n_m_T"] * mech).imag / COMPLEX_STEP
     jac = np.column_stack([columns[name] for name in free]) / sigma[:, None]
-    _check_degenerate(jac[:, [free.index(name) for name in amps]], amps)
-    covariance, sigmas = _covariance(jac)
+    jtj = jac.T @ jac
+    amp = [free.index(name) for name in amps]
+    _check_degenerate(jtj[np.ix_(amp, amp)], amps)
+    covariance, sigmas = _covariance(jtj)
     flagged = {name for name in amps if values[name] == 0.0}
     # g is not identified at a scan end, nor when both amplitudes that carry it are zero
     if "g" in free and (not math.exp(scan[0]) < values["g"] < math.exp(scan[-1]) or values["n_c"] == values["n_m_T"] == 0.0):
@@ -853,7 +867,7 @@ def analyze_cooling_sweep(
             point_free = tuple(name for name in point_free if name != "g")
         try:  # per-point failures must not kill the sweep
             fit = fit_full_model(trace, point_params, free=point_free)
-            full = {**asdict(point_params), **fit.params}
+            full = {**vars(point_params), **fit.params}
             g_fit, kappa, gamma_m = full["g"], full["kappa"], full["gamma_m"]
             _, _, gamma_opt = sideband_rates(g_fit, kappa, -mech.omega_m, mech.omega_m)
             state = ThermalState(n_m_T=full["n_m_T"], n_c=full["n_c"])

@@ -233,10 +233,8 @@ def output_noise_basis(delta, g, kappa: float, kappa_ex: float, gamma_m: float,
     `g` may broadcast against `delta` (shape (m, 1): a row per coupling);
     complex parameters give complex-step derivatives.
     """
-    p, q2, k, numer, mech = _basis_factors(np.asarray(delta, dtype=float), kappa, kappa_ex, gamma_m, delta_tilde, beta)
-    re = 4.0 * np.square(g) + p
-    scale = numer / (re * re + q2)
-    return scale * k, scale * (mech * np.square(g))
+    factors = _basis_factors(np.asarray(delta, dtype=float), kappa, kappa_ex, gamma_m, delta_tilde, beta)
+    return _basis_terms(factors, g, _basis_row(factors, g))
 
 
 def _basis_factors(delta: np.ndarray, kappa: float, kappa_ex: float, gamma_m: float, delta_tilde: float, beta: float):
@@ -251,6 +249,23 @@ def _basis_factors(delta: np.ndarray, kappa: float, kappa_ex: float, gamma_m: fl
     im = 2.0 * (kappa * delta + gamma_m * shifted)
     return (kappa * gamma_m - 4.0 * delta * shifted, im * im, kappa * (gamma_m * gamma_m + 4.0 * delta * delta),
             4.0 * beta * kappa_ex, 4.0 * gamma_m)
+
+
+def _basis_row(factors: tuple, g) -> np.ndarray:
+    """s = 4 beta kappa_ex / ((4 g^2 + P)^2 + Q^2) from `_basis_factors`: a
+    row per coupling when g has shape (m, 1), complex for a complex step.
+    Every real g gives a finite row: the model has no pole on the real axis
+    (see `output_noise_values`)."""
+    p, q2, _, numer, _ = factors
+    s = np.add(4.0 * np.square(g), p)
+    np.square(s, out=s)
+    s += q2
+    return np.divide(numer, s, out=s)
+
+
+def _basis_terms(factors: tuple, g, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The basis A = s K and B = 4 gamma_m g^2 s from the row s at g."""
+    return s * factors[2], s * (factors[4] * np.square(g))
 
 
 def output_noise_spectrum(freq_hz, params: ModelParams, meta: dict | None = None) -> SpectrumTrace:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import emcool as em
-from emcool import estimation
+from emcool import estimation, spectra
 from emcool.constants import HBAR
 from emcool.errors import DegenerateFitError, ParameterError, PeakDetectionError, UnitError
 from emcool.estimation import _GAIN_TOL, DEFAULT_FREE, _nnls, _Pass, _profile_g, lorentzian_model
@@ -230,6 +230,27 @@ class TestFitFullModel:
             em.fit_full_model(trace, pinned, free=("n_c", "n_add_eff"))
         assert set(err.value.pair) == {"n_c", "n_add_eff"}
 
+    def test_degeneracy_and_covariance_read_jtj(self):
+        # both checks read J^T J: a zero column and a scaled duplicate are
+        # rejected by name, and a singular J^T J gives no covariance
+        names = ("n_add_eff", "n_c", "n_m_T")
+        jac = np.random.default_rng(3).normal(size=(50, 3))
+        estimation._check_degenerate(jac.T @ jac, names)
+        cov, sigmas = estimation._covariance(jac.T @ jac)
+        np.testing.assert_allclose(cov, np.linalg.inv(jac.T @ jac), rtol=1e-12)
+        np.testing.assert_array_equal(sigmas, np.sqrt(np.diag(cov)))
+        zero = jac.copy()
+        zero[:, 1] = 0.0
+        with pytest.raises(DegenerateFitError, match="no measurable effect") as err:
+            estimation._check_degenerate(zero.T @ zero, names)
+        assert err.value.pair == ("n_c", "n_c")
+        assert estimation._covariance(zero.T @ zero) == (None, None)
+        duplicate = jac.copy()
+        duplicate[:, 2] = -3.0 * duplicate[:, 0]
+        with pytest.raises(DegenerateFitError) as err:
+            estimation._check_degenerate(duplicate.T @ duplicate, names)
+        assert err.value.pair == ("n_add_eff", "n_m_T")
+
     def test_json_round_trip(self, device, device_model):
         trace, _ = output_trace(device, 4000.0, seed=7, points=512)
         fit = em.fit_full_model(trace, device_model)
@@ -322,6 +343,41 @@ class TestFitFullModel:
         (log_g, f, _, _), least = profiles[-1]
         assert fit.params["g"] == math.exp(log_g) and "g" not in fit.at_bound
         assert least <= f <= least + _GAIN_TOL
+
+    @pytest.mark.parametrize("case", ["readme", "sweep"])
+    def test_model_and_amplitude_columns_match_the_spectrum(self, device, device_model, monkeypatch, case):
+        # the last IRLS model, built from the pass's row s, is the spectrum
+        # at the fitted values, and J's amplitude columns, which come from
+        # the same row, are the basis (compared through J^T J)
+        trace = profile_case_trace(device, case)
+        models, grams = [], []
+        sigma_from_model, covariance = estimation._sigma_from_model, estimation._covariance
+        monkeypatch.setattr(
+            estimation, "_sigma_from_model", lambda model, n_avg: models.append(model) or sigma_from_model(model, n_avg)
+        )
+        monkeypatch.setattr(estimation, "_covariance", lambda jtj: grams.append(jtj) or covariance(jtj))
+        fit = em.fit_full_model(trace, device_model)
+        params = replace(device_model, **fit.params)
+        delta = TWO_PI * trace.freq_hz - params.omega_m
+        np.testing.assert_allclose(models[-1], em.output_noise_values(delta, params), rtol=1e-13, atol=0.0)
+        cav, mech = output_noise_basis(delta, *(getattr(params, name) for name in estimation._BASIS_ARGS))
+        jac = np.column_stack([np.ones_like(delta), cav, mech]) / sigma_from_model(models[-1], trace.n_avg)[:, None]
+        amps = [DEFAULT_FREE.index(name) for name in ("n_add_eff", "n_c", "n_m_T")]
+        np.testing.assert_allclose(grams[-1][np.ix_(amps, amps)], jac.T @ jac, rtol=1e-13, atol=0.0)
+
+    def test_one_basis_evaluation_per_fit(self, device, device_model, monkeypatch):
+        # a default-free-set fit forms the shape's factors once and every
+        # row s from them: no call evaluates the model or its basis anew
+        trace = profile_case_trace(device, "readme")
+        calls = []
+        for module in (spectra, estimation):
+            for name in ("_basis_factors", "output_noise_values", "output_noise_basis"):
+                original = getattr(module, name, None)
+                if original is not None:
+                    wrapper = lambda *args, name=name, original=original: calls.append(name) or original(*args)
+                    monkeypatch.setattr(module, name, wrapper)
+        em.fit_full_model(trace, device_model)
+        assert calls == ["_basis_factors"]
 
     def test_later_pass_follows_a_moving_optimum(self, device, device_model, monkeypatch):
         # a cooling-sweep point at n_d = 100 whose second IRLS pass finds g
@@ -488,7 +544,7 @@ class TestSeparableNormalEquations:
         normal = _Pass(_basis_factors(delta, *args), w, trace.values, estimation._fold(np.eye(4)))
         g = np.exp(estimation._log_scan(0.5 * math.sqrt(1e-3 * kappa * gamma_m), 10.0 * kappa))
         assert g.size > 4 * estimation._SCAN_BLOCK
-        blocks = [normal.solve(g[i : i + estimation._SCAN_BLOCK])[1] for i in range(0, g.size, estimation._SCAN_BLOCK)]
+        blocks = [_nnls(normal.gram(g[i : i + estimation._SCAN_BLOCK]))[1] for i in range(0, g.size, estimation._SCAN_BLOCK)]
         rows = []
         nnls = estimation._nnls
         monkeypatch.setattr(estimation, "_nnls", lambda normal: rows.append(normal.shape[0]) or nnls(normal))
