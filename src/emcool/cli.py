@@ -36,7 +36,6 @@ from .dynamics import (
 from .errors import DegenerateFitError, ParameterError, PeakDetectionError, UnitError
 from .estimation import (
     DEFAULT_FREE,
-    FREEABLE_PARAMS,
     analyze_cooling_sweep,
     calibrate_coupling,
     fit_full_model,
@@ -143,6 +142,8 @@ def _load_manifest(path: str, key: str) -> list[tuple[float, Path, str]]:
             value = float(entry[key])
         except (TypeError, ValueError):
             raise ParameterError(f"{where}: '{key}' must be a number, got {entry[key]!r}") from None
+        if not math.isfinite(value):  # json reads NaN and Infinity
+            raise ParameterError(f"{where}: '{key}' must be a finite number, got {entry[key]!r}")
         out.append((value, manifest_path.parent / entry["trace_path"], str(entry.get("label", i))))
     return out
 
@@ -297,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", parents=[common, thermal, added], help="fit a trace CSV")
     p.add_argument("trace")
     p.add_argument("--model", choices=("lorentzian", "full"), default="full")
-    p.add_argument("--free", nargs="+", choices=sorted(FREEABLE_PARAMS), default=None)
+    p.add_argument("--free", nargs="+", default=None)
     p.add_argument("--delta-tilde-hz", type=float, default=0.0)
     p.add_argument("--n-d", type=float, default=0.0, help="photons, used only when g is fixed")
     p.set_defaults(func=cmd_fit)

@@ -122,8 +122,8 @@ def bose_occupancy(temperature: float, omega: float) -> float:
     """
     if not omega > 0.0:
         raise ParameterError(f"omega must be > 0, got {omega!r}")
-    if temperature < 0.0:
-        raise ParameterError(f"temperature must be >= 0, got {temperature!r}")
+    if not 0.0 <= temperature < math.inf:
+        raise ParameterError(f"temperature must be a finite number >= 0, got {temperature!r}")
     if temperature == 0.0:
         return 0.0
     x = HBAR * omega / (K_B * temperature)

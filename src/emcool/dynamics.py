@@ -95,8 +95,8 @@ class ThermalState:
     temperature: float | None = None
 
     def __post_init__(self) -> None:
-        if self.n_m_T < 0.0 or self.n_c < 0.0:
-            raise ParameterError("occupancies must be >= 0")
+        if not (0.0 <= self.n_m_T < math.inf and 0.0 <= self.n_c < math.inf):
+            raise ParameterError(f"occupancies must be finite numbers >= 0, got {self.n_m_T!r} and {self.n_c!r}")
 
     @classmethod
     def from_temperature(cls, temperature: float, mech: MechanicalMode, n_c: float = 0.0) -> "ThermalState":
@@ -133,8 +133,8 @@ class CouplingRegime(enum.Enum):
 
 def coupling_rate(coupling: Coupling, mech: MechanicalMode, n_d: float) -> float:
     """Drive-enhanced coupling g = G * x_zp * sqrt(n_d) in rad/s."""
-    if n_d < 0.0:
-        raise ParameterError(f"n_d must be >= 0, got {n_d!r}")
+    if not 0.0 <= n_d < math.inf:
+        raise ParameterError(f"n_d must be a finite number >= 0, got {n_d!r}")
     return coupling.G * zero_point_motion(mech) * math.sqrt(n_d)
 
 

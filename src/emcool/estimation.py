@@ -11,17 +11,16 @@ solves its amplitudes from its normal equations at its fitted g and forms
 the basis row s there once (`spectra._basis_row`, the arithmetic of the
 normal equations): it gives the pass's model and, after the last pass, J's
 amplitude columns, so the fit never evaluates `output_noise_values`.  A freed
-kappa, gamma_m or delta_tilde is profiled the same way one level out: each
-pass scans it afresh, every node of that scan profiling g at its own shape,
-so each nonlinear parameter has a profile, and a shape whose 95% set
-reaches an end of its scan is flagged.  The covariance is inv(J^T J) in the
-natural parameters, the columns of g and a shape complex steps of the
-basis; one J^T J serves it and the degeneracy check.  One
-`ModelParams` carries the pinned values and the shape starts.  kappa,
-delta_tilde and gamma_m stay fixed by default because they are measured
-independently (a probe tone at each drive power, the low-drive line width),
-but any subset of {g, n_m_T, n_c, n_add_eff} and at most one of the three
-may be freed.
+delta_tilde is profiled the same way one level out: each pass scans it
+afresh, every node of that scan profiling g at its own shape, so each
+nonlinear parameter has a profile, and a delta_tilde whose 95% set reaches
+an end of its scan is flagged.  The covariance is inv(J^T J) in the natural
+parameters, the columns of g and delta_tilde complex steps of the basis;
+one J^T J serves it and the degeneracy check.  One `ModelParams` carries
+the pinned values.  kappa and gamma_m are never fitted: they are measured
+independently, kappa (like delta_tilde) by a probe tone at each drive power
+and gamma_m from the low-drive line width.  delta_tilde stays pinned by
+default; any subset of {g, n_m_T, n_c, n_add_eff, delta_tilde} may be freed.
 """
 from __future__ import annotations
 
@@ -64,8 +63,9 @@ from .spectra import (
 )
 
 _AMPLITUDES = ("n_add_eff", "n_c", "n_m_T")  # the model is linear in these
-_SHAPES = ("kappa", "gamma_m", "delta_tilde")  # at most one of these is freed
-FREEABLE_PARAMS = frozenset(("g",) + _AMPLITUDES + _SHAPES)
+FREEABLE_PARAMS = frozenset(("g", "delta_tilde") + _AMPLITUDES)
+# measured independently, never fitted (Teufel et al., Nature 475, 359 (2011))
+_MEASURED = {"kappa": "the probe-tone measurement at each drive power", "gamma_m": "the low-drive line width"}
 DEFAULT_FREE = ("n_m_T", "n_c", "g", "n_add_eff")
 
 
@@ -245,13 +245,13 @@ class _Pass:
 
 # a stencil's minimum half-width, and the width of a one-sided bracket at
 # which a best node on a scan end stays there, in the scan's coordinate:
-# ln g, ln kappa, ln gamma_m or delta_tilde / kappa
+# ln g or delta_tilde / kappa
 _PROFILE_TOL = 1e-5
 # a bracketed refinement ends once the parabola about the best node predicts
 # a gain below this, in cost units (chi^2 / 2 under the pass's weights): on a
-# quadratic profile, a step of sqrt(2e-5) = 4.5e-3 sigma.  An outer shape
-# profile's node costs are inner g profiles' ends, each within about this of
-# its own minimum, so the outer stop sits at the inner profiles' own error
+# quadratic profile, a step of sqrt(2e-5) = 4.5e-3 sigma.  The outer
+# delta_tilde profile's node costs are inner g profiles' ends, each within
+# about this of its own minimum, so the outer stop sits at their own error
 _GAIN_TOL = 1e-5
 # half-width of a warm start's first call, in ln g: between IRLS passes the
 # optimum moves 4e-4 at the median and 2.3e-3 at p90 of the cooling-sweep fits
@@ -277,7 +277,7 @@ def _vertex(x: list, f: list) -> tuple[float, float]:
 def _profile_g(cost, scan: np.ndarray, step_costs: list, start: float | None = None) -> tuple[float, float, int, int]:
     """The node x minimizing cost(x) over the range of `scan`, its cost, and
     the numbers of nodes costed and of cost calls.  `cost` receives nodes
-    of the scan's own coordinate: ln g for g, or a freed shape's.
+    of the scan's own coordinate: ln g, or delta_tilde / kappa.
 
     The first call costs the scan's nodes or, warm-started from the node
     `start` of an earlier IRLS pass, start and start +- 1e-3.  Every later
@@ -350,23 +350,18 @@ def _log_scan(lo: float, hi: float) -> np.ndarray:
 
 
 def _check_free(free: Sequence[str]) -> tuple[str, ...]:
-    """`free` as a tuple of distinct freeable names with at most one shape."""
+    """`free` as a tuple of distinct freeable names: the library's and the CLI's one check."""
     free = tuple(free)
-    bad = set(free) - FREEABLE_PARAMS
+    bad = sorted(set(free) - FREEABLE_PARAMS)
     if bad:
-        raise ParameterError(f"cannot free parameters: {sorted(bad)}")
+        pins = [f"{name} is pinned to {_MEASURED[name]}" for name in bad if name in _MEASURED]
+        raise ParameterError("; ".join([f"cannot free parameters: {bad}", *pins]))
     if len(set(free)) != len(free):
         raise ParameterError("duplicate names in free")
-    shapes = [name for name in free if name in _SHAPES]
-    if len(shapes) > 1:
-        raise ParameterError(
-            f"cannot free {' and '.join(shapes)} together: pin kappa and delta_tilde to the probe-tone "
-            "measurement at each drive power and gamma_m to the low-drive line width, and free at most one"
-        )
     return free
 
 
-COMPLEX_STEP = 1e-20  # of the covariance's shape column (Squire & Trapp, SIAM Rev. 40, 110 (1998))
+COMPLEX_STEP = 1e-20  # of the covariance's g and delta_tilde columns (Squire & Trapp, SIAM Rev. 40, 110 (1998))
 _DELTA_95 = 1.92  # half the 95% quantile of chi^2 with one degree of freedom, in cost (chi^2 / 2)
 
 
@@ -395,7 +390,7 @@ def _covariance(jtj: np.ndarray):
 
 
 class ShapeProfile(NamedTuple):
-    """The outer profile of one freed shape at one IRLS pass's weights."""
+    """The outer profile of a freed delta_tilde at one IRLS pass's weights."""
 
     params: tuple[float, float]  # the scan node x at the outer minimum, and g there
     n_iter: int  # accepted outer steps, appended to the caller's step_costs
@@ -404,10 +399,10 @@ class ShapeProfile(NamedTuple):
 
 
 def fit_weighted(pass_at, scan: np.ndarray, g_scan: np.ndarray | None, g: float, step_costs: list) -> ShapeProfile:
-    """Minimize the cost over one freed shape at one IRLS pass's weights.
+    """Minimize the cost over a freed delta_tilde at one IRLS pass's weights.
 
-    The outer profile is `_profile_g` over `scan`: `pass_at(x)` builds the
-    normal equations at the shape of scan node x, and the node's cost is
+    The outer profile is `_profile_g` over `scan`, in delta_tilde / kappa:
+    `pass_at(x)` builds the normal equations at scan node x, and its cost is
     the minimum over g there, by `_profile_g` over `g_scan` warm-started
     from the ln g of the nearest node costed so far (the first node scans
     cold), or the cost at the pinned g when `g_scan` is None.
@@ -446,22 +441,20 @@ def fit_full_model(
 ) -> FitResult:
     """Fit the exact output-spectrum model to a quanta-unit trace.
 
-    `free` (default {n_m_T, n_c, g, n_add_eff}; at most one of kappa,
-    gamma_m and delta_tilde) are estimated; `params` holds every other
-    value, pinned, and the start of a freed shape, about which its outer
-    scan is laid.  The values it holds for a free amplitude or a free g
-    are not read: free amplitudes are solved exactly and a free g is
-    profiled on its fixed scan.  With a shape freed, each IRLS pass
-    profiles it by `fit_weighted`, g nested inside.
+    `free` (default {n_m_T, n_c, g, n_add_eff}; delta_tilde may join them)
+    are estimated; `params` holds every other value, pinned.  The values it
+    holds for a free parameter are not read: free amplitudes are solved
+    exactly, a free g is profiled on its fixed scan, and a free delta_tilde
+    on [-kappa, kappa], each pass by `fit_weighted`, g nested inside.
     `at_bound` names the amplitudes held at zero by their non-negativity
     constraint, a g at or past an end of its scan or with both amplitudes
     that carry it (n_c and n_m_T, free or pinned) at zero, and a freed
-    shape whose 95% set {cost - min <= 1.92} on its scan reaches a scan
-    end.  `n_iter` counts the accepted profile steps in `step_costs`: of
-    the g profile, or of the outer profile when a shape is freed.
+    delta_tilde whose 95% set {cost - min <= 1.92} on its scan reaches a
+    scan end.  `n_iter` counts the accepted profile steps in `step_costs`:
+    of the g profile, or of the outer profile when delta_tilde is freed.
     `message` gives the IRLS passes and the numbers of couplings the g
     profiles costed and of their cost calls, then the same for a freed
-    shape's outer profile and whether its last pass's 95% set is open.
+    delta_tilde's outer profile and whether its last pass's 95% set is open.
     """
     if trace.unit is not SpectrumUnit.QUANTA:
         raise UnitError(f"full-model fit needs a quanta trace, got {trace.unit.value}")
@@ -470,7 +463,6 @@ def fit_full_model(
     delta = TWO_PI * trace.freq_hz - params.omega_m
     data = trace.values
     amps = tuple(name for name in free if name in _AMPLITUDES)
-    freed = next((name for name in free if name in _SHAPES), None)
     values = dict(vars(params))
     # normal equations = coef (weighted Gram matrix of 1, A, B, data) coef^T:
     # one row per free amplitude, then data minus the fixed part of the model
@@ -486,31 +478,25 @@ def fit_full_model(
 
     scan = None
     if "g" in free:  # 16 nodes per decade of g, from optical damping 4g^2/kappa = 1e-3 gamma_m to g = 10 kappa
-        scan = _log_scan(0.5 * math.sqrt(1e-3 * values["kappa"] * values["gamma_m"]), 10.0 * values["kappa"])
-    if freed == "delta_tilde":  # delta_tilde / kappa on [-1, 1]
-        outer, value_of = np.linspace(-1.0, 1.0, 33), lambda x: params.kappa * x
-    elif freed is not None:  # ln kappa on [ln kappa_ex, ln 10 kappa], ln gamma_m over six decades
-        lo, hi = (params.kappa_ex, 10.0 * params.kappa) if freed == "kappa" else (1e-3 * params.gamma_m, 1e3 * params.gamma_m)
-        outer, value_of = _log_scan(lo, hi), math.exp
+        scan = _log_scan(0.5 * math.sqrt(1e-3 * params.kappa * params.gamma_m), 10.0 * params.kappa)
     step_costs: list[tuple[float, float]] = []
-    counts = [0, 0, 0, 0]  # nodes and cost calls of the g profiles, then of a freed shape's
+    counts = [0, 0, 0, 0]  # nodes and cost calls of the g profiles, then of a freed delta_tilde's
     start = None  # later passes warm-start the profile from the last g
     sigma = _sigma_from_model(data, n_avg)
-    shape_of = lambda vals: _basis_factors(delta, *(vals[name] for name in _BASIS_ARGS[1:]))
-    shape = shape_of(values)
+    shape_at = lambda delta_tilde: _basis_factors(delta, params.kappa, params.kappa_ex, params.gamma_m, delta_tilde, params.beta)
+    freed = "delta_tilde" in free
+    shape = None if freed else shape_at(params.delta_tilde)
     for passes in range(1, 5):  # IRLS: refresh the weights from the fitted model
         w = 1.0 / (sigma * sigma)
-        if freed is not None:
-            res = fit_weighted(
-                lambda x: _Pass(shape_of({**values, freed: value_of(x)}), w, data, fold),
-                outer, scan, values["g"], step_costs,
-            )
+        if freed:  # delta_tilde / kappa on [-1, 1]
+            pass_at = lambda x: _Pass(shape_at(params.kappa * x), w, data, fold)
+            res = fit_weighted(pass_at, np.linspace(-1.0, 1.0, 33), scan, values["g"], step_costs)
             x, values["g"] = res.params
-            values[freed] = value_of(x)
+            values["delta_tilde"] = params.kappa * x
             counts = [n + m for n, m in zip(counts, res.counts)]
-            shape = shape_of(values)
+            shape = shape_at(values["delta_tilde"])
         normal = _Pass(shape, w, data, fold)
-        if freed is None and scan is not None:
+        if not freed and scan is not None:
             start, _, costed, calls = _profile_g(lambda ln_g: normal.cost(np.exp(ln_g)), scan, step_costs, start)
             values["g"], counts[0], counts[1] = math.exp(start), counts[0] + costed, counts[1] + calls
         g = values["g"]
@@ -525,14 +511,15 @@ def fit_full_model(
     del normal  # the per-pass columns are not needed past the loop
 
     # Jacobian in the natural parameters: the amplitude columns are the
-    # basis at the last pass's row s, the columns of g and a shape its
+    # basis at the last pass's row s, the columns of g and delta_tilde its
     # complex-step derivatives (exact to rounding)
     cav, mech = _basis_terms(shape, g, s)
     columns = {"n_add_eff": np.ones_like(delta), "n_c": cav, "n_m_T": mech}
     for name in (name for name in free if name not in _AMPLITUDES):
-        stepped = {**values, name: values[name] + COMPLEX_STEP * 1j}
-        factors = shape if name == "g" else shape_of(stepped)  # the shape's factors do not move with g
-        cav, mech = _basis_terms(factors, stepped["g"], _basis_row(factors, stepped["g"]))
+        g_step = g + COMPLEX_STEP * 1j if name == "g" else g
+        # the shape's factors do not move with g
+        factors = shape if name == "g" else shape_at(values["delta_tilde"] + COMPLEX_STEP * 1j)
+        cav, mech = _basis_terms(factors, g_step, _basis_row(factors, g_step))
         columns[name] = (values["n_c"] * cav + values["n_m_T"] * mech).imag / COMPLEX_STEP
     jac = np.column_stack([columns[name] for name in free]) / sigma[:, None]
     jtj = jac.T @ jac
@@ -543,11 +530,9 @@ def fit_full_model(
     # g is not identified at a scan end, nor when both amplitudes that carry it are zero
     if "g" in free and (not math.exp(scan[0]) < values["g"] < math.exp(scan[-1]) or values["n_c"] == values["n_m_T"] == 0.0):
         flagged.add("g")
-    note = ""
-    if freed is not None:
-        if not res.bounded:
-            flagged.add(freed)
-        note = f"; {freed} profile: {counts[2]} nodes in {counts[3]} calls, 95% set {'bounded' if res.bounded else 'open'}"
+    if freed and not res.bounded:
+        flagged.add("delta_tilde")
+    note = f"; delta_tilde profile: {counts[2]} nodes in {counts[3]} calls, 95% set {'bounded' if res.bounded else 'open'}" if freed else ""
     resid = (data - model) / sigma
     return FitResult(
         params={name: values[name] for name in free},
@@ -837,8 +822,10 @@ def analyze_cooling_sweep(
     cannot resolve the cavity mode, and g, pinned to the sqrt(n_d) value,
     when the predicted radiation-pressure broadening is below 10% of
     gamma_m (only the product g^2 n_m_T is measurable there).  A point
-    whose fit or derived quantities raise is excluded with a diagnostic;
-    the rest of the curve is still returned.
+    that raises anywhere, from its coupling to its derived quantities, is
+    excluded with a diagnostic, and so are a point whose n_d is not finite
+    and a later point at the n_d of an earlier one; the rest of the curve,
+    in increasing n_d, is still returned.
     n_m_sigma propagates the fit covariance through the analytic gradient
     of `final_occupancy`.
     """
@@ -846,26 +833,30 @@ def analyze_cooling_sweep(
     free = _check_free(free)  # once, so that a bad set raises instead of failing every point
     if "n_add_eff" not in free:
         raise ParameterError("the sweep has no value to pin n_add_eff to: it must be free")
-    entries = sorted(sweep, key=lambda item: item[0])
     points: list[SweepPoint] = []
-    excluded: list[tuple[float, str]] = []
-    for n_d, trace in entries:
-        g_pred = coupling_rate(device.coupling, mech, n_d)
-        # device values, thermal occupancies and the sqrt(n_d) coupling:
-        # pinned, or the start when freed
-        point_params = ModelParams.for_device(device, g=g_pred, n_m_T=thermal.n_m_T, n_c=thermal.n_c)
-        point_free = free
-        # n_c rides on the kappa-wide cavity mode; a window that does not
-        # resolve it leaves n_c degenerate with n_add_eff, so pin it there
-        halfspan_rad = math.pi * (trace.freq_hz[-1] - trace.freq_hz[0])
-        if halfspan_rad < 0.5 * cavity.kappa:
-            point_free = tuple(name for name in point_free if name != "n_c")
-        # below ~10% linewidth broadening the spectrum only constrains the
-        # product g^2 n_m_T; pin g to the calibrated sqrt(n_d) prediction
-        _, _, gamma_opt_pred = sideband_rates(g_pred, cavity.kappa, -mech.omega_m, mech.omega_m)
-        if gamma_opt_pred < 0.1 * mech.gamma_m:
-            point_free = tuple(name for name in point_free if name != "g")
+    # a nan n_d would leave the sort's order undefined
+    excluded = [(n_d, f"ParameterError: n_d must be finite, got {n_d!r}") for n_d, _ in sweep if not math.isfinite(n_d)]
+    seen: set[float] = set()
+    for n_d, trace in sorted((item for item in sweep if math.isfinite(item[0])), key=lambda item: item[0]):
         try:  # per-point failures must not kill the sweep
+            if n_d in seen:
+                raise ParameterError(f"duplicate n_d: an earlier entry has n_d = {n_d!r}")
+            seen.add(n_d)
+            g_pred = coupling_rate(device.coupling, mech, n_d)
+            # device values, thermal occupancies and the sqrt(n_d) coupling:
+            # pinned, or the start when freed
+            point_params = ModelParams.for_device(device, g=g_pred, n_m_T=thermal.n_m_T, n_c=thermal.n_c)
+            point_free = free
+            # n_c rides on the kappa-wide cavity mode; a window that does not
+            # resolve it leaves n_c degenerate with n_add_eff, so pin it there
+            halfspan_rad = math.pi * (trace.freq_hz[-1] - trace.freq_hz[0])
+            if halfspan_rad < 0.5 * cavity.kappa:
+                point_free = tuple(name for name in point_free if name != "n_c")
+            # below ~10% linewidth broadening the spectrum only constrains the
+            # product g^2 n_m_T; pin g to the calibrated sqrt(n_d) prediction
+            _, _, gamma_opt_pred = sideband_rates(g_pred, cavity.kappa, -mech.omega_m, mech.omega_m)
+            if gamma_opt_pred < 0.1 * mech.gamma_m:
+                point_free = tuple(name for name in point_free if name != "g")
             fit = fit_full_model(trace, point_params, free=point_free)
             full = {**vars(point_params), **fit.params}
             g_fit, kappa, gamma_m = full["g"], full["kappa"], full["gamma_m"]

@@ -53,6 +53,8 @@ class SpectrumTrace:
             raise ParameterError("freq_hz and values must be 1-d arrays of equal length")
         if freq.size < 8:
             raise ParameterError(f"need at least 8 samples, got {freq.size}")
+        if not (np.all(np.isfinite(freq)) and np.all(np.isfinite(vals))):
+            raise ParameterError("freq_hz and values must be finite numbers")
         if not np.all(np.diff(freq) > 0.0):
             raise ParameterError("freq_hz must be strictly increasing")
         if self.unit in (SpectrumUnit.QUANTA, SpectrumUnit.WATTS_PER_HZ) and np.any(vals < 0.0):
@@ -105,6 +107,9 @@ class ModelParams:
     omega_m: float
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be a finite number, got {value!r}")
         for name in ("kappa", "kappa_ex", "gamma_m", "omega_m"):
             if not getattr(self, name) > 0.0:
                 raise ParameterError(f"{name} must be > 0, got {getattr(self, name)!r}")

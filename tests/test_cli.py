@@ -52,6 +52,19 @@ class TestSimulate:
         b = (b_dir / "trace.csv").read_text()
         assert a == b
 
+    @pytest.mark.parametrize("option,value", [
+        ("--temperature-k", "nan"), ("--temperature-k", "inf"), ("--n-m-t", "nan"), ("--n-c", "inf"),
+        ("--n-d", "nan"), ("--n-d", "inf"), ("--n-add-eff", "nan"), ("--delta-tilde-hz", "inf"),
+    ])
+    def test_non_finite_option_exits_2(self, tmp_path, capsys, option, value):
+        # --temperature-k nan once wrote an all-nan trace and inf raised a
+        # ZeroDivisionError traceback
+        out = tmp_path / "out"
+        assert run(["simulate", option, value, "--points", 256, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_invalid_device_exits_2(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("omega_m_hz=1e6\n")
@@ -125,29 +138,31 @@ class TestFit:
         assert run(["fit", bad, "--out", tmp_path]) == 2
         assert f"{bad}:3: expected a 'freq,value' row" in capsys.readouterr().err
 
-    def test_free_kappa_widens_uncertainty(self, tmp_path):
+    def test_free_delta_tilde_is_bounded_near_zero(self, tmp_path):
+        # a trace simulated at delta_tilde = 0: the freed delta_tilde's
+        # profile rises by 1.92 before either end of its scan, and the fit
+        # puts it within 3 sigma of 0
         assert run(["simulate", "--n-d", 4000, "--n-m-t", 40, "--n-avg", 20000,
                     "--points", 2048, "--halfspan-hz", 600e3, "--out", tmp_path]) == 0
-        out_a = tmp_path / "default"
-        out_b = tmp_path / "free_kappa"
-        assert run(["fit", tmp_path / "trace.csv", "--out", out_a]) == 0
-        assert run(
-            ["fit", tmp_path / "trace.csv", "--out", out_b,
-             "--free", "n_m_T", "n_c", "g", "n_add_eff", "kappa"]
-        ) == 0
-        sig_a = json.loads((out_a / "fit.json").read_text())["sigmas"]["n_m_T"]
-        sig_b = json.loads((out_b / "fit.json").read_text())["sigmas"]["n_m_T"]
-        assert sig_b > sig_a
-
-    def test_two_freed_shapes_exit_2(self, tmp_path, capsys):
-        assert run(["simulate", "--n-d", 4000, "--points", 256, "--out", tmp_path]) == 0
-        capsys.readouterr()
         assert run(["fit", tmp_path / "trace.csv", "--out", tmp_path,
-                    "--free", "n_m_T", "n_c", "g", "n_add_eff", "kappa", "gamma_m"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: cannot free kappa and gamma_m together")
-        assert "probe-tone" in err and "line width" in err
-        assert not (tmp_path / "fit.json").exists()
+                    "--free", "n_m_T", "n_c", "g", "n_add_eff", "delta_tilde"]) == 0
+        payload = json.loads((tmp_path / "fit.json").read_text())
+        assert "delta_tilde profile: " in payload["message"] and "95% set bounded" in payload["message"]
+        assert "delta_tilde" not in payload["at_bound"]
+        assert abs(payload["params"]["delta_tilde"]) < 3.0 * payload["sigmas"]["delta_tilde"]
+
+    def test_retired_shape_exits_2_naming_its_measurement(self, tmp_path, capsys):
+        # kappa and gamma_m are measured independently; the fit's free-set
+        # check, not the parser, refuses them and says where they come from
+        assert run(["simulate", "--n-d", 4000, "--points", 256, "--out", tmp_path]) == 0
+        for name, measurement in (("kappa", "probe-tone measurement"), ("gamma_m", "low-drive line width")):
+            capsys.readouterr()
+            assert run(["fit", tmp_path / "trace.csv", "--out", tmp_path,
+                        "--free", "n_m_T", "n_c", "g", "n_add_eff", name]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot free parameters: ['{name}']; {name} is pinned to the {measurement}")
+            assert "Traceback" not in err
+            assert not (tmp_path / "fit.json").exists()
 
     @pytest.mark.parametrize("model", ["full", "lorentzian"])
     def test_flat_trace_exits_3(self, tmp_path, capsys, model):
@@ -262,7 +277,9 @@ class TestCalibrateAndSweep:
         ({"{key}": 0.02, "trace_path": 5}, "[1]: 'trace_path' must be a string, got 5"),
         ({"{key}": None, "trace_path": "a.csv"}, "[1]: '{key}' must be a number, got None"),
         ({"{key}": "hot", "trace_path": "a.csv"}, "[1]: '{key}' must be a number, got 'hot'"),
-    ], ids=["not-object", "missing-key", "path-not-string", "value-null", "value-not-number"])
+        ({"{key}": math.nan, "trace_path": "a.csv"}, "[1]: '{key}' must be a finite number, got nan"),
+        ({"{key}": math.inf, "trace_path": "a.csv"}, "[1]: '{key}' must be a finite number, got inf"),
+    ], ids=["not-object", "missing-key", "path-not-string", "value-null", "value-not-number", "value-nan", "value-inf"])
     def test_malformed_entry_exits_2_naming_it(self, tmp_path, capsys, command, key, entry, message):
         # the bad entry follows a good one; no trace is read before the manifest is checked
         if isinstance(entry, dict):
@@ -271,6 +288,7 @@ class TestCalibrateAndSweep:
         manifest.write_text(json.dumps([{key: 0.02, "trace_path": "a.csv"}, entry]))
         assert run([command, manifest, "--out", tmp_path]) == 2
         assert capsys.readouterr().err == f"error: {manifest}{message.format(key=key)}\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["manifest.json"]  # no output written
 
     def test_calibrate_skips_malformed_trace(self, device, tmp_path, capsys):
         manifest = self.write_calibration_manifest(device, tmp_path, malformed=[("bad", BAD_NUMBER_TRACE)])

@@ -91,6 +91,9 @@ class TestBoseOccupancy:
             em.bose_occupancy(0.1, 0.0)
         with pytest.raises(ParameterError):
             em.bose_occupancy(-0.1, 1.0)
+        for temperature in (math.nan, math.inf):  # once nan out, and a ZeroDivisionError
+            with pytest.raises(ParameterError, match="temperature must be a finite number >= 0"):
+                em.bose_occupancy(temperature, 1.0)
 
     @given(st.floats(min_value=1e-3, max_value=10.0), st.floats(min_value=1e6, max_value=1e11))
     def test_monotonic_in_temperature(self, T, omega):

@@ -32,6 +32,11 @@ class TestCouplingRate:
         with pytest.raises(ParameterError):
             em.coupling_rate(device.coupling, device.mech, -1.0)
 
+    @pytest.mark.parametrize("n_d", [math.nan, math.inf])
+    def test_non_finite_rejected(self, device, n_d):
+        with pytest.raises(ParameterError, match="n_d must be a finite number"):
+            em.coupling_rate(device.coupling, device.mech, n_d)
+
 
 class TestSidebandRates:
     def test_optimal_detuning_closed_forms(self, device):
@@ -315,6 +320,13 @@ class TestThermalState:
             em.ThermalState(n_m_T=-1.0)
         with pytest.raises(ParameterError):
             em.ThermalState(n_m_T=1.0, n_c=-0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ParameterError, match="finite"):
+            em.ThermalState(n_m_T=bad)
+        with pytest.raises(ParameterError, match="finite"):
+            em.ThermalState(n_m_T=1.0, n_c=bad)
 
 
 class TestPredictCoolingPoint:

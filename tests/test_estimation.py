@@ -417,63 +417,19 @@ class TestFitFullModel:
             else:  # or on a scan end, where g is flagged
                 assert log_g in (scan[0], scan[-1]) and "g" in fit.at_bound
 
-    def test_freed_kappa_on_its_limit_is_flagged(self, device, device_model):
-        # on this seed the freed kappa's profile falls all the way to its
-        # scan's lower end, kappa = kappa_ex
-        trace, _ = output_trace(device, 4000.0, seed=3, n_avg=20000, points=2048)
-        fit = em.fit_full_model(trace, device_model, free=DEFAULT_FREE + ("kappa",))
-        assert fit.params["kappa"] <= device.cavity.kappa_ex * (1.0 + 1e-9)
-        assert "kappa" in fit.at_bound
-
     def test_free_values_in_params_are_not_read(self, device, device_model):
-        # under the default free set only the pinned values of params count:
-        # the amplitudes are solved and g is profiled on its fixed scan
+        # only the pinned values of params count: the amplitudes are solved,
+        # g is profiled on its fixed scan and a freed delta_tilde on [-kappa, kappa]
         trace, truth = output_trace(device, 4000.0, seed=5, points=1024)
         other = replace(truth, g=3.0 * truth.g, n_m_T=7.0, n_c=0.4, n_add_eff=9.0)
-        first, *rest = (em.fit_full_model(trace, p) for p in (device_model, truth, other))
-        for fit in rest:
-            assert fit.to_json() == first.to_json()
-            assert fit.step_costs == first.step_costs
-            assert fit.covariance.tobytes() == first.covariance.tobytes()
-
-    def test_freed_gamma_m_starts_from_params(self, device, device_model, monkeypatch):
-        # every IRLS pass scans ln gamma_m three decades either side of the
-        # start in params, not of the pass before
-        trace, _ = output_trace(device, 4000.0, seed=5, points=1024)
-        scans = []  # per fit, the outer scan of each pass
-        fit_weighted = estimation.fit_weighted
-
-        def recording(pass_at, scan, g_scan, g, step_costs):
-            scans[-1].append(scan)
-            return fit_weighted(pass_at, scan, g_scan, g, step_costs)
-
-        monkeypatch.setattr(estimation, "fit_weighted", recording)
-        for gamma_m in (device.mech.gamma_m, 1.5 * device.mech.gamma_m):
-            scans.append([])
-            fit = em.fit_full_model(trace, replace(device_model, gamma_m=gamma_m), free=DEFAULT_FREE + ("gamma_m",))
-            assert "gamma_m profile: " in fit.message and scans[-1]
-            for scan in scans[-1]:
-                assert math.exp(0.5 * (scan[0] + scan[-1])) == pytest.approx(gamma_m, rel=1e-12)
-                assert scan[-1] - scan[0] == pytest.approx(6.0 * math.log(10.0), rel=1e-12)
-
-    @pytest.mark.parametrize("seed", [5, 6])
-    def test_freed_kappa_runaway_is_not_reported_clean(self, device, device_model, seed):
-        # a 1.2 MHz window narrower than kappa does not identify kappa; on
-        # these seeds a second reweighting loop once ran kappa to 190-250x
-        # truth and reported convergence with nothing flagged
-        trace, _ = output_trace(device, 4000.0, seed=seed, n_avg=20000, points=2048)
-        try:
-            fit = em.fit_full_model(trace, device_model, free=DEFAULT_FREE + ("kappa",))
-        except DegenerateFitError:
-            return
-        assert fit.at_bound
-
-    def test_collapsed_gamma_m_is_flagged(self, device, device_model):
-        # on this seed the freed gamma_m once ran to zero, n_m_T to infinity;
-        # its profile now falls to the low end of its scan, which flags it
-        trace, _ = output_trace(device, 4000.0, seed=1, n_avg=20000, points=2048)
-        fit = em.fit_full_model(trace, device_model, free=DEFAULT_FREE + ("gamma_m",))
-        assert "gamma_m" in fit.at_bound
+        moved = replace(other, delta_tilde=0.4 * truth.kappa)
+        for free, inputs in ((DEFAULT_FREE, (device_model, truth, other)),
+                             (DEFAULT_FREE + ("delta_tilde",), (device_model, truth, other, moved))):
+            first, *rest = (em.fit_full_model(trace, p, free=free) for p in inputs)
+            for fit in rest:
+                assert fit.to_json() == first.to_json()
+                assert fit.step_costs == first.step_costs
+                assert fit.covariance.tobytes() == first.covariance.tobytes()
 
     def test_nnls_matches_support_enumeration(self):
         # normal-equation NNLS against lstsq on the design matrix of each
@@ -971,7 +927,7 @@ class TestAnalyzeCoolingSweep:
     @pytest.mark.parametrize("free", [
         ("n_add_eff", "beta"),  # not freeable
         ("n_m_T", "n_add_eff", "n_m_T"),  # a duplicate
-        ("n_m_T", "g", "n_add_eff", "kappa", "delta_tilde"),  # two shapes
+        ("n_m_T", "g", "n_add_eff", "kappa"),  # measured independently
     ])
     def test_bad_free_set_raises_before_any_fit(self, device, monkeypatch, free):
         # once every point was excluded with the same error, and the sweep
@@ -1032,7 +988,27 @@ class TestAnalyzeCoolingSweep:
         assert abs(sp.point.n_m - truth) <= 5.0 * sp.n_m_sigma
 
     def test_duplicate_drive_rejected(self, device):
+        # the later of two points at one drive is excluded, by name; the
+        # earlier one is fitted
         entries = cooling_sweep_entries(device, [(100, 0.0), (100, 0.0)])
         thermal = em.ThermalState(n_m_T=39.0, n_c=0.0)
-        with pytest.raises(ParameterError):
-            em.analyze_cooling_sweep(entries, device, thermal)
+        curve = em.analyze_cooling_sweep(entries, device, thermal)
+        assert [sp.point.n_d for sp in curve.points] == [100]
+        assert curve.points[0].fit.params == em.analyze_cooling_sweep(entries[:1], device, thermal).points[0].fit.params
+        assert curve.excluded == ((100, "ParameterError: duplicate n_d: an earlier entry has n_d = 100"),)
+
+    def test_bad_drives_are_excluded_not_raised(self, device):
+        # a negative, nan, infinite or repeated n_d once raised out of the
+        # sweep, came back as an ordinary point, or misordered the good ones
+        good = cooling_sweep_entries(device, SWEEP_SPECS[1:4])
+        trace = good[0][1]
+        entries = [good[2], (-1.0, trace), good[0], (math.nan, trace), (math.inf, trace), good[1], (good[0][0], trace)]
+        thermal = em.ThermalState(n_m_T=39.0, n_c=0.0)
+        curve = em.analyze_cooling_sweep(entries, device, thermal)
+        assert [sp.point for sp in curve.points] == [sp.point for sp in em.analyze_cooling_sweep(good, device, thermal).points]
+        reasons = dict((repr(n_d), reason) for n_d, reason in curve.excluded)
+        assert len(curve.excluded) == len(reasons) == 4
+        assert reasons["nan"] == "ParameterError: n_d must be finite, got nan"
+        assert reasons["inf"] == "ParameterError: n_d must be finite, got inf"
+        assert reasons["-1.0"] == "ParameterError: n_d must be a finite number >= 0, got -1.0"
+        assert reasons["60"] == "ParameterError: duplicate n_d: an earlier entry has n_d = 60"

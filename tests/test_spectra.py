@@ -490,6 +490,20 @@ class TestTraceInfrastructure:
         # negative displacement values are not rejected
         em.SpectrumTrace(np.arange(8.0), -np.ones(8), em.SpectrumUnit.M2_PER_HZ, {})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        # in any unit, in the values or in the last frequency (where inf
+        # once passed the increasing-grid check)
+        for unit in em.SpectrumUnit:
+            values = np.ones(8)
+            values[3] = bad
+            with pytest.raises(ParameterError, match="must be finite"):
+                em.SpectrumTrace(np.arange(8.0), values, unit, {})
+        freq = np.arange(8.0)
+        freq[-1] = bad
+        with pytest.raises(ParameterError, match="must be finite"):
+            em.SpectrumTrace(freq, np.ones(8), em.SpectrumUnit.QUANTA, {})
+
     def test_values_read_only(self):
         trace = em.SpectrumTrace(np.arange(8.0), np.ones(8), em.SpectrumUnit.QUANTA, {})
         with pytest.raises(ValueError):
@@ -659,6 +673,13 @@ class TestModelParams:
             em.ModelParams(**{**base, "beta": 0.0})
         with pytest.raises(ParameterError):
             em.ModelParams(**{**base, "n_c": -0.1})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, device, bad):
+        base = model_params(device, 100.0).__dict__
+        for name in base:
+            with pytest.raises(ParameterError, match=f"{name} must be a finite number"):
+                em.ModelParams(**{**base, name: bad})
 
     def test_sub_ideal_flag(self, device):
         base = model_params(device, 100.0).__dict__
