@@ -209,7 +209,6 @@ def cmd_report(args) -> int:
     for t_mk in temps_mk:
         n = bose_occupancy(t_mk * 1e-3, mech.omega_m)
         lines.append(f"{t_mk * 1e-3:.17g},{n:.17g}")
-    (out_dir / "occupancy_vs_temperature.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     x_zp = zero_point_motion(mech)
     nd_values = _default_nd_grid(args.nd_min, args.nd_max)
@@ -248,6 +247,8 @@ def cmd_report(args) -> int:
                 ),
                 n_d,
             )
+    # no file is written before every value is known: a bad option leaves none behind
+    (out_dir / "occupancy_vs_temperature.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     (out_dir / "drive_sweep.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
 
     report = asdict(best[1])

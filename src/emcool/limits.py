@@ -83,8 +83,8 @@ def imprecision_from_chain(
         raise ParameterError("rates must be > 0")
     if not 0.0 < beta <= 1.0:
         raise ParameterError(f"beta must lie in (0, 1], got {beta!r}")
-    if n_add_eff < 0.0:
-        raise ParameterError(f"n_add_eff must be >= 0, got {n_add_eff!r}")
+    if not 0.0 <= n_add_eff < math.inf:  # false for nan too
+        raise ParameterError(f"n_add_eff must be a finite number >= 0, got {n_add_eff!r}")
     if g == 0.0:
         raise ParameterError("n_imp diverges at g=0: no measurement without coupling")
     prefactor = (kappa / kappa_ex) * (0.5 + n_add_eff) / (4.0 * beta)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -78,6 +79,23 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "missing keys" in err
         assert "mass_kg" in err
+
+
+class TestTraceBytes:
+    """sha256 of trace files as the earlier `%`-formatting writer wrote them: a
+    change to the table formatter must leave every byte where it was.  The
+    README trace also pins `simulate`'s numbers, which a model change moves."""
+
+    def test_readme_trace(self, tmp_path):
+        assert run(["simulate", "--n-d", 4000, "--seed", 0, "--out", tmp_path]) == 0
+        digest = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()
+        assert digest == "49bb2aaab1f70c1ae31bbc0b7caebb803d24fdc956889af4d47b097d6d0f4eff"
+
+    def test_calibration_trace(self, device, tmp_path):
+        # 8192 bins in W/Hz, like the traces of the calibration_io benchmark
+        em.write_trace(calibration_trace(device, 0.015, 3.0, seed=1, points=8192), tmp_path / "t.csv")
+        digest = hashlib.sha256((tmp_path / "t.csv").read_bytes()).hexdigest()
+        assert digest == "6cb02a1f6d0118ea9b870954388f15aec141873a43acff199102840825f57800"
 
 
 class TestFit:
@@ -373,6 +391,14 @@ class TestReport:
         assert (tmp_path / "drive_sweep.csv").read_text() == (
             report_dir / "drive_sweep.csv"
         ).read_text()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_n_add_eff_exits_2(self, tmp_path, capsys, value):
+        # nan once exited 0 with an all-nan n_imp column in drive_sweep.csv
+        assert run(["report", "--n-add-eff", value, "--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: n_add_eff must be a finite number >= 0") and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
 
 
 class TestTopLevel:
