@@ -2,25 +2,22 @@
 
 The full-model fit is separable (variable projection, Golub & Pereyra 1973):
 the spectrum is linear in n_add_eff, n_c and n_m_T, which are solved exactly
-by weighted NNLS for every trial shape; g is profiled on a log scan from
+by weighted NNLS at every trial g; g is profiled on a log scan from
 4g^2/kappa = 1e-3 gamma_m to 10 kappa, refined by bracketed parabolic steps
 of three-node stencils until the parabola predicts a gain below 1e-5 in
-cost (chi^2 / 2).  One IRLS loop refreshes the sigmas
-model/sqrt(n_avg) and profiles g again from its last optimum.  Each pass
-solves its amplitudes from its normal equations at its fitted g and forms
-the basis row s there once (`spectra._basis_row`, the arithmetic of the
-normal equations): it gives the pass's model and, after the last pass, J's
-amplitude columns, so the fit never evaluates `output_noise_values`.  A freed
-delta_tilde is profiled the same way one level out: each pass scans it
-afresh, every node of that scan profiling g at its own shape, so each
-nonlinear parameter has a profile, and a delta_tilde whose 95% set reaches
-an end of its scan is flagged.  The covariance is inv(J^T J) in the natural
-parameters, the columns of g and delta_tilde complex steps of the basis;
-one J^T J serves it and the degeneracy check.  One `ModelParams` carries
-the pinned values.  kappa and gamma_m are never fitted: they are measured
-independently, kappa (like delta_tilde) by a probe tone at each drive power
-and gamma_m from the low-drive line width.  delta_tilde stays pinned by
-default; any subset of {g, n_m_T, n_c, n_add_eff, delta_tilde} may be freed.
+cost (chi^2 / 2).  The fit is one IRLS loop of `fit_weighted` passes: each
+pass profiles g at the pass's weights, warm-started from the last pass's
+node, and solves its amplitudes from its normal equations at that g; the
+basis row s there (`spectra._basis_row`, the arithmetic of the normal
+equations) gives the pass's model, whose sigmas model/sqrt(n_avg) weight
+the next pass, and, after the last pass, J's amplitude columns, so the fit
+never evaluates `output_noise_values`.  The covariance is inv(J^T J) in the
+natural parameters, g's column a complex step of the basis; one J^T J
+serves it and the degeneracy check.  One `ModelParams` carries the pinned
+values.  kappa, delta_tilde and gamma_m are never fitted: they are measured
+independently, kappa and delta_tilde by a probe tone at each drive power
+and gamma_m from the low-drive line width.  Any subset of
+{g, n_m_T, n_c, n_add_eff} may be freed.
 """
 from __future__ import annotations
 
@@ -63,9 +60,10 @@ from .spectra import (
 )
 
 _AMPLITUDES = ("n_add_eff", "n_c", "n_m_T")  # the model is linear in these
-FREEABLE_PARAMS = frozenset(("g", "delta_tilde") + _AMPLITUDES)
+FREEABLE_PARAMS = frozenset(("g",) + _AMPLITUDES)
 # measured independently, never fitted (Teufel et al., Nature 475, 359 (2011))
-_MEASURED = {"kappa": "the probe-tone measurement at each drive power", "gamma_m": "the low-drive line width"}
+_PROBE_TONE = "the probe-tone measurement at each drive power"
+_MEASURED = {"kappa": _PROBE_TONE, "delta_tilde": _PROBE_TONE, "gamma_m": "the low-drive line width"}
 DEFAULT_FREE = ("n_m_T", "n_c", "g", "n_add_eff")
 
 
@@ -244,14 +242,11 @@ class _Pass:
 
 
 # a stencil's minimum half-width, and the width of a one-sided bracket at
-# which a best node on a scan end stays there, in the scan's coordinate:
-# ln g or delta_tilde / kappa
+# which a best node on a scan end stays there, in ln g
 _PROFILE_TOL = 1e-5
 # a bracketed refinement ends once the parabola about the best node predicts
 # a gain below this, in cost units (chi^2 / 2 under the pass's weights): on a
-# quadratic profile, a step of sqrt(2e-5) = 4.5e-3 sigma.  The outer
-# delta_tilde profile's node costs are inner g profiles' ends, each within
-# about this of its own minimum, so the outer stop sits at their own error
+# quadratic profile, a step of sqrt(2e-5) = 4.5e-3 sigma
 _GAIN_TOL = 1e-5
 # half-width of a warm start's first call, in ln g: between IRLS passes the
 # optimum moves 4e-4 at the median and 2.3e-3 at p90 of the cooling-sweep fits
@@ -276,8 +271,7 @@ def _vertex(x: list, f: list) -> tuple[float, float]:
 
 def _profile_g(cost, scan: np.ndarray, step_costs: list, start: float | None = None) -> tuple[float, float, int, int]:
     """The node x minimizing cost(x) over the range of `scan`, its cost, and
-    the numbers of nodes costed and of cost calls.  `cost` receives nodes
-    of the scan's own coordinate: ln g, or delta_tilde / kappa.
+    the numbers of nodes costed and of cost calls; `cost` receives ln g.
 
     The first call costs the scan's nodes or, warm-started from the node
     `start` of an earlier IRLS pass, start and start +- 1e-3.  Every later
@@ -361,8 +355,7 @@ def _check_free(free: Sequence[str]) -> tuple[str, ...]:
     return free
 
 
-COMPLEX_STEP = 1e-20  # of the covariance's g and delta_tilde columns (Squire & Trapp, SIAM Rev. 40, 110 (1998))
-_DELTA_95 = 1.92  # half the 95% quantile of chi^2 with one degree of freedom, in cost (chi^2 / 2)
+COMPLEX_STEP = 1e-20  # of the covariance's g column (Squire & Trapp, SIAM Rev. 40, 110 (1998))
 
 
 def _check_degenerate(jtj: np.ndarray, names: Sequence[str]) -> None:
@@ -389,49 +382,29 @@ def _covariance(jtj: np.ndarray):
     return (cov, sigmas) if np.all(np.isfinite(sigmas)) else (None, None)
 
 
-class ShapeProfile(NamedTuple):
-    """The outer profile of a freed delta_tilde at one IRLS pass's weights."""
+class WeightedFit(NamedTuple):
+    """One IRLS pass's fit at fixed weights."""
 
-    params: tuple[float, float]  # the scan node x at the outer minimum, and g there
-    n_iter: int  # accepted outer steps, appended to the caller's step_costs
-    bounded: bool  # the 95% set {cost - min <= 1.92} reaches neither end of the scan
-    counts: tuple[int, int, int, int]  # the g profiles' nodes and cost calls, then the outer profile's
+    params: tuple[float, ...]  # g, then the free amplitudes in the fit's order
+    n_iter: int  # accepted profile steps, appended to the caller's step_costs
+    node: float | None  # ln g at the profile's minimum, the next pass's warm start; None when g is pinned
+    counts: tuple[int, int]  # the g profile's nodes and cost calls
 
 
-def fit_weighted(pass_at, scan: np.ndarray, g_scan: np.ndarray | None, g: float, step_costs: list) -> ShapeProfile:
-    """Minimize the cost over a freed delta_tilde at one IRLS pass's weights.
+def fit_weighted(normal: _Pass, scan: np.ndarray | None, g: float, start: float | None, step_costs: list) -> WeightedFit:
+    """Fit g and the free amplitudes at one IRLS pass's weights.
 
-    The outer profile is `_profile_g` over `scan`, in delta_tilde / kappa:
-    `pass_at(x)` builds the normal equations at scan node x, and its cost is
-    the minimum over g there, by `_profile_g` over `g_scan` warm-started
-    from the ln g of the nearest node costed so far (the first node scans
-    cold), or the cost at the pinned g when `g_scan` is None.
+    g is profiled by `_profile_g` over `scan`, warm-started from the node
+    `start` of the last pass (a cold scan when None), or stays the pinned
+    `g` when `scan` is None; the amplitudes are then solved by `_nnls` from
+    `normal`'s normal equations at that g.
     """
-    costed: dict[float, tuple[float | None, float]] = {}  # ln g and cost per outer node
-    g_counts = [0, 0]
-
-    def cost(xs: np.ndarray) -> np.ndarray:
-        for x in xs.tolist():
-            normal = pass_at(x)
-            if g_scan is None:
-                costed[x] = None, float(normal.cost(np.array([g]))[0])
-                continue
-            start = costed[min(costed, key=lambda node: abs(node - x))][0] if costed else None
-            log_g, f, nodes, calls = _profile_g(lambda ln_g: normal.cost(np.exp(ln_g)), g_scan, [], start)
-            g_counts[0], g_counts[1] = g_counts[0] + nodes, g_counts[1] + calls
-            costed[x] = log_g, f
-        return np.array([costed[x][1] for x in xs.tolist()])
-
-    n_steps = len(step_costs)
-    x, best, nodes, calls = _profile_g(cost, scan, step_costs)
-    log_g = costed[x][0]
-    ends = (costed[min(costed)][1], costed[max(costed)][1])  # the scan's end nodes
-    return ShapeProfile(
-        params=(x, g if log_g is None else math.exp(log_g)),
-        n_iter=len(step_costs) - n_steps,
-        bounded=min(ends) - best > _DELTA_95,
-        counts=(*g_counts, nodes, calls),
-    )
+    n_steps, node, counts = len(step_costs), start, (0, 0)
+    if scan is not None:
+        node, _, *counts = _profile_g(lambda ln_g: normal.cost(np.exp(ln_g)), scan, step_costs, start)
+        g = math.exp(node)
+    amplitudes = _nnls(normal.gram(np.array([g])))[0][0].tolist()
+    return WeightedFit((g, *amplitudes), len(step_costs) - n_steps, node, tuple(counts))
 
 
 def fit_full_model(
@@ -441,20 +414,16 @@ def fit_full_model(
 ) -> FitResult:
     """Fit the exact output-spectrum model to a quanta-unit trace.
 
-    `free` (default {n_m_T, n_c, g, n_add_eff}; delta_tilde may join them)
-    are estimated; `params` holds every other value, pinned.  The values it
-    holds for a free parameter are not read: free amplitudes are solved
-    exactly, a free g is profiled on its fixed scan, and a free delta_tilde
-    on [-kappa, kappa], each pass by `fit_weighted`, g nested inside.
+    `free` (default {n_m_T, n_c, g, n_add_eff}) are estimated; `params`
+    holds every other value, pinned.  The values it holds for a free
+    parameter are not read: free amplitudes are solved exactly and a free g
+    is profiled on its fixed scan, each IRLS pass by one `fit_weighted`.
     `at_bound` names the amplitudes held at zero by their non-negativity
-    constraint, a g at or past an end of its scan or with both amplitudes
-    that carry it (n_c and n_m_T, free or pinned) at zero, and a freed
-    delta_tilde whose 95% set {cost - min <= 1.92} on its scan reaches a
-    scan end.  `n_iter` counts the accepted profile steps in `step_costs`:
-    of the g profile, or of the outer profile when delta_tilde is freed.
+    constraint, and a g at or past an end of its scan or with both
+    amplitudes that carry it (n_c and n_m_T, free or pinned) at zero.
+    `n_iter` counts the accepted g-profile steps in `step_costs`.
     `message` gives the IRLS passes and the numbers of couplings the g
-    profiles costed and of their cost calls, then the same for a freed
-    delta_tilde's outer profile and whether its last pass's 95% set is open.
+    profiles costed and of their cost calls.
     """
     if trace.unit is not SpectrumUnit.QUANTA:
         raise UnitError(f"full-model fit needs a quanta trace, got {trace.unit.value}")
@@ -480,27 +449,15 @@ def fit_full_model(
     if "g" in free:  # 16 nodes per decade of g, from optical damping 4g^2/kappa = 1e-3 gamma_m to g = 10 kappa
         scan = _log_scan(0.5 * math.sqrt(1e-3 * params.kappa * params.gamma_m), 10.0 * params.kappa)
     step_costs: list[tuple[float, float]] = []
-    counts = [0, 0, 0, 0]  # nodes and cost calls of the g profiles, then of a freed delta_tilde's
-    start = None  # later passes warm-start the profile from the last g
+    nodes = calls = 0  # of the g profiles
+    node = None  # later passes warm-start the profile from the last one's node
     sigma = _sigma_from_model(data, n_avg)
-    shape_at = lambda delta_tilde: _basis_factors(delta, params.kappa, params.kappa_ex, params.gamma_m, delta_tilde, params.beta)
-    freed = "delta_tilde" in free
-    shape = None if freed else shape_at(params.delta_tilde)
+    shape = _basis_factors(delta, params.kappa, params.kappa_ex, params.gamma_m, params.delta_tilde, params.beta)
     for passes in range(1, 5):  # IRLS: refresh the weights from the fitted model
-        w = 1.0 / (sigma * sigma)
-        if freed:  # delta_tilde / kappa on [-1, 1]
-            pass_at = lambda x: _Pass(shape_at(params.kappa * x), w, data, fold)
-            res = fit_weighted(pass_at, np.linspace(-1.0, 1.0, 33), scan, values["g"], step_costs)
-            x, values["g"] = res.params
-            values["delta_tilde"] = params.kappa * x
-            counts = [n + m for n, m in zip(counts, res.counts)]
-            shape = shape_at(values["delta_tilde"])
-        normal = _Pass(shape, w, data, fold)
-        if not freed and scan is not None:
-            start, _, costed, calls = _profile_g(lambda ln_g: normal.cost(np.exp(ln_g)), scan, step_costs, start)
-            values["g"], counts[0], counts[1] = math.exp(start), counts[0] + costed, counts[1] + calls
+        res = fit_weighted(_Pass(shape, 1.0 / (sigma * sigma), data, fold), scan, values["g"], node, step_costs)
+        node, nodes, calls = res.node, nodes + res.counts[0], calls + res.counts[1]
+        values.update(zip(("g", *amps), res.params))
         g = values["g"]
-        values.update(zip(amps, _nnls(normal.gram(np.array([g])))[0][0].tolist()))
         s = _basis_row(shape, g)  # the row at the pass's g, as in gram: the model's and J's
         fitted = ModelParams(**values)  # validates the pass's values
         # 1/2 + n_add_eff + n_c A + n_m_T B with A = s K and B = 4 gamma_m g^2 s
@@ -508,19 +465,16 @@ def fit_full_model(
         sigma, previous = _sigma_from_model(model, n_avg), sigma
         if np.max(np.abs(sigma - previous) / previous) < 1e-3:
             break
-    del normal  # the per-pass columns are not needed past the loop
 
     # Jacobian in the natural parameters: the amplitude columns are the
-    # basis at the last pass's row s, the columns of g and delta_tilde its
-    # complex-step derivatives (exact to rounding)
+    # basis at the last pass's row s, g's column its complex-step
+    # derivative (exact to rounding) from the same shape's factors
     cav, mech = _basis_terms(shape, g, s)
     columns = {"n_add_eff": np.ones_like(delta), "n_c": cav, "n_m_T": mech}
-    for name in (name for name in free if name not in _AMPLITUDES):
-        g_step = g + COMPLEX_STEP * 1j if name == "g" else g
-        # the shape's factors do not move with g
-        factors = shape if name == "g" else shape_at(values["delta_tilde"] + COMPLEX_STEP * 1j)
-        cav, mech = _basis_terms(factors, g_step, _basis_row(factors, g_step))
-        columns[name] = (values["n_c"] * cav + values["n_m_T"] * mech).imag / COMPLEX_STEP
+    if "g" in free:
+        g_step = g + COMPLEX_STEP * 1j
+        cav, mech = _basis_terms(shape, g_step, _basis_row(shape, g_step))
+        columns["g"] = (values["n_c"] * cav + values["n_m_T"] * mech).imag / COMPLEX_STEP
     jac = np.column_stack([columns[name] for name in free]) / sigma[:, None]
     jtj = jac.T @ jac
     amp = [free.index(name) for name in amps]
@@ -530,9 +484,6 @@ def fit_full_model(
     # g is not identified at a scan end, nor when both amplitudes that carry it are zero
     if "g" in free and (not math.exp(scan[0]) < values["g"] < math.exp(scan[-1]) or values["n_c"] == values["n_m_T"] == 0.0):
         flagged.add("g")
-    if freed and not res.bounded:
-        flagged.add("delta_tilde")
-    note = f"; delta_tilde profile: {counts[2]} nodes in {counts[3]} calls, 95% set {'bounded' if res.bounded else 'open'}" if freed else ""
     resid = (data - model) / sigma
     return FitResult(
         params={name: values[name] for name in free},
@@ -542,7 +493,7 @@ def fit_full_model(
         covariance=covariance,
         at_bound=tuple(name for name in free if name in flagged),
         step_costs=tuple(step_costs),
-        message=f"separable fit: {passes} IRLS passes, {counts[0]} profile nodes in {counts[1]} calls" + note,
+        message=f"separable fit: {passes} IRLS passes, {nodes} profile nodes in {calls} calls",
     )
 
 

@@ -580,14 +580,17 @@ def trace_to_csv(trace: SpectrumTrace) -> str:
 
     The table is the text `"%.17g,%.17g\\n"` gives each row, formatted by an
     integer-digit numpy kernel (`emcool._g17`) that falls back to `%` for the
-    values whose rounding it cannot prove.
+    values whose rounding it cannot prove.  Metadata that its `# key=value`
+    line would not give back raises ParameterError naming the key.
     """
     lines = [f"# unit={trace.unit.value}"]
     for key, value in trace.meta.items():
-        if isinstance(value, float):
-            lines.append(f"# {key}={value:.17g}")
-        else:
-            lines.append(f"# {key}={value}")
+        name, text = f"{key}", f"{value:.17g}" if isinstance(value, float) else f"{value}"
+        # the reader splits lines, strips both fields and ends the key at the first "="
+        if name == "unit" or "=" in name or any(f != f.strip() or len(f.splitlines()) > 1 for f in (name, text)):
+            raise ParameterError(f"trace metadata {key!r} cannot be read back: a key must not be 'unit' or hold '=', "
+                                 f"and no key or value may hold a line break or start or end with a blank ({text!r})")
+        lines.append(f"# {name}={text}")
     lines.append("freq_hz,value")
     return "\n".join(lines) + "\n" + format_rows((trace.freq_hz, trace.values)).decode("ascii")
 

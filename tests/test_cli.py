@@ -156,24 +156,12 @@ class TestFit:
         assert run(["fit", bad, "--out", tmp_path]) == 2
         assert f"{bad}:3: expected a 'freq,value' row" in capsys.readouterr().err
 
-    def test_free_delta_tilde_is_bounded_near_zero(self, tmp_path):
-        # a trace simulated at delta_tilde = 0: the freed delta_tilde's
-        # profile rises by 1.92 before either end of its scan, and the fit
-        # puts it within 3 sigma of 0
-        assert run(["simulate", "--n-d", 4000, "--n-m-t", 40, "--n-avg", 20000,
-                    "--points", 2048, "--halfspan-hz", 600e3, "--out", tmp_path]) == 0
-        assert run(["fit", tmp_path / "trace.csv", "--out", tmp_path,
-                    "--free", "n_m_T", "n_c", "g", "n_add_eff", "delta_tilde"]) == 0
-        payload = json.loads((tmp_path / "fit.json").read_text())
-        assert "delta_tilde profile: " in payload["message"] and "95% set bounded" in payload["message"]
-        assert "delta_tilde" not in payload["at_bound"]
-        assert abs(payload["params"]["delta_tilde"]) < 3.0 * payload["sigmas"]["delta_tilde"]
-
     def test_retired_shape_exits_2_naming_its_measurement(self, tmp_path, capsys):
-        # kappa and gamma_m are measured independently; the fit's free-set
-        # check, not the parser, refuses them and says where they come from
+        # kappa, delta_tilde and gamma_m are measured independently; the fit's
+        # free-set check, not the parser, refuses them and says where they come from
         assert run(["simulate", "--n-d", 4000, "--points", 256, "--out", tmp_path]) == 0
-        for name, measurement in (("kappa", "probe-tone measurement"), ("gamma_m", "low-drive line width")):
+        for name, measurement in (("kappa", "probe-tone measurement"), ("delta_tilde", "probe-tone measurement"),
+                                  ("gamma_m", "low-drive line width")):
             capsys.readouterr()
             assert run(["fit", tmp_path / "trace.csv", "--out", tmp_path,
                         "--free", "n_m_T", "n_c", "g", "n_add_eff", name]) == 2

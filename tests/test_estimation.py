@@ -418,18 +418,15 @@ class TestFitFullModel:
                 assert log_g in (scan[0], scan[-1]) and "g" in fit.at_bound
 
     def test_free_values_in_params_are_not_read(self, device, device_model):
-        # only the pinned values of params count: the amplitudes are solved,
-        # g is profiled on its fixed scan and a freed delta_tilde on [-kappa, kappa]
+        # only the pinned values of params count: the amplitudes are solved
+        # and g is profiled on its fixed scan
         trace, truth = output_trace(device, 4000.0, seed=5, points=1024)
         other = replace(truth, g=3.0 * truth.g, n_m_T=7.0, n_c=0.4, n_add_eff=9.0)
-        moved = replace(other, delta_tilde=0.4 * truth.kappa)
-        for free, inputs in ((DEFAULT_FREE, (device_model, truth, other)),
-                             (DEFAULT_FREE + ("delta_tilde",), (device_model, truth, other, moved))):
-            first, *rest = (em.fit_full_model(trace, p, free=free) for p in inputs)
-            for fit in rest:
-                assert fit.to_json() == first.to_json()
-                assert fit.step_costs == first.step_costs
-                assert fit.covariance.tobytes() == first.covariance.tobytes()
+        first, *rest = (em.fit_full_model(trace, p) for p in (device_model, truth, other))
+        for fit in rest:
+            assert fit.to_json() == first.to_json()
+            assert fit.step_costs == first.step_costs
+            assert fit.covariance.tobytes() == first.covariance.tobytes()
 
     def test_nnls_matches_support_enumeration(self):
         # normal-equation NNLS against lstsq on the design matrix of each

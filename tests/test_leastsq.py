@@ -1,10 +1,8 @@
-"""Freed-delta_tilde fits: the outer profile over delta_tilde / kappa
-(`estimation.fit_weighted`) at the weighted least-squares cost of
-`fit_full_model`, with g profiled inside it.  kappa and gamma_m cannot be
-freed: they are measured independently.  The module keeps the name of the
-Gauss-Newton engine `emcool.leastsq` whose tests it replaced."""
+"""`estimation.fit_weighted`, the one weighted fit of each IRLS pass of
+`fit_full_model` (traced by the benchmark as `leastsq.fit_weighted`). The
+module keeps the name of the Gauss-Newton engine `emcool.leastsq` whose
+tests it replaced."""
 import math
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,166 +12,162 @@ import emcool as em
 from emcool import estimation
 from emcool.errors import DegenerateFitError, ParameterError
 from emcool.estimation import DEFAULT_FREE
-from emcool.spectra import grid_for
+from emcool.spectra import output_noise_basis
 
 from conftest import model_params, output_trace
 
 TWO_PI = 2.0 * math.pi
+PINNED_G = ("n_m_T", "n_c", "n_add_eff")
 
 
-def recorded_profiles(monkeypatch):
+def recorded_passes(monkeypatch):
     """Replace `estimation.fit_weighted` by a wrapper that keeps the
-    arguments and the result of every call, one per IRLS pass."""
+    arguments (scan, g, start) and the result of every call."""
     calls = []
     original = estimation.fit_weighted
 
-    def recording(pass_at, scan, g_scan, g, step_costs):
-        res = original(pass_at, scan, g_scan, g, step_costs)
-        calls.append(((pass_at, scan, g_scan, g), res))
-        return res
+    def recording(normal, scan, g, start, step_costs):
+        calls.append(((scan, g, start), original(normal, scan, g, start, step_costs)))
+        return calls[-1][1]
 
     monkeypatch.setattr(estimation, "fit_weighted", recording)
     return calls
 
 
-def grid_search_oracle(objective, center, half_widths, n_points=41, passes=3):
-    """Brute-force lattice minimizer: a dense grid around `center`, then
-    the same grid shrunk around the best node; returns the best node, its
-    cost and the spacing of the last lattice."""
-    center = np.asarray(center, dtype=float)
-    widths = np.asarray(half_widths, dtype=float)
-    for _ in range(passes):
-        axes = [np.linspace(c - w, c + w, n_points) for c, w in zip(center, widths)]
-        costs = objective(*axes)
-        best = np.unravel_index(int(np.argmin(costs)), costs.shape)
-        center = np.array([axis[i] for axis, i in zip(axes, best)])
-        resolution = 2.0 * widths / (n_points - 1)
-        widths = widths * (5.0 / n_points)  # keep a few old cells inside the new lattice
-    return center, float(np.min(costs)), resolution
-
-
 class TestOracleEquivalence:
-    """The freed-delta_tilde fit against a dense grid over delta_tilde and
-    ln g of the same cost, at the weights of the fit's last pass."""
+    """The default fit against a dense grid over ln g at the weights of its
+    last pass, every node solving the amplitudes (n_m_T, n_c, n_add_eff) by
+    least squares on the explicit basis instead of the normal equations;
+    with n_c = 0.2 every amplitude is positive, so no constraint binds."""
 
     def run_case(self, device, device_model, monkeypatch, noisy):
         if noisy:
-            trace, truth = output_trace(device, 4000.0, seed=3, n_avg=20000, points=2048)
+            trace, truth = output_trace(device, 4000.0, n_c=0.2, seed=3, n_avg=20000, points=2048)
         else:
             freq = em.sideband_grid(device.mech.omega_m, 0.0, device.cavity.kappa, points=2048, halfspan_hz=600e3)
-            truth = model_params(device, 4000.0, n_c=0.2, delta_tilde=0.03 * device.cavity.kappa)
+            truth = model_params(device, 4000.0, n_c=0.2)
             trace = em.output_noise_spectrum(freq, truth).with_meta(n_avg=20000)  # weighted as if averaged
-        calls = recorded_profiles(monkeypatch)
-        fit = em.fit_full_model(trace, device_model, free=DEFAULT_FREE + ("delta_tilde",))
-        assert "delta_tilde" not in fit.at_bound
-        (pass_at, _, _, _), res = calls[-1]
-        kappa = device_model.kappa
+        sigmas = []
+        sigma_from_model = estimation._sigma_from_model
+        monkeypatch.setattr(estimation, "_sigma_from_model",
+                            lambda model, n_avg: sigmas.append(sigma_from_model(model, n_avg)) or sigmas[-1])
+        calls = recorded_passes(monkeypatch)
+        fit = em.fit_full_model(trace, device_model)
+        root_w, delta = 1.0 / sigmas[-2], TWO_PI * trace.freq_hz - truth.omega_m  # the last pass's weights
 
-        def objective(x, log_g):  # cost on the lattice x = delta_tilde / kappa by ln g
-            return np.array([pass_at(xi).cost(np.exp(log_g)) for xi in x])
+        def oracle(g):  # cost and amplitudes
+            cav, mech = output_noise_basis(delta, g, truth.kappa, truth.kappa_ex, truth.gamma_m, 0.0, truth.beta)
+            design = np.column_stack([mech, cav, np.ones_like(delta)]) * root_w[:, None]
+            amps, ssr = np.linalg.lstsq(design, (trace.values - 0.5) * root_w, rcond=None)[:2]
+            return 0.5 * float(ssr[0]), amps
 
-        x_fit, g_fit = res.params
-        assert fit.params["delta_tilde"] == kappa * x_fit  # the scan node x = delta_tilde / kappa
-        assert fit.params["g"] == g_fit
-        # about the truth, at least 7 sigma of delta_tilde and 4 of ln g either side
-        best, best_cost, resolution = grid_search_oracle(objective, (truth.delta_tilde / kappa, math.log(truth.g)), (0.1, 0.15))
-        gap = np.abs(np.array([x_fit, math.log(g_fit)]) - best)
-        assert np.all(gap <= resolution), f"fit-oracle gap {gap} exceeds lattice {resolution}"
-        fit_cost = float(pass_at(x_fit).cost(np.array([g_fit]))[0])
+        log_g, width = math.log(truth.g), 0.15  # at least 4 sigma of ln g either side
+        for _ in range(3):  # a lattice of 41 nodes, then the same shrunk about its best node
+            lattice = np.linspace(log_g - width, log_g + width, 41)
+            best_cost, log_g = min((oracle(math.exp(x))[0], x) for x in lattice)
+            resolution, width = lattice[1] - lattice[0], width * 5.0 / 41.0
+        g_fit, *amps_fit = calls[-1][1].params
+        fit_cost, amps = oracle(g_fit)
+        assert min(amps_fit) > 0.0 and not fit.at_bound
+        assert abs(math.log(g_fit) - log_g) <= resolution
         assert fit_cost <= best_cost + 1e-6 * max(best_cost, 1.0)
-        return fit
+        np.testing.assert_allclose(amps_fit, amps, rtol=1e-6)
+        return fit, truth
 
     def test_noiseless(self, device, device_model, monkeypatch):
-        fit = self.run_case(device, device_model, monkeypatch, noisy=False)
-        # to the profile's 2e-5 bracket in delta_tilde / kappa
-        assert fit.params["delta_tilde"] == pytest.approx(0.03 * device.cavity.kappa, abs=2e-5 * device.cavity.kappa)
+        fit, truth = self.run_case(device, device_model, monkeypatch, noisy=False)
+        assert fit.params["g"] == pytest.approx(truth.g, rel=1e-4)
+        assert fit.params["n_c"] == pytest.approx(0.2, rel=1e-4)
 
     def test_noisy(self, device, device_model, monkeypatch):
         self.run_case(device, device_model, monkeypatch, noisy=True)
 
 
 class TestOptimizerContracts:
-    def test_objective_decrease(self, device, device_model):
+    def test_objective_decrease(self, device, device_model, monkeypatch):
         trace, _ = output_trace(device, 4000.0, seed=0, n_avg=20000, points=2048)
-        fit = em.fit_full_model(trace, device_model, free=DEFAULT_FREE + ("delta_tilde",))
-        assert fit.step_costs  # at least one accepted outer step
+        calls = recorded_passes(monkeypatch)
+        fit = em.fit_full_model(trace, device_model)
+        assert fit.step_costs  # at least one accepted profile step
         assert all(after < before for before, after in fit.step_costs)
-        assert fit.n_iter == len(fit.step_costs)
+        assert fit.n_iter == len(fit.step_costs) == sum(res.n_iter for _, res in calls)
 
     def test_bit_identical_reruns(self, device, device_model):
-        trace, _ = output_trace(device, 4000.0, seed=5, n_avg=20000, points=512)
-        fit1, fit2 = (em.fit_full_model(trace, device_model, free=DEFAULT_FREE + ("delta_tilde",)) for _ in range(2))
-        assert fit1.to_json() == fit2.to_json()
-        assert fit1.step_costs == fit2.step_costs
-        assert (fit1.covariance is None) == (fit2.covariance is None)
-        if fit1.covariance is not None:
+        trace, truth = output_trace(device, 4000.0, seed=5, n_avg=20000, points=512)
+        params = replace(device_model, g=truth.g)
+        for free in (DEFAULT_FREE, PINNED_G):
+            fit1, fit2 = (em.fit_full_model(trace, params, free=free) for _ in range(2))
+            assert fit1.to_json() == fit2.to_json()
+            assert fit1.step_costs == fit2.step_costs
             assert fit1.covariance.tobytes() == fit2.covariance.tobytes()
 
     def test_zero_effect_parameter_rejected(self, device, device_model):
-        # g pinned at zero: n_m_T has no effect on the model at any delta_tilde
+        # g pinned at zero: n_m_T has no effect on the model
         center = device.mech.omega_m / TWO_PI
         freq = np.linspace(center - 1e5, center + 1e5, 128)
         trace = em.output_noise_spectrum(freq, model_params(device, 0.0, n_c=0.3))
         pinned = replace(device_model, g=0.0, n_c=0.3)
         with pytest.raises(DegenerateFitError) as err:
-            em.fit_full_model(trace, pinned, free=("n_m_T", "n_add_eff", "delta_tilde"))
+            em.fit_full_model(trace, pinned, free=("n_m_T", "n_add_eff"))
         assert err.value.pair == ("n_m_T", "n_m_T")
 
     def test_validation_errors(self, device, device_model):
         trace, _ = output_trace(device, 4000.0, seed=0, points=256)
-        # kappa and gamma_m are measured independently, and the message says where
+        # kappa, delta_tilde and gamma_m are measured independently, and the message says where
         with pytest.raises(ParameterError, match=r"cannot free parameters: \['kappa'\]; kappa is pinned to the probe-tone"):
             em.fit_full_model(trace, device_model, free=DEFAULT_FREE + ("kappa",))
+        with pytest.raises(ParameterError, match=r"\['delta_tilde'\]; delta_tilde is pinned to the probe-tone"):
+            em.fit_full_model(trace, device_model, free=DEFAULT_FREE + ("delta_tilde",))
         with pytest.raises(ParameterError, match="gamma_m is pinned to the low-drive line width"):
-            em.fit_full_model(trace, device_model, free=("n_add_eff", "gamma_m", "delta_tilde"))
+            em.fit_full_model(trace, device_model, free=("n_add_eff", "gamma_m"))
         with pytest.raises(ParameterError, match="duplicate"):
-            em.fit_full_model(trace, device_model, free=DEFAULT_FREE + ("delta_tilde", "delta_tilde"))
+            em.fit_full_model(trace, device_model, free=DEFAULT_FREE + ("g",))
         with pytest.raises(ParameterError, match="cannot free"):
             em.fit_full_model(trace, device_model, free=DEFAULT_FREE + ("omega_m",))
 
 
-class TestOuterProfile:
-    def test_scans_lie_about_the_start(self, device, device_model, monkeypatch):
-        # each pass scans delta_tilde / kappa over [-1, 1] at 33 nodes, in
-        # the coordinate the cost receives, whatever delta_tilde params holds
-        trace, _ = output_trace(device, 4000.0, seed=5, points=1024)
-        start = replace(device_model, delta_tilde=0.5 * device_model.kappa)
-        calls = recorded_profiles(monkeypatch)
-        em.fit_full_model(trace, start, free=DEFAULT_FREE + ("delta_tilde",))
-        assert calls
-        for (_, scan, _, _), _ in calls:
-            np.testing.assert_array_equal(scan, np.linspace(-1.0, 1.0, 33))
-
-    def test_message_counts_outer_nodes(self, device, device_model, monkeypatch):
+class TestWeightedPass:
+    def test_runs_once_per_irls_pass(self, device, device_model, monkeypatch):
+        # every pass is one call, warm-started from the last pass's own node
+        # and g; the message sums the calls' profile counts
         trace, _ = output_trace(device, 4000.0, seed=2, n_avg=20000, points=2048)
-        calls = recorded_profiles(monkeypatch)
-        fit = em.fit_full_model(trace, device_model, free=DEFAULT_FREE + ("delta_tilde",))
-        g_nodes, g_calls, nodes, outer_calls = (sum(c) for c in zip(*(res.counts for _, res in calls)))
-        assert f", {g_nodes} profile nodes in {g_calls} calls; delta_tilde profile: {nodes} nodes in {outer_calls} calls, 95% set bounded" in fit.message
-        assert re.match(rf"separable fit: {len(calls)} IRLS passes", fit.message)
-        assert sum(res.n_iter for _, res in calls) == fit.n_iter
-        # exact counts: each node's g profile warm-starts from its nearest
-        # costed node, and every bracketed profile ends at a predicted gain
-        # below _GAIN_TOL in cost
-        assert (g_nodes, g_calls, nodes, outer_calls) == (838, 230, 78, 6)
+        calls = recorded_passes(monkeypatch)
+        fit = em.fit_full_model(trace, device_model)
+        assert len(calls) >= 2 and fit.message.startswith(f"separable fit: {len(calls)} IRLS passes")
+        nodes, cost_calls = (sum(c) for c in zip(*(res.counts for _, res in calls)))
+        assert fit.message.endswith(f", {nodes} profile nodes in {cost_calls} calls")
+        assert calls[0][0][1:] == (device_model.g, None)
+        for ((_, g, start), _), (_, last) in zip(calls[1:], calls):
+            assert (g, start) == (last.params[0], last.node) and math.exp(last.node) == g
 
-    def test_open_profile_is_flagged(self, device, device_model):
-        # the README trace of seed 3 (`emcool simulate --seed 3`: +-2 MHz,
-        # n_avg 500) does not bound delta_tilde: its profile stays within
-        # 1.92 of its minimum at an end of [-kappa, kappa], so it is flagged
-        thermal = em.ThermalState.from_temperature(0.020, device.mech)
-        params = em.ModelParams.for_device(device, g=em.coupling_rate(device.coupling, device.mech, 4000.0),
-                                           n_m_T=thermal.n_m_T, n_add_eff=em.REFERENCE_N_ADD_EFF)
-        trace = em.generate_spectrum(params, em.NoiseConfig(n_avg=500, seed=3), freq_hz=grid_for(params))
-        fit = em.fit_full_model(trace, device_model, free=DEFAULT_FREE + ("delta_tilde",))
-        assert "delta_tilde" in fit.at_bound
-        assert "delta_tilde profile: " in fit.message and fit.message.endswith("95% set open")
+    @pytest.mark.parametrize("free", [DEFAULT_FREE, ("g", "n_add_eff", "n_c", "n_m_T"), ("n_m_T", "g", "n_add_eff")])
+    def test_last_params_are_the_fits_g_and_amplitudes(self, device, device_model, monkeypatch, free):
+        # g first, then the free amplitudes in the order of `free`
+        trace, _ = output_trace(device, 4000.0, seed=4, n_avg=20000, points=1024)
+        calls = recorded_passes(monkeypatch)
+        fit = em.fit_full_model(trace, device_model, free=free)
+        assert calls[-1][1].params == (fit.params["g"], *(fit.params[name] for name in free if name != "g"))
 
-    def test_pinned_g(self, device, device_model):
-        # without g in free each outer node costs the pinned g alone
+    def test_every_pass_profiles_the_fixed_scan(self, device, device_model, monkeypatch):
+        # each pass profiles g over one scan, fixed by kappa and gamma_m,
+        # whatever g params holds
+        trace, truth = output_trace(device, 4000.0, seed=5, points=1024)
+        calls = recorded_passes(monkeypatch)
+        for g in (0.0, truth.g, 3.0 * truth.g):
+            em.fit_full_model(trace, replace(device_model, g=g))
+        scan = calls[0][0][0]
+        assert math.exp(scan[0]) == pytest.approx(0.5 * math.sqrt(1e-3 * truth.kappa * truth.gamma_m))
+        assert math.exp(scan[-1]) == pytest.approx(10.0 * truth.kappa)
+        for (other, _, _), _ in calls:
+            np.testing.assert_array_equal(other, scan)
+
+    def test_pinned_g_passes_no_scan(self, device, device_model, monkeypatch):
+        # without g in free every pass keeps the pinned g and profiles nothing
         trace, truth = output_trace(device, 4000.0, seed=4, n_avg=20000, points=2048)
-        fit = em.fit_full_model(trace, replace(device_model, g=truth.g), free=("n_m_T", "n_c", "n_add_eff", "delta_tilde"))
-        assert "g" not in fit.params and "delta_tilde" not in fit.at_bound
-        assert abs(fit.params["delta_tilde"]) < 3.0 * fit.sigmas["delta_tilde"]
-        assert "0 profile nodes in 0 calls" in fit.message
-
+        calls = recorded_passes(monkeypatch)
+        fit = em.fit_full_model(trace, replace(device_model, g=truth.g), free=PINNED_G)
+        for (scan, g, start), res in calls:
+            assert scan is None and start is None and g == truth.g
+            assert (res.params[0], res.n_iter, res.node, res.counts) == (truth.g, 0, None, (0, 0))
+        assert fit.message.endswith(", 0 profile nodes in 0 calls")
+        assert calls and "g" not in fit.params and fit.step_costs == () and fit.n_iter == 0

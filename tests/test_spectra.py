@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -232,7 +233,7 @@ class TestSeparableBasis:
 
     @pytest.mark.parametrize("n_d,n_m_T,n_c,n_add_eff,dt", BASIS_CASES[1:])
     def test_complex_step_matches_central_difference(self, device, n_d, n_m_T, n_c, n_add_eff, dt):
-        # the fits differentiate the basis by complex steps in its shape parameters
+        # the fit differentiates the basis by a complex step in g; any shape parameter takes one
         params = model_params(device, n_d, n_m_T=n_m_T, n_c=n_c, n_add_eff=n_add_eff,
                               delta_tilde=dt * device.cavity.kappa)
         delta = np.linspace(-3 * device.cavity.kappa, 3 * device.cavity.kappa, 2048)
@@ -628,6 +629,18 @@ class TestTraceCsv:
         assert loaded.freq_hz.tobytes() == trace.freq_hz.tobytes()
         assert loaded.values.tobytes() == trace.values.tobytes()
         assert loaded.meta == {"n_avg": 5000}
+
+    @pytest.mark.parametrize("meta", [
+        {"device": "ref\nfreq_hz,value"}, {"device": "ref\r"}, {"device": " ref"}, {"device": "ref\t"},
+        {"a=b": "x"}, {"a\nb": 1}, {" n_avg": 500}, {"n_avg ": 500}, {"unit": "quanta"},
+    ])
+    def test_unreadable_metadata_rejected(self, meta):
+        # a key or string value that the reader would cut, strip or split
+        # is refused by the writer, naming the key, instead of written
+        trace = em.SpectrumTrace(np.arange(8.0) + 1.0, np.ones(8), em.SpectrumUnit.QUANTA, meta)
+        (key,) = meta
+        with pytest.raises(ParameterError, match=re.escape(f"trace metadata {key!r} cannot be read back")):
+            trace_to_csv(trace)
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed(self, case):
