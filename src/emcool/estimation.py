@@ -5,16 +5,16 @@ the spectrum is linear in n_add_eff, n_c and n_m_T, which are solved exactly
 by weighted NNLS at every trial g; g is profiled on a log scan from
 4g^2/kappa = 1e-3 gamma_m to 10 kappa, refined by bracketed parabolic steps
 of three-node stencils until the parabola predicts a gain below 1e-5 in
-cost (chi^2 / 2).  The fit is one IRLS loop of `fit_weighted` passes: each
-pass profiles g at the pass's weights, warm-started from the last pass's
-node, and solves its amplitudes from its normal equations at that g; the
-basis row s there (`spectra._basis_row`, the arithmetic of the normal
-equations) gives the pass's model, whose sigmas model/sqrt(n_avg) weight
-the next pass, and, after the last pass, J's amplitude columns, so the fit
-never evaluates `output_noise_values`.  The covariance is inv(J^T J) in the
-natural parameters, g's column a complex step of the basis; one J^T J
-serves it and the degeneracy check.  One `ModelParams` carries the pinned
-values.  kappa, delta_tilde and gamma_m are never fitted: they are measured
+cost (chi^2 / 2).  A per-trace object, `_TraceFit`, owns a trace's set-up
+(free set, g scan, shape factors, the map to the normal equations) and its
+IRLS state; `fit_full_model` drives it through passes of `fit_weighted`,
+each of which profiles g at the pass's weights, warm-started from the last
+pass's node, and solves the amplitudes at that g.  The basis row s there
+(`spectra._basis_row`, the arithmetic of the normal equations) gives the
+pass's model, whose sigmas model/sqrt(n_avg) weight the next pass, and,
+after the last pass, J in closed form: the basis, and g's column from
+ds/dg.  One J^T J serves the covariance inv(J^T J) and the degeneracy
+check.  kappa, delta_tilde and gamma_m are never fitted: they are measured
 independently, kappa and delta_tilde by a probe tone at each drive power
 and gamma_m from the low-drive line width.  Any subset of
 {g, n_m_T, n_c, n_add_eff} may be freed.
@@ -51,10 +51,8 @@ from .spectra import (
     SpectrumUnit,
     _basis_factors,
     _basis_row,
-    _basis_terms,
     _fit_line,
     _sigma_from_model,
-    noise_floor,
     output_noise_values,  # uncalled; benchmarks/tracing.py wraps this name until ROADMAP item 6 moves it
     peak_area,
 )
@@ -123,7 +121,6 @@ def fit_lorentzian(trace: SpectrumTrace) -> FitResult:
 
 # --- full output-spectrum fit ----------------------------------------------
 
-_BASIS_ARGS = ("g", "kappa", "kappa_ex", "gamma_m", "delta_tilde", "beta")  # of output_noise_basis
 # couplings solved together: on a 2-core Xeon the solve takes 17-29 us per
 # coupling at 16 rows of 4096 bins against 44-53 us at 4 rows (best of 30),
 # and no less at 32 or 64 rows, whose larger s only raises the peak memory
@@ -355,9 +352,6 @@ def _check_free(free: Sequence[str]) -> tuple[str, ...]:
     return free
 
 
-COMPLEX_STEP = 1e-20  # of the covariance's g column (Squire & Trapp, SIAM Rev. 40, 110 (1998))
-
-
 def _check_degenerate(jtj: np.ndarray, names: Sequence[str]) -> None:
     """Reject exactly zero columns of J and (scale-invariant) collinear
     pairs, read from J^T J."""
@@ -407,6 +401,83 @@ def fit_weighted(normal: _Pass, scan: np.ndarray | None, g: float, start: float 
     return WeightedFit((g, *amplitudes), len(step_costs) - n_steps, node, tuple(counts))
 
 
+class _TraceFit:
+    """One trace's separable fit: its set-up, built once, and its IRLS state,
+    the values and the sigmas that weight the next pass (from the data at
+    first).  A caller alternates `normal` and `update`, then takes `result`."""
+
+    def __init__(self, trace: SpectrumTrace, params: ModelParams, free: Sequence[str]) -> None:
+        if trace.unit is not SpectrumUnit.QUANTA:
+            raise UnitError(f"full-model fit needs a quanta trace, got {trace.unit.value}")
+        self.free = _check_free(free)
+        self.data, self.n_avg = trace.values, trace.n_avg
+        self.amps = amps = tuple(name for name in self.free if name in _AMPLITUDES)
+        self.values = dict(vars(params))
+        # normal equations = coef (weighted Gram matrix of 1, A, B, data) coef^T:
+        # one row per free amplitude, then data minus the fixed part of the model
+        coef = np.zeros((len(amps) + 1, 4))
+        coef[-1] = [-0.5, 0.0, 0.0, 1.0]
+        for j, name in enumerate(_AMPLITUDES):
+            if name in amps:
+                coef[amps.index(name), j] = 1.0
+            else:
+                coef[-1, j] -= self.values[name]
+        self.fold = _fold(coef)
+        self.scan = None
+        if "g" in self.free:  # 16 nodes per decade of g, from optical damping 4g^2/kappa = 1e-3 gamma_m to g = 10 kappa
+            self.scan = _log_scan(0.5 * math.sqrt(1e-3 * params.kappa * params.gamma_m), 10.0 * params.kappa)
+        delta = TWO_PI * trace.freq_hz - params.omega_m
+        self.shape = _basis_factors(delta, params.kappa, params.kappa_ex, params.gamma_m, params.delta_tilde, params.beta)
+        self.sigma = _sigma_from_model(self.data, self.n_avg)
+
+    def normal(self) -> _Pass:
+        """The normal equations under the weights of the current sigmas."""
+        return _Pass(self.shape, 1.0 / (self.sigma * self.sigma), self.data, self.fold)
+
+    def update(self, fitted: Sequence[float]) -> float:
+        """Take a pass's g and free amplitudes; the row s at that g gives the
+        model and the next sigmas.  Returns the sigmas' largest relative move."""
+        values, (_, _, k, _, mech) = self.values, self.shape
+        values.update(zip(("g", *self.amps), fitted))
+        g, self.s = values["g"], _basis_row(self.shape, values["g"])  # as in `_Pass.gram`
+        # 1/2 + n_add_eff + n_c A + n_m_T B with A = s K and B = 4 gamma_m g^2 s
+        self.model = 0.5 + values["n_add_eff"] + self.s * (values["n_c"] * k + values["n_m_T"] * (mech * (g * g)))
+        previous, self.sigma = self.sigma, _sigma_from_model(self.model, self.n_avg)
+        return float(np.max(np.abs(self.sigma - previous) / previous))
+
+    def result(self, step_costs: list, message: str) -> FitResult:
+        """The fit at the last pass: covariance, flags and residual."""
+        free, values, s = self.free, self.values, self.s
+        g, (p, _, k, numer, mech) = values["g"], self.shape
+        # Jacobian in the natural parameters at the last pass's row s: the
+        # amplitude columns are the basis A = s K, B = 4 gamma_m g^2 s, and
+        # g's column its closed-form derivative n_c K s' + n_m_T 4 gamma_m (2 g s + g^2 s')
+        columns = {"n_add_eff": np.ones_like(s), "n_c": s * k, "n_m_T": s * (mech * (g * g))}
+        if "g" in free:
+            ds = -16.0 * g * (4.0 * g * g + p) / numer * (s * s)  # s' = ds/dg
+            columns["g"] = values["n_c"] * k * ds + values["n_m_T"] * mech * (2.0 * g * s + g * g * ds)
+        jac = np.column_stack([columns[name] for name in free]) / self.sigma[:, None]
+        jtj = jac.T @ jac
+        amp = [free.index(name) for name in self.amps]
+        _check_degenerate(jtj[np.ix_(amp, amp)], self.amps)
+        covariance, sigmas = _covariance(jtj)
+        flagged = {name for name in self.amps if values[name] == 0.0}
+        # g is not identified at a scan end, nor when both amplitudes that carry it are zero
+        if "g" in free and (not math.exp(self.scan[0]) < g < math.exp(self.scan[-1]) or values["n_c"] == values["n_m_T"] == 0.0):
+            flagged.add("g")
+        resid = (self.data - self.model) / self.sigma
+        return FitResult(
+            params={name: values[name] for name in free},
+            sigmas=None if sigmas is None else dict(zip(free, sigmas.tolist())),
+            residual_rms=math.sqrt(float(resid @ resid) / self.data.size),
+            n_iter=len(step_costs),
+            covariance=covariance,
+            at_bound=tuple(name for name in free if name in flagged),
+            step_costs=tuple(step_costs),
+            message=message,
+        )
+
+
 def fit_full_model(
     trace: SpectrumTrace,
     params: ModelParams,
@@ -425,76 +496,16 @@ def fit_full_model(
     `message` gives the IRLS passes and the numbers of couplings the g
     profiles costed and of their cost calls.
     """
-    if trace.unit is not SpectrumUnit.QUANTA:
-        raise UnitError(f"full-model fit needs a quanta trace, got {trace.unit.value}")
-    free = _check_free(free)
-    n_avg = trace.n_avg
-    delta = TWO_PI * trace.freq_hz - params.omega_m
-    data = trace.values
-    amps = tuple(name for name in free if name in _AMPLITUDES)
-    values = dict(vars(params))
-    # normal equations = coef (weighted Gram matrix of 1, A, B, data) coef^T:
-    # one row per free amplitude, then data minus the fixed part of the model
-    k = len(amps)
-    coef = np.zeros((k + 1, 4))
-    coef[-1] = [-0.5, 0.0, 0.0, 1.0]
-    for j, name in enumerate(_AMPLITUDES):
-        if name in amps:
-            coef[amps.index(name), j] = 1.0
-        else:
-            coef[-1, j] -= values[name]
-    fold = _fold(coef)
-
-    scan = None
-    if "g" in free:  # 16 nodes per decade of g, from optical damping 4g^2/kappa = 1e-3 gamma_m to g = 10 kappa
-        scan = _log_scan(0.5 * math.sqrt(1e-3 * params.kappa * params.gamma_m), 10.0 * params.kappa)
+    fit = _TraceFit(trace, params, free)
     step_costs: list[tuple[float, float]] = []
     nodes = calls = 0  # of the g profiles
     node = None  # later passes warm-start the profile from the last one's node
-    sigma = _sigma_from_model(data, n_avg)
-    shape = _basis_factors(delta, params.kappa, params.kappa_ex, params.gamma_m, params.delta_tilde, params.beta)
     for passes in range(1, 5):  # IRLS: refresh the weights from the fitted model
-        res = fit_weighted(_Pass(shape, 1.0 / (sigma * sigma), data, fold), scan, values["g"], node, step_costs)
+        res = fit_weighted(fit.normal(), fit.scan, fit.values["g"], node, step_costs)
         node, nodes, calls = res.node, nodes + res.counts[0], calls + res.counts[1]
-        values.update(zip(("g", *amps), res.params))
-        g = values["g"]
-        s = _basis_row(shape, g)  # the row at the pass's g, as in gram: the model's and J's
-        fitted = ModelParams(**values)  # validates the pass's values
-        # 1/2 + n_add_eff + n_c A + n_m_T B with A = s K and B = 4 gamma_m g^2 s
-        model = noise_floor(fitted) + s * (fitted.n_c * shape[2] + fitted.n_m_T * (shape[4] * (g * g)))
-        sigma, previous = _sigma_from_model(model, n_avg), sigma
-        if np.max(np.abs(sigma - previous) / previous) < 1e-3:
+        if fit.update(res.params) < 1e-3:
             break
-
-    # Jacobian in the natural parameters: the amplitude columns are the
-    # basis at the last pass's row s, g's column its complex-step
-    # derivative (exact to rounding) from the same shape's factors
-    cav, mech = _basis_terms(shape, g, s)
-    columns = {"n_add_eff": np.ones_like(delta), "n_c": cav, "n_m_T": mech}
-    if "g" in free:
-        g_step = g + COMPLEX_STEP * 1j
-        cav, mech = _basis_terms(shape, g_step, _basis_row(shape, g_step))
-        columns["g"] = (values["n_c"] * cav + values["n_m_T"] * mech).imag / COMPLEX_STEP
-    jac = np.column_stack([columns[name] for name in free]) / sigma[:, None]
-    jtj = jac.T @ jac
-    amp = [free.index(name) for name in amps]
-    _check_degenerate(jtj[np.ix_(amp, amp)], amps)
-    covariance, sigmas = _covariance(jtj)
-    flagged = {name for name in amps if values[name] == 0.0}
-    # g is not identified at a scan end, nor when both amplitudes that carry it are zero
-    if "g" in free and (not math.exp(scan[0]) < values["g"] < math.exp(scan[-1]) or values["n_c"] == values["n_m_T"] == 0.0):
-        flagged.add("g")
-    resid = (data - model) / sigma
-    return FitResult(
-        params={name: values[name] for name in free},
-        sigmas=None if sigmas is None else dict(zip(free, sigmas.tolist())),
-        residual_rms=math.sqrt(float(resid @ resid) / data.size),
-        n_iter=len(step_costs),
-        covariance=covariance,
-        at_bound=tuple(name for name in free if name in flagged),
-        step_costs=tuple(step_costs),
-        message=f"separable fit: {passes} IRLS passes, {nodes} profile nodes in {calls} calls",
-    )
+    return fit.result(step_costs, f"separable fit: {passes} IRLS passes, {nodes} profile nodes in {calls} calls")
 
 
 # --- temperature-sweep calibration of G ------------------------------------
@@ -756,19 +767,16 @@ def analyze_cooling_sweep(
     sweep: Sequence[tuple[float, SpectrumTrace]],
     device: DeviceParams,
     thermal: ThermalState,
-    free: Sequence[str] = DEFAULT_FREE,
 ) -> CoolingCurve:
     """Fit every drive power of a cooling sweep and assemble the curve.
 
     Per point: full-model fit of one `ModelParams.for_device` at the
     calibrated sqrt(n_d) coupling and the thermal occupancies, which pins
-    every parameter not in `free` (kappa, delta_tilde etc. from the device;
-    g to the sqrt(n_d) value), cooled occupancy from the fitted bath
-    parameters, imprecision quanta from the fitted chain noise, and the
-    relative deviation of a fitted g from the sqrt(n_d) prediction.
-    A `free` that `fit_full_model` refuses raises ParameterError before
-    any fit, and so does one without n_add_eff, which has no device
-    value.  Two per-point identifiability guards drop names from the free
+    every parameter outside `DEFAULT_FREE` (kappa, delta_tilde etc. from
+    the device) and any that a guard pins, cooled occupancy from the fitted
+    bath parameters, imprecision quanta from the fitted chain noise, and
+    the relative deviation of a fitted g from the sqrt(n_d) prediction.
+    Two per-point identifiability guards drop names from the free
     set: n_c, pinned to the thermal state, when the trace window
     cannot resolve the cavity mode, and g, pinned to the sqrt(n_d) value,
     when the predicted radiation-pressure broadening is below 10% of
@@ -781,9 +789,6 @@ def analyze_cooling_sweep(
     of `final_occupancy`.
     """
     cavity, mech = device.cavity, device.mech
-    free = _check_free(free)  # once, so that a bad set raises instead of failing every point
-    if "n_add_eff" not in free:
-        raise ParameterError("the sweep has no value to pin n_add_eff to: it must be free")
     points: list[SweepPoint] = []
     # a nan n_d would leave the sort's order undefined
     excluded = [(n_d, f"ParameterError: n_d must be finite, got {n_d!r}") for n_d, _ in sweep if not math.isfinite(n_d)]
@@ -794,10 +799,9 @@ def analyze_cooling_sweep(
                 raise ParameterError(f"duplicate n_d: an earlier entry has n_d = {n_d!r}")
             seen.add(n_d)
             g_pred = coupling_rate(device.coupling, mech, n_d)
-            # device values, thermal occupancies and the sqrt(n_d) coupling:
-            # pinned, or the start when freed
+            # device values, thermal occupancies and the sqrt(n_d) coupling, where pinned
             point_params = ModelParams.for_device(device, g=g_pred, n_m_T=thermal.n_m_T, n_c=thermal.n_c)
-            point_free = free
+            point_free = DEFAULT_FREE
             # n_c rides on the kappa-wide cavity mode; a window that does not
             # resolve it leaves n_c degenerate with n_add_eff, so pin it there
             halfspan_rad = math.pi * (trace.freq_hz[-1] - trace.freq_hz[0])

@@ -240,7 +240,8 @@ def output_noise_basis(delta, g, kappa: float, kappa_ex: float, gamma_m: float,
     complex parameters give complex-step derivatives.
     """
     factors = _basis_factors(np.asarray(delta, dtype=float), kappa, kappa_ex, gamma_m, delta_tilde, beta)
-    return _basis_terms(factors, g, _basis_row(factors, g))
+    s = _basis_row(factors, g)
+    return s * factors[2], s * (factors[4] * np.square(g))
 
 
 def _basis_factors(delta: np.ndarray, kappa: float, kappa_ex: float, gamma_m: float, delta_tilde: float, beta: float):
@@ -267,11 +268,6 @@ def _basis_row(factors: tuple, g) -> np.ndarray:
     np.square(s, out=s)
     s += q2
     return np.divide(numer, s, out=s)
-
-
-def _basis_terms(factors: tuple, g, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The basis A = s K and B = 4 gamma_m g^2 s from the row s at g."""
-    return s * factors[2], s * (factors[4] * np.square(g))
 
 
 def output_noise_spectrum(freq_hz, params: ModelParams, meta: dict | None = None) -> SpectrumTrace:

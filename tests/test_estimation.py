@@ -17,6 +17,8 @@ from emcool.synth import periodogram_factors
 from conftest import gamma_total_at, model_params, output_trace
 
 TWO_PI = 2.0 * math.pi
+# the arguments of output_noise_basis after delta
+BASIS_ARGS = ("g", "kappa", "kappa_ex", "gamma_m", "delta_tilde", "beta")
 
 
 def profile_case_trace(device, case):
@@ -344,26 +346,56 @@ class TestFitFullModel:
         assert fit.params["g"] == math.exp(log_g) and "g" not in fit.at_bound
         assert least <= f <= least + _GAIN_TOL
 
-    @pytest.mark.parametrize("case", ["readme", "sweep"])
-    def test_model_and_amplitude_columns_match_the_spectrum(self, device, device_model, monkeypatch, case):
-        # the last IRLS model, built from the pass's row s, is the spectrum
-        # at the fitted values, and J's amplitude columns, which come from
-        # the same row, are the basis (compared through J^T J)
-        trace = profile_case_trace(device, case)
+    @staticmethod
+    def fit_with_gram(trace, device_model, monkeypatch):
+        """A default fit, its last IRLS model and its J^T J."""
         models, grams = [], []
         sigma_from_model, covariance = estimation._sigma_from_model, estimation._covariance
         monkeypatch.setattr(
             estimation, "_sigma_from_model", lambda model, n_avg: models.append(model) or sigma_from_model(model, n_avg)
         )
         monkeypatch.setattr(estimation, "_covariance", lambda jtj: grams.append(jtj) or covariance(jtj))
-        fit = em.fit_full_model(trace, device_model)
+        return em.fit_full_model(trace, device_model), models[-1], grams[-1]
+
+    @pytest.mark.parametrize("case", ["readme", "sweep"])
+    def test_model_and_amplitude_columns_match_the_spectrum(self, device, device_model, monkeypatch, case):
+        # the last IRLS model, built from the pass's row s, is the spectrum
+        # at the fitted values, and J's amplitude columns, which come from
+        # the same row, are the basis (compared through J^T J)
+        trace = profile_case_trace(device, case)
+        fit, model, gram = self.fit_with_gram(trace, device_model, monkeypatch)
         params = replace(device_model, **fit.params)
         delta = TWO_PI * trace.freq_hz - params.omega_m
-        np.testing.assert_allclose(models[-1], em.output_noise_values(delta, params), rtol=1e-13, atol=0.0)
-        cav, mech = output_noise_basis(delta, *(getattr(params, name) for name in estimation._BASIS_ARGS))
-        jac = np.column_stack([np.ones_like(delta), cav, mech]) / sigma_from_model(models[-1], trace.n_avg)[:, None]
+        np.testing.assert_allclose(model, em.output_noise_values(delta, params), rtol=1e-13, atol=0.0)
+        cav, mech = output_noise_basis(delta, *(getattr(params, name) for name in BASIS_ARGS))
+        jac = np.column_stack([np.ones_like(delta), cav, mech]) / estimation._sigma_from_model(model, trace.n_avg)[:, None]
         amps = [DEFAULT_FREE.index(name) for name in ("n_add_eff", "n_c", "n_m_T")]
-        np.testing.assert_allclose(grams[-1][np.ix_(amps, amps)], jac.T @ jac, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(gram[np.ix_(amps, amps)], jac.T @ jac, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("case", ["readme", "sweep"])
+    def test_g_column_matches_a_central_difference(self, device, device_model, monkeypatch, case):
+        # J's g column is the closed-form derivative of the basis at the
+        # last pass's row s; against a central difference of
+        # output_noise_basis, through every entry of J^T J
+        trace = profile_case_trace(device, case)
+        fit, model, gram = self.fit_with_gram(trace, device_model, monkeypatch)
+        params = replace(device_model, **fit.params)
+        delta = TWO_PI * trace.freq_hz - params.omega_m
+        args = {name: getattr(params, name) for name in BASIS_ARGS}
+
+        def basis(g):
+            return output_noise_basis(delta, **{**args, "g": g})
+
+        h = 1e-5 * params.g
+        (cav_hi, mech_hi), (cav_lo, mech_lo) = basis(params.g + h), basis(params.g - h)
+        cav, mech = basis(params.g)
+        columns = {"n_add_eff": np.ones_like(delta), "n_c": cav, "n_m_T": mech,
+                   "g": (params.n_c * (cav_hi - cav_lo) + params.n_m_T * (mech_hi - mech_lo)) / (2.0 * h)}
+        jac = np.column_stack([columns[name] for name in DEFAULT_FREE])
+        jac /= estimation._sigma_from_model(model, trace.n_avg)[:, None]
+        explicit = jac.T @ jac
+        norms = np.sqrt(np.diag(explicit))
+        assert np.max(np.abs(gram - explicit) / np.outer(norms, norms)) < 1e-8
 
     def test_one_basis_evaluation_per_fit(self, device, device_model, monkeypatch):
         # a default-free-set fit forms the shape's factors once and every
@@ -478,7 +510,7 @@ class TestSeparableNormalEquations:
             lo = 0.5 * math.sqrt(1e-3 * vals["kappa"] * vals["gamma_m"])
             g = np.exp(rng.uniform(math.log(lo), math.log(10.0 * vals["kappa"]), 7))
             g = np.append(g, 10.0 * vals["kappa"])  # 4 g^2 = 400 kappa^2
-            args = [vals[name] for name in estimation._BASIS_ARGS[1:]]
+            args = [vals[name] for name in BASIS_ARGS[1:]]
             gram = _Pass(_basis_factors(delta, *args), w, data, estimation._fold(np.eye(4))).gram(g)
             cav, mech = output_noise_basis(delta, g[:, None], *args)
             design = np.stack(np.broadcast_arrays(1.0, cav, mech, data), axis=-1)
@@ -492,7 +524,7 @@ class TestSeparableNormalEquations:
         trace, _ = output_trace(device, 1e4, n_m_T=39.0, seed=0)
         kappa, gamma_m = device_model.kappa, device_model.gamma_m
         delta = TWO_PI * trace.freq_hz - device_model.omega_m
-        args = [getattr(device_model, name) for name in estimation._BASIS_ARGS[1:]]
+        args = [getattr(device_model, name) for name in BASIS_ARGS[1:]]
         w = trace.values**-2.0 * trace.n_avg
         normal = _Pass(_basis_factors(delta, *args), w, trace.values, estimation._fold(np.eye(4)))
         g = np.exp(estimation._log_scan(0.5 * math.sqrt(1e-3 * kappa * gamma_m), 10.0 * kappa))
@@ -503,6 +535,23 @@ class TestSeparableNormalEquations:
         monkeypatch.setattr(estimation, "_nnls", lambda normal: rows.append(normal.shape[0]) or nnls(normal))
         assert np.array_equal(normal.cost(g), np.concatenate(blocks))
         assert rows == [g.size]
+
+
+class TestTraceFit:
+    def test_summed_profile_cost_is_least_at_the_true_coupling(self, device):
+        # a joint sweep fit is a loop over per-trace fits that share one G,
+        # g_i = G x_zp sqrt(n_d,i): on two noiseless traces the sum of their
+        # profile costs, each at its data's weights, is least on the true G's node
+        x_zp = em.zero_point_motion(device.mech)
+        grid = em.sideband_grid(device.mech.omega_m, 0.0, device.cavity.kappa, points=4096, halfspan_hz=600e3)
+        fits = []
+        for n_d in (1e4, 1e5):
+            params = model_params(device, n_d, n_m_T=39.0)
+            trace = em.output_noise_spectrum(grid, params, meta={"n_avg": 20000})
+            fits.append((math.sqrt(n_d), estimation._TraceFit(trace, params, DEFAULT_FREE)))
+        G = device.coupling.G * np.exp(np.linspace(-math.log(2.0), math.log(2.0), 41))
+        total = sum(fit.normal().cost(G * x_zp * root) for root, fit in fits)
+        assert np.argmin(total) == 20  # G = 1.0x truth
 
 
 # 16 nodes per decade over three decades, like the fit's scan of g
@@ -907,38 +956,6 @@ class TestAnalyzeCoolingSweep:
             # flat at the bath occupancy within the reported error bars
             assert abs(sp.point.n_m - 39.0) <= max(3 * sp.n_m_sigma, 0.05 * 39.0)
             assert math.isnan(sp.g_rel_deviation)  # g not fitted here
-
-    def test_free_set_without_g_pins_g_everywhere(self, device):
-        # g left out of free: every point pins it to the sqrt(n_d)
-        # prediction, as the weak-drive guard does
-        entries = cooling_sweep_entries(device, SWEEP_SPECS)
-        thermal = em.ThermalState(n_m_T=39.0, n_c=0.0)
-        curve = em.analyze_cooling_sweep(entries, device, thermal, free=("n_m_T", "n_c", "n_add_eff"))
-        assert curve.excluded == ()
-        assert len(curve.points) == len(SWEEP_SPECS)
-        for sp in curve.points:
-            assert sp.point.g == em.coupling_rate(device.coupling, device.mech, sp.point.n_d)
-            assert "g" not in sp.fit.params
-            assert math.isnan(sp.g_rel_deviation)
-
-    @pytest.mark.parametrize("free", [
-        ("n_add_eff", "beta"),  # not freeable
-        ("n_m_T", "n_add_eff", "n_m_T"),  # a duplicate
-        ("n_m_T", "g", "n_add_eff", "kappa"),  # measured independently
-    ])
-    def test_bad_free_set_raises_before_any_fit(self, device, monkeypatch, free):
-        # once every point was excluded with the same error, and the sweep
-        # returned an empty curve
-        entries = cooling_sweep_entries(device, SWEEP_SPECS[:2])
-        monkeypatch.setattr(estimation, "fit_full_model", lambda *a, **k: pytest.fail("fit before the check"))
-        with pytest.raises(ParameterError, match="cannot free|duplicate"):
-            em.analyze_cooling_sweep(entries, device, em.ThermalState(39.0, 0.0), free=free)
-
-    def test_free_set_without_n_add_eff_raises(self, device):
-        entries = cooling_sweep_entries(device, SWEEP_SPECS[:2])
-        thermal = em.ThermalState(n_m_T=39.0, n_c=0.0)
-        with pytest.raises(ParameterError, match="n_add_eff"):
-            em.analyze_cooling_sweep(entries, device, thermal, free=("n_m_T", "n_c", "g"))
 
     def test_bad_point_excluded_with_diagnostic(self, device):
         entries = cooling_sweep_entries(device, SWEEP_SPECS[:3])

@@ -233,7 +233,7 @@ class TestSeparableBasis:
 
     @pytest.mark.parametrize("n_d,n_m_T,n_c,n_add_eff,dt", BASIS_CASES[1:])
     def test_complex_step_matches_central_difference(self, device, n_d, n_m_T, n_c, n_add_eff, dt):
-        # the fit differentiates the basis by a complex step in g; any shape parameter takes one
+        # complex parameters give exact derivatives of the basis: g and any shape parameter
         params = model_params(device, n_d, n_m_T=n_m_T, n_c=n_c, n_add_eff=n_add_eff,
                               delta_tilde=dt * device.cavity.kappa)
         delta = np.linspace(-3 * device.cavity.kappa, 3 * device.cavity.kappa, 2048)
