@@ -17,17 +17,13 @@ from .device import (
     load_device,
     quality_factor,
     reference_device,
-    save_device,
-    temperature_for_occupancy,
     zero_point_motion,
 )
 from .dynamics import (
     CoolingPoint,
-    CouplingRegime,
     DriveConfig,
     ThermalState,
     coupling_rate,
-    coupling_regime,
     drive_power_for_photons,
     final_occupancy,
     final_occupancy_2nd_order,
@@ -57,12 +53,8 @@ from .estimation import (
 )
 from .limits import (
     LimitReport,
-    MeasurementChain,
-    backaction_asymptote,
-    effective_added_noise,
     heisenberg_product,
     imprecision_from_chain,
-    imprecision_quanta,
     total_force_psd,
 )
 from .spectra import (
@@ -71,18 +63,14 @@ from .spectra import (
     SpectrumUnit,
     cavity_susceptibility,
     convert_trace,
-    displacement_from_output,
     dressed_mech_susceptibility,
-    integrate_mech_peak,
     mech_susceptibility,
     noise_floor,
     output_noise_spectrum,
     output_noise_values,
     read_trace,
-    self_energy,
     sideband_grid,
     thermal_displacement_psd,
-    weak_coupling_spectrum,
     write_trace,
 )
 from .synth import NoiseConfig, generate_spectrum

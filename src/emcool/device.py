@@ -2,7 +2,7 @@
 
 All rates are stored in angular units (rad/s).  File formats and the CLI
 speak ordinary frequencies (Hz); the 2*pi conversion happens exactly once,
-at the boundary (`load_device` / `save_device`).
+at the boundary (`load_device` / `device_file_text`).
 """
 from __future__ import annotations
 
@@ -14,8 +14,8 @@ from .constants import HBAR, K_B, TWO_PI
 from .errors import DeviceFileError, ParameterError
 
 # Effective added noise of the reference measurement chain, in quanta.
-# This is the measured end-to-end value; the beam-splitter loss model with
-# n_add=0.8 and 2.5 dB of line loss predicts 1.81 (see limits module).
+# This is the measured end-to-end value; a beam-splitter loss model,
+# n_add/eta + (1 - eta)/(2 eta) with n_add=0.8 and 2.5 dB of line loss, predicts 1.81.
 REFERENCE_N_ADD_EFF = 2.1
 
 
@@ -132,18 +132,6 @@ def bose_occupancy(temperature: float, omega: float) -> float:
     return 1.0 / math.expm1(x)
 
 
-def temperature_for_occupancy(n: float, omega: float) -> float:
-    """Temperature at which a mode at `omega` holds `n` thermal quanta.
-
-    Exact inverse of `bose_occupancy`: T = hbar*omega / (k_B ln(1 + 1/n)).
-    """
-    if not omega > 0.0:
-        raise ParameterError(f"omega must be > 0, got {omega!r}")
-    if not n > 0.0:
-        raise ParameterError(f"occupancy must be > 0, got {n!r}")
-    return HBAR * omega / (K_B * math.log1p(1.0 / n))
-
-
 # --- device parameter files -------------------------------------------------
 #
 # Flat UTF-8 key=value text.  Keys suffixed _hz hold ordinary frequencies and
@@ -224,10 +212,6 @@ def device_file_text(device: DeviceParams, comments: dict[str, str] | None = Non
             lines.append(f"# {comments[key]}")
         lines.append(f"{key}={values[key]:.17g}")
     return "\n".join(lines) + "\n"
-
-
-def save_device(device: DeviceParams, path: str | Path) -> None:
-    Path(path).write_text(device_file_text(device), encoding="utf-8")
 
 
 def reference_device() -> DeviceParams:

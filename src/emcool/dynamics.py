@@ -2,13 +2,12 @@
 
 Covers the parametric coupling rate, sideband scattering rates, total
 mechanical linewidth, the final occupancy to first and second order in
-1/omega_m, photon-number/power conversions, thermal storage time and the
-coupling-regime classifier.  Everything is a pure function of immutable
-inputs; only the red-detuned steady state is modeled (no transients).
+1/omega_m, photon-number/power conversions and the thermal storage time.
+Everything is a pure function of immutable inputs; only the red-detuned
+steady state is modeled (no transients).
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -123,12 +122,6 @@ class CoolingPoint:
             raise ParameterError("occupancies must be >= 0")
         if not self.gamma_total > 0.0:
             raise ParametricInstabilityError("gamma_total must be > 0 in a cooling point")
-
-
-class CouplingRegime(enum.Enum):
-    WEAK = "weak"
-    COOLING = "cooling"
-    STRONG = "strong"
 
 
 def coupling_rate(coupling: Coupling, mech: MechanicalMode, n_d: float) -> float:
@@ -269,27 +262,6 @@ def storage_time(state: ThermalState, gamma_m: float) -> float:
     if state.n_m_T == 0.0:
         return math.inf
     return 1.0 / (state.n_m_T * gamma_m)
-
-
-def coupling_regime(g: float, kappa: float, gamma_m: float, n_m_T: float) -> CouplingRegime:
-    """Classify an operating point.
-
-    weak    : 4 g^2 < kappa Gamma_m  (backaction below intrinsic damping)
-    strong  : 2 g > kappa / sqrt(2)  (normal-mode splitting resolved)
-    cooling : everything in between; the boundary 4g^2 = kappa*Gamma_m is
-              assigned to cooling.
-
-    The splitting-onset criterion 2g > kappa/sqrt(2) is used for the strong
-    boundary; the looser 2g > kappa/2 sometimes quoted for "strong coupling"
-    is deliberately not used, so the classification is unambiguous.
-    """
-    if not (g >= 0.0 and kappa > 0.0 and gamma_m > 0.0 and n_m_T >= 0.0):
-        raise ParameterError("rates must be positive and occupancy non-negative")
-    if 2.0 * g > kappa / math.sqrt(2.0):
-        return CouplingRegime.STRONG
-    if 4.0 * g * g < kappa * gamma_m:
-        return CouplingRegime.WEAK
-    return CouplingRegime.COOLING
 
 
 def predict_cooling_point(device: DeviceParams, thermal: ThermalState, n_d: float) -> CoolingPoint:

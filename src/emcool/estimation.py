@@ -96,12 +96,6 @@ class FitResult:
 
 # --- Lorentzian peak fit -------------------------------------------------------
 
-def lorentzian_model(freq_hz: np.ndarray, center: float, fwhm: float, area: float, floor: float) -> np.ndarray:
-    """floor + Lorentzian with unit-normalized area (peak height 2 area/(pi fwhm))."""
-    x = 2.0 * (freq_hz - center) / fwhm
-    return floor + (2.0 * area / (math.pi * fwhm)) / (1.0 + x * x)
-
-
 def fit_lorentzian(trace: SpectrumTrace) -> FitResult:
     """Fit floor + Lorentzian to a single peak: the line fit of `peak_area`, with
     the covariance inv(J^T J) under the sigmas model/sqrt(n_avg), not rescaled

@@ -1,5 +1,6 @@
-"""Measurement-limit algebra: imprecision, backaction, added noise, and the
-imprecision-backaction product against the Heisenberg bound."""
+"""Measurement-limit algebra: the imprecision of the detection chain, the
+force noise, and the imprecision-backaction product against the Heisenberg
+bound."""
 from __future__ import annotations
 
 import json
@@ -10,65 +11,6 @@ from dataclasses import asdict, dataclass
 from .constants import HBAR
 from .device import MechanicalMode
 from .errors import ParameterError
-
-
-@dataclass(frozen=True)
-class MeasurementChain:
-    """Detector added noise plus transmission losses between cavity and detector.
-
-    n_add : added noise of the detector itself (quanta); >= 1/2 for any
-            phase-preserving amplifier (smaller values raise a warning).
-    eta   : power transmission efficiency in (0, 1].
-    """
-
-    n_add: float
-    eta: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.eta <= 1.0:
-            raise ParameterError(f"eta must lie in (0, 1], got {self.eta!r}")
-        if self.n_add < 0.0:
-            raise ParameterError(f"n_add must be >= 0, got {self.n_add!r}")
-        if self.n_add < 0.5:
-            warnings.warn(
-                f"n_add={self.n_add} below the phase-preserving minimum of 1/2",
-                stacklevel=2,
-            )
-
-    @classmethod
-    def with_loss_db(cls, n_add: float, loss_db: float) -> "MeasurementChain":
-        """Build a chain from a loss figure in dB (stored as linear eta)."""
-        if loss_db < 0.0:
-            raise ParameterError(f"loss_db must be >= 0, got {loss_db!r}")
-        return cls(n_add=n_add, eta=10.0 ** (-loss_db / 10.0))
-
-    @property
-    def n_add_eff(self) -> float:
-        return effective_added_noise(self)
-
-
-def effective_added_noise(chain: MeasurementChain) -> float:
-    """Added noise referred to the cavity output: n_add/eta + (1-eta)/(2 eta).
-
-    Models the loss as a beam splitter that transmits a fraction eta and
-    admixes (1-eta) of vacuum.  Equals n_add at eta=1.
-    """
-    if not 0.0 < chain.eta <= 1.0:
-        raise ParameterError(f"eta must lie in (0, 1], got {chain.eta!r}")
-    return chain.n_add / chain.eta + (1.0 - chain.eta) / (2.0 * chain.eta)
-
-
-def imprecision_quanta(s_x_imp: float, gamma_total: float, x_zp: float) -> float:
-    """Imprecision floor expressed as equivalent mechanical quanta.
-
-    n_imp = gamma_total * S_x_imp / (8 x_zp^2); identical to the
-    m*omega_m*gamma_total/(4 hbar) form since x_zp^2 = hbar/(2 m omega_m).
-    """
-    if s_x_imp < 0.0:
-        raise ParameterError(f"s_x_imp must be >= 0, got {s_x_imp!r}")
-    if not (gamma_total > 0.0 and x_zp > 0.0):
-        raise ParameterError("gamma_total and x_zp must be > 0")
-    return gamma_total * s_x_imp / (8.0 * x_zp * x_zp)
 
 
 def imprecision_from_chain(
@@ -104,17 +46,6 @@ def total_force_psd(mech: MechanicalMode, gamma_total: float, n_m: float) -> flo
     if n_m < 0.0:
         raise ParameterError(f"n_m must be >= 0, got {n_m!r}")
     return 4.0 * HBAR * mech.omega_m * mech.mass * gamma_total * (n_m + 0.5)
-
-
-def backaction_asymptote(mech: MechanicalMode, gamma_total: float) -> tuple[float, float]:
-    """Large-drive backaction force PSD and its quanta equivalent.
-
-    Returns (S_F_ba, n_ba) = (2 hbar omega_m m gamma_total, 1/2): the
-    red-detuned measurement backaction saturates at half a quantum.
-    """
-    if not gamma_total > 0.0:
-        raise ParameterError(f"gamma_total must be > 0, got {gamma_total!r}")
-    return 2.0 * HBAR * mech.omega_m * mech.mass * gamma_total, 0.5
 
 
 def heisenberg_product(n_imp: float, n_ba: float, red_detuned: bool = True) -> float:

@@ -18,7 +18,6 @@ import numpy as np
 
 from .constants import HBAR, TWO_PI
 from .device import DeviceParams, MechanicalMode, zero_point_motion
-from .dynamics import DriveConfig
 from ._g17 import format_rows
 from .errors import ParameterError, PeakDetectionError, UnitError
 
@@ -92,8 +91,7 @@ class ModelParams:
     """Parameters of the output noise spectrum model.
 
     All rates in rad/s; occupancies and n_add_eff in quanta.  omega_m anchors
-    the offset coordinate on absolute-frequency grids and enters the exact
-    (non-rotating-wave) self-energy.
+    the offset coordinate on absolute-frequency grids.
     """
 
     g: float
@@ -158,7 +156,7 @@ def noise_floor(params: ModelParams) -> float:
     return 0.5 + params.n_add_eff
 
 
-# --- susceptibilities and self-energy ----------------------------------------
+# --- susceptibilities ---------------------------------------------------------
 
 def cavity_susceptibility(delta, kappa: float, delta_tilde: float):
     """Cavity response 1/(kappa/2 + j(delta + delta_tilde)); |chi| peaks at delta=-delta_tilde."""
@@ -174,32 +172,17 @@ def mech_susceptibility(delta, gamma_m: float):
     return 1.0 / (0.5 * gamma_m + 1j * np.asarray(delta, dtype=float))
 
 
-def self_energy(delta, g: float, kappa: float, delta_tilde: float, omega_m: float, approx: bool = False):
-    """Optomechanical self-energy Sigma(delta).
+def dressed_mech_susceptibility(delta, params: ModelParams):
+    """Mechanical response dressed by the drive, 1/(chi_m^-1 + g^2 chi_c).
 
-    Exact form -j g^2 [chi_c(delta) - chi_c*(delta + 2 omega_m)]; with
-    approx=True the counter-rotating chi_c* term is dropped (valid for
-    |delta_tilde| << omega_m and omega_m >> kappa).
-    """
-    if not (kappa > 0.0 and omega_m > 0.0):
-        raise ParameterError("kappa and omega_m must be > 0")
-    chi = cavity_susceptibility(delta, kappa, delta_tilde)
-    if approx:
-        return -1j * g * g * chi
-    chi_cr = cavity_susceptibility(np.asarray(delta, dtype=float) + 2.0 * omega_m, kappa, delta_tilde)
-    return -1j * g * g * (chi - np.conj(chi_cr))
-
-
-def dressed_mech_susceptibility(delta, params: ModelParams, approx: bool = False):
-    """Mechanical response dressed by the drive, chi_m / (1 + j chi_m Sigma).
-
-    With approx=True this equals the closed form
-    chi_c^-1 / (g^2 + chi_m^-1 chi_c^-1) identically.
+    This is chi_m / (1 + j chi_m Sigma) with the rotating-wave self-energy
+    Sigma = -j g^2 chi_c, the approximation `output_noise_values` makes.  With
+    `cavity_susceptibility` and `mech_susceptibility` it rebuilds that closed
+    form independently (`TestOutputNoiseOracle` in tests/test_spectra.py).
     """
     delta = np.asarray(delta, dtype=float)
-    sigma = self_energy(delta, params.g, params.kappa, params.delta_tilde, params.omega_m, approx=approx)
-    # chi_m/(1 + j chi_m Sigma) written as 1/(chi_m^-1 + j Sigma)
-    return 1.0 / (0.5 * params.gamma_m + 1j * delta + 1j * sigma)
+    chi_c = cavity_susceptibility(delta, params.kappa, params.delta_tilde)
+    return 1.0 / (0.5 * params.gamma_m + 1j * delta + params.g * params.g * chi_c)
 
 
 # --- output noise spectrum ----------------------------------------------------
@@ -236,8 +219,7 @@ def output_noise_basis(delta, g, kappa: float, kappa_ex: float, gamma_m: float,
                        delta_tilde: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Terms A, B of S/(hbar omega) = 1/2 + n_add' + n_c A + n_m^T B (`output_noise_values`).
 
-    `g` may broadcast against `delta` (shape (m, 1): a row per coupling);
-    complex parameters give complex-step derivatives.
+    `g` may broadcast against `delta` (shape (m, 1): a row per coupling).
     """
     factors = _basis_factors(np.asarray(delta, dtype=float), kappa, kappa_ex, gamma_m, delta_tilde, beta)
     s = _basis_row(factors, g)
@@ -260,7 +242,7 @@ def _basis_factors(delta: np.ndarray, kappa: float, kappa_ex: float, gamma_m: fl
 
 def _basis_row(factors: tuple, g) -> np.ndarray:
     """s = 4 beta kappa_ex / ((4 g^2 + P)^2 + Q^2) from `_basis_factors`: a
-    row per coupling when g has shape (m, 1), complex for a complex step.
+    row per coupling when g has shape (m, 1).
     Every real g gives a finite row: the model has no pole on the real axis
     (see `output_noise_values`)."""
     p, q2, _, numer, _ = factors
@@ -271,7 +253,7 @@ def _basis_row(factors: tuple, g) -> np.ndarray:
 
 
 def output_noise_spectrum(freq_hz, params: ModelParams, meta: dict | None = None) -> SpectrumTrace:
-    """Evaluate the exact output spectrum on an absolute frequency grid (Hz)."""
+    """Evaluate `output_noise_values` on an absolute frequency grid (Hz)."""
     freq_hz = np.asarray(freq_hz, dtype=float)
     delta = TWO_PI * freq_hz - params.omega_m
     values = output_noise_values(delta, params)
@@ -279,75 +261,6 @@ def output_noise_spectrum(freq_hz, params: ModelParams, meta: dict | None = None
     if meta:
         out_meta.update(meta)
     return SpectrumTrace(freq_hz=freq_hz, values=values, unit=SpectrumUnit.QUANTA, meta=out_meta)
-
-
-def weak_coupling_values(delta, params: ModelParams) -> tuple[np.ndarray, list[str]]:
-    """Lorentzian weak-coupling limit of the output spectrum, plus validity warnings.
-
-    S/(hbar omega) = 1/2 + n_add' + 4 beta (kappa_ex/kappa) Gamma gamma_m n_m^T
-                     / ((gamma_m + Gamma)^2 + 4 delta^2),   Gamma = 4 g^2 / kappa.
-    """
-    delta = np.asarray(delta, dtype=float)
-    warnings_: list[str] = []
-    if params.delta_tilde != 0.0:
-        warnings_.append("weak-coupling form assumes delta_tilde=0; nonzero value ignored")
-    if 4.0 * params.g**2 >= params.kappa * params.gamma_m * 1e3:
-        warnings_.append("coupling outside weak regime (4g^2 >= 1e3 kappa gamma_m)")
-    if params.n_m_T > 0.0 and params.n_c > 0.01 * params.n_m_T:
-        warnings_.append("cavity occupancy not negligible against n_m_T")
-    if delta.size and np.max(np.abs(delta)) >= params.kappa / 10.0:
-        warnings_.append("grid extends beyond |delta| < kappa/10 validity band")
-    gamma_opt = 4.0 * params.g**2 / params.kappa
-    lorentz = (
-        4.0 * params.beta * (params.kappa_ex / params.kappa) * gamma_opt
-        * params.gamma_m * params.n_m_T
-        / ((params.gamma_m + gamma_opt) ** 2 + 4.0 * delta * delta)
-    )
-    return noise_floor(params) + lorentz, warnings_
-
-
-def weak_coupling_spectrum(freq_hz, params: ModelParams, meta: dict | None = None) -> SpectrumTrace:
-    """Weak-coupling Lorentzian spectrum on an absolute grid; warnings land in meta."""
-    freq_hz = np.asarray(freq_hz, dtype=float)
-    delta = TWO_PI * freq_hz - params.omega_m
-    values, warnings_ = weak_coupling_values(delta, params)
-    out_meta = {"model": "weak_coupling_spectrum", "center_hz": params.omega_m / TWO_PI}
-    if warnings_:
-        out_meta["warnings"] = "; ".join(warnings_)
-    if meta:
-        out_meta.update(meta)
-    return SpectrumTrace(freq_hz=freq_hz, values=values, unit=SpectrumUnit.QUANTA, meta=out_meta)
-
-
-def displacement_conversion_factor(device: DeviceParams, power_out: float) -> float:
-    """Scale from detected PSD (W/Hz) to displacement PSD (m^2/Hz).
-
-    S_x = 2 (kappa omega_m / (G kappa_ex))^2 S / P_o; valid in the narrowband
-    single-sideband regime (omega_m >> kappa >> gamma_m, optimal red detuning).
-    """
-    if not power_out > 0.0:
-        raise ParameterError(f"power_out must be > 0, got {power_out!r}")
-    cavity, mech = device.cavity, device.mech
-    ratio = cavity.kappa * mech.omega_m / (device.coupling.G * cavity.kappa_ex)
-    return 2.0 * ratio * ratio / power_out
-
-
-def displacement_from_output(
-    trace: SpectrumTrace, device: DeviceParams, drive: DriveConfig, power_out: float
-) -> SpectrumTrace:
-    """Convert a detected W/Hz trace to displacement units m^2/Hz."""
-    if trace.unit is not SpectrumUnit.WATTS_PER_HZ:
-        raise UnitError(f"expected watts_per_hz trace, got {trace.unit.value}")
-    scale = displacement_conversion_factor(device, power_out)
-    meta = dict(trace.meta)
-    meta["displacement_scale_m2hz_per_whz"] = scale
-    if abs(drive.detuning + device.mech.omega_m) > 0.01 * device.mech.omega_m:
-        meta["warnings"] = (
-            meta.get("warnings", "") + "; " if meta.get("warnings") else ""
-        ) + "conversion assumes optimal red detuning (delta = -omega_m)"
-    return SpectrumTrace(
-        freq_hz=trace.freq_hz, values=trace.values * scale, unit=SpectrumUnit.M2_PER_HZ, meta=meta
-    )
 
 
 def thermal_displacement_psd(
@@ -490,29 +403,6 @@ def peak_area(trace: SpectrumTrace) -> PeakSummary:
     fit `fit_lorentzian` shares, so a grid that cuts its tails needs no correction.
     Raises PeakDetectionError when it is not 3 of its chi^2-scaled sigmas."""
     return _fit_line(trace)[0]
-
-
-def integrate_mech_peak(
-    trace: SpectrumTrace,
-    mech: MechanicalMode,
-    convention: str = "thermal",
-) -> float:
-    """Occupancy of the mechanical mode from the area under its resonance.
-
-    The displacement-trace area is converted with the thermal normalization
-    area = x_zp^2 (2 n + 1), i.e. n = area/(2 x_zp^2) - 1/2 ("thermal"
-    convention; the -1/2 removes the zero-point contribution).  Detected
-    output-spectrum sidebands under a red-detuned drive carry area
-    2 x_zp^2 n with no zero-point term; pass convention="sideband" for those.
-    """
-    if trace.unit is not SpectrumUnit.M2_PER_HZ:
-        raise UnitError(f"occupancy extraction needs an m2_per_hz trace, got {trace.unit.value}")
-    if convention not in ("thermal", "sideband"):
-        raise ParameterError(f"unknown convention {convention!r}")
-    summary = peak_area(trace)
-    x_zp2 = zero_point_motion(mech) ** 2
-    n_plus_half = summary.area / (2.0 * x_zp2)
-    return n_plus_half - 0.5 if convention == "thermal" else n_plus_half
 
 
 # --- grids and unit conversion --------------------------------------------

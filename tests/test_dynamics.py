@@ -260,28 +260,6 @@ class TestStorageTime:
         assert em.storage_time(em.ThermalState(n_m_T=0.0), 1.0) == math.inf
 
 
-class TestCouplingRegime:
-    def test_strong_at_high_drive(self, device):
-        g = em.coupling_rate(device.coupling, device.mech, 2e5)
-        regime = em.coupling_regime(g, device.cavity.kappa, device.mech.gamma_m, 40.0)
-        assert regime is em.CouplingRegime.STRONG
-
-    def test_zero_is_weak(self, device):
-        assert em.coupling_regime(0.0, device.cavity.kappa, device.mech.gamma_m, 40.0) is em.CouplingRegime.WEAK
-
-    def test_boundary_assigned_to_cooling(self):
-        # exact floats: 4 g^2 == kappa*gamma_m lands on the cooling side
-        assert em.coupling_regime(1.0, 4.0, 1.0, 40.0) is em.CouplingRegime.COOLING
-        assert em.coupling_regime(0.999, 4.0, 1.0, 40.0) is em.CouplingRegime.WEAK
-
-    def test_splitting_threshold(self, device):
-        kappa, gm = device.cavity.kappa, device.mech.gamma_m
-        just_below = 0.999 * kappa / (2 * math.sqrt(2))
-        just_above = 1.001 * kappa / (2 * math.sqrt(2))
-        assert em.coupling_regime(just_below, kappa, gm, 40.0) is em.CouplingRegime.COOLING
-        assert em.coupling_regime(just_above, kappa, gm, 40.0) is em.CouplingRegime.STRONG
-
-
 class TestDriveConfig:
     def test_exactly_one_strength(self, device):
         with pytest.raises(ParameterError):

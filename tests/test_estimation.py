@@ -10,7 +10,7 @@ import emcool as em
 from emcool import estimation, spectra
 from emcool.constants import HBAR
 from emcool.errors import DegenerateFitError, ParameterError, PeakDetectionError, UnitError
-from emcool.estimation import _GAIN_TOL, DEFAULT_FREE, _nnls, _Pass, _profile_g, lorentzian_model
+from emcool.estimation import _GAIN_TOL, DEFAULT_FREE, _nnls, _Pass, _profile_g
 from emcool.spectra import _basis_factors, grid_for, output_noise_basis
 from emcool.synth import periodogram_factors
 
@@ -30,6 +30,12 @@ def profile_case_trace(device, case):
         params = em.ModelParams.for_device(device, g=g, n_m_T=thermal.n_m_T, n_add_eff=em.REFERENCE_N_ADD_EFF)
         return em.generate_spectrum(params, em.NoiseConfig(n_avg=500, seed=0), freq_hz=grid_for(params))
     return output_trace(device, 1e4, n_m_T=39.0, seed=0)[0]
+
+
+def lorentzian_model(freq_hz, center, fwhm, area, floor):
+    """floor + Lorentzian with unit-normalized area (peak height 2 area/(pi fwhm))."""
+    x = 2.0 * (freq_hz - center) / fwhm
+    return floor + (2.0 * area / (math.pi * fwhm)) / (1.0 + x * x)
 
 
 def thermal_quanta_trace(device, n_m=30.0, n_d=4000.0, points=1024, halfspan_widths=12,

@@ -1,7 +1,5 @@
 """`estimation.fit_weighted`, the one weighted fit of each IRLS pass of
-`fit_full_model` (traced by the benchmark as `leastsq.fit_weighted`). The
-module keeps the name of the Gauss-Newton engine `emcool.leastsq` whose
-tests it replaced."""
+`fit_full_model` (traced by the benchmark as `leastsq.fit_weighted`)."""
 import math
 from dataclasses import replace
 

@@ -12,7 +12,7 @@ from emcool.errors import (
     PeakDetectionError,
     UnitError,
 )
-from emcool.spectra import _trapezoid, grid_for, trace_from_csv, trace_to_csv, weak_coupling_values
+from emcool.spectra import _trapezoid, grid_for, trace_from_csv, trace_to_csv
 from emcool.synth import periodogram_factors
 
 from conftest import gamma_total_at, model_params
@@ -24,6 +24,13 @@ def mirrored_deltas(halfspan, n_side):
     """Offset grid that is exactly symmetric in floating point."""
     side = np.linspace(halfspan / n_side, halfspan, n_side)
     return np.concatenate([-side[::-1], [0.0], side])
+
+
+def displacement_scale(device, power_out):
+    """Detected W/Hz to displacement m^2/Hz, S_x = 2 (kappa omega_m / (G kappa_ex))^2 S / P_o:
+    the narrowband single-sideband relation at optimal red detuning."""
+    cavity = device.cavity
+    return 2.0 * (cavity.kappa * device.mech.omega_m / (device.coupling.G * cavity.kappa_ex)) ** 2 / power_out
 
 
 class TestSusceptibilities:
@@ -62,32 +69,6 @@ class TestSusceptibilities:
         )
 
 
-class TestSelfEnergy:
-    def test_zero_coupling(self, device):
-        assert em.self_energy(1e3, 0.0, device.cavity.kappa, 0.0, device.mech.omega_m) == 0.0
-
-    def test_approx_resonance_value(self, device):
-        kappa = device.cavity.kappa
-        g = TWO_PI * 10e3
-        got = em.self_energy(0.0, g, kappa, 0.0, device.mech.omega_m, approx=True)
-        assert got == pytest.approx(-1j * g * g * 2.0 / kappa, rel=1e-12)
-
-    def test_exact_vs_approx_bound(self, device):
-        # counter-rotating term is ~ g^2/(2 omega_m), flat in delta; relative
-        # to the peak magnitude 2 g^2/kappa that is kappa/(4 omega_m) ~ 4.7e-3,
-        # growing to kappa/(2(2 omega_m - 5 kappa)) at the grid edge
-        kappa, om = device.cavity.kappa, device.mech.omega_m
-        g = em.coupling_rate(device.coupling, device.mech, 4000.0)
-        delta = np.linspace(-5 * kappa, 5 * kappa, 20001)
-        exact = em.self_energy(delta, g, kappa, 0.0, om, approx=False)
-        approx = em.self_energy(delta, g, kappa, 0.0, om, approx=True)
-        scale = np.max(np.abs(approx))
-        rel = np.max(np.abs(exact - approx)) / scale
-        envelope = kappa / (2.0 * (2.0 * om - 5.0 * kappa))
-        assert rel < 5.5e-3
-        assert rel == pytest.approx(envelope, rel=0.05)
-
-
 class TestDressedSusceptibility:
     def test_zero_coupling_is_bare(self, device):
         params = model_params(device, 0.0)
@@ -96,12 +77,13 @@ class TestDressedSusceptibility:
         np.testing.assert_allclose(got, em.mech_susceptibility(delta, device.mech.gamma_m), rtol=1e-12)
 
     def test_closed_form_identity_for_approx(self, device):
+        # the rotating-wave self-energy -j g^2 chi_c, the one output_noise_values models
         g = TWO_PI * 50e3
         params = model_params(device, 0.0)
         params = em.ModelParams(**{**params.__dict__, "g": g})
         kappa, gm = params.kappa, params.gamma_m
         delta = np.linspace(-3 * kappa, 3 * kappa, 999)
-        got = em.dressed_mech_susceptibility(delta, params, approx=True)
+        got = em.dressed_mech_susceptibility(delta, params)
         chi_c_inv = kappa / 2 + 1j * delta
         chi_m_inv = gm / 2 + 1j * delta
         closed = chi_c_inv / (g * g + chi_m_inv * chi_c_inv)
@@ -116,7 +98,7 @@ class TestDressedSusceptibility:
         g = g_over_kappa * kappa
         params = em.ModelParams(**{**model_params(device, 0.0).__dict__, "g": g})
         delta = np.linspace(-3 * g, 3 * g, 600001)
-        mag = np.abs(em.dressed_mech_susceptibility(delta, params, approx=True))
+        mag = np.abs(em.dressed_mech_susceptibility(delta, params))
         i_pos = int(np.argmax(np.where(delta > 0, mag, -np.inf)))
         i_neg = int(np.argmax(np.where(delta < 0, mag, -np.inf)))
         split = delta[i_pos] - delta[i_neg]
@@ -128,7 +110,7 @@ class TestDressedSusceptibility:
         params = em.ModelParams(**{**model_params(device, 0.0).__dict__, "g": g})
         expected = gm + 4 * g * g / kappa
         delta = np.linspace(-10 * expected, 10 * expected, 400001)
-        mag2 = np.abs(em.dressed_mech_susceptibility(delta, params, approx=True)) ** 2
+        mag2 = np.abs(em.dressed_mech_susceptibility(delta, params)) ** 2
         above = delta[mag2 >= mag2.max() / 2]
         fwhm = above[-1] - above[0]
         assert fwhm == pytest.approx(expected, rel=0.01)
@@ -195,6 +177,34 @@ class TestOutputNoiseSpectrum:
         assert trace.meta["center_hz"] == pytest.approx(device.mech.omega_m / TWO_PI)
 
 
+class TestOutputNoiseOracle:
+    """`output_noise_values` against the spectrum built from the susceptibilities.
+
+    The rotating-wave equations a = chi_c (sqrt(kappa) xi_c - j g b) and
+    b = chi_m (sqrt(gamma_m) xi_m - j g a) give a = chi_c chi_eff (sqrt(kappa)
+    xi_c / chi_m - j g sqrt(gamma_m) xi_m), with chi_eff the dressed response.
+    The detected noise is 1/2 + n_add_eff + beta kappa_ex <a^dag a>, so
+    S = 1/2 + n_add_eff + beta kappa_ex |chi_c chi_eff|^2 (kappa n_c / |chi_m|^2
+    + g^2 gamma_m n_m^T).
+    """
+
+    @pytest.mark.parametrize("g_over_kappa", [0.0, 0.01, 0.3, 1.5])
+    @pytest.mark.parametrize("dt_over_kappa", [0.0, 0.07, -0.2])
+    def test_matches_the_susceptibilities(self, device, g_over_kappa, dt_over_kappa):
+        kappa = device.cavity.kappa
+        params = model_params(device, 0.0, n_c=0.3, delta_tilde=dt_over_kappa * kappa)
+        params = em.ModelParams(**{**params.__dict__, "g": g_over_kappa * kappa})
+        assert params.beta < 1.0 and params.kappa_ex < params.kappa
+        side = np.geomspace(1e-8, 4.0, 2000) * kappa  # resolves the mechanical line too
+        delta = np.concatenate([-side[::-1], [0.0], side])
+        chi_c = em.cavity_susceptibility(delta, params.kappa, params.delta_tilde)
+        chi_m = em.mech_susceptibility(delta, params.gamma_m)
+        chi_eff = em.dressed_mech_susceptibility(delta, params)
+        occupied = params.kappa * params.n_c / np.abs(chi_m) ** 2 + params.g**2 * params.gamma_m * params.n_m_T
+        oracle = 0.5 + params.n_add_eff + params.beta * params.kappa_ex * np.abs(chi_c * chi_eff) ** 2 * occupied
+        np.testing.assert_allclose(em.output_noise_values(delta, params), oracle, rtol=1e-12, atol=0.0)
+
+
 BASIS_CASES = [
     # (n_d, n_m_T, n_c, n_add_eff, delta_tilde in units of kappa)
     (0.0, 40.0, 0.3, 2.1, 0.0),
@@ -231,27 +241,11 @@ class TestSeparableBasis:
             np.testing.assert_array_equal(mech[row], mech_g)
         assert not np.any(mech[0])
 
-    @pytest.mark.parametrize("n_d,n_m_T,n_c,n_add_eff,dt", BASIS_CASES[1:])
-    def test_complex_step_matches_central_difference(self, device, n_d, n_m_T, n_c, n_add_eff, dt):
-        # complex parameters give exact derivatives of the basis: g and any shape parameter
-        params = model_params(device, n_d, n_m_T=n_m_T, n_c=n_c, n_add_eff=n_add_eff,
-                              delta_tilde=dt * device.cavity.kappa)
-        delta = np.linspace(-3 * device.cavity.kappa, 3 * device.cavity.kappa, 2048)
-        names = ("g", "kappa", "kappa_ex", "gamma_m", "delta_tilde", "beta")
-        args = {name: getattr(params, name) for name in names}
-
-        def spectrum(**changed):
-            cav, mech = em.spectra.output_noise_basis(delta, **{**args, **changed})
-            return n_c * cav + n_m_T * mech
-
-        for name in ("g", "kappa", "gamma_m", "delta_tilde"):
-            exact = spectrum(**{name: args[name] + 1e-20j}).imag / 1e-20
-            h = 1e-5 * (args[name] if name != "delta_tilde" else params.kappa)
-            fd = (spectrum(**{name: args[name] + h}) - spectrum(**{name: args[name] - h})) / (2 * h)
-            np.testing.assert_allclose(exact, fd, rtol=0, atol=1e-6 * np.max(np.abs(fd)), err_msg=name)
-
-
 class TestWeakCouplingSpectrum:
+    """The Lorentzian weak-coupling limit of the output spectrum,
+    1/2 + n_add' + 4 beta (kappa_ex/kappa) Gamma gamma_m n_m^T / ((gamma_m + Gamma)^2 + 4 delta^2)
+    with Gamma = 4 g^2 / kappa; at delta = delta_tilde = 0 and n_c = 0 it is exact."""
+
     def test_matches_exact_model(self, device):
         kappa = device.cavity.kappa
         g = kappa / 100
@@ -259,9 +253,9 @@ class TestWeakCouplingSpectrum:
         gamma_opt = 4 * g * g / kappa
         width = params.gamma_m + gamma_opt
         delta = np.linspace(-5 * width, 5 * width, 2001)
-        weak, warnings_ = weak_coupling_values(delta, params)
+        weak = 0.5 + 2.1 + (4 * params.beta * (params.kappa_ex / kappa) * gamma_opt * params.gamma_m * 40.0
+                            / (width**2 + 4 * delta * delta))
         exact = em.output_noise_values(delta, params)
-        assert not warnings_
         np.testing.assert_allclose(weak, exact, rtol=0.01)
 
     def test_peak_height_formula(self, device):
@@ -269,7 +263,7 @@ class TestWeakCouplingSpectrum:
         g = kappa / 200
         params = em.ModelParams(**{**model_params(device, 0.0).__dict__, "g": g})
         gamma_opt = 4 * g * g / kappa
-        values, _ = weak_coupling_values(np.array([0.0]), params)
+        values = em.output_noise_values(np.array([0.0]), params)
         expected = 0.5 + 2.1 + 4 * 0.5 * (kex / kappa) * gamma_opt * gm * 40.0 / (gm + gamma_opt) ** 2
         assert values[0] == pytest.approx(expected, rel=1e-12)
 
@@ -278,38 +272,11 @@ class TestWeakCouplingSpectrum:
         kappa, kex, gm = device.cavity.kappa, device.cavity.kappa_ex, device.mech.gamma_m
         g = math.sqrt(kappa * gm) / 2
         params = em.ModelParams(**{**model_params(device, 0.0).__dict__, "g": g})
-        values, _ = weak_coupling_values(np.array([0.0]), params)
+        values = em.output_noise_values(np.array([0.0]), params)
         assert values[0] - 2.6 == pytest.approx(0.5 * (kex / kappa) * 40.0, rel=1e-9)
-
-    def test_validity_warnings_recorded(self, device):
-        kappa = device.cavity.kappa
-        params = em.ModelParams(**{**model_params(device, 0.0, n_c=10.0).__dict__, "g": kappa / 2})
-        grid = em.sideband_grid(device.mech.omega_m, 0.0, kappa, points=64, halfspan_hz=kappa / TWO_PI)
-        trace = em.weak_coupling_spectrum(grid, params)
-        warnings_ = trace.meta["warnings"]
-        assert "weak regime" in warnings_
-        assert "cavity occupancy" in warnings_
-        assert "validity band" in warnings_
 
 
 class TestDisplacementConversion:
-    def test_flat_scaling(self, device):
-        freq = np.linspace(10.5e6, 10.6e6, 64)
-        trace = em.SpectrumTrace(freq, np.full(64, 2.0e-23), em.SpectrumUnit.WATTS_PER_HZ, {})
-        drive = em.DriveConfig.red_detuned(device, n_d=1e5)
-        out = em.displacement_from_output(trace, device, drive, power_out=1e-9)
-        assert out.unit is em.SpectrumUnit.M2_PER_HZ
-        assert np.ptp(out.values) == 0.0
-        scale = out.meta["displacement_scale_m2hz_per_whz"]
-        np.testing.assert_allclose(out.values, 2.0e-23 * scale, rtol=1e-12)
-
-    def test_unit_mismatch(self, device):
-        freq = np.linspace(10.5e6, 10.6e6, 64)
-        trace = em.SpectrumTrace(freq, np.full(64, 2.0), em.SpectrumUnit.QUANTA, {})
-        drive = em.DriveConfig.red_detuned(device, n_d=1e5)
-        with pytest.raises(UnitError):
-            em.displacement_from_output(trace, device, drive, power_out=1e-9)
-
     def test_imprecision_floor_chain(self, device):
         # quanta floor -> W/Hz -> m^2/Hz equals the direct weak-coupling
         # imprecision formula (1/2+n_add') kappa^2/(2 beta G^2 n_d kappa_ex)
@@ -321,18 +288,10 @@ class TestDisplacementConversion:
         f_ref = cavity.omega_c / TWO_PI
         trace_w = em.convert_trace(trace_q, em.SpectrumUnit.WATTS_PER_HZ, f_ref)
         power_out = 2 * n_d * HBAR * cavity.omega_c * mech.omega_m**2 / cavity.kappa_ex
-        drive = em.DriveConfig.red_detuned(device, n_d=n_d)
-        trace_x = em.displacement_from_output(trace_w, device, drive, power_out)
+        s_x = trace_w.values * displacement_scale(device, power_out)
         direct = floor_q * cavity.kappa**2 / (2 * 0.5 * device.coupling.G**2 * n_d * cavity.kappa_ex)
-        np.testing.assert_allclose(trace_x.values, direct, rtol=1e-6)
+        np.testing.assert_allclose(s_x, direct, rtol=1e-6)
         assert direct == pytest.approx(5.2e-34, rel=0.01)
-
-    def test_off_optimal_detuning_warns_in_meta(self, device):
-        freq = np.linspace(10.5e6, 10.6e6, 64)
-        trace = em.SpectrumTrace(freq, np.full(64, 2.0e-23), em.SpectrumUnit.WATTS_PER_HZ, {})
-        drive = em.DriveConfig.from_detuning(device, -device.mech.omega_m / 2, n_d=10.0)
-        out = em.displacement_from_output(trace, device, drive, power_out=1e-9)
-        assert "red detuning" in out.meta["warnings"]
 
 
 class TestThermalDisplacementPsd:
@@ -391,6 +350,9 @@ class TestLineFitFailsFast:
 
 
 class TestIntegrateMechPeak:
+    """The occupancy from the area under the mechanical resonance (`peak_area`):
+    x_zp^2 (2 n + 1) on a thermal displacement trace, 2 x_zp^2 n on a detected sideband."""
+
     def make_thermal_trace(self, device, n_m, n_d=4000.0, halfspan_widths=12, points=2048, floor=1e-36):
         mech = device.mech
         gamma_total = gamma_total_at(device, n_d)
@@ -400,9 +362,29 @@ class TestIntegrateMechPeak:
         trace = em.thermal_displacement_psd(grid, mech, n_m, gamma_total)
         return em.SpectrumTrace(grid, trace.values + floor, em.SpectrumUnit.M2_PER_HZ, dict(trace.meta))
 
+    def occupancy(self, trace, mech, zero_point=0.5):
+        return spectra.peak_area(trace).area / (2.0 * em.zero_point_motion(mech) ** 2) - zero_point
+
+    def sideband_occupancy(self, device, g, n_d, halfspan):
+        """The occupancy from the detected sideband of the output spectrum at
+        coupling g, converted to displacement units at n_d red-detuned photons."""
+        cavity, mech = device.cavity, device.mech
+        params = em.ModelParams(**{**model_params(device, 0.0).__dict__, "g": g})
+        center = mech.omega_m / TWO_PI
+        grid = np.linspace(center - halfspan, center + halfspan, 4096)
+        trace_q = em.output_noise_spectrum(grid, params)
+        trace_w = em.convert_trace(trace_q, em.SpectrumUnit.WATTS_PER_HZ, cavity.omega_c / TWO_PI)
+        drive = em.DriveConfig.red_detuned(device, n_d=n_d)
+        p_in = em.drive_power_for_photons(n_d, drive, cavity)
+        # output power at the drive frequency, with hbar*omega frozen at the
+        # same carrier used for the unit conversion
+        p_out = em.transmitted_power(p_in, cavity, drive.detuning) * (cavity.omega_c / drive.omega_d)
+        values = trace_w.values * displacement_scale(device, p_out)
+        return self.occupancy(em.SpectrumTrace(grid, values, em.SpectrumUnit.M2_PER_HZ, {}), mech, zero_point=0.0)
+
     def test_round_trip_30_quanta(self, device):
         trace = self.make_thermal_trace(device, 30.0)
-        n = em.integrate_mech_peak(trace, device.mech)
+        n = self.occupancy(trace, device.mech)
         assert n == pytest.approx(30.0, rel=0.005)
 
     def test_zero_signal_raises(self, device):
@@ -410,73 +392,32 @@ class TestIntegrateMechPeak:
         grid = np.linspace(center - 1e3, center + 1e3, 256)
         flat = em.SpectrumTrace(grid, np.full(256, 1e-34), em.SpectrumUnit.M2_PER_HZ, {})
         with pytest.raises(PeakDetectionError):
-            em.integrate_mech_peak(flat, device.mech)
+            spectra.peak_area(flat)
 
     def test_truncated_grid_corrected(self, device):
         # only +-1.5 linewidths covered: the raw integral misses ~20%, the
         # fitted Lorentzian's area counts the tails beyond the grid
         trace = self.make_thermal_trace(device, 30.0, halfspan_widths=1.5, points=1024)
-        n = em.integrate_mech_peak(trace, device.mech)
+        n = self.occupancy(trace, device.mech)
         assert n == pytest.approx(30.0, rel=0.02)
-
-    def test_unit_enforced(self, device):
-        center = device.mech.omega_m / TWO_PI
-        grid = np.linspace(center - 1e3, center + 1e3, 64)
-        trace = em.SpectrumTrace(grid, np.full(64, 2.6), em.SpectrumUnit.QUANTA, {})
-        with pytest.raises(UnitError):
-            em.integrate_mech_peak(trace, device.mech)
-
-    def test_bad_convention_rejected(self, device):
-        trace = self.make_thermal_trace(device, 5.0)
-        with pytest.raises(ParameterError):
-            em.integrate_mech_peak(trace, device.mech, convention="bogus")
 
     def test_area_occupancy_consistency_weak_coupling(self, device):
         # occupancy from the detected sideband (after displacement
         # conversion) matches the steady-state prediction within 1%
-        cavity, mech = device.cavity, device.mech
-        kappa = cavity.kappa
+        kappa, mech = device.cavity.kappa, device.mech
         g = kappa / 100
         n_d = (g / device.coupling.g0(mech)) ** 2
-        params = em.ModelParams(**{**model_params(device, 0.0).__dict__, "g": g})
-        gamma_opt = 4 * g * g / kappa
-        width = mech.gamma_m + gamma_opt
-        center = mech.omega_m / TWO_PI
-        halfspan = 15 * width / TWO_PI
-        grid = np.linspace(center - halfspan, center + halfspan, 4096)
-        trace_q = em.output_noise_spectrum(grid, params)
-        f_ref = cavity.omega_c / TWO_PI
-        trace_w = em.convert_trace(trace_q, em.SpectrumUnit.WATTS_PER_HZ, f_ref)
-        drive = em.DriveConfig.red_detuned(device, n_d=n_d)
-        p_in = em.drive_power_for_photons(n_d, drive, cavity)
-        # output power at the drive frequency, with hbar*omega frozen at the
-        # same carrier used for the unit conversion
-        p_out = em.transmitted_power(p_in, cavity, drive.detuning) * (
-            cavity.omega_c / drive.omega_d
-        )
-        trace_x = em.displacement_from_output(trace_w, device, drive, p_out)
-        recovered = em.integrate_mech_peak(trace_x, mech, convention="sideband")
+        width = mech.gamma_m + 4 * g * g / kappa
+        recovered = self.sideband_occupancy(device, g, n_d, halfspan=15 * width / TWO_PI)
         predicted = em.final_occupancy(em.ThermalState(40.0, 0.0), g, kappa, mech.gamma_m)
         assert recovered == pytest.approx(predicted, rel=0.01)
 
     def test_area_round_trip_moderate_drive(self, device):
         # same chain at the few-thousand-photon operating point, 2% band
-        cavity, mech = device.cavity, device.mech
-        n_d = 4000.0
+        mech, n_d = device.mech, 4000.0
         g = em.coupling_rate(device.coupling, mech, n_d)
-        params = em.ModelParams(**{**model_params(device, 0.0).__dict__, "g": g})
-        width = gamma_total_at(device, n_d)
-        center = mech.omega_m / TWO_PI
-        halfspan = 12 * width / TWO_PI
-        grid = np.linspace(center - halfspan, center + halfspan, 4096)
-        trace_q = em.output_noise_spectrum(grid, params)
-        trace_w = em.convert_trace(trace_q, em.SpectrumUnit.WATTS_PER_HZ, cavity.omega_c / TWO_PI)
-        drive = em.DriveConfig.red_detuned(device, n_d=n_d)
-        p_in = em.drive_power_for_photons(n_d, drive, cavity)
-        p_out = em.transmitted_power(p_in, cavity, drive.detuning) * (cavity.omega_c / drive.omega_d)
-        trace_x = em.displacement_from_output(trace_w, device, drive, p_out)
-        recovered = em.integrate_mech_peak(trace_x, mech, convention="sideband")
-        predicted = em.final_occupancy(em.ThermalState(40.0, 0.0), g, cavity.kappa, mech.gamma_m)
+        recovered = self.sideband_occupancy(device, g, n_d, halfspan=12 * gamma_total_at(device, n_d) / TWO_PI)
+        predicted = em.final_occupancy(em.ThermalState(40.0, 0.0), g, device.cavity.kappa, mech.gamma_m)
         assert recovered == pytest.approx(predicted, rel=0.02)
 
 
