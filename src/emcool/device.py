@@ -96,11 +96,6 @@ class DeviceParams:
     cavity: Cavity
     coupling: Coupling
 
-    @property
-    def sideband_resolution(self) -> float:
-        """omega_m / kappa; the device is resolved-sideband when >> 1."""
-        return self.mech.omega_m / self.cavity.kappa
-
 
 def zero_point_motion(mech: MechanicalMode) -> float:
     """RMS ground-state displacement sqrt(hbar / (2 m omega_m)) in meters."""

@@ -67,14 +67,6 @@ class DriveConfig:
         """Sideband-frame detuning Delta + omega_m (rad/s)."""
         return self.detuning + mech.omega_m
 
-    def check_against(self, device: DeviceParams, rtol: float = 1e-9) -> None:
-        """Verify the stored detuning is consistent with omega_d and omega_c."""
-        expected = self.omega_d - device.cavity.omega_c
-        if abs(expected - self.detuning) > rtol * device.cavity.omega_c:
-            raise ParameterError(
-                "detuning inconsistent with omega_d and the device cavity frequency"
-            )
-
     def photons(self, device: DeviceParams) -> float:
         """Intracavity photon number, converting from input power if needed."""
         if self.n_d is not None:

@@ -14,7 +14,10 @@ pass's node, and solves the amplitudes at that g.  The basis row s there
 pass's model, whose sigmas model/sqrt(n_avg) weight the next pass, and,
 after the last pass, J in closed form: the basis, and g's column from
 ds/dg.  One J^T J serves the covariance inv(J^T J) and the degeneracy
-check.  kappa, delta_tilde and gamma_m are never fitted: they are measured
+check.  `analyze_cooling_sweep` sets up every point's object before any
+profile runs: points on one grid share their shape factors and the basis
+rows of their first pass's g scan, and each result equals the point's
+`fit_full_model` bit for bit.  kappa, delta_tilde and gamma_m are never fitted: they are measured
 independently, kappa and delta_tilde by a probe tone at each drive power
 and gamma_m from the low-drive line width.  Any subset of
 {g, n_m_T, n_c, n_add_eff} may be freed.
@@ -200,36 +203,64 @@ class _Pass:
     def __init__(self, shape: tuple, w: np.ndarray, data: np.ndarray, fold: np.ndarray) -> None:
         self.shape, k, self.mech = shape, shape[2], shape[4]
         # with c = 4 gamma_m g^2: s @ lin = sums of w A, w B / c, w A d, w B d / c
-        # and s^2 @ quad = sums of w A^2, w A B / c, w B^2 / c^2; the seven
-        # weighted columns are written as rows of one array, so that each
-        # column of its transpose is contiguous, which BLAS reads twice as fast
-        cols = np.empty((7, w.size))
-        wk, wd = np.multiply(w, k, out=cols[0]), np.multiply(w, data, out=cols[3])
-        np.multiply(wd, k, out=cols[2])
-        np.multiply(wk, k, out=cols[4])
-        cols[1] = cols[6] = w
-        cols[5] = wk
-        self.lin, self.quad = cols[:4].T, cols[4:].T
+        # and s^2 @ quad = sums of w A^2, w A B / c, w B^2 / c^2; the five
+        # weighted columns w K^2, w K, w, w K d, w d are written as rows of one
+        # array, so that each column of its transpose is contiguous, which BLAS
+        # reads twice as fast, and quad and lin are its first three and last four
+        cols = np.empty((5, w.size))
+        wk, wd = np.multiply(w, k, out=cols[1]), np.multiply(w, data, out=cols[4])
+        np.multiply(wk, k, out=cols[0])
+        cols[2] = w
+        np.multiply(wd, k, out=cols[3])
+        self.quad, self.lin = cols[:3].T, cols[1:].T
         # normal equations = entries @ fold
         self.base = np.array([np.sum(w), np.sum(wd), wd @ data]) @ fold[:3]  # the constant entries
         self.fold, self.size = fold[3:], math.isqrt(fold.shape[1])
+        self.scanned = None  # (g, costs) of a cold scan costed with other passes of one shape, by `_cold_scans`
 
     def gram(self, g: np.ndarray) -> np.ndarray:
         """Normal equations (m, k + 1, k + 1) per coupling in g: the weighted
         Gram matrices of 1, A, B and the data, mapped by coef."""
-        g2 = g * g
         s = _basis_row(self.shape, g[:, None])
         lin = s @ self.lin
-        entries = np.concatenate((lin, np.square(s, out=s) @ self.quad), axis=1)
-        entries *= (self.mech * g2)[:, None] ** _C_POWER
+        return self.fold_products(g, lin, np.square(s, out=s) @ self.quad)
+
+    def fold_products(self, g: np.ndarray, lin: np.ndarray, quad: np.ndarray) -> np.ndarray:
+        """`gram` from its two products over the bins, s @ lin and s^2 @ quad."""
+        entries = np.concatenate((lin, quad), axis=1)
+        entries *= (self.mech * (g * g))[:, None] ** _C_POWER
         return (self.base + entries @ self.fold).reshape(g.size, self.size, self.size)
 
     def cost(self, g: np.ndarray) -> np.ndarray:
         """Profile cost per coupling in g: the normal equations in blocks of
         `_SCAN_BLOCK` couplings, which bounds their memory, then one NNLS
         over all of them; every g >= 0 gives finite rows (see
-        `spectra._basis_row`)."""
+        `spectra._basis_row`).  The costs of a scan `_cold_scans` costed
+        are returned as they are."""
+        if self.scanned is not None and np.array_equal(g, self.scanned[0]):
+            return self.scanned[1]
         return _nnls(np.concatenate([self.gram(g[i : i + _SCAN_BLOCK]) for i in range(0, g.size, _SCAN_BLOCK)]))[1]
+
+
+def _cold_scans(passes: Sequence[_Pass], scan: np.ndarray) -> None:
+    """Cost the cold scan `scan` (ln g) of first passes whose shapes are equal
+    by value, each as its `cost` would: per block of `_SCAN_BLOCK` couplings
+    the rows s and s^2 are formed once, then every pass takes its own two
+    products, normal equations and NNLS, with the shapes and operations of
+    `_Pass.gram` and `_Pass.cost`, so that its costs are bit-identical.
+    Each pass keeps its costs for its profile's first call."""
+    g = np.exp(scan)
+    blocks: list[list[np.ndarray]] = [[] for _ in passes]
+    for i in range(0, g.size, _SCAN_BLOCK):
+        g_block = g[i : i + _SCAN_BLOCK]
+        s = _basis_row(passes[0].shape, g_block[:, None])
+        lins = [s @ normal.lin for normal in passes]
+        np.square(s, out=s)
+        for normal, grams, lin in zip(passes, blocks, lins):
+            grams.append(normal.fold_products(g_block, lin, s @ normal.quad))
+        del s  # before the next block's row is formed
+    for normal, grams in zip(passes, blocks):
+        normal.scanned = (g, _nnls(np.concatenate(grams))[1])
 
 
 # a stencil's minimum half-width, and the width of a one-sided bracket at
@@ -398,9 +429,13 @@ def fit_weighted(normal: _Pass, scan: np.ndarray | None, g: float, start: float 
 class _TraceFit:
     """One trace's separable fit: its set-up, built once, and its IRLS state,
     the values and the sigmas that weight the next pass (from the data at
-    first).  A caller alternates `normal` and `update`, then takes `result`."""
+    first).  `solve` alternates `normal` and `update`, then takes `result`;
+    the first pass's `normal` may be built, and its cold scan costed
+    (`_cold_scans`), before `solve` runs.  `shape`, when given, is the
+    `_basis_factors` of the trace's grid and of params' values, shared with
+    other traces on that grid."""
 
-    def __init__(self, trace: SpectrumTrace, params: ModelParams, free: Sequence[str]) -> None:
+    def __init__(self, trace: SpectrumTrace, params: ModelParams, free: Sequence[str], shape: tuple | None = None) -> None:
         if trace.unit is not SpectrumUnit.QUANTA:
             raise UnitError(f"full-model fit needs a quanta trace, got {trace.unit.value}")
         self.free = _check_free(free)
@@ -420,13 +455,18 @@ class _TraceFit:
         self.scan = None
         if "g" in self.free:  # 16 nodes per decade of g, from optical damping 4g^2/kappa = 1e-3 gamma_m to g = 10 kappa
             self.scan = _log_scan(0.5 * math.sqrt(1e-3 * params.kappa * params.gamma_m), 10.0 * params.kappa)
-        delta = TWO_PI * trace.freq_hz - params.omega_m
-        self.shape = _basis_factors(delta, params.kappa, params.kappa_ex, params.gamma_m, params.delta_tilde, params.beta)
-        self.sigma = _sigma_from_model(self.data, self.n_avg)
+        if shape is None:
+            delta = TWO_PI * trace.freq_hz - params.omega_m
+            shape = _basis_factors(delta, params.kappa, params.kappa_ex, params.gamma_m, params.delta_tilde, params.beta)
+        self.shape = shape
+        self.sigma, self.pass_ = _sigma_from_model(self.data, self.n_avg), None
 
     def normal(self) -> _Pass:
-        """The normal equations under the weights of the current sigmas."""
-        return _Pass(self.shape, 1.0 / (self.sigma * self.sigma), self.data, self.fold)
+        """The normal equations under the weights of the current sigmas,
+        built once per update."""
+        if self.pass_ is None:
+            self.pass_ = _Pass(self.shape, 1.0 / (self.sigma * self.sigma), self.data, self.fold)
+        return self.pass_
 
     def update(self, fitted: Sequence[float]) -> float:
         """Take a pass's g and free amplitudes; the row s at that g gives the
@@ -436,8 +476,22 @@ class _TraceFit:
         g, self.s = values["g"], _basis_row(self.shape, values["g"])  # as in `_Pass.gram`
         # 1/2 + n_add_eff + n_c A + n_m_T B with A = s K and B = 4 gamma_m g^2 s
         self.model = 0.5 + values["n_add_eff"] + self.s * (values["n_c"] * k + values["n_m_T"] * (mech * (g * g)))
-        previous, self.sigma = self.sigma, _sigma_from_model(self.model, self.n_avg)
+        previous, self.sigma, self.pass_ = self.sigma, _sigma_from_model(self.model, self.n_avg), None
         return float(np.max(np.abs(self.sigma - previous) / previous))
+
+    def solve(self) -> FitResult:
+        """The IRLS loop: one `fit_weighted` per pass, each profile
+        warm-started from the last one's node, until the sigmas move by less
+        than 1e-3 (at most 4 passes); then `result`."""
+        step_costs: list[tuple[float, float]] = []
+        nodes = calls = 0  # of the g profiles
+        node = None
+        for passes in range(1, 5):
+            res = fit_weighted(self.normal(), self.scan, self.values["g"], node, step_costs)
+            node, nodes, calls = res.node, nodes + res.counts[0], calls + res.counts[1]
+            if self.update(res.params) < 1e-3:
+                break
+        return self.result(step_costs, f"separable fit: {passes} IRLS passes, {nodes} profile nodes in {calls} calls")
 
     def result(self, step_costs: list, message: str) -> FitResult:
         """The fit at the last pass: covariance, flags and residual."""
@@ -490,16 +544,7 @@ def fit_full_model(
     `message` gives the IRLS passes and the numbers of couplings the g
     profiles costed and of their cost calls.
     """
-    fit = _TraceFit(trace, params, free)
-    step_costs: list[tuple[float, float]] = []
-    nodes = calls = 0  # of the g profiles
-    node = None  # later passes warm-start the profile from the last one's node
-    for passes in range(1, 5):  # IRLS: refresh the weights from the fitted model
-        res = fit_weighted(fit.normal(), fit.scan, fit.values["g"], node, step_costs)
-        node, nodes, calls = res.node, nodes + res.counts[0], calls + res.counts[1]
-        if fit.update(res.params) < 1e-3:
-            break
-    return fit.result(step_costs, f"separable fit: {passes} IRLS passes, {nodes} profile nodes in {calls} calls")
+    return _TraceFit(trace, params, free).solve()
 
 
 # --- temperature-sweep calibration of G ------------------------------------
@@ -781,12 +826,27 @@ def analyze_cooling_sweep(
     in increasing n_d, is still returned.
     n_m_sigma propagates the fit covariance through the analytic gradient
     of `final_occupancy`.
+
+    Every point's `_TraceFit` and first `_Pass` are built before any g is
+    profiled.  Points whose grids and shape values are equal (kappa,
+    kappa_ex, gamma_m, delta_tilde, beta, omega_m, which also set the g
+    scan) share their shape factors, and those that profile g share the
+    basis rows of their first pass's scan (`_cold_scans`); each fit is
+    then bit for bit `fit_full_model` on its trace alone.  While the scans
+    run, each sharing point holds its first pass, five weighted columns of
+    its grid.
     """
     cavity, mech = device.cavity, device.mech
-    points: list[SweepPoint] = []
     # a nan n_d would leave the sort's order undefined
     excluded = [(n_d, f"ParameterError: n_d must be finite, got {n_d!r}") for n_d, _ in sweep if not math.isfinite(n_d)]
     seen: set[float] = set()
+    # every point's set-up, or the reason it is excluded, in increasing n_d
+    setups: list[tuple[float, tuple | str]] = []
+    # by grid and the values the shape factors take, which also set the g
+    # scan: the factors, shared by the points, and the scan with the first
+    # passes of the points that profile g, which share its basis rows
+    shapes: dict[tuple, tuple] = {}
+    scans: dict[tuple, tuple[np.ndarray, list[_Pass]]] = {}
     for n_d, trace in sorted((item for item in sweep if math.isfinite(item[0])), key=lambda item: item[0]):
         try:  # per-point failures must not kill the sweep
             if n_d in seen:
@@ -806,7 +866,26 @@ def analyze_cooling_sweep(
             _, _, gamma_opt_pred = sideband_rates(g_pred, cavity.kappa, -mech.omega_m, mech.omega_m)
             if gamma_opt_pred < 0.1 * mech.gamma_m:
                 point_free = tuple(name for name in point_free if name != "g")
-            fit = fit_full_model(trace, point_params, free=point_free)
+            p = point_params
+            key = (trace.freq_hz.tobytes(), p.omega_m, p.kappa, p.kappa_ex, p.gamma_m, p.delta_tilde, p.beta)
+            trace_fit = _TraceFit(trace, point_params, point_free, shapes.get(key))
+            shapes[key] = trace_fit.shape
+            if trace_fit.scan is not None:
+                scans.setdefault(key, (trace_fit.scan, []))[1].append(trace_fit.normal())
+            setups.append((n_d, (g_pred, point_params, point_free, trace_fit)))
+        except Exception as exc:
+            setups.append((n_d, f"{type(exc).__name__}: {exc}"))
+    for scan, passes in scans.values():
+        _cold_scans(passes, scan)
+    points: list[SweepPoint] = []
+    while setups:  # a point's state is released once it is done
+        n_d, setup = setups.pop(0)
+        if isinstance(setup, str):
+            excluded.append((n_d, setup))
+            continue
+        g_pred, point_params, point_free, trace_fit = setup
+        try:
+            fit = trace_fit.solve()
             full = {**vars(point_params), **fit.params}
             g_fit, kappa, gamma_m = full["g"], full["kappa"], full["gamma_m"]
             _, _, gamma_opt = sideband_rates(g_fit, kappa, -mech.omega_m, mech.omega_m)

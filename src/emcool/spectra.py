@@ -121,11 +121,6 @@ class ModelParams:
         if not 0.0 < self.beta <= 1.0:
             raise ParameterError(f"beta must lie in (0, 1], got {self.beta!r}")
 
-    @property
-    def sub_ideal_added_noise(self) -> bool:
-        """True when n_add_eff is below the phase-preserving minimum of 1/2."""
-        return self.n_add_eff < 0.5
-
     @classmethod
     def for_device(
         cls,

@@ -1017,6 +1017,77 @@ class TestAnalyzeCoolingSweep:
         assert curve.points[0].fit.params == em.analyze_cooling_sweep(entries[:1], device, thermal).points[0].fit.params
         assert curve.excluded == ((100, "ParameterError: duplicate n_d: an earlier entry has n_d = 100"),)
 
+    @staticmethod
+    def assert_same_fit(fit, other):
+        assert fit.to_json() == other.to_json()
+        assert fit.message == other.message
+        assert fit.step_costs == other.step_costs
+        assert fit.covariance.tobytes() == other.covariance.tobytes()
+
+    @staticmethod
+    def recorded_scan_groups(monkeypatch):
+        """Replace `estimation._cold_scans` by a wrapper that keeps the number
+        of first passes of every call."""
+        sizes, cold_scans = [], estimation._cold_scans
+        monkeypatch.setattr(estimation, "_cold_scans", lambda passes, scan: sizes.append(len(passes)) or cold_scans(passes, scan))
+        return sizes
+
+    def test_shared_scan_fits_equal_fits_alone(self, device, monkeypatch):
+        # points on one grid cost their first-pass g scans together; every
+        # fit is bit for bit the fit of its trace alone
+        thermal = em.ThermalState(n_m_T=39.0, n_c=0.0)
+        entries = [(n_d, output_trace(device, n_d, n_m_T=39.0, seed=(1 << 20) + i)[0])
+                   for i, n_d in enumerate((100.0, 1e3, 1e4, 1e5, 1e6))]
+        sizes = self.recorded_scan_groups(monkeypatch)
+        curve = em.analyze_cooling_sweep(entries, device, thermal)
+        assert sizes == [len(entries)]  # one grid, every point profiles g
+        assert [sp.point.n_d for sp in curve.points] == [n_d for n_d, _ in entries]
+        for (n_d, trace), sp in zip(entries, curve.points):
+            g_pred = em.coupling_rate(device.coupling, device.mech, n_d)
+            params = em.ModelParams.for_device(device, g=g_pred, n_m_T=39.0, n_c=0.0)
+            self.assert_same_fit(sp.fit, em.fit_full_model(trace, params, free=tuple(sp.fit.params)))
+
+    def test_grids_are_grouped_by_value_and_points_fail_alone(self, device, monkeypatch):
+        # two windows of 1024 bins each, a point whose g is pinned (no scan),
+        # one whose set-up raises (W/Hz), one that raises after its fit and a
+        # nan n_d: the sweep returns what its points return one by one
+        def trace_on(halfspan_hz, n_d, seed):
+            return output_trace(device, n_d, n_m_T=39.0, seed=seed, points=1024, halfspan_hz=halfspan_hz)[0]
+
+        narrow = [(n_d, trace_on(600e3, n_d, 10 + i)) for i, n_d in enumerate((0.1, 1e3, 1e4))]
+        wide = [(n_d, trace_on(2e6, n_d, 20 + i)) for i, n_d in enumerate((300.0, 3e3, 1e5))]
+        watts = wide[0][1]
+        wide[0] = (300.0, em.SpectrumTrace(watts.freq_hz, watts.values, em.SpectrumUnit.WATTS_PER_HZ, {}))
+        entries = [wide[2], narrow[1], (math.nan, narrow[1][1]), wide[0], narrow[0], wide[1], narrow[2]]
+        # fails the n_d = 1e5 point, whose g is the only one past g(n_d = 3e4)
+        g_cut, chain = em.coupling_rate(device.coupling, device.mech, 3e4), estimation.imprecision_from_chain
+
+        def imprecision(g, *args):
+            if g > g_cut:
+                raise ParameterError("imprecision unavailable")
+            return chain(g, *args)
+
+        monkeypatch.setattr(estimation, "imprecision_from_chain", imprecision)
+        thermal = em.ThermalState(n_m_T=39.0, n_c=0.0)
+        with monkeypatch.context() as patch:  # every first pass costs its own scan, with `_Pass.cost`
+            patch.setattr(estimation, "_cold_scans", lambda passes, scan: None)
+            alone = [em.analyze_cooling_sweep([entry], device, thermal) for entry in entries]
+        sizes = self.recorded_scan_groups(monkeypatch)
+        curve = em.analyze_cooling_sweep(entries, device, thermal)
+        expected = em.CoolingCurve(
+            points=tuple(sorted((sp for c in alone for sp in c.points), key=lambda sp: sp.point.n_d)),
+            excluded=tuple(sorted((item for c in alone for item in c.excluded), key=lambda item: (not math.isnan(item[0]), item[0]))),
+        )
+        assert [sp.point.n_d for sp in curve.points] == [0.1, 1e3, 3e3, 1e4]
+        assert [(repr(n_d), reason.split(":")[0]) for n_d, reason in curve.excluded] == [
+            ("nan", "ParameterError"), ("300.0", "UnitError"), ("100000.0", "ParameterError")
+        ]
+        assert repr(curve.excluded) == repr(expected.excluded)
+        assert curve.to_json() == expected.to_json()
+        for sp, other in zip(curve.points, expected.points):
+            self.assert_same_fit(sp.fit, other.fit)
+        assert sizes == [2, 2]  # 1e3 and 1e4 on the narrow window, 3e3 and 1e5 on the wide one
+
     def test_bad_drives_are_excluded_not_raised(self, device):
         # a negative, nan, infinite or repeated n_d once raised out of the
         # sweep, came back as an ordinary point, or misordered the good ones

@@ -634,8 +634,3 @@ class TestModelParams:
         for name in base:
             with pytest.raises(ParameterError, match=f"{name} must be a finite number"):
                 em.ModelParams(**{**base, name: bad})
-
-    def test_sub_ideal_flag(self, device):
-        base = model_params(device, 100.0).__dict__
-        assert not em.ModelParams(**base).sub_ideal_added_noise
-        assert em.ModelParams(**{**base, "n_add_eff": 0.4}).sub_ideal_added_noise
