@@ -14,12 +14,13 @@ pass's node, and solves the amplitudes at that g.  The basis row s there
 pass's model, whose sigmas model/sqrt(n_avg) weight the next pass, and,
 after the last pass, J in closed form: the basis, and g's column from
 ds/dg.  One J^T J serves the covariance inv(J^T J) and the degeneracy
-check.  `analyze_cooling_sweep` sets up every point's object before any
-profile runs: points on one grid share their shape factors and the basis
-rows of their first pass's g scan, and each result equals the point's
-`fit_full_model` bit for bit.  kappa, delta_tilde and gamma_m are never fitted: they are measured
-independently, kappa and delta_tilde by a probe tone at each drive power
-and gamma_m from the low-drive line width.  Any subset of
+check.  `analyze_cooling_sweep` sets up the objects of up to
+`_SHARED_SCANS` points on one grid before their profiles run: they share
+their shape factors and the basis rows of their first pass's g scan, and
+each result equals the point's `fit_full_model` bit for bit.  kappa,
+delta_tilde and gamma_m are never fitted: they are measured independently,
+kappa and delta_tilde by a probe tone at each drive power and gamma_m from
+the low-drive line width.  Any subset of
 {g, n_m_T, n_c, n_add_eff} may be freed.
 """
 from __future__ import annotations
@@ -216,51 +217,51 @@ class _Pass:
         # normal equations = entries @ fold
         self.base = np.array([np.sum(w), np.sum(wd), wd @ data]) @ fold[:3]  # the constant entries
         self.fold, self.size = fold[3:], math.isqrt(fold.shape[1])
-        self.scanned = None  # (g, costs) of a cold scan costed with other passes of one shape, by `_cold_scans`
+        self.scanned = None  # (g, costs) of a cold scan costed with other passes by `_cold_scans`
 
     def gram(self, g: np.ndarray) -> np.ndarray:
         """Normal equations (m, k + 1, k + 1) per coupling in g: the weighted
         Gram matrices of 1, A, B and the data, mapped by coef."""
-        s = _basis_row(self.shape, g[:, None])
-        lin = s @ self.lin
-        return self.fold_products(g, lin, np.square(s, out=s) @ self.quad)
-
-    def fold_products(self, g: np.ndarray, lin: np.ndarray, quad: np.ndarray) -> np.ndarray:
-        """`gram` from its two products over the bins, s @ lin and s^2 @ quad."""
-        entries = np.concatenate((lin, quad), axis=1)
-        entries *= (self.mech * (g * g))[:, None] ** _C_POWER
-        return (self.base + entries @ self.fold).reshape(g.size, self.size, self.size)
+        return _grams([self], g)[0]
 
     def cost(self, g: np.ndarray) -> np.ndarray:
-        """Profile cost per coupling in g: the normal equations in blocks of
-        `_SCAN_BLOCK` couplings, which bounds their memory, then one NNLS
-        over all of them; every g >= 0 gives finite rows (see
-        `spectra._basis_row`).  The costs of a scan `_cold_scans` costed
-        are returned as they are."""
+        """Profile cost per coupling in g: one NNLS over all their normal
+        equations; every g >= 0 gives finite rows (see `spectra._basis_row`).
+        The costs of a scan `_cold_scans` costed are returned as they are."""
         if self.scanned is not None and np.array_equal(g, self.scanned[0]):
             return self.scanned[1]
-        return _nnls(np.concatenate([self.gram(g[i : i + _SCAN_BLOCK]) for i in range(0, g.size, _SCAN_BLOCK)]))[1]
+        return _nnls(self.gram(g))[1]
+
+
+def _grams(passes: Sequence[_Pass], g: np.ndarray) -> list[np.ndarray]:
+    """`_Pass.gram` of every pass in `passes`, whose shapes are equal by
+    value, at the couplings g: built in blocks of `_SCAN_BLOCK` couplings,
+    which bounds their memory, with each block's rows s and s^2 formed once
+    for all the passes.  A pass's normal equations do not depend on the
+    other passes, bit for bit."""
+    shape, mech = passes[0].shape, passes[0].mech
+    blocks: list[list[np.ndarray]] = [[] for _ in passes]
+    for i in range(0, g.size, _SCAN_BLOCK):
+        g_block = g[i : i + _SCAN_BLOCK]
+        s = _basis_row(shape, g_block[:, None])
+        lins = [s @ normal.lin for normal in passes]
+        np.square(s, out=s)
+        scale = (mech * (g_block * g_block))[:, None] ** _C_POWER
+        for normal, grams, lin in zip(passes, blocks, lins):
+            entries = np.concatenate((lin, s @ normal.quad), axis=1)
+            entries *= scale
+            grams.append((normal.base + entries @ normal.fold).reshape(g_block.size, normal.size, normal.size))
+        del s  # before the next block's row is formed
+    return [grams[0] if len(grams) == 1 else np.concatenate(grams) for grams in blocks]
 
 
 def _cold_scans(passes: Sequence[_Pass], scan: np.ndarray) -> None:
     """Cost the cold scan `scan` (ln g) of first passes whose shapes are equal
-    by value, each as its `cost` would: per block of `_SCAN_BLOCK` couplings
-    the rows s and s^2 are formed once, then every pass takes its own two
-    products, normal equations and NNLS, with the shapes and operations of
-    `_Pass.gram` and `_Pass.cost`, so that its costs are bit-identical.
-    Each pass keeps its costs for its profile's first call."""
+    by value, as each pass's `cost` would, and keep the costs in the pass for
+    its profile's first call."""
     g = np.exp(scan)
-    blocks: list[list[np.ndarray]] = [[] for _ in passes]
-    for i in range(0, g.size, _SCAN_BLOCK):
-        g_block = g[i : i + _SCAN_BLOCK]
-        s = _basis_row(passes[0].shape, g_block[:, None])
-        lins = [s @ normal.lin for normal in passes]
-        np.square(s, out=s)
-        for normal, grams, lin in zip(passes, blocks, lins):
-            grams.append(normal.fold_products(g_block, lin, s @ normal.quad))
-        del s  # before the next block's row is formed
-    for normal, grams in zip(passes, blocks):
-        normal.scanned = (g, _nnls(np.concatenate(grams))[1])
+    for normal, gram in zip(passes, _grams(passes, g)):
+        normal.scanned = (g, _nnls(gram)[1])
 
 
 # a stencil's minimum half-width, and the width of a one-sided bracket at
@@ -802,6 +803,44 @@ class CoolingCurve:
         return json.dumps(payload, indent=2)
 
 
+# at most this many cooling-sweep points on one grid are fitted together,
+# sharing the basis rows of their cold g scans (`_cold_scans`); this bounds
+# the first passes a sweep holds at once
+_SHARED_SCANS = 8
+
+
+def _sweep_point(
+    n_d: float, g_pred: float, point_params: ModelParams, point_free: tuple, fit: FitResult, omega_m: float
+) -> SweepPoint:
+    """A cooling-sweep point from its fit: the cooled occupancy from the
+    fitted bath parameters and its delta-method sigma, the imprecision
+    quanta from the fitted chain noise, and the relative deviation of a
+    fitted g from the sqrt(n_d) prediction g_pred; omega_m is the
+    device's, which sets the red-detuned drive."""
+    full = {**vars(point_params), **fit.params}
+    g_fit, kappa, gamma_m = full["g"], full["kappa"], full["gamma_m"]
+    _, _, gamma_opt = sideband_rates(g_fit, kappa, -omega_m, omega_m)
+    state = ThermalState(n_m_T=full["n_m_T"], n_c=full["n_c"])
+    grad = final_occupancy_gradient(state, g_fit, kappa, gamma_m)
+    vec = np.array([grad.get(name, 0.0) for name in fit.params])  # delta method
+    n_m_sigma = math.nan if fit.covariance is None else math.sqrt(max(vec @ fit.covariance @ vec, 0.0))
+    return SweepPoint(
+        point=CoolingPoint(
+            n_d=n_d,
+            g=g_fit,
+            gamma_opt=gamma_opt,
+            gamma_total=total_linewidth(gamma_m, gamma_opt),
+            n_m=final_occupancy(state, g_fit, kappa, gamma_m),
+            n_c=full["n_c"],
+        ),
+        n_m_sigma=n_m_sigma,
+        n_c_sigma=fit.sigmas.get("n_c", math.nan) if fit.sigmas is not None else math.nan,
+        n_imp=imprecision_from_chain(g_fit, kappa, full["kappa_ex"], gamma_m, full["beta"], full["n_add_eff"]),
+        g_rel_deviation=(g_fit - g_pred) / g_pred if "g" in point_free and g_pred > 0.0 else math.nan,
+        fit=fit,
+    )
+
+
 def analyze_cooling_sweep(
     sweep: Sequence[tuple[float, SpectrumTrace]],
     device: DeviceParams,
@@ -827,26 +866,25 @@ def analyze_cooling_sweep(
     n_m_sigma propagates the fit covariance through the analytic gradient
     of `final_occupancy`.
 
-    Every point's `_TraceFit` and first `_Pass` are built before any g is
-    profiled.  Points whose grids and shape values are equal (kappa,
-    kappa_ex, gamma_m, delta_tilde, beta, omega_m, which also set the g
-    scan) share their shape factors, and those that profile g share the
-    basis rows of their first pass's scan (`_cold_scans`); each fit is
-    then bit for bit `fit_full_model` on its trace alone.  While the scans
-    run, each sharing point holds its first pass, five weighted columns of
-    its grid.
+    Points whose grids and shape values are equal (kappa, kappa_ex,
+    gamma_m, delta_tilde, beta, omega_m, which also set the g scan) are
+    fitted together, in groups of at most `_SHARED_SCANS` in increasing
+    n_d: they share their shape factors, and those that profile g the basis
+    rows of their first pass's scan (`_cold_scans`); each fit is still, bit
+    for bit, `fit_full_model` on its trace alone.  While a group's scan
+    runs, each of its points that profile g holds its first pass, five
+    weighted columns of its grid, so that at most `_SHARED_SCANS` first
+    passes are held at once; a point alone on its grid holds one pass at a
+    time, as `fit_full_model` does.
     """
     cavity, mech = device.cavity, device.mech
     # a nan n_d would leave the sort's order undefined
     excluded = [(n_d, f"ParameterError: n_d must be finite, got {n_d!r}") for n_d, _ in sweep if not math.isfinite(n_d)]
     seen: set[float] = set()
-    # every point's set-up, or the reason it is excluded, in increasing n_d
-    setups: list[tuple[float, tuple | str]] = []
-    # by grid and the values the shape factors take, which also set the g
-    # scan: the factors, shared by the points, and the scan with the first
-    # passes of the points that profile g, which share its basis rows
-    shapes: dict[tuple, tuple] = {}
-    scans: dict[tuple, tuple[np.ndarray, list[_Pass]]] = {}
+    # per point in increasing n_d: its SweepPoint, or the reason it is excluded
+    outcomes: list = []
+    # per grid and shape values: the set-ups of its points, with their places in outcomes
+    groups: list[tuple[np.ndarray, tuple, list[tuple]]] = []
     for n_d, trace in sorted((item for item in sweep if math.isfinite(item[0])), key=lambda item: item[0]):
         try:  # per-point failures must not kill the sweep
             if n_d in seen:
@@ -866,52 +904,37 @@ def analyze_cooling_sweep(
             _, _, gamma_opt_pred = sideband_rates(g_pred, cavity.kappa, -mech.omega_m, mech.omega_m)
             if gamma_opt_pred < 0.1 * mech.gamma_m:
                 point_free = tuple(name for name in point_free if name != "g")
-            p = point_params
-            key = (trace.freq_hz.tobytes(), p.omega_m, p.kappa, p.kappa_ex, p.gamma_m, p.delta_tilde, p.beta)
-            trace_fit = _TraceFit(trace, point_params, point_free, shapes.get(key))
-            shapes[key] = trace_fit.shape
-            if trace_fit.scan is not None:
-                scans.setdefault(key, (trace_fit.scan, []))[1].append(trace_fit.normal())
-            setups.append((n_d, (g_pred, point_params, point_free, trace_fit)))
         except Exception as exc:
-            setups.append((n_d, f"{type(exc).__name__}: {exc}"))
-    for scan, passes in scans.values():
-        _cold_scans(passes, scan)
-    points: list[SweepPoint] = []
-    while setups:  # a point's state is released once it is done
-        n_d, setup = setups.pop(0)
-        if isinstance(setup, str):
-            excluded.append((n_d, setup))
+            outcomes.append((n_d, f"{type(exc).__name__}: {exc}"))
             continue
-        g_pred, point_params, point_free, trace_fit = setup
-        try:
-            fit = trace_fit.solve()
-            full = {**vars(point_params), **fit.params}
-            g_fit, kappa, gamma_m = full["g"], full["kappa"], full["gamma_m"]
-            _, _, gamma_opt = sideband_rates(g_fit, kappa, -mech.omega_m, mech.omega_m)
-            state = ThermalState(n_m_T=full["n_m_T"], n_c=full["n_c"])
-            grad = final_occupancy_gradient(state, g_fit, kappa, gamma_m)
-            vec = np.array([grad.get(name, 0.0) for name in fit.params])  # delta method
-            n_m_sigma = math.nan if fit.covariance is None else math.sqrt(max(vec @ fit.covariance @ vec, 0.0))
-            points.append(
-                SweepPoint(
-                    point=CoolingPoint(
-                        n_d=n_d,
-                        g=g_fit,
-                        gamma_opt=gamma_opt,
-                        gamma_total=total_linewidth(gamma_m, gamma_opt),
-                        n_m=final_occupancy(state, g_fit, kappa, gamma_m),
-                        n_c=full["n_c"],
-                    ),
-                    n_m_sigma=n_m_sigma,
-                    n_c_sigma=fit.sigmas.get("n_c", math.nan) if fit.sigmas is not None else math.nan,
-                    n_imp=imprecision_from_chain(
-                        g_fit, kappa, full["kappa_ex"], gamma_m, full["beta"], full["n_add_eff"]
-                    ),
-                    g_rel_deviation=(g_fit - g_pred) / g_pred if "g" in point_free and g_pred > 0.0 else math.nan,
-                    fit=fit,
-                )
-            )
-        except Exception as exc:
-            excluded.append((n_d, f"{type(exc).__name__}: {exc}"))
+        p = point_params
+        values = (p.omega_m, p.kappa, p.kappa_ex, p.gamma_m, p.delta_tilde, p.beta)
+        group = next((known for known in groups if known[1] == values and np.array_equal(known[0], trace.freq_hz)), None)
+        if group is None:
+            group = (trace.freq_hz, values, [])
+            groups.append(group)
+        group[2].append((len(outcomes), n_d, trace, g_pred, point_params, point_free))
+        outcomes.append(None)
+    for _, _, setups in groups:
+        shape = None  # the group's shape factors, from its first point's `_TraceFit`
+        for i in range(0, len(setups), _SHARED_SCANS):
+            fits = []
+            for place, n_d, trace, g_pred, point_params, point_free in setups[i : i + _SHARED_SCANS]:
+                try:
+                    fit = _TraceFit(trace, point_params, point_free, shape)
+                    shape = fit.shape
+                    fits.append((place, n_d, g_pred, point_params, point_free, fit))
+                except Exception as exc:
+                    outcomes[place] = (n_d, f"{type(exc).__name__}: {exc}")
+            sharing = [fit for *_, fit in fits if fit.scan is not None]
+            if len(sharing) > 1:
+                _cold_scans([fit.normal() for fit in sharing], sharing[0].scan)
+            while fits:  # a point's state is released once it is done
+                place, n_d, g_pred, point_params, point_free, fit = fits.pop(0)
+                try:
+                    outcomes[place] = _sweep_point(n_d, g_pred, point_params, point_free, fit.solve(), mech.omega_m)
+                except Exception as exc:
+                    outcomes[place] = (n_d, f"{type(exc).__name__}: {exc}")
+    points = [item for item in outcomes if isinstance(item, SweepPoint)]
+    excluded += [item for item in outcomes if not isinstance(item, SweepPoint)]
     return CoolingCurve(points=tuple(points), excluded=tuple(excluded))

@@ -1032,15 +1032,26 @@ class TestAnalyzeCoolingSweep:
         monkeypatch.setattr(estimation, "_cold_scans", lambda passes, scan: sizes.append(len(passes)) or cold_scans(passes, scan))
         return sizes
 
-    def test_shared_scan_fits_equal_fits_alone(self, device, monkeypatch):
-        # points on one grid cost their first-pass g scans together; every
-        # fit is bit for bit the fit of its trace alone
+    @pytest.mark.parametrize("shared, groups", [(8, [5]), (2, [2, 2])])
+    def test_shared_scan_fits_equal_fits_alone(self, device, monkeypatch, shared, groups):
+        # points on one grid cost their first-pass g scans together, at most
+        # _SHARED_SCANS at once (a last point alone costs its own); every fit
+        # is bit for bit the fit of its trace alone
         thermal = em.ThermalState(n_m_T=39.0, n_c=0.0)
         entries = [(n_d, output_trace(device, n_d, n_m_T=39.0, seed=(1 << 20) + i)[0])
                    for i, n_d in enumerate((100.0, 1e3, 1e4, 1e5, 1e6))]
+        monkeypatch.setattr(estimation, "_SHARED_SCANS", shared)
         sizes = self.recorded_scan_groups(monkeypatch)
+        gram_sizes, gram = [], estimation._Pass.gram
+        monkeypatch.setattr(estimation._Pass, "gram", lambda normal, g: gram_sizes.append(g.size) or gram(normal, g))
         curve = em.analyze_cooling_sweep(entries, device, thermal)
-        assert sizes == [len(entries)]  # one grid, every point profiles g
+        assert sizes == groups  # one grid, every point profiles g
+        # a shared scan's costs are what each pass's profile takes first: the
+        # only pass that costs a whole scan itself is a last point alone
+        kappa, gamma_m = device.cavity.kappa, device.mech.gamma_m
+        scan = estimation._log_scan(0.5 * math.sqrt(1e-3 * kappa * gamma_m), 10.0 * kappa)
+        assert gram_sizes.count(scan.size) == len(entries) - sum(groups)
+        assert max(size for size in gram_sizes if size != scan.size) <= 3
         assert [sp.point.n_d for sp in curve.points] == [n_d for n_d, _ in entries]
         for (n_d, trace), sp in zip(entries, curve.points):
             g_pred = em.coupling_rate(device.coupling, device.mech, n_d)
