@@ -63,10 +63,6 @@ class DriveConfig:
         """Optimally red-detuned drive, Delta = -omega_m (delta_tilde = 0)."""
         return cls.from_detuning(device, -device.mech.omega_m, n_d=n_d, power_in=power_in)
 
-    def delta_tilde(self, mech: MechanicalMode) -> float:
-        """Sideband-frame detuning Delta + omega_m (rad/s)."""
-        return self.detuning + mech.omega_m
-
     def photons(self, device: DeviceParams) -> float:
         """Intracavity photon number, converting from input power if needed."""
         if self.n_d is not None:

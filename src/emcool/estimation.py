@@ -14,14 +14,15 @@ pass's node, and solves the amplitudes at that g.  The basis row s there
 pass's model, whose sigmas model/sqrt(n_avg) weight the next pass, and,
 after the last pass, J in closed form: the basis, and g's column from
 ds/dg.  One J^T J serves the covariance inv(J^T J) and the degeneracy
-check.  `analyze_cooling_sweep` sets up the objects of up to
-`_SHARED_SCANS` points on one grid before their profiles run: they share
-their shape factors and the basis rows of their first pass's g scan, and
-each result equals the point's `fit_full_model` bit for bit.  kappa,
-delta_tilde and gamma_m are never fitted: they are measured independently,
-kappa and delta_tilde by a probe tone at each drive power and gamma_m from
-the low-drive line width.  Any subset of
-{g, n_m_T, n_c, n_add_eff} may be freed.
+check.  `analyze_cooling_sweep` builds every point's object where it
+checks the point and groups the objects by grid alone (every point's
+shape values are the device's): a grid's points share their shape
+factors and, up to `_SHARED_SCANS` at once, their first pass's g-scan
+rows, and each result equals the point's `fit_full_model` bit for bit.
+kappa, delta_tilde and gamma_m are never fitted: they are measured
+independently, kappa and delta_tilde by a probe tone at each drive power
+and gamma_m from the low-drive line width.  Any subset of {g, n_m_T, n_c,
+n_add_eff} may be freed.
 """
 from __future__ import annotations
 
@@ -809,21 +810,19 @@ class CoolingCurve:
 _SHARED_SCANS = 8
 
 
-def _sweep_point(
-    n_d: float, g_pred: float, point_params: ModelParams, point_free: tuple, fit: FitResult, omega_m: float
-) -> SweepPoint:
-    """A cooling-sweep point from its fit: the cooled occupancy from the
-    fitted bath parameters and its delta-method sigma, the imprecision
+def _sweep_point(n_d: float, g_pred: float, fit: _TraceFit, result: FitResult) -> SweepPoint:
+    """A cooling-sweep point from its solved fit: the cooled occupancy from
+    the fitted bath parameters and its delta-method sigma, the imprecision
     quanta from the fitted chain noise, and the relative deviation of a
-    fitted g from the sqrt(n_d) prediction g_pred; omega_m is the
+    fitted g from the sqrt(n_d) prediction g_pred; the fit's omega_m is the
     device's, which sets the red-detuned drive."""
-    full = {**vars(point_params), **fit.params}
-    g_fit, kappa, gamma_m = full["g"], full["kappa"], full["gamma_m"]
+    values = fit.values  # pinned and fitted
+    g_fit, kappa, gamma_m, omega_m = values["g"], values["kappa"], values["gamma_m"], values["omega_m"]
     _, _, gamma_opt = sideband_rates(g_fit, kappa, -omega_m, omega_m)
-    state = ThermalState(n_m_T=full["n_m_T"], n_c=full["n_c"])
+    state = ThermalState(n_m_T=values["n_m_T"], n_c=values["n_c"])
     grad = final_occupancy_gradient(state, g_fit, kappa, gamma_m)
-    vec = np.array([grad.get(name, 0.0) for name in fit.params])  # delta method
-    n_m_sigma = math.nan if fit.covariance is None else math.sqrt(max(vec @ fit.covariance @ vec, 0.0))
+    vec = np.array([grad.get(name, 0.0) for name in fit.free])  # delta method
+    n_m_sigma = math.nan if result.covariance is None else math.sqrt(max(vec @ result.covariance @ vec, 0.0))
     return SweepPoint(
         point=CoolingPoint(
             n_d=n_d,
@@ -831,13 +830,13 @@ def _sweep_point(
             gamma_opt=gamma_opt,
             gamma_total=total_linewidth(gamma_m, gamma_opt),
             n_m=final_occupancy(state, g_fit, kappa, gamma_m),
-            n_c=full["n_c"],
+            n_c=values["n_c"],
         ),
         n_m_sigma=n_m_sigma,
-        n_c_sigma=fit.sigmas.get("n_c", math.nan) if fit.sigmas is not None else math.nan,
-        n_imp=imprecision_from_chain(g_fit, kappa, full["kappa_ex"], gamma_m, full["beta"], full["n_add_eff"]),
-        g_rel_deviation=(g_fit - g_pred) / g_pred if "g" in point_free and g_pred > 0.0 else math.nan,
-        fit=fit,
+        n_c_sigma=result.sigmas.get("n_c", math.nan) if result.sigmas is not None else math.nan,
+        n_imp=imprecision_from_chain(g_fit, kappa, values["kappa_ex"], gamma_m, values["beta"], values["n_add_eff"]),
+        g_rel_deviation=(g_fit - g_pred) / g_pred if "g" in fit.free else math.nan,
+        fit=result,
     )
 
 
@@ -859,23 +858,22 @@ def analyze_cooling_sweep(
     cannot resolve the cavity mode, and g, pinned to the sqrt(n_d) value,
     when the predicted radiation-pressure broadening is below 10% of
     gamma_m (only the product g^2 n_m_T is measurable there).  A point
-    that raises anywhere, from its coupling to its derived quantities, is
-    excluded with a diagnostic, and so are a point whose n_d is not finite
-    and a later point at the n_d of an earlier one; the rest of the curve,
-    in increasing n_d, is still returned.
+    that raises anywhere, from its coupling and its fit's set-up to its
+    derived quantities, is excluded with a diagnostic, and so are a point
+    whose n_d is not finite and a later point at the n_d of an earlier one;
+    the rest of the curve, in increasing n_d, is still returned.
     n_m_sigma propagates the fit covariance through the analytic gradient
     of `final_occupancy`.
 
-    Points whose grids and shape values are equal (kappa, kappa_ex,
-    gamma_m, delta_tilde, beta, omega_m, which also set the g scan) are
-    fitted together, in groups of at most `_SHARED_SCANS` in increasing
-    n_d: they share their shape factors, and those that profile g the basis
-    rows of their first pass's scan (`_cold_scans`); each fit is still, bit
-    for bit, `fit_full_model` on its trace alone.  While a group's scan
-    runs, each of its points that profile g holds its first pass, five
-    weighted columns of its grid, so that at most `_SHARED_SCANS` first
-    passes are held at once; a point alone on its grid holds one pass at a
-    time, as `fit_full_model` does.
+    Every point's fit object (`_TraceFit`) is built where the point is
+    checked.  The good points are grouped by grid alone, since their shape
+    values (which also set the g scan) are the device's, and a grid's
+    points share their shape factors.  They are solved in chunks of at most
+    `_SHARED_SCANS` in increasing n_d, sharing the basis rows of their first
+    pass's g scan (`_cold_scans`); each fit is still, bit for bit,
+    `fit_full_model` on its trace alone.  Each point holds its sigma column
+    from its set-up on, and at most `_SHARED_SCANS` first passes (five
+    weighted columns of the grid each) are held at once.
     """
     cavity, mech = device.cavity, device.mech
     # a nan n_d would leave the sort's order undefined
@@ -883,8 +881,8 @@ def analyze_cooling_sweep(
     seen: set[float] = set()
     # per point in increasing n_d: its SweepPoint, or the reason it is excluded
     outcomes: list = []
-    # per grid and shape values: the set-ups of its points, with their places in outcomes
-    groups: list[tuple[np.ndarray, tuple, list[tuple]]] = []
+    # per grid's bytes: its good points' places in outcomes, n_d, g_pred and fit
+    groups: dict[bytes, list[tuple[int, float, float, _TraceFit]]] = {}
     for n_d, trace in sorted((item for item in sweep if math.isfinite(item[0])), key=lambda item: item[0]):
         try:  # per-point failures must not kill the sweep
             if n_d in seen:
@@ -892,47 +890,34 @@ def analyze_cooling_sweep(
             seen.add(n_d)
             g_pred = coupling_rate(device.coupling, mech, n_d)
             # device values, thermal occupancies and the sqrt(n_d) coupling, where pinned
-            point_params = ModelParams.for_device(device, g=g_pred, n_m_T=thermal.n_m_T, n_c=thermal.n_c)
-            point_free = DEFAULT_FREE
+            params = ModelParams.for_device(device, g=g_pred, n_m_T=thermal.n_m_T, n_c=thermal.n_c)
+            free = DEFAULT_FREE
             # n_c rides on the kappa-wide cavity mode; a window that does not
             # resolve it leaves n_c degenerate with n_add_eff, so pin it there
             halfspan_rad = math.pi * (trace.freq_hz[-1] - trace.freq_hz[0])
             if halfspan_rad < 0.5 * cavity.kappa:
-                point_free = tuple(name for name in point_free if name != "n_c")
+                free = tuple(name for name in free if name != "n_c")
             # below ~10% linewidth broadening the spectrum only constrains the
             # product g^2 n_m_T; pin g to the calibrated sqrt(n_d) prediction
             _, _, gamma_opt_pred = sideband_rates(g_pred, cavity.kappa, -mech.omega_m, mech.omega_m)
             if gamma_opt_pred < 0.1 * mech.gamma_m:
-                point_free = tuple(name for name in point_free if name != "g")
+                free = tuple(name for name in free if name != "g")
+            group = groups.setdefault(trace.freq_hz.tobytes(), [])
+            fit = _TraceFit(trace, params, free, group[0][3].shape if group else None)
         except Exception as exc:
             outcomes.append((n_d, f"{type(exc).__name__}: {exc}"))
             continue
-        p = point_params
-        values = (p.omega_m, p.kappa, p.kappa_ex, p.gamma_m, p.delta_tilde, p.beta)
-        group = next((known for known in groups if known[1] == values and np.array_equal(known[0], trace.freq_hz)), None)
-        if group is None:
-            group = (trace.freq_hz, values, [])
-            groups.append(group)
-        group[2].append((len(outcomes), n_d, trace, g_pred, point_params, point_free))
+        group.append((len(outcomes), n_d, g_pred, fit))
         outcomes.append(None)
-    for _, _, setups in groups:
-        shape = None  # the group's shape factors, from its first point's `_TraceFit`
-        for i in range(0, len(setups), _SHARED_SCANS):
-            fits = []
-            for place, n_d, trace, g_pred, point_params, point_free in setups[i : i + _SHARED_SCANS]:
-                try:
-                    fit = _TraceFit(trace, point_params, point_free, shape)
-                    shape = fit.shape
-                    fits.append((place, n_d, g_pred, point_params, point_free, fit))
-                except Exception as exc:
-                    outcomes[place] = (n_d, f"{type(exc).__name__}: {exc}")
-            sharing = [fit for *_, fit in fits if fit.scan is not None]
+    for group in groups.values():
+        for i in range(0, len(group), _SHARED_SCANS):
+            chunk = group[i : i + _SHARED_SCANS]
+            sharing = [fit for *_, fit in chunk if fit.scan is not None]
             if len(sharing) > 1:
                 _cold_scans([fit.normal() for fit in sharing], sharing[0].scan)
-            while fits:  # a point's state is released once it is done
-                place, n_d, g_pred, point_params, point_free, fit = fits.pop(0)
+            for place, n_d, g_pred, fit in chunk:
                 try:
-                    outcomes[place] = _sweep_point(n_d, g_pred, point_params, point_free, fit.solve(), mech.omega_m)
+                    outcomes[place] = _sweep_point(n_d, g_pred, fit, fit.solve())
                 except Exception as exc:
                     outcomes[place] = (n_d, f"{type(exc).__name__}: {exc}")
     points = [item for item in outcomes if isinstance(item, SweepPoint)]

@@ -3,10 +3,9 @@ force noise, and the imprecision-backaction product against the Heisenberg
 bound."""
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .constants import HBAR
 from .device import MechanicalMode
@@ -91,16 +90,11 @@ class LimitReport:
             raise ParameterError("product_over_hbar inconsistent with 4 sqrt(n_imp n_ba)")
 
     @classmethod
-    def build(
-        cls, n_imp: float, n_ba: float, s_x_imp: float, s_f_total: float, red_detuned: bool = True
-    ) -> "LimitReport":
+    def build(cls, n_imp: float, n_ba: float, s_x_imp: float, s_f_total: float) -> "LimitReport":
         return cls(
             n_imp=n_imp,
             n_ba=n_ba,
             s_x_imp=s_x_imp,
             s_f_total=s_f_total,
-            product_over_hbar=heisenberg_product(n_imp, n_ba, red_detuned=red_detuned),
+            product_over_hbar=heisenberg_product(n_imp, n_ba),
         )
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)

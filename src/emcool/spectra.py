@@ -210,20 +210,10 @@ def output_noise_values(delta, params: ModelParams) -> np.ndarray:
     return noise_floor(params) + numer / np.abs(denom) ** 2
 
 
-def output_noise_basis(delta, g, kappa: float, kappa_ex: float, gamma_m: float,
-                       delta_tilde: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Terms A, B of S/(hbar omega) = 1/2 + n_add' + n_c A + n_m^T B (`output_noise_values`).
-
-    `g` may broadcast against `delta` (shape (m, 1): a row per coupling).
-    """
-    factors = _basis_factors(np.asarray(delta, dtype=float), kappa, kappa_ex, gamma_m, delta_tilde, beta)
-    s = _basis_row(factors, g)
-    return s * factors[2], s * (factors[4] * np.square(g))
-
-
 def _basis_factors(delta: np.ndarray, kappa: float, kappa_ex: float, gamma_m: float, delta_tilde: float, beta: float):
     """The g-independent factors P, Q^2, K, 4 beta kappa_ex and 4 gamma_m of
-    `output_noise_basis`.
+    the basis A, B of S/(hbar omega) = 1/2 + n_add' + n_c A + n_m^T B
+    (`output_noise_values`).
 
     With s = 4 beta kappa_ex / ((4 g^2 + P)^2 + Q^2) the basis is A = s K and
     B = 4 gamma_m g^2 s, where P = kappa gamma_m - 4 delta (delta + delta_tilde),
@@ -471,6 +461,11 @@ def trace_to_csv(trace: SpectrumTrace) -> str:
         if name == "unit" or "=" in name or any(f != f.strip() or len(f.splitlines()) > 1 for f in (name, text)):
             raise ParameterError(f"trace metadata {key!r} cannot be read back: a key must not be 'unit' or hold '=', "
                                  f"and no key or value may hold a line break or start or end with a blank ({text!r})")
+        # the reader gives back an int or a float for a value that parses as one, and the string otherwise
+        numeric_str = isinstance(value, str) and not isinstance(_parse_meta_value(value), str)
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)) or numeric_str:
+            raise ParameterError(f"trace metadata {key!r} cannot be read back: a value must be an int, a float or a "
+                                 f"string that does not read as a number, got {value!r}")
         lines.append(f"# {name}={text}")
     lines.append("freq_hz,value")
     return "\n".join(lines) + "\n" + format_rows((trace.freq_hz, trace.values)).decode("ascii")

@@ -19,18 +19,14 @@ from .spectra import ModelParams, SpectrumTrace, SpectrumUnit, grid_for, output_
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Averaging count, seed, and optional grid spec for synthetic traces."""
+    """Averaging count and seed for synthetic traces."""
 
     n_avg: int = 500
     seed: int = 0
-    points: int = 4096
-    halfspan_hz: float | None = None
 
     def __post_init__(self) -> None:
         if self.n_avg < 1:
             raise ParameterError(f"n_avg must be >= 1, got {self.n_avg!r}")
-        if self.points < 32:
-            raise ParameterError(f"points must be >= 32, got {self.points!r}")
 
 
 def periodogram_factors(n_bins: int, n_avg: int, seed: int) -> np.ndarray:
@@ -46,12 +42,12 @@ def generate_spectrum(
 ) -> SpectrumTrace:
     """Noisy output spectrum: model values times seeded periodogram factors.
 
-    Uses the exact output-noise model on `freq_hz` (or a default grid sized
-    from `noise` and the model linewidths).  n_avg and seed land in the trace
-    metadata so fits can reconstruct the per-bin weights.
+    Uses the exact output-noise model on `freq_hz` (or `grid_for(params)`,
+    the default grid sized from the model linewidths).  n_avg and seed land
+    in the trace metadata so fits can reconstruct the per-bin weights.
     """
     if freq_hz is None:
-        freq_hz = grid_for(params, points=noise.points, halfspan_hz=noise.halfspan_hz)
+        freq_hz = grid_for(params)
     clean = output_noise_spectrum(freq_hz, params)
     factors = periodogram_factors(clean.values.size, noise.n_avg, noise.seed)
     meta = dict(clean.meta)

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 import emcool as em
+from emcool.spectra import _basis_factors, _basis_row
 
 TWO_PI = 2.0 * math.pi
 
@@ -29,6 +31,15 @@ def model_params(device, n_d, n_m_T=40.0, n_c=0.0, n_add_eff=2.1, delta_tilde=0.
     return em.ModelParams.for_device(
         device, g=g, n_m_T=n_m_T, n_c=n_c, n_add_eff=n_add_eff, delta_tilde=delta_tilde
     )
+
+
+def basis(delta, g, kappa, kappa_ex, gamma_m, delta_tilde, beta):
+    """Terms A = s K and B = 4 gamma_m g^2 s of S/(hbar omega) = 1/2 + n_add'
+    + n_c A + n_m^T B from the fit's own `_basis_factors` and `_basis_row`;
+    `g` may broadcast against `delta` (shape (m, 1): a row per coupling)."""
+    factors = _basis_factors(np.asarray(delta, dtype=float), kappa, kappa_ex, gamma_m, delta_tilde, beta)
+    s = _basis_row(factors, g)
+    return s * factors[2], s * (factors[4] * np.square(g))
 
 
 def output_trace(device, n_d, *, n_m_T=40.0, n_c=0.0, n_add_eff=2.1, seed=0,

@@ -270,7 +270,6 @@ class TestDriveConfig:
     def test_red_detuned_matches_device(self, device):
         drive = em.DriveConfig.red_detuned(device, n_d=10.0)
         assert drive.detuning == -device.mech.omega_m
-        assert drive.delta_tilde(device.mech) == 0.0
 
     def test_photons_from_power(self, device):
         n_d = 42.0

@@ -11,13 +11,13 @@ from emcool import estimation, spectra
 from emcool.constants import HBAR
 from emcool.errors import DegenerateFitError, ParameterError, PeakDetectionError, UnitError
 from emcool.estimation import _GAIN_TOL, DEFAULT_FREE, _nnls, _Pass, _profile_g
-from emcool.spectra import _basis_factors, grid_for, output_noise_basis
+from emcool.spectra import _basis_factors, grid_for
 from emcool.synth import periodogram_factors
 
-from conftest import gamma_total_at, model_params, output_trace
+from conftest import basis, gamma_total_at, model_params, output_trace
 
 TWO_PI = 2.0 * math.pi
-# the arguments of output_noise_basis after delta
+# the arguments of the basis after delta
 BASIS_ARGS = ("g", "kappa", "kappa_ex", "gamma_m", "delta_tilde", "beta")
 
 
@@ -373,7 +373,7 @@ class TestFitFullModel:
         params = replace(device_model, **fit.params)
         delta = TWO_PI * trace.freq_hz - params.omega_m
         np.testing.assert_allclose(model, em.output_noise_values(delta, params), rtol=1e-13, atol=0.0)
-        cav, mech = output_noise_basis(delta, *(getattr(params, name) for name in BASIS_ARGS))
+        cav, mech = basis(delta, *(getattr(params, name) for name in BASIS_ARGS))
         jac = np.column_stack([np.ones_like(delta), cav, mech]) / estimation._sigma_from_model(model, trace.n_avg)[:, None]
         amps = [DEFAULT_FREE.index(name) for name in ("n_add_eff", "n_c", "n_m_T")]
         np.testing.assert_allclose(gram[np.ix_(amps, amps)], jac.T @ jac, rtol=1e-13, atol=0.0)
@@ -382,19 +382,19 @@ class TestFitFullModel:
     def test_g_column_matches_a_central_difference(self, device, device_model, monkeypatch, case):
         # J's g column is the closed-form derivative of the basis at the
         # last pass's row s; against a central difference of
-        # output_noise_basis, through every entry of J^T J
+        # the basis, through every entry of J^T J
         trace = profile_case_trace(device, case)
         fit, model, gram = self.fit_with_gram(trace, device_model, monkeypatch)
         params = replace(device_model, **fit.params)
         delta = TWO_PI * trace.freq_hz - params.omega_m
         args = {name: getattr(params, name) for name in BASIS_ARGS}
 
-        def basis(g):
-            return output_noise_basis(delta, **{**args, "g": g})
+        def basis_at(g):
+            return basis(delta, **{**args, "g": g})
 
         h = 1e-5 * params.g
-        (cav_hi, mech_hi), (cav_lo, mech_lo) = basis(params.g + h), basis(params.g - h)
-        cav, mech = basis(params.g)
+        (cav_hi, mech_hi), (cav_lo, mech_lo) = basis_at(params.g + h), basis_at(params.g - h)
+        cav, mech = basis_at(params.g)
         columns = {"n_add_eff": np.ones_like(delta), "n_c": cav, "n_m_T": mech,
                    "g": (params.n_c * (cav_hi - cav_lo) + params.n_m_T * (mech_hi - mech_lo)) / (2.0 * h)}
         jac = np.column_stack([columns[name] for name in DEFAULT_FREE])
@@ -409,7 +409,7 @@ class TestFitFullModel:
         trace = profile_case_trace(device, "readme")
         calls = []
         for module in (spectra, estimation):
-            for name in ("_basis_factors", "output_noise_values", "output_noise_basis"):
+            for name in ("_basis_factors", "output_noise_values"):
                 original = getattr(module, name, None)
                 if original is not None:
                     wrapper = lambda *args, name=name, original=original: calls.append(name) or original(*args)
@@ -503,7 +503,7 @@ class TestSeparableNormalEquations:
     def test_gram_matches_explicit_basis(self, device):
         # per-shape and per-pass columns with two products per block of
         # couplings against the weighted Gram of 1, A, B, d built directly
-        # from output_noise_basis, including 4 g^2 >> kappa gamma_m
+        # from the basis, including 4 g^2 >> kappa gamma_m
         rng = np.random.default_rng(7)
         kappa0, gm0 = device.cavity.kappa, device.mech.gamma_m
         delta = np.linspace(-3.0 * kappa0, 3.0 * kappa0, 1024)
@@ -518,7 +518,7 @@ class TestSeparableNormalEquations:
             g = np.append(g, 10.0 * vals["kappa"])  # 4 g^2 = 400 kappa^2
             args = [vals[name] for name in BASIS_ARGS[1:]]
             gram = _Pass(_basis_factors(delta, *args), w, data, estimation._fold(np.eye(4))).gram(g)
-            cav, mech = output_noise_basis(delta, g[:, None], *args)
+            cav, mech = basis(delta, g[:, None], *args)
             design = np.stack(np.broadcast_arrays(1.0, cav, mech, data), axis=-1)
             explicit = np.einsum("mni,n,mnj->mij", design, w, design)
             np.testing.assert_allclose(gram, explicit, rtol=1e-10, atol=0.0)

@@ -10,9 +10,8 @@ import emcool as em
 from emcool import estimation
 from emcool.errors import DegenerateFitError, ParameterError
 from emcool.estimation import DEFAULT_FREE
-from emcool.spectra import output_noise_basis
 
-from conftest import model_params, output_trace
+from conftest import basis, model_params, output_trace
 
 TWO_PI = 2.0 * math.pi
 PINNED_G = ("n_m_T", "n_c", "n_add_eff")
@@ -54,7 +53,7 @@ class TestOracleEquivalence:
         root_w, delta = 1.0 / sigmas[-2], TWO_PI * trace.freq_hz - truth.omega_m  # the last pass's weights
 
         def oracle(g):  # cost and amplitudes
-            cav, mech = output_noise_basis(delta, g, truth.kappa, truth.kappa_ex, truth.gamma_m, 0.0, truth.beta)
+            cav, mech = basis(delta, g, truth.kappa, truth.kappa_ex, truth.gamma_m, 0.0, truth.beta)
             design = np.column_stack([mech, cav, np.ones_like(delta)]) * root_w[:, None]
             amps, ssr = np.linalg.lstsq(design, (trace.values - 0.5) * root_w, rcond=None)[:2]
             return 0.5 * float(ssr[0]), amps

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -115,7 +116,7 @@ class TestLimitReport:
             s_x_imp=1.7e-33,
             s_f_total=em.total_force_psd(device.mech, gamma_total, 0.36),
         )
-        payload = json.loads(report.to_json())
+        payload = json.loads(json.dumps(asdict(report)))  # as `emcool report` writes it
         assert set(payload) == {"n_imp", "n_ba", "s_x_imp", "s_f_total", "product_over_hbar"}
         assert payload["product_over_hbar"] == pytest.approx(4 * math.sqrt(1.9 * 0.86))
 

@@ -12,10 +12,10 @@ from emcool.errors import (
     PeakDetectionError,
     UnitError,
 )
-from emcool.spectra import _trapezoid, grid_for, trace_from_csv, trace_to_csv
+from emcool.spectra import _basis_factors, _basis_row, _trapezoid, grid_for, trace_from_csv, trace_to_csv
 from emcool.synth import periodogram_factors
 
-from conftest import gamma_total_at, model_params
+from conftest import basis, gamma_total_at, model_params
 
 TWO_PI = 2.0 * math.pi
 
@@ -221,7 +221,7 @@ class TestSeparableBasis:
         params = model_params(device, n_d, n_m_T=n_m_T, n_c=n_c, n_add_eff=n_add_eff,
                               delta_tilde=dt * device.cavity.kappa)
         delta = np.linspace(-3 * device.cavity.kappa, 3 * device.cavity.kappa, 4096)
-        cav, mech = em.spectra.output_noise_basis(
+        cav, mech = basis(
             delta, params.g, params.kappa, params.kappa_ex, params.gamma_m,
             params.delta_tilde, params.beta,
         )
@@ -232,13 +232,12 @@ class TestSeparableBasis:
         params = model_params(device, 4000.0)
         delta = np.linspace(-1e6, 1e6, 257)
         gs = np.array([0.0, 1e3, params.g, 1e6])
-        args = (params.kappa, params.kappa_ex, params.gamma_m, params.delta_tilde, params.beta)
-        cav, mech = em.spectra.output_noise_basis(delta, gs[:, None], *args)
-        assert cav.shape == mech.shape == (4, 257)
+        factors = _basis_factors(delta, params.kappa, params.kappa_ex, params.gamma_m, params.delta_tilde, params.beta)
+        rows = _basis_row(factors, gs[:, None])
+        assert rows.shape == (4, 257)
         for row, g in enumerate(gs):
-            cav_g, mech_g = em.spectra.output_noise_basis(delta, g, *args)
-            np.testing.assert_array_equal(cav[row], cav_g)
-            np.testing.assert_array_equal(mech[row], mech_g)
+            np.testing.assert_array_equal(rows[row], _basis_row(factors, g))
+        mech = rows * (factors[4] * np.square(gs[:, None]))  # B = 4 gamma_m g^2 s
         assert not np.any(mech[0])
 
 class TestWeakCouplingSpectrum:
@@ -574,10 +573,13 @@ class TestTraceCsv:
     @pytest.mark.parametrize("meta", [
         {"device": "ref\nfreq_hz,value"}, {"device": "ref\r"}, {"device": " ref"}, {"device": "ref\t"},
         {"a=b": "x"}, {"a\nb": 1}, {" n_avg": 500}, {"n_avg ": 500}, {"unit": "quanta"},
+        {"label": "12"}, {"label": "1_000"}, {"label": "inf"}, {"flag": True}, {"flag": None}, {"tags": [1, 2]},
     ])
     def test_unreadable_metadata_rejected(self, meta):
-        # a key or string value that the reader would cut, strip or split
-        # is refused by the writer, naming the key, instead of written
+        # a key or string value that the reader would cut, strip or split,
+        # a string it would read as a number and a value that is not an int,
+        # a float or a string are refused by the writer, naming the key,
+        # instead of written
         trace = em.SpectrumTrace(np.arange(8.0) + 1.0, np.ones(8), em.SpectrumUnit.QUANTA, meta)
         (key,) = meta
         with pytest.raises(ParameterError, match=re.escape(f"trace metadata {key!r} cannot be read back")):

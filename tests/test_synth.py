@@ -15,8 +15,6 @@ class TestNoiseConfig:
     def test_validation(self):
         with pytest.raises(ParameterError):
             em.NoiseConfig(n_avg=0)
-        with pytest.raises(ParameterError):
-            em.NoiseConfig(points=8)
 
 
 class TestGenerateSpectrum:
@@ -71,15 +69,16 @@ class TestGenerateSpectrum:
 
     def test_meta_records_provenance(self, device):
         params = model_params(device, 500.0)
-        trace = em.generate_spectrum(params, em.NoiseConfig(n_avg=500, seed=9, points=64))
+        trace = em.generate_spectrum(params, em.NoiseConfig(n_avg=500, seed=9), freq_hz=grid_for(params, points=64))
         assert trace.meta["n_avg"] == 500
         assert trace.meta["seed"] == 9
         assert trace.unit is em.SpectrumUnit.QUANTA
 
     def test_default_grid_from_config(self, device):
+        # without freq_hz the trace lies on the model's own default grid
         params = model_params(device, 500.0)
-        trace = em.generate_spectrum(params, em.NoiseConfig(n_avg=500, seed=0, points=128))
-        assert trace.freq_hz.size == 128
+        trace = em.generate_spectrum(params, em.NoiseConfig(n_avg=500, seed=0))
+        assert trace.freq_hz.tobytes() == grid_for(params).tobytes()
 
 
 class TestPeriodogramFactors:
