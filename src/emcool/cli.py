@@ -185,17 +185,10 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _default_nd_grid(nd_min: float, nd_max: float) -> list[float]:
-    """1-2-5 per decade, inclusive of both end decades."""
-    values = []
-    decade = 10.0 ** math.floor(math.log10(nd_min))
-    while decade <= nd_max:
-        for mult in (1.0, 2.0, 5.0):
-            v = mult * decade
-            if nd_min <= v <= nd_max:
-                values.append(v)
-        decade *= 10.0
-    return values
+# the tables `report` writes: n_d at 1-2-5 per decade from 1 to 1e6, and 48
+# bath temperatures from 15 to 250 mK
+_REPORT_ND = tuple(mult * 10.0**exp for exp in range(6) for mult in (1.0, 2.0, 5.0)) + (1e6,)
+_REPORT_TEMPS_MK = np.linspace(15.0, 250.0, 48)
 
 
 def cmd_report(args) -> int:
@@ -204,17 +197,15 @@ def cmd_report(args) -> int:
     thermal = _thermal_from_args(args, device)
     out_dir = _out_dir(args)
 
-    temps_mk = np.linspace(args.t_min_mk, args.t_max_mk, args.t_points)
     lines = ["temperature_k,n_m"]
-    for t_mk in temps_mk:
+    for t_mk in _REPORT_TEMPS_MK:
         n = bose_occupancy(t_mk * 1e-3, mech.omega_m)
         lines.append(f"{t_mk * 1e-3:.17g},{n:.17g}")
 
     x_zp = zero_point_motion(mech)
-    nd_values = _default_nd_grid(args.nd_min, args.nd_max)
     rows = ["n_d,g_hz,gamma_opt_hz,gamma_total_hz,s_x_imp_m2_per_hz,n_imp,n_m"]
     best = None
-    for n_d in nd_values:
+    for n_d in _REPORT_ND:
         pt = predict_cooling_point(device, thermal, n_d)
         n_imp = imprecision_from_chain(
             pt.g, cavity.kappa, cavity.kappa_ex, mech.gamma_m, cavity.beta, args.n_add_eff
@@ -234,25 +225,20 @@ def cmd_report(args) -> int:
                 )
             )
         )
-        n_ba = pt.n_m + 0.5  # conservative bound: all residual occupancy blamed on backaction
-        product = 4.0 * math.sqrt(n_imp * n_ba)
-        if best is None or product < best[0]:
-            best = (
-                product,
-                LimitReport.build(
-                    n_imp=n_imp,
-                    n_ba=n_ba,
-                    s_x_imp=s_x_imp,
-                    s_f_total=total_force_psd(mech, pt.gamma_total, pt.n_m),
-                ),
-                n_d,
-            )
+        limit = LimitReport(
+            n_imp=n_imp,
+            n_ba=pt.n_m + 0.5,  # conservative bound: all residual occupancy blamed on backaction
+            s_x_imp=s_x_imp,
+            s_f_total=total_force_psd(mech, pt.gamma_total, pt.n_m),
+        )
+        if best is None or limit.product_over_hbar < best[0].product_over_hbar:
+            best = (limit, n_d)
     # no file is written before every value is known: a bad option leaves none behind
     (out_dir / "occupancy_vs_temperature.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     (out_dir / "drive_sweep.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
 
-    report = asdict(best[1])
-    report["n_d"] = best[2]
+    report = asdict(best[0])
+    report["n_d"] = best[1]
     report["note"] = "product_over_hbar is an upper bound (n_ba <= n_m + 1/2 assumed)"
     report["storage_time_s"] = storage_time(thermal, mech.gamma_m)
     (out_dir / "limit_report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
@@ -314,11 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", parents=[common, thermal, added], help="forward-model summary tables")
-    p.add_argument("--nd-min", type=float, default=1.0)
-    p.add_argument("--nd-max", type=float, default=1e6)
-    p.add_argument("--t-min-mk", type=float, default=15.0)
-    p.add_argument("--t-max-mk", type=float, default=250.0)
-    p.add_argument("--t-points", type=int, default=48)
     p.set_defaults(func=cmd_report)
     return parser
 

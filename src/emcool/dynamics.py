@@ -3,8 +3,9 @@
 Covers the parametric coupling rate, sideband scattering rates, total
 mechanical linewidth, the final occupancy to first and second order in
 1/omega_m, photon-number/power conversions and the thermal storage time.
-Everything is a pure function of immutable inputs; only the red-detuned
-steady state is modeled (no transients).
+A drive is its detuning and its intracavity photon number n_d, as the
+paper gives every drive.  Everything is a pure function of immutable
+inputs; only the red-detuned steady state is modeled (no transients).
 """
 from __future__ import annotations
 
@@ -18,56 +19,24 @@ from .errors import ParameterError, ParametricInstabilityError
 
 @dataclass(frozen=True)
 class DriveConfig:
-    """A coherent microwave drive: frequency, detuning and strength.
+    """A coherent microwave drive: its detuning from the cavity and the
+    intracavity photon number n_d it holds.
 
-    Strength is given as exactly one of `n_d` (intracavity photons) or
-    `power_in` (input power in W at the device feed line).
+    The drive frequency is omega_d = omega_c + detuning; the functions that
+    need it take the cavity and compute it.
     """
 
-    omega_d: float
     detuning: float  # Delta = omega_d - omega_c (rad/s)
-    n_d: float | None = None
-    power_in: float | None = None
+    n_d: float
 
     def __post_init__(self) -> None:
-        if (self.n_d is None) == (self.power_in is None):
-            raise ParameterError("specify exactly one of n_d or power_in")
-        strength = self.n_d if self.n_d is not None else self.power_in
-        if strength < 0.0:
-            raise ParameterError(f"drive strength must be >= 0, got {strength!r}")
+        if not 0.0 <= self.n_d < math.inf:  # false for nan too
+            raise ParameterError(f"n_d must be a finite number >= 0, got {self.n_d!r}")
 
     @classmethod
-    def from_detuning(
-        cls,
-        device: DeviceParams,
-        detuning: float,
-        *,
-        n_d: float | None = None,
-        power_in: float | None = None,
-    ) -> "DriveConfig":
-        return cls(
-            omega_d=device.cavity.omega_c + detuning,
-            detuning=detuning,
-            n_d=n_d,
-            power_in=power_in,
-        )
-
-    @classmethod
-    def red_detuned(
-        cls,
-        device: DeviceParams,
-        *,
-        n_d: float | None = None,
-        power_in: float | None = None,
-    ) -> "DriveConfig":
+    def red_detuned(cls, device: DeviceParams, *, n_d: float) -> "DriveConfig":
         """Optimally red-detuned drive, Delta = -omega_m (delta_tilde = 0)."""
-        return cls.from_detuning(device, -device.mech.omega_m, n_d=n_d, power_in=power_in)
-
-    def photons(self, device: DeviceParams) -> float:
-        """Intracavity photon number, converting from input power if needed."""
-        if self.n_d is not None:
-            return self.n_d
-        return intracavity_photons(self.power_in, self, device.cavity)
+        return cls(detuning=-device.mech.omega_m, n_d=n_d)
 
 
 @dataclass(frozen=True)
@@ -213,28 +182,30 @@ def final_occupancy_2nd_order(
 def intracavity_photons(power_in: float, drive: DriveConfig, cavity: Cavity) -> float:
     """Photons stored in the cavity by a coherent drive of power `power_in` (W).
 
-    n_d = (2 P_i / hbar omega_d) * kappa_ex / (kappa^2 + 4 Delta^2)
+    n_d = (2 P_i / hbar omega_d) * kappa_ex / (kappa^2 + 4 Delta^2), with the
+    drive at omega_d = omega_c + Delta; the drive's own n_d is not read.
     """
-    if power_in < 0.0:
-        raise ParameterError(f"power_in must be >= 0, got {power_in!r}")
+    if not 0.0 <= power_in < math.inf:  # false for nan too
+        raise ParameterError(f"power_in must be a finite number >= 0, got {power_in!r}")
     kappa = cavity.kappa
-    return (2.0 * power_in / (HBAR * drive.omega_d)) * cavity.kappa_ex / (
+    return (2.0 * power_in / (HBAR * (cavity.omega_c + drive.detuning))) * cavity.kappa_ex / (
         kappa * kappa + 4.0 * drive.detuning**2
     )
 
 
 def drive_power_for_photons(n_d: float, drive: DriveConfig, cavity: Cavity) -> float:
     """Input power (W) required to hold `n_d` photons; inverse of intracavity_photons."""
-    if n_d < 0.0:
-        raise ParameterError(f"n_d must be >= 0, got {n_d!r}")
+    if not 0.0 <= n_d < math.inf:  # false for nan too
+        raise ParameterError(f"n_d must be a finite number >= 0, got {n_d!r}")
     kappa = cavity.kappa
-    return n_d * HBAR * drive.omega_d * (kappa * kappa + 4.0 * drive.detuning**2) / (2.0 * cavity.kappa_ex)
+    omega_d = cavity.omega_c + drive.detuning
+    return n_d * HBAR * omega_d * (kappa * kappa + 4.0 * drive.detuning**2) / (2.0 * cavity.kappa_ex)
 
 
 def transmitted_power(power_in: float, cavity: Cavity, detuning: float) -> float:
     """Power past the cavity, P_o = P_i (kappa_0^2+4 Delta^2)/(kappa^2+4 Delta^2)."""
-    if power_in < 0.0:
-        raise ParameterError(f"power_in must be >= 0, got {power_in!r}")
+    if not 0.0 <= power_in < math.inf:  # false for nan too
+        raise ParameterError(f"power_in must be a finite number >= 0, got {power_in!r}")
     kappa = cavity.kappa
     four_d2 = 4.0 * detuning * detuning
     return power_in * (cavity.kappa_0**2 + four_d2) / (kappa * kappa + four_d2)

@@ -629,7 +629,7 @@ def calibrate_coupling(
         raise ParameterError(f"need at least 4 temperatures, got {len(sweep)}")
     warnings_: list[str] = []
 
-    n_d = drive.photons(device)
+    n_d = drive.n_d
     g = coupling_rate(device.coupling, device.mech, n_d)
     _, _, gamma_opt = sideband_rates(
         g, device.cavity.kappa, drive.detuning, device.mech.omega_m
@@ -683,9 +683,7 @@ def calibrate_coupling(
     if intercept < -2.0 * intercept_sigma:
         warnings_.append("fitted intercept negative beyond 2 sigma")
 
-    power_in = drive.power_in if drive.power_in is not None else drive_power_for_photons(
-        n_d, drive, device.cavity
-    )
+    power_in = drive_power_for_photons(n_d, drive, device.cavity)
     power_out = transmitted_power(power_in, device.cavity, drive.detuning)
     x_zp = zero_point_motion(device.mech)
     kappa = device.cavity.kappa

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .constants import HBAR
 from .device import MechanicalMode
@@ -47,12 +47,12 @@ def total_force_psd(mech: MechanicalMode, gamma_total: float, n_m: float) -> flo
     return 4.0 * HBAR * mech.omega_m * mech.mass * gamma_total * (n_m + 0.5)
 
 
-def heisenberg_product(n_imp: float, n_ba: float, red_detuned: bool = True) -> float:
+def heisenberg_product(n_imp: float, n_ba: float) -> float:
     """Imprecision-backaction product 4 sqrt(n_imp n_ba) in units of hbar.
 
     Raises on values below the absolute bound of 1 (inconsistent inputs);
-    warns below sqrt(2) when the drive is red-detuned, where sqrt(2) is the
-    attainable minimum.
+    warns below sqrt(2), the minimum attainable with the red-detuned drive
+    that the package models.
     """
     if n_imp < 0.0 or n_ba < 0.0:
         raise ParameterError("n_imp and n_ba must be >= 0")
@@ -62,7 +62,7 @@ def heisenberg_product(n_imp: float, n_ba: float, red_detuned: bool = True) -> f
             f"imprecision-backaction product {product:.4g} below the Heisenberg bound of 1: "
             "inputs are mutually inconsistent"
         )
-    if red_detuned and product < math.sqrt(2.0) - 1e-12:
+    if product < math.sqrt(2.0) - 1e-12:
         warnings.warn(
             f"product {product:.4g} below sqrt(2), the minimum attainable with a "
             "red-detuned drive",
@@ -73,28 +73,20 @@ def heisenberg_product(n_imp: float, n_ba: float, red_detuned: bool = True) -> f
 
 @dataclass(frozen=True)
 class LimitReport:
-    """Summary of measurement limits at one operating point."""
+    """Summary of measurement limits at one operating point.
+
+    `product_over_hbar` is not passed: it is computed from n_imp and n_ba by
+    `heisenberg_product`, and `asdict` lists it last.
+    """
 
     n_imp: float
     n_ba: float
     s_x_imp: float
     s_f_total: float
-    product_over_hbar: float
+    product_over_hbar: float = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("n_imp", "n_ba", "s_x_imp", "s_f_total", "product_over_hbar"):
+        for name in ("n_imp", "n_ba", "s_x_imp", "s_f_total"):
             if getattr(self, name) < 0.0:
                 raise ParameterError(f"{name} must be >= 0")
-        expected = 4.0 * math.sqrt(self.n_imp * self.n_ba)
-        if abs(self.product_over_hbar - expected) > 1e-9 * max(1.0, expected):
-            raise ParameterError("product_over_hbar inconsistent with 4 sqrt(n_imp n_ba)")
-
-    @classmethod
-    def build(cls, n_imp: float, n_ba: float, s_x_imp: float, s_f_total: float) -> "LimitReport":
-        return cls(
-            n_imp=n_imp,
-            n_ba=n_ba,
-            s_x_imp=s_x_imp,
-            s_f_total=s_f_total,
-            product_over_hbar=heisenberg_product(n_imp, n_ba),
-        )
+        object.__setattr__(self, "product_over_hbar", heisenberg_product(self.n_imp, self.n_ba))

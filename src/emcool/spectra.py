@@ -237,20 +237,16 @@ def _basis_row(factors: tuple, g) -> np.ndarray:
     return np.divide(numer, s, out=s)
 
 
-def output_noise_spectrum(freq_hz, params: ModelParams, meta: dict | None = None) -> SpectrumTrace:
+def output_noise_spectrum(freq_hz, params: ModelParams) -> SpectrumTrace:
     """Evaluate `output_noise_values` on an absolute frequency grid (Hz)."""
     freq_hz = np.asarray(freq_hz, dtype=float)
     delta = TWO_PI * freq_hz - params.omega_m
     values = output_noise_values(delta, params)
-    out_meta = {"model": "output_noise_spectrum", "center_hz": params.omega_m / TWO_PI}
-    if meta:
-        out_meta.update(meta)
-    return SpectrumTrace(freq_hz=freq_hz, values=values, unit=SpectrumUnit.QUANTA, meta=out_meta)
+    meta = {"model": "output_noise_spectrum", "center_hz": params.omega_m / TWO_PI}
+    return SpectrumTrace(freq_hz=freq_hz, values=values, unit=SpectrumUnit.QUANTA, meta=meta)
 
 
-def thermal_displacement_psd(
-    freq_hz, mech: MechanicalMode, n_m: float, gamma_total: float, meta: dict | None = None
-) -> SpectrumTrace:
+def thermal_displacement_psd(freq_hz, mech: MechanicalMode, n_m: float, gamma_total: float) -> SpectrumTrace:
     """Thermal displacement PSD: Lorentzian at omega_m with FWHM gamma_total.
 
     Normalized so integral S_x d(omega)/2pi = x_zp^2 (2 n_m + 1); the peak
@@ -266,10 +262,8 @@ def thermal_displacement_psd(
     peak = 4.0 * x_zp2 * (2.0 * n_m + 1.0) / gamma_total
     half = 0.5 * gamma_total
     values = peak * half * half / (half * half + delta * delta)
-    out_meta = {"model": "thermal_displacement_psd", "center_hz": mech.omega_m / TWO_PI}
-    if meta:
-        out_meta.update(meta)
-    return SpectrumTrace(freq_hz=freq_hz, values=values, unit=SpectrumUnit.M2_PER_HZ, meta=out_meta)
+    meta = {"model": "thermal_displacement_psd", "center_hz": mech.omega_m / TWO_PI}
+    return SpectrumTrace(freq_hz=freq_hz, values=values, unit=SpectrumUnit.M2_PER_HZ, meta=meta)
 
 
 # --- the line fit: floor + Lorentzian -------------------------------------------
@@ -456,9 +450,11 @@ def trace_to_csv(trace: SpectrumTrace) -> str:
     """
     lines = [f"# unit={trace.unit.value}"]
     for key, value in trace.meta.items():
-        name, text = f"{key}", f"{value:.17g}" if isinstance(value, float) else f"{value}"
+        text = f"{value:.17g}" if isinstance(value, float) else f"{value}"
+        if not isinstance(key, str):  # the reader gives back every key as a string
+            raise ParameterError(f"trace metadata {key!r} cannot be read back: a key must be a string")
         # the reader splits lines, strips both fields and ends the key at the first "="
-        if name == "unit" or "=" in name or any(f != f.strip() or len(f.splitlines()) > 1 for f in (name, text)):
+        if key == "unit" or "=" in key or any(f != f.strip() or len(f.splitlines()) > 1 for f in (key, text)):
             raise ParameterError(f"trace metadata {key!r} cannot be read back: a key must not be 'unit' or hold '=', "
                                  f"and no key or value may hold a line break or start or end with a blank ({text!r})")
         # the reader gives back an int or a float for a value that parses as one, and the string otherwise
@@ -466,7 +462,7 @@ def trace_to_csv(trace: SpectrumTrace) -> str:
         if isinstance(value, bool) or not isinstance(value, (str, int, float)) or numeric_str:
             raise ParameterError(f"trace metadata {key!r} cannot be read back: a value must be an int, a float or a "
                                  f"string that does not read as a number, got {value!r}")
-        lines.append(f"# {name}={text}")
+        lines.append(f"# {key}={text}")
     lines.append("freq_hz,value")
     return "\n".join(lines) + "\n" + format_rows((trace.freq_hz, trace.values)).decode("ascii")
 

@@ -374,6 +374,25 @@ class TestReport:
         assert payload["storage_time_s"] > 100e-6
         assert "upper bound" in payload["note"]
 
+    def test_fixed_tables(self, report_dir):
+        # n_d at 1-2-5 per decade from 1 to 1e6, 48 temperatures from 15 to 250 mK
+        lines = (report_dir / "drive_sweep.csv").read_text().strip().splitlines()[1:]
+        assert [float(line.split(",")[0]) for line in lines] == [
+            1, 2, 5, 10, 20, 50, 100, 200, 500, 1e3, 2e3, 5e3, 1e4, 2e4, 5e4, 1e5, 2e5, 5e5, 1e6
+        ]
+        lines = (report_dir / "occupancy_vs_temperature.csv").read_text().strip().splitlines()[1:]
+        temps = [float(line.split(",")[0]) for line in lines]
+        assert len(temps) == 48 and temps[0] == 0.015 and temps[-1] == 0.25
+
+    @pytest.mark.parametrize("flag", ["--nd-min", "--nd-max", "--t-min-mk", "--t-max-mk", "--t-points"])
+    def test_table_ranges_take_no_option(self, tmp_path, capsys, flag):
+        # the tables are fixed; --nd-min above --nd-max once ended in a traceback (exit 1)
+        with pytest.raises(SystemExit) as exc:
+            run(["report", flag, "10", "--out", tmp_path])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_rerun_overwrites_identically(self, report_dir, tmp_path):
         assert run(["report", "--out", tmp_path]) == 0
         assert (tmp_path / "drive_sweep.csv").read_text() == (

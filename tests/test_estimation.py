@@ -553,7 +553,7 @@ class TestTraceFit:
         fits = []
         for n_d in (1e4, 1e5):
             params = model_params(device, n_d, n_m_T=39.0)
-            trace = em.output_noise_spectrum(grid, params, meta={"n_avg": 20000})
+            trace = em.output_noise_spectrum(grid, params).with_meta(n_avg=20000)
             fits.append((math.sqrt(n_d), estimation._TraceFit(trace, params, DEFAULT_FREE)))
         G = device.coupling.G * np.exp(np.linspace(-math.log(2.0), math.log(2.0), 41))
         total = sum(fit.normal().cost(G * x_zp * root) for root, fit in fits)
@@ -828,8 +828,8 @@ def fixed_point_G(slope, device, drive, passes):
     """G by refreshing the radiation-pressure cooling factor `passes` times,
     starting from the uncorrected equipartition value."""
     mech, cavity = device.mech, device.cavity
-    n_d = drive.photons(device)
-    p_in = drive.power_in if drive.power_in is not None else em.drive_power_for_photons(n_d, drive, cavity)
+    n_d = drive.n_d
+    p_in = em.drive_power_for_photons(n_d, drive, cavity)
     p_out = em.transmitted_power(p_in, cavity, drive.detuning)
     x_zp = em.zero_point_motion(mech)
     scale = cavity.kappa * mech.omega_m / cavity.kappa_ex

@@ -171,7 +171,7 @@ class TestOutputNoiseSpectrum:
     def test_trace_metadata_and_axis(self, device):
         params = model_params(device, 100.0)
         grid = grid_for(params, points=128)
-        trace = em.output_noise_spectrum(grid, params, meta={"n_avg": 7})
+        trace = em.output_noise_spectrum(grid, params).with_meta(n_avg=7)
         assert trace.unit is em.SpectrumUnit.QUANTA
         assert trace.meta["n_avg"] == 7
         assert trace.meta["center_hz"] == pytest.approx(device.mech.omega_m / TWO_PI)
@@ -377,7 +377,7 @@ class TestIntegrateMechPeak:
         p_in = em.drive_power_for_photons(n_d, drive, cavity)
         # output power at the drive frequency, with hbar*omega frozen at the
         # same carrier used for the unit conversion
-        p_out = em.transmitted_power(p_in, cavity, drive.detuning) * (cavity.omega_c / drive.omega_d)
+        p_out = em.transmitted_power(p_in, cavity, drive.detuning) * (cavity.omega_c / (cavity.omega_c + drive.detuning))
         values = trace_w.values * displacement_scale(device, p_out)
         return self.occupancy(em.SpectrumTrace(grid, values, em.SpectrumUnit.M2_PER_HZ, {}), mech, zero_point=0.0)
 
@@ -574,12 +574,13 @@ class TestTraceCsv:
         {"device": "ref\nfreq_hz,value"}, {"device": "ref\r"}, {"device": " ref"}, {"device": "ref\t"},
         {"a=b": "x"}, {"a\nb": 1}, {" n_avg": 500}, {"n_avg ": 500}, {"unit": "quanta"},
         {"label": "12"}, {"label": "1_000"}, {"label": "inf"}, {"flag": True}, {"flag": None}, {"tags": [1, 2]},
+        {1: "x"}, {2.5: "y"},
     ])
     def test_unreadable_metadata_rejected(self, meta):
-        # a key or string value that the reader would cut, strip or split,
-        # a string it would read as a number and a value that is not an int,
-        # a float or a string are refused by the writer, naming the key,
-        # instead of written
+        # a key that is not a string, a key or string value that the reader
+        # would cut, strip or split, a string it would read as a number and a
+        # value that is not an int, a float or a string are refused by the
+        # writer, naming the key, instead of written
         trace = em.SpectrumTrace(np.arange(8.0) + 1.0, np.ones(8), em.SpectrumUnit.QUANTA, meta)
         (key,) = meta
         with pytest.raises(ParameterError, match=re.escape(f"trace metadata {key!r} cannot be read back")):
