@@ -16,12 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import device as device_mod
 from .constants import TWO_PI
 from .device import (
     DeviceParams,
     REFERENCE_N_ADD_EFF,
     bose_occupancy,
+    device_file_text,
     load_device,
     reference_device,
     zero_point_motion,
@@ -50,18 +50,6 @@ from .spectra import (
     write_trace,
 )
 from .synth import NoiseConfig, generate_spectrum
-
-_REFERENCE_FILE_COMMENTS = {
-    "omega_m_hz": "mechanical resonance of the membrane fundamental mode (measured)",
-    "gamma_m_hz": "intrinsic mechanical damping rate (measured, ringdown)",
-    "mass_kg": "effective motional mass (from membrane geometry)",
-    "omega_c_hz": "LC cavity resonance (measured)",
-    "kappa_ex_hz": "external coupling rate to the feed line (measured)",
-    "kappa_0_hz": "intrinsic cavity loss rate (measured)",
-    "beta": "output-routing fraction, 1/2 for the symmetric two-port circuit",
-    "G_hz_per_m": "cavity pull d f_c/dx (from thermal-sweep calibration)",
-}
-
 
 def _load_device_arg(path: str | None) -> DeviceParams:
     if path is None:
@@ -308,7 +296,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.print_paper_defaults:
-        print(device_mod.device_file_text(reference_device(), _REFERENCE_FILE_COMMENTS), end="")
+        print(device_file_text(reference_device()), end="")
         return 0
     if args.command is None:
         parser.print_help()

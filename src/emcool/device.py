@@ -129,19 +129,22 @@ def bose_occupancy(temperature: float, omega: float) -> float:
 
 # --- device parameter files -------------------------------------------------
 #
-# Flat UTF-8 key=value text.  Keys suffixed _hz hold ordinary frequencies and
-# are multiplied by 2*pi on load; G_hz_per_m likewise.
+# Flat UTF-8 key=value text, one line per key below, each under its comment.
+# A row is (key, DeviceParams part, field, Hz scale, comment): the field is
+# the file's value times the scale, 2*pi for the keys that hold ordinary
+# frequencies (Hz, or Hz per meter for G).
 
-DEVICE_FILE_KEYS = (
-    "omega_m_hz",
-    "gamma_m_hz",
-    "mass_kg",
-    "omega_c_hz",
-    "kappa_ex_hz",
-    "kappa_0_hz",
-    "beta",
-    "G_hz_per_m",
+_DEVICE_FILE = (
+    ("omega_m_hz", "mech", "omega_m", TWO_PI, "mechanical resonance of the membrane fundamental mode (measured)"),
+    ("gamma_m_hz", "mech", "gamma_m", TWO_PI, "intrinsic mechanical damping rate (measured, ringdown)"),
+    ("mass_kg", "mech", "mass", 1.0, "effective motional mass (from membrane geometry)"),
+    ("omega_c_hz", "cavity", "omega_c", TWO_PI, "LC cavity resonance (measured)"),
+    ("kappa_ex_hz", "cavity", "kappa_ex", TWO_PI, "external coupling rate to the feed line (measured)"),
+    ("kappa_0_hz", "cavity", "kappa_0", TWO_PI, "intrinsic cavity loss rate (measured)"),
+    ("beta", "cavity", "beta", 1.0, "output-routing fraction, 1/2 for the symmetric two-port circuit"),
+    ("G_hz_per_m", "coupling", "G", TWO_PI, "cavity pull d f_c/dx (from thermal-sweep calibration)"),
 )
+DEVICE_FILE_KEYS = tuple(row[0] for row in _DEVICE_FILE)
 
 
 def parse_device_text(text: str, source: str = "<string>") -> DeviceParams:
@@ -167,20 +170,10 @@ def parse_device_text(text: str, source: str = "<string>") -> DeviceParams:
     missing = [k for k in DEVICE_FILE_KEYS if k not in seen]
     if missing:
         raise DeviceFileError(f"{source}: missing keys: {', '.join(missing)}")
-
-    def ang(key: str) -> float:
-        return TWO_PI * seen[key]
-
-    return DeviceParams(
-        mech=MechanicalMode(omega_m=ang("omega_m_hz"), gamma_m=ang("gamma_m_hz"), mass=seen["mass_kg"]),
-        cavity=Cavity(
-            omega_c=ang("omega_c_hz"),
-            kappa_ex=ang("kappa_ex_hz"),
-            kappa_0=ang("kappa_0_hz"),
-            beta=seen["beta"],
-        ),
-        coupling=Coupling(G=ang("G_hz_per_m")),
-    )
+    parts: dict[str, dict[str, float]] = {"mech": {}, "cavity": {}, "coupling": {}}
+    for key, part, name, scale, _ in _DEVICE_FILE:
+        parts[part][name] = scale * seen[key]
+    return DeviceParams(MechanicalMode(**parts["mech"]), Cavity(**parts["cavity"]), Coupling(**parts["coupling"]))
 
 
 def load_device(path: str | Path) -> DeviceParams:
@@ -189,23 +182,12 @@ def load_device(path: str | Path) -> DeviceParams:
     return parse_device_text(path.read_text(encoding="utf-8"), source=str(path))
 
 
-def device_file_text(device: DeviceParams, comments: dict[str, str] | None = None) -> str:
-    """Serialize DeviceParams back to the key=value file format."""
-    values = {
-        "omega_m_hz": device.mech.omega_m / TWO_PI,
-        "gamma_m_hz": device.mech.gamma_m / TWO_PI,
-        "mass_kg": device.mech.mass,
-        "omega_c_hz": device.cavity.omega_c / TWO_PI,
-        "kappa_ex_hz": device.cavity.kappa_ex / TWO_PI,
-        "kappa_0_hz": device.cavity.kappa_0 / TWO_PI,
-        "beta": device.cavity.beta,
-        "G_hz_per_m": device.coupling.G / TWO_PI,
-    }
+def device_file_text(device: DeviceParams) -> str:
+    """The key=value file of `device`, which `parse_device_text` reads back
+    exactly: every key, under its comment, in 17 significant digits."""
     lines = []
-    for key in DEVICE_FILE_KEYS:
-        if comments and key in comments:
-            lines.append(f"# {comments[key]}")
-        lines.append(f"{key}={values[key]:.17g}")
+    for key, part, name, scale, comment in _DEVICE_FILE:
+        lines += [f"# {comment}", f"{key}={getattr(getattr(device, part), name) / scale:.17g}"]
     return "\n".join(lines) + "\n"
 
 

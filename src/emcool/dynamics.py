@@ -17,6 +17,11 @@ from .device import Cavity, Coupling, DeviceParams, MechanicalMode, bose_occupan
 from .errors import ParameterError, ParametricInstabilityError
 
 
+def _require_finite_detuning(detuning: float) -> None:
+    if not math.isfinite(detuning):
+        raise ParameterError(f"detuning must be a finite number, got {detuning!r}")
+
+
 @dataclass(frozen=True)
 class DriveConfig:
     """A coherent microwave drive: its detuning from the cavity and the
@@ -30,6 +35,7 @@ class DriveConfig:
     n_d: float
 
     def __post_init__(self) -> None:
+        _require_finite_detuning(self.detuning)
         if not 0.0 <= self.n_d < math.inf:  # false for nan too
             raise ParameterError(f"n_d must be a finite number >= 0, got {self.n_d!r}")
 
@@ -41,14 +47,11 @@ class DriveConfig:
 
 @dataclass(frozen=True)
 class ThermalState:
-    """Bath temperature and the thermal occupancies it implies.
-
-    `temperature` is None when the state was specified directly in quanta.
-    """
+    """The thermal occupancies of the mechanical mode and the cavity, in
+    quanta; `from_temperature` takes the mode's from a bath temperature."""
 
     n_m_T: float
     n_c: float = 0.0
-    temperature: float | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.n_m_T < math.inf and 0.0 <= self.n_c < math.inf):
@@ -56,11 +59,7 @@ class ThermalState:
 
     @classmethod
     def from_temperature(cls, temperature: float, mech: MechanicalMode, n_c: float = 0.0) -> "ThermalState":
-        return cls(
-            n_m_T=bose_occupancy(temperature, mech.omega_m),
-            n_c=n_c,
-            temperature=temperature,
-        )
+        return cls(n_m_T=bose_occupancy(temperature, mech.omega_m), n_c=n_c)
 
 
 @dataclass(frozen=True)
@@ -97,6 +96,7 @@ def sideband_rates(g: float, kappa: float, detuning: float, omega_m: float) -> t
     """
     if not kappa > 0.0:
         raise ParameterError(f"kappa must be > 0, got {kappa!r}")
+    _require_finite_detuning(detuning)
     four_g2_kappa = 4.0 * g * g * kappa
     gamma_plus = four_g2_kappa / (kappa * kappa + 4.0 * (detuning + omega_m) ** 2)
     gamma_minus = four_g2_kappa / (kappa * kappa + 4.0 * (detuning - omega_m) ** 2)
@@ -206,6 +206,7 @@ def transmitted_power(power_in: float, cavity: Cavity, detuning: float) -> float
     """Power past the cavity, P_o = P_i (kappa_0^2+4 Delta^2)/(kappa^2+4 Delta^2)."""
     if not 0.0 <= power_in < math.inf:  # false for nan too
         raise ParameterError(f"power_in must be a finite number >= 0, got {power_in!r}")
+    _require_finite_detuning(detuning)
     kappa = cavity.kappa
     four_d2 = 4.0 * detuning * detuning
     return power_in * (cavity.kappa_0**2 + four_d2) / (kappa * kappa + four_d2)

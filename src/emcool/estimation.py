@@ -10,8 +10,9 @@ cost (chi^2 / 2).  A per-trace object, `_TraceFit`, owns a trace's set-up
 IRLS state; `fit_full_model` drives it through passes of `fit_weighted`,
 each of which profiles g at the pass's weights, warm-started from the last
 pass's node, and solves the amplitudes at that g.  The basis row s there
-(`spectra._basis_row`, the arithmetic of the normal equations) gives the
-pass's model, whose sigmas model/sqrt(n_avg) weight the next pass, and,
+(`spectra._basis_row`, the arithmetic of the normal equations) gives,
+through `spectra._spectrum` as in `output_noise_values`, the pass's
+model, whose sigmas model/sqrt(n_avg) weight the next pass, and,
 after the last pass, J in closed form: the basis, and g's column from
 ds/dg.  One J^T J serves the covariance inv(J^T J) and the degeneracy
 check.  `analyze_cooling_sweep` builds every point's object where it
@@ -58,6 +59,7 @@ from .spectra import (
     _basis_row,
     _fit_line,
     _sigma_from_model,
+    _spectrum,
     output_noise_values,  # uncalled; benchmarks/tracing.py wraps this name until ROADMAP item 6 moves it
     peak_area,
 )
@@ -104,13 +106,14 @@ class FitResult:
 def fit_lorentzian(trace: SpectrumTrace) -> FitResult:
     """Fit floor + Lorentzian to a single peak: the line fit of `peak_area`, with
     the covariance inv(J^T J) under the sigmas model/sqrt(n_avg), not rescaled
-    by chi^2.  Raises PeakDetectionError as `peak_area` does."""
+    by chi^2, from `_covariance` as in the full-model fit.  Raises
+    PeakDetectionError as `peak_area` does."""
     peak, fisher, chi2, steps, passes = _fit_line(trace)
-    covariance = np.linalg.inv(fisher)
+    covariance, sigmas = _covariance(fisher)
     names = ("center_hz", "fwhm_hz", "area", "floor")
     return FitResult(
         params=dict(zip(names, (peak.center_hz, peak.fwhm_hz, peak.area, peak.floor))),
-        sigmas=dict(zip(names, np.sqrt(np.diag(covariance)).tolist())),
+        sigmas=None if sigmas is None else dict(zip(names, sigmas.tolist())),
         residual_rms=math.sqrt(chi2 / trace.freq_hz.size),
         n_iter=steps,
         covariance=covariance,
@@ -473,11 +476,10 @@ class _TraceFit:
     def update(self, fitted: Sequence[float]) -> float:
         """Take a pass's g and free amplitudes; the row s at that g gives the
         model and the next sigmas.  Returns the sigmas' largest relative move."""
-        values, (_, _, k, _, mech) = self.values, self.shape
+        values = self.values
         values.update(zip(("g", *self.amps), fitted))
         g, self.s = values["g"], _basis_row(self.shape, values["g"])  # as in `_Pass.gram`
-        # 1/2 + n_add_eff + n_c A + n_m_T B with A = s K and B = 4 gamma_m g^2 s
-        self.model = 0.5 + values["n_add_eff"] + self.s * (values["n_c"] * k + values["n_m_T"] * (mech * (g * g)))
+        self.model = _spectrum(self.shape, self.s, g, values["n_c"], values["n_m_T"], values["n_add_eff"])
         previous, self.sigma, self.pass_ = self.sigma, _sigma_from_model(self.model, self.n_avg), None
         return float(np.max(np.abs(self.sigma - previous) / previous))
 

@@ -20,8 +20,11 @@ def imprecision_from_chain(
     n_imp = (1/4 beta)(kappa/kappa_ex)((4g^2 + kappa gamma_m)/4g^2)(1/2 + n_add').
     Pass g=inf for the large-drive asymptote.  g=0 diverges (no measurement).
     """
-    if not (kappa > 0.0 and kappa_ex > 0.0 and gamma_m > 0.0):
-        raise ParameterError("rates must be > 0")
+    for name, rate in (("kappa", kappa), ("kappa_ex", kappa_ex), ("gamma_m", gamma_m)):
+        if not 0.0 < rate < math.inf:  # false for nan too
+            raise ParameterError(f"{name} must be a finite number > 0, got {rate!r}")
+    if not g >= 0.0:
+        raise ParameterError(f"g must be a number >= 0 (inf for the asymptote), got {g!r}")
     if not 0.0 < beta <= 1.0:
         raise ParameterError(f"beta must lie in (0, 1], got {beta!r}")
     if not 0.0 <= n_add_eff < math.inf:  # false for nan too
@@ -40,10 +43,10 @@ def total_force_psd(mech: MechanicalMode, gamma_total: float, n_m: float) -> flo
     Recovers the classical 4 k_B T m gamma_m for n_m >> 1 at gamma_total =
     gamma_m (relative difference ~ 1/(2 n_m)).
     """
-    if not gamma_total > 0.0:
-        raise ParameterError(f"gamma_total must be > 0, got {gamma_total!r}")
-    if n_m < 0.0:
-        raise ParameterError(f"n_m must be >= 0, got {n_m!r}")
+    if not 0.0 < gamma_total < math.inf:  # false for nan too
+        raise ParameterError(f"gamma_total must be a finite number > 0, got {gamma_total!r}")
+    if not 0.0 <= n_m < math.inf:
+        raise ParameterError(f"n_m must be a finite number >= 0, got {n_m!r}")
     return 4.0 * HBAR * mech.omega_m * mech.mass * gamma_total * (n_m + 0.5)
 
 
@@ -54,8 +57,9 @@ def heisenberg_product(n_imp: float, n_ba: float) -> float:
     warns below sqrt(2), the minimum attainable with the red-detuned drive
     that the package models.
     """
-    if n_imp < 0.0 or n_ba < 0.0:
-        raise ParameterError("n_imp and n_ba must be >= 0")
+    for name, value in (("n_imp", n_imp), ("n_ba", n_ba)):
+        if not 0.0 <= value < math.inf:  # false for nan too
+            raise ParameterError(f"{name} must be a finite number >= 0, got {value!r}")
     product = 4.0 * math.sqrt(n_imp * n_ba)
     if product < 1.0 - 1e-12:
         raise ParameterError(
@@ -87,6 +91,6 @@ class LimitReport:
 
     def __post_init__(self) -> None:
         for name in ("n_imp", "n_ba", "s_x_imp", "s_f_total"):
-            if getattr(self, name) < 0.0:
-                raise ParameterError(f"{name} must be >= 0")
+            if not 0.0 <= getattr(self, name) < math.inf:  # false for nan too
+                raise ParameterError(f"{name} must be a finite number >= 0, got {getattr(self, name)!r}")
         object.__setattr__(self, "product_over_hbar", heisenberg_product(self.n_imp, self.n_ba))

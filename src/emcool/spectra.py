@@ -189,25 +189,15 @@ def output_noise_values(delta, params: ModelParams) -> np.ndarray:
         4 beta kappa_ex [kappa n_c (gamma_m^2 + 4 delta^2) + 4 gamma_m n_m^T g^2]
         / |4 g^2 + (kappa + 2j(delta+delta_tilde))(gamma_m + 2j delta)|^2
 
-    Every `ModelParams` is stable, so no check is made.  The dressed-mode
-    poles solve 4 delta^2 - 2j(A+gamma_m) delta - (4g^2 + A gamma_m) = 0 with
-    A = kappa + 2j delta_tilde, and stable modes sit in the upper half plane.
-    The model is passive: at g = 0 the poles are j gamma_m/2 and j A/2, and
-    a pole reaches the real axis only where the real and imaginary parts of
-    the equation vanish together, at delta = -delta_tilde gamma_m/(kappa +
-    gamma_m) and 4g^2 = -kappa gamma_m (1 + 4 delta_tilde^2/(kappa +
-    gamma_m)^2) < 0.  So for kappa, gamma_m > 0 every real g is stable.
+    This closed form has one implementation, the arithmetic of the
+    full-model fit: the factors of `_basis_factors`, the row s of
+    `_basis_row` and the sum of `_spectrum`.  `TestOutputNoiseOracle`
+    checks it against the spectrum built from the susceptibilities.  A
+    scalar delta gives a one-bin array.
     """
-    delta = np.asarray(delta, dtype=float)
-    g2 = params.g * params.g
-    denom = 4.0 * g2 + (params.kappa + 2j * (delta + params.delta_tilde)) * (
-        params.gamma_m + 2j * delta
-    )
-    numer = 4.0 * params.beta * params.kappa_ex * (
-        params.kappa * params.n_c * (params.gamma_m**2 + 4.0 * delta * delta)
-        + 4.0 * params.gamma_m * params.n_m_T * g2
-    )
-    return noise_floor(params) + numer / np.abs(denom) ** 2
+    factors = _basis_factors(np.array(delta, dtype=float, ndmin=1), params.kappa, params.kappa_ex, params.gamma_m,
+                             params.delta_tilde, params.beta)
+    return _spectrum(factors, _basis_row(factors, params.g), params.g, params.n_c, params.n_m_T, params.n_add_eff)
 
 
 def _basis_factors(delta: np.ndarray, kappa: float, kappa_ex: float, gamma_m: float, delta_tilde: float, beta: float):
@@ -228,13 +218,29 @@ def _basis_factors(delta: np.ndarray, kappa: float, kappa_ex: float, gamma_m: fl
 def _basis_row(factors: tuple, g) -> np.ndarray:
     """s = 4 beta kappa_ex / ((4 g^2 + P)^2 + Q^2) from `_basis_factors`: a
     row per coupling when g has shape (m, 1).
-    Every real g gives a finite row: the model has no pole on the real axis
-    (see `output_noise_values`)."""
+
+    Every real g gives a finite row, because the model has no pole on the
+    real axis.  Its dressed-mode poles solve 4 delta^2 - 2j(A+gamma_m) delta
+    - (4g^2 + A gamma_m) = 0 with A = kappa + 2j delta_tilde, and stable
+    modes sit in the upper half plane.  The model is passive: at g = 0 the
+    poles are j gamma_m/2 and j A/2, and a pole reaches the real axis only
+    where the real and imaginary parts of the equation vanish together, at
+    delta = -delta_tilde gamma_m/(kappa + gamma_m) and 4g^2 = -kappa gamma_m
+    (1 + 4 delta_tilde^2/(kappa + gamma_m)^2) < 0.  So for kappa, gamma_m > 0
+    every real g is stable, and no `ModelParams` needs a check.
+    """
     p, q2, _, numer, _ = factors
     s = np.add(4.0 * np.square(g), p)
     np.square(s, out=s)
     s += q2
     return np.divide(numer, s, out=s)
+
+
+def _spectrum(factors: tuple, s: np.ndarray, g: float, n_c: float, n_m_T: float, n_add_eff: float) -> np.ndarray:
+    """1/2 + n_add' + n_c A + n_m^T B = 1/2 + n_add' + s (n_c K + n_m^T 4 gamma_m g^2)
+    from the factors of `_basis_factors` and their row s at g (`_basis_row`)."""
+    _, _, k, _, mech = factors
+    return 0.5 + n_add_eff + s * (n_c * k + n_m_T * (mech * (g * g)))
 
 
 def output_noise_spectrum(freq_hz, params: ModelParams) -> SpectrumTrace:
@@ -275,13 +281,12 @@ LINE_MAX_STEPS = 100
 @dataclass(frozen=True)
 class PeakSummary:
     """The line fitted by `peak_area`: area in value-unit * Hz, tails beyond the
-    grid included, its sigma scaled by the reduced chi^2, snr = area / area_sigma."""
+    grid included, and its sigma scaled by the reduced chi^2."""
 
     area: float
     floor: float
     center_hz: float
     fwhm_hz: float
-    snr: float
     area_sigma: float
 
 
@@ -373,8 +378,7 @@ def _fit_line(trace: SpectrumTrace) -> tuple[PeakSummary, np.ndarray, float, int
     area_sigma = math.sqrt(area_var) if area_var >= 0.0 else math.nan
     if not area > 3.0 * area_sigma:
         raise PeakDetectionError(f"no resolved peak: line area {area:.3g} is below 3 of its sigma {area_sigma:.3g}")
-    snr = area / area_sigma if area_sigma > 0.0 else math.inf
-    return PeakSummary(area, float(linear[0]), center, fwhm, snr, area_sigma), fisher, chi2, steps, passes
+    return PeakSummary(area, float(linear[0]), center, fwhm, area_sigma), fisher, chi2, steps, passes
 
 
 def peak_area(trace: SpectrumTrace) -> PeakSummary:

@@ -414,6 +414,8 @@ class TestTopLevel:
         text = capsys.readouterr().out
         assert parse_device_text(text) == device
         assert "#" in text  # provenance comments present
+        digest = hashlib.sha256(text.encode()).hexdigest()  # the file's bytes, comments and values
+        assert digest == "83bb7c2809d5427ed5769e11a09c2d4c185c083fa4a9b482e308974ef14f8161"
 
     def test_no_command_shows_help(self, capsys):
         assert run([]) == 2

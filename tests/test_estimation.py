@@ -22,13 +22,16 @@ BASIS_ARGS = ("g", "kappa", "kappa_ex", "gamma_m", "delta_tilde", "beta")
 
 
 def profile_case_trace(device, case):
-    """The README trace (`emcool simulate --n-d 4000 --seed 0`, in process)
-    or one cooling-sweep point on a 600 kHz half-span."""
+    """The README trace (`emcool simulate --n-d 4000 --seed 0`, in process),
+    one cooling-sweep point on a 600 kHz half-span, or one such point at
+    1e5 photons with an occupied cavity (n_c = 0.3)."""
     if case == "readme":
         thermal = em.ThermalState.from_temperature(0.020, device.mech)
         g = em.coupling_rate(device.coupling, device.mech, 4000.0)
         params = em.ModelParams.for_device(device, g=g, n_m_T=thermal.n_m_T, n_add_eff=em.REFERENCE_N_ADD_EFF)
         return em.generate_spectrum(params, em.NoiseConfig(n_avg=500, seed=0), freq_hz=grid_for(params))
+    if case == "cavity":
+        return output_trace(device, 1e5, n_m_T=39.0, n_c=0.3, seed=0)[0]
     return output_trace(device, 1e4, n_m_T=39.0, seed=0)[0]
 
 
@@ -363,16 +366,19 @@ class TestFitFullModel:
         monkeypatch.setattr(estimation, "_covariance", lambda jtj: grams.append(jtj) or covariance(jtj))
         return em.fit_full_model(trace, device_model), models[-1], grams[-1]
 
-    @pytest.mark.parametrize("case", ["readme", "sweep"])
+    @pytest.mark.parametrize("case", ["readme", "sweep", "cavity"])
     def test_model_and_amplitude_columns_match_the_spectrum(self, device, device_model, monkeypatch, case):
         # the last IRLS model, built from the pass's row s, is the spectrum
-        # at the fitted values, and J's amplitude columns, which come from
-        # the same row, are the basis (compared through J^T J)
+        # at the fitted values bit for bit, since both run one arithmetic,
+        # and J's amplitude columns, which come from the same row, are the
+        # basis (compared through J^T J)
         trace = profile_case_trace(device, case)
         fit, model, gram = self.fit_with_gram(trace, device_model, monkeypatch)
+        if case == "cavity":
+            assert fit.params["n_c"] > 0.0  # the cavity term of the spectrum takes part
         params = replace(device_model, **fit.params)
         delta = TWO_PI * trace.freq_hz - params.omega_m
-        np.testing.assert_allclose(model, em.output_noise_values(delta, params), rtol=1e-13, atol=0.0)
+        assert np.array_equal(model, em.output_noise_values(delta, params))
         cav, mech = basis(delta, *(getattr(params, name) for name in BASIS_ARGS))
         jac = np.column_stack([np.ones_like(delta), cav, mech]) / estimation._sigma_from_model(model, trace.n_avg)[:, None]
         amps = [DEFAULT_FREE.index(name) for name in ("n_add_eff", "n_c", "n_m_T")]

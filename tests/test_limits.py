@@ -39,6 +39,20 @@ class TestImprecisionFromChain:
         with pytest.raises(ParameterError):
             em.imprecision_from_chain(0.0, cavity.kappa, cavity.kappa_ex, device.mech.gamma_m, 0.5, 2.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, device, bad):
+        # g = inf is the large-drive asymptote; a nan coupling and a rate
+        # that is not finite are errors
+        cavity, gm = device.cavity, device.mech.gamma_m
+        with pytest.raises(ParameterError, match="g must be a number >= 0"):
+            em.imprecision_from_chain(math.nan, cavity.kappa, cavity.kappa_ex, gm, 0.5, 2.1)
+        with pytest.raises(ParameterError, match=f"kappa must be a finite number > 0, got {bad!r}"):
+            em.imprecision_from_chain(1e5, bad, cavity.kappa_ex, gm, 0.5, 2.1)
+        with pytest.raises(ParameterError, match=f"kappa_ex must be a finite number > 0, got {bad!r}"):
+            em.imprecision_from_chain(1e5, cavity.kappa, bad, gm, 0.5, 2.1)
+        with pytest.raises(ParameterError, match=f"gamma_m must be a finite number > 0, got {bad!r}"):
+            em.imprecision_from_chain(1e5, cavity.kappa, cavity.kappa_ex, bad, 0.5, 2.1)
+
     def test_decreasing_and_bounded_below(self, device):
         cavity = device.cavity
         gm = device.mech.gamma_m
@@ -78,6 +92,13 @@ class TestForceNoise:
         s10 = em.total_force_psd(mech, gamma, 10.0) - base
         assert s10 == pytest.approx(10 * s1, rel=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, device, bad):
+        with pytest.raises(ParameterError, match=f"gamma_total must be a finite number > 0, got {bad!r}"):
+            em.total_force_psd(device.mech, bad, 1.0)
+        with pytest.raises(ParameterError, match=f"n_m must be a finite number >= 0, got {bad!r}"):
+            em.total_force_psd(device.mech, 1.5e5, bad)
+
 
 class TestHeisenbergProduct:
     def test_paper_value(self):
@@ -94,6 +115,13 @@ class TestHeisenbergProduct:
     def test_sub_heisenberg_rejected(self):
         with pytest.raises(ParameterError):
             em.heisenberg_product(0.1, 0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ParameterError, match=f"n_imp must be a finite number >= 0, got {bad!r}"):
+            em.heisenberg_product(bad, 1.0)
+        with pytest.raises(ParameterError, match=f"n_ba must be a finite number >= 0, got {bad!r}"):
+            em.heisenberg_product(1.0, bad)
 
     def test_sub_sqrt2_warns_when_red_detuned(self):
         with pytest.warns(UserWarning, match="red-detuned"):
@@ -124,3 +152,10 @@ class TestLimitReport:
     def test_negative_rejected(self):
         with pytest.raises(ParameterError):
             em.LimitReport(n_imp=-1.0, n_ba=0.5, s_x_imp=0.0, s_f_total=0.0)
+
+    @pytest.mark.parametrize("name", ["n_imp", "n_ba", "s_x_imp", "s_f_total"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, name, bad):
+        values = {"n_imp": 1.0, "n_ba": 1.0, "s_x_imp": 1e-33, "s_f_total": 1e-34, name: bad}
+        with pytest.raises(ParameterError, match=f"{name} must be a finite number >= 0, got {bad!r}"):
+            em.LimitReport(**values)

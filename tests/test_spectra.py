@@ -177,34 +177,6 @@ class TestOutputNoiseSpectrum:
         assert trace.meta["center_hz"] == pytest.approx(device.mech.omega_m / TWO_PI)
 
 
-class TestOutputNoiseOracle:
-    """`output_noise_values` against the spectrum built from the susceptibilities.
-
-    The rotating-wave equations a = chi_c (sqrt(kappa) xi_c - j g b) and
-    b = chi_m (sqrt(gamma_m) xi_m - j g a) give a = chi_c chi_eff (sqrt(kappa)
-    xi_c / chi_m - j g sqrt(gamma_m) xi_m), with chi_eff the dressed response.
-    The detected noise is 1/2 + n_add_eff + beta kappa_ex <a^dag a>, so
-    S = 1/2 + n_add_eff + beta kappa_ex |chi_c chi_eff|^2 (kappa n_c / |chi_m|^2
-    + g^2 gamma_m n_m^T).
-    """
-
-    @pytest.mark.parametrize("g_over_kappa", [0.0, 0.01, 0.3, 1.5])
-    @pytest.mark.parametrize("dt_over_kappa", [0.0, 0.07, -0.2])
-    def test_matches_the_susceptibilities(self, device, g_over_kappa, dt_over_kappa):
-        kappa = device.cavity.kappa
-        params = model_params(device, 0.0, n_c=0.3, delta_tilde=dt_over_kappa * kappa)
-        params = em.ModelParams(**{**params.__dict__, "g": g_over_kappa * kappa})
-        assert params.beta < 1.0 and params.kappa_ex < params.kappa
-        side = np.geomspace(1e-8, 4.0, 2000) * kappa  # resolves the mechanical line too
-        delta = np.concatenate([-side[::-1], [0.0], side])
-        chi_c = em.cavity_susceptibility(delta, params.kappa, params.delta_tilde)
-        chi_m = em.mech_susceptibility(delta, params.gamma_m)
-        chi_eff = em.dressed_mech_susceptibility(delta, params)
-        occupied = params.kappa * params.n_c / np.abs(chi_m) ** 2 + params.g**2 * params.gamma_m * params.n_m_T
-        oracle = 0.5 + params.n_add_eff + params.beta * params.kappa_ex * np.abs(chi_c * chi_eff) ** 2 * occupied
-        np.testing.assert_allclose(em.output_noise_values(delta, params), oracle, rtol=1e-12, atol=0.0)
-
-
 BASIS_CASES = [
     # (n_d, n_m_T, n_c, n_add_eff, delta_tilde in units of kappa)
     (0.0, 40.0, 0.3, 2.1, 0.0),
@@ -215,19 +187,53 @@ BASIS_CASES = [
 ]
 
 
-class TestSeparableBasis:
+class TestOutputNoiseOracle:
+    """`output_noise_values`, the fit's basis through `_spectrum`, against the
+    spectrum built from the susceptibilities.
+
+    The rotating-wave equations a = chi_c (sqrt(kappa) xi_c - j g b) and
+    b = chi_m (sqrt(gamma_m) xi_m - j g a) give a = chi_c chi_eff (sqrt(kappa)
+    xi_c / chi_m - j g sqrt(gamma_m) xi_m), with chi_eff the dressed response.
+    The detected noise is 1/2 + n_add_eff + beta kappa_ex <a^dag a>, so
+    S = 1/2 + n_add_eff + beta kappa_ex |chi_c chi_eff|^2 (kappa n_c / |chi_m|^2
+    + g^2 gamma_m n_m^T): the basis is A = beta kappa_ex |chi_c chi_eff|^2
+    kappa / |chi_m|^2 and B = beta kappa_ex |chi_c chi_eff|^2 g^2 gamma_m.
+    """
+
+    @staticmethod
+    def oracle_basis(delta, params):
+        chi_c = em.cavity_susceptibility(delta, params.kappa, params.delta_tilde)
+        chi_m = em.mech_susceptibility(delta, params.gamma_m)
+        chi_eff = em.dressed_mech_susceptibility(delta, params)
+        out = params.beta * params.kappa_ex * np.abs(chi_c * chi_eff) ** 2
+        return out * params.kappa / np.abs(chi_m) ** 2, out * params.g**2 * params.gamma_m
+
+    def check(self, delta, params):
+        cav, mech = self.oracle_basis(delta, params)
+        oracle = 0.5 + params.n_add_eff + params.n_c * cav + params.n_m_T * mech
+        np.testing.assert_allclose(em.output_noise_values(delta, params), oracle, rtol=1e-12, atol=0.0)
+        args = (params.g, params.kappa, params.kappa_ex, params.gamma_m, params.delta_tilde, params.beta)
+        np.testing.assert_allclose(basis(delta, *args), (cav, mech), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("g_over_kappa", [0.0, 0.01, 0.3, 1.5])
+    @pytest.mark.parametrize("dt_over_kappa", [0.0, 0.07, -0.2])
+    def test_matches_the_susceptibilities(self, device, g_over_kappa, dt_over_kappa):
+        kappa = device.cavity.kappa
+        params = model_params(device, 0.0, n_c=0.3, delta_tilde=dt_over_kappa * kappa)
+        params = em.ModelParams(**{**params.__dict__, "g": g_over_kappa * kappa})
+        assert params.beta < 1.0 and params.kappa_ex < params.kappa
+        side = np.geomspace(1e-8, 4.0, 2000) * kappa  # resolves the mechanical line too
+        self.check(np.concatenate([-side[::-1], [0.0], side]), params)
+
     @pytest.mark.parametrize("n_d,n_m_T,n_c,n_add_eff,dt", BASIS_CASES)
-    def test_basis_reproduces_output_noise(self, device, n_d, n_m_T, n_c, n_add_eff, dt):
+    def test_basis_cases_match(self, device, n_d, n_m_T, n_c, n_add_eff, dt):
+        # drives from none to strong coupling on a linear grid over +-3 kappa
         params = model_params(device, n_d, n_m_T=n_m_T, n_c=n_c, n_add_eff=n_add_eff,
                               delta_tilde=dt * device.cavity.kappa)
-        delta = np.linspace(-3 * device.cavity.kappa, 3 * device.cavity.kappa, 4096)
-        cav, mech = basis(
-            delta, params.g, params.kappa, params.kappa_ex, params.gamma_m,
-            params.delta_tilde, params.beta,
-        )
-        separable = 0.5 + n_add_eff + n_c * cav + n_m_T * mech
-        np.testing.assert_allclose(separable, em.output_noise_values(delta, params), rtol=1e-12)
+        self.check(np.linspace(-3 * device.cavity.kappa, 3 * device.cavity.kappa, 4096), params)
 
+
+class TestSeparableBasis:
     def test_basis_rows_per_coupling(self, device):
         params = model_params(device, 4000.0)
         delta = np.linspace(-1e6, 1e6, 257)
