@@ -21,8 +21,8 @@ REFERENCE_N_ADD_EFF = 2.1
 
 def _require_positive(**values: float) -> None:
     for name, value in values.items():
-        if not value > 0.0:
-            raise ParameterError(f"{name} must be > 0, got {value!r}")
+        if not 0.0 < value < math.inf:
+            raise ParameterError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -172,6 +172,10 @@ def parse_device_text(text: str, source: str = "<string>") -> DeviceParams:
         raise DeviceFileError(f"{source}: missing keys: {', '.join(missing)}")
     parts: dict[str, dict[str, float]] = {"mech": {}, "cavity": {}, "coupling": {}}
     for key, part, name, scale, _ in _DEVICE_FILE:
+        try:  # every value is a rate, a mass, a pull or a fraction
+            _require_positive(**{key: seen[key]})
+        except ParameterError as exc:
+            raise DeviceFileError(f"{source}: {exc}") from None
         parts[part][name] = scale * seen[key]
     return DeviceParams(MechanicalMode(**parts["mech"]), Cavity(**parts["cavity"]), Coupling(**parts["coupling"]))
 

@@ -19,7 +19,8 @@ class UnitError(ValueError):
 
 
 class DeviceFileError(ValueError):
-    """A device parameter file is malformed (unknown or missing keys)."""
+    """A device parameter file is malformed (unknown or missing keys, or a
+    value that is not a finite number > 0)."""
 
 
 class PeakDetectionError(RuntimeError):

@@ -15,15 +15,20 @@ through `spectra._spectrum` as in `output_noise_values`, the pass's
 model, whose sigmas model/sqrt(n_avg) weight the next pass, and,
 after the last pass, J in closed form: the basis, and g's column from
 ds/dg.  One J^T J serves the covariance inv(J^T J) and the degeneracy
-check.  `analyze_cooling_sweep` builds every point's object where it
-checks the point and groups the objects by grid alone (every point's
-shape values are the device's): a grid's points share their shape
-factors and, up to `_SHARED_SCANS` at once, their first pass's g-scan
-rows, and each result equals the point's `fit_full_model` bit for bit.
-kappa, delta_tilde and gamma_m are never fitted: they are measured
-independently, kappa and delta_tilde by a probe tone at each drive power
-and gamma_m from the low-drive line width.  Any subset of {g, n_m_T, n_c,
-n_add_eff} may be freed.
+check.  The profile rule (`_profile_steps`), the pass (`_weighted_steps`)
+and the IRLS loop (`_TraceFit.passes`) are generators, which yield what
+they need answered (nodes to cost, a profile, a pass to run), so that one
+implementation serves a fit alone and fits in lockstep.
+`analyze_cooling_sweep` builds every point's object where it checks the
+point and groups the objects by grid alone (every point's shape values
+are the device's): a grid's points share their shape factors and run, up
+to `_SHARED_SCANS` at once, in lockstep (`_lockstep`), where one batched
+step costs the next request of every running fit with one `_basis_row`
+call per block of couplings and one `_nnls` call; each result equals the
+point's `fit_full_model` bit for bit.  kappa, delta_tilde and gamma_m are
+never fitted: they are measured independently, kappa and delta_tilde by a
+probe tone at each drive power and gamma_m from the low-drive line width.
+Any subset of {g, n_m_T, n_c, n_add_eff} may be freed.
 """
 from __future__ import annotations
 
@@ -159,6 +164,13 @@ _GRAM_ENTRY = np.array([[0, 3, 4, 1], [3, 7, 8, 5], [4, 8, 9, 6], [1, 5, 6, 2]])
 _C_POWER = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 2.0])
 
 
+# normal equations solved at once by `_nnls`: its gathered Cramer entries
+# take 2.3 kB per row at three amplitudes, so that 256 rows stay near the
+# 512 kB of a block of basis rows s; a sweep step's cold scans (up to
+# `_SHARED_SCANS` x 77 rows) are solved in slices
+_NNLS_BLOCK = 256
+
+
 def _nnls(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched non-negative least squares from the normal equations.
 
@@ -169,8 +181,18 @@ def _nnls(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     padded matrices are their cofactor expansions along the first row.
     Each amplitude in a support must buy more than 1e-12 yy of cost, so one
     that is zero within rounding comes out exactly zero.  Returns the
-    amplitudes (m, k) and the costs (m,).
+    amplitudes (m, k) and the costs (m,).  A row's results do not depend on
+    the other rows, bit for bit, so that the rows are solved in slices of
+    `_NNLS_BLOCK`, which bounds the memory.
     """
+    if normal.shape[0] <= _NNLS_BLOCK:
+        return _nnls_rows(normal)
+    parts = [_nnls_rows(normal[i : i + _NNLS_BLOCK]) for i in range(0, normal.shape[0], _NNLS_BLOCK)]
+    return np.concatenate([amplitudes for amplitudes, _ in parts]), np.concatenate([costs for _, costs in parts])
+
+
+def _nnls_rows(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_nnls` of one slice of rows."""
     m, size = normal.shape[:2]
     k = size - 1
     margin, index = _SUPPORTS[k]
@@ -221,51 +243,89 @@ class _Pass:
         # normal equations = entries @ fold
         self.base = np.array([np.sum(w), np.sum(wd), wd @ data]) @ fold[:3]  # the constant entries
         self.fold, self.size = fold[3:], math.isqrt(fold.shape[1])
-        self.scanned = None  # (g, costs) of a cold scan costed with other passes by `_cold_scans`
 
     def gram(self, g: np.ndarray) -> np.ndarray:
         """Normal equations (m, k + 1, k + 1) per coupling in g: the weighted
-        Gram matrices of 1, A, B and the data, mapped by coef."""
-        return _grams([self], g)[0]
+        Gram matrices of 1, A, B and the data, mapped by coef, built in
+        blocks of `_SCAN_BLOCK` couplings, which bounds their memory."""
+        whole = [(slice(None), self)]
+        grams = [_block_grams(self.shape, self.mech, g[i : i + _SCAN_BLOCK], whole)[0] for i in range(0, g.size, _SCAN_BLOCK)]
+        return grams[0] if len(grams) == 1 else np.concatenate(grams)
 
     def cost(self, g: np.ndarray) -> np.ndarray:
         """Profile cost per coupling in g: one NNLS over all their normal
-        equations; every g >= 0 gives finite rows (see `spectra._basis_row`).
-        The costs of a scan `_cold_scans` costed are returned as they are."""
-        if self.scanned is not None and np.array_equal(g, self.scanned[0]):
-            return self.scanned[1]
+        equations; every g >= 0 gives finite rows (see `spectra._basis_row`)."""
         return _nnls(self.gram(g))[1]
 
 
-def _grams(passes: Sequence[_Pass], g: np.ndarray) -> list[np.ndarray]:
-    """`_Pass.gram` of every pass in `passes`, whose shapes are equal by
-    value, at the couplings g: built in blocks of `_SCAN_BLOCK` couplings,
-    which bounds their memory, with each block's rows s and s^2 formed once
-    for all the passes.  A pass's normal equations do not depend on the
-    other passes, bit for bit."""
-    shape, mech = passes[0].shape, passes[0].mech
-    blocks: list[list[np.ndarray]] = [[] for _ in passes]
-    for i in range(0, g.size, _SCAN_BLOCK):
-        g_block = g[i : i + _SCAN_BLOCK]
-        s = _basis_row(shape, g_block[:, None])
-        lins = [s @ normal.lin for normal in passes]
-        np.square(s, out=s)
-        scale = (mech * (g_block * g_block))[:, None] ** _C_POWER
-        for normal, grams, lin in zip(passes, blocks, lins):
-            entries = np.concatenate((lin, s @ normal.quad), axis=1)
-            entries *= scale
-            grams.append((normal.base + entries @ normal.fold).reshape(g_block.size, normal.size, normal.size))
-        del s  # before the next block's row is formed
-    return [grams[0] if len(grams) == 1 else np.concatenate(grams) for grams in blocks]
+def _block_grams(shape: tuple, mech: np.ndarray, g: np.ndarray, jobs: list) -> list[np.ndarray]:
+    """`_Pass.gram` of every job (rows, pass) at its rows of one block of
+    couplings g, the passes' shapes equal by value: the block's rows s and
+    s^2 are formed once, by one `_basis_row` call, and each pass forms its
+    products over its own rows only, with the row count it has alone, so
+    that its normal equations do not depend on the other jobs, bit for bit."""
+    s = _basis_row(shape, g[:, None])
+    lins = [s[rows] @ normal.lin for rows, normal in jobs]
+    np.square(s, out=s)
+    scale = (mech * (g * g))[:, None] ** _C_POWER
+    grams = []
+    for (rows, normal), lin in zip(jobs, lins):
+        entries = np.concatenate((lin, s[rows] @ normal.quad), axis=1)
+        entries *= scale[rows]
+        grams.append((normal.base + entries @ normal.fold).reshape(-1, normal.size, normal.size))
+    return grams
 
 
-def _cold_scans(passes: Sequence[_Pass], scan: np.ndarray) -> None:
-    """Cost the cold scan `scan` (ln g) of first passes whose shapes are equal
-    by value, as each pass's `cost` would, and keep the costs in the pass for
-    its profile's first call."""
-    g = np.exp(scan)
-    for normal, gram in zip(passes, _grams(passes, g)):
-        normal.scanned = (g, _nnls(gram)[1])
+def _solve(requests: Sequence[tuple[_Pass, np.ndarray]]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One batched step: the `_nnls` amplitudes and costs of every request
+    (pass, couplings g), the passes' shapes equal by value and their free
+    amplitudes alike in number.  Requests of equal g share their rows.
+    Each g is cut every `_SCAN_BLOCK` couplings, as `_Pass.gram` cuts it,
+    and the pieces are packed in order into blocks of at most `_SCAN_BLOCK`
+    rows, which bounds their memory, never splitting a piece; each block
+    takes one `_block_grams`, and one `_nnls` call solves every request's
+    normal equations.  So a request's results do not depend on the other
+    requests, bit for bit."""
+    shared: dict[bytes, tuple[np.ndarray, list[int]]] = {}  # per g, the places of its requests
+    for place, (_, g) in enumerate(requests):
+        shared.setdefault(g.tobytes(), (g, []))[1].append(place)
+    blocks: list[tuple[list, list]] = []  # per block, its pieces of g and its (rows, place) per request
+    rows = _SCAN_BLOCK  # taken in the last block
+    for g, places in shared.values():
+        for i in range(0, g.size, _SCAN_BLOCK):
+            n = min(_SCAN_BLOCK, g.size - i)
+            if rows + n > _SCAN_BLOCK:
+                pieces, jobs = [], []
+                blocks.append((pieces, jobs))
+                rows = 0
+            pieces.append(g[i : i + n])
+            span = slice(rows, rows + n)
+            jobs += [(span, place) for place in places]
+            rows += n
+    shape, mech = requests[0][0].shape, requests[0][0].mech
+    grams: list[list[np.ndarray]] = [[] for _ in requests]
+    for pieces, jobs in blocks:
+        g_block = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        block = _block_grams(shape, mech, g_block, [(span, requests[place][0]) for span, place in jobs])
+        for (_, place), gram in zip(jobs, block):
+            grams[place].append(gram)
+    normal = np.concatenate([gram for parts in grams for gram in parts])
+    amplitudes, costs = _nnls(normal)
+    ends = np.cumsum([g.size for _, g in requests]).tolist()
+    return [(amplitudes[end - g.size : end], costs[end - g.size : end]) for end, (_, g) in zip(ends, requests)]
+
+
+def _drive(steps, answer):
+    """Run the generator `steps` to its return value, sending back
+    answer(request) for every request it yields."""
+    try:
+        request = next(steps)
+        while True:
+            reply = answer(request)
+            del request  # so that its objects (a pass's normal equations) go before the next request's are built
+            request = steps.send(reply)
+    except StopIteration as stop:
+        return stop.value
 
 
 # a stencil's minimum half-width, and the width of a one-sided bracket at
@@ -296,9 +356,11 @@ def _vertex(x: list, f: list) -> tuple[float, float]:
     return u, min(f) - f1 + curvature * (u - x1) ** 2
 
 
-def _profile_g(cost, scan: np.ndarray, step_costs: list, start: float | None = None) -> tuple[float, float, int, int]:
-    """The node x minimizing cost(x) over the range of `scan`, its cost, and
-    the numbers of nodes costed and of cost calls; `cost` receives ln g.
+def _profile_steps(scan: np.ndarray, step_costs: list, start: float | None = None):
+    """The g-profile rule, as a generator: it yields the nodes (ln g, an
+    array) whose costs it wants, receives those costs, and returns the node
+    x of least cost over the range of `scan`, its cost, and the numbers of
+    nodes costed and of cost calls.
 
     The first call costs the scan's nodes or, warm-started from the node
     `start` of an earlier IRLS pass, start and start +- 1e-3.  Every later
@@ -324,7 +386,7 @@ def _profile_g(cost, scan: np.ndarray, step_costs: list, start: float | None = N
         xs = scan.tolist()
     else:
         xs = sorted({min(max(x, lo), hi) for x in (start - _WARM_STEP, start, start + _WARM_STEP)})
-    fs = cost(np.array(xs)).tolist()
+    fs = (yield np.array(xs)).tolist()
     nodes, calls, moves = len(xs), 1, [math.inf, math.inf]  # |u - b| of every bracketed step
     while True:
         i = fs.index(min(fs))
@@ -356,12 +418,18 @@ def _profile_g(cost, scan: np.ndarray, step_costs: list, start: float | None = N
         trial = sorted(trial - set(xs))
         if not trial:
             break
-        f_trial = cost(np.array(trial)).tolist()
+        f_trial = (yield np.array(trial)).tolist()
         nodes, calls = nodes + len(trial), calls + 1
         if min(f_trial) < fb:
             step_costs.append((fb, min(f_trial)))
         xs, fs = (list(v) for v in zip(*sorted(zip(xs + trial, fs + f_trial))))
     return b, fb, nodes, calls
+
+
+def _profile_g(cost, scan: np.ndarray, step_costs: list, start: float | None = None) -> tuple[float, float, int, int]:
+    """`_profile_steps` with the nodes of every call costed by `cost`, which
+    receives ln g."""
+    return _drive(_profile_steps(scan, step_costs, start), cost)
 
 
 def _log_scan(lo: float, hi: float) -> np.ndarray:
@@ -415,6 +483,19 @@ class WeightedFit(NamedTuple):
     counts: tuple[int, int]  # the g profile's nodes and cost calls
 
 
+def _weighted_steps(scan: np.ndarray | None, g: float, start: float | None, step_costs: list):
+    """`fit_weighted` as a generator.  It yields the arguments (scan,
+    step_costs, start) of its g profile, to be answered with the profile's
+    result, then the fitted g as an array of one coupling, to be answered
+    with the free amplitudes there, and returns the WeightedFit."""
+    n_steps, node, counts = len(step_costs), start, (0, 0)
+    if scan is not None:
+        node, _, *counts = yield scan, step_costs, start
+        g = math.exp(node)
+    amplitudes = (yield np.array([g])).tolist()
+    return WeightedFit((g, *amplitudes), len(step_costs) - n_steps, node, tuple(counts))
+
+
 def fit_weighted(normal: _Pass, scan: np.ndarray | None, g: float, start: float | None, step_costs: list) -> WeightedFit:
     """Fit g and the free amplitudes at one IRLS pass's weights.
 
@@ -423,22 +504,36 @@ def fit_weighted(normal: _Pass, scan: np.ndarray | None, g: float, start: float 
     `g` when `scan` is None; the amplitudes are then solved by `_nnls` from
     `normal`'s normal equations at that g.
     """
-    n_steps, node, counts = len(step_costs), start, (0, 0)
-    if scan is not None:
-        node, _, *counts = _profile_g(lambda ln_g: normal.cost(np.exp(ln_g)), scan, step_costs, start)
-        g = math.exp(node)
-    amplitudes = _nnls(normal.gram(np.array([g])))[0][0].tolist()
-    return WeightedFit((g, *amplitudes), len(step_costs) - n_steps, node, tuple(counts))
+
+    def answer(request):
+        if isinstance(request, tuple):  # the g profile's arguments
+            return _profile_g(lambda ln_g: normal.cost(np.exp(ln_g)), *request)
+        return _nnls(normal.gram(request))[0][0]
+
+    return _drive(_weighted_steps(scan, g, start, step_costs), answer)
+
+
+def _costed(normal: _Pass, profile):
+    """Run the `_profile_steps` generator `profile` as requests (normal,
+    couplings g), one per call, each answered with `_nnls`'s amplitudes and
+    costs there; returns the profile's result."""
+    costs = None
+    while True:
+        try:
+            ln_g = profile.send(costs)
+        except StopIteration as stop:
+            return stop.value
+        costs = (yield normal, np.exp(ln_g))[1]
 
 
 class _TraceFit:
     """One trace's separable fit: its set-up, built once, and its IRLS state,
     the values and the sigmas that weight the next pass (from the data at
-    first).  `solve` alternates `normal` and `update`, then takes `result`;
-    the first pass's `normal` may be built, and its cold scan costed
-    (`_cold_scans`), before `solve` runs.  `shape`, when given, is the
-    `_basis_factors` of the trace's grid and of params' values, shared with
-    other traces on that grid."""
+    first).  `passes` alternates `normal` and `update`, then takes `result`;
+    `solve` runs it alone and `steps` in lockstep with other fits
+    (`_lockstep`).  `shape`, when given, is the `_basis_factors` of the
+    trace's grid and of params' values, shared with other traces on that
+    grid."""
 
     def __init__(self, trace: SpectrumTrace, params: ModelParams, free: Sequence[str], shape: tuple | None = None) -> None:
         if trace.unit is not SpectrumUnit.QUANTA:
@@ -464,14 +559,11 @@ class _TraceFit:
             delta = TWO_PI * trace.freq_hz - params.omega_m
             shape = _basis_factors(delta, params.kappa, params.kappa_ex, params.gamma_m, params.delta_tilde, params.beta)
         self.shape = shape
-        self.sigma, self.pass_ = _sigma_from_model(self.data, self.n_avg), None
+        self.sigma = _sigma_from_model(self.data, self.n_avg)
 
     def normal(self) -> _Pass:
-        """The normal equations under the weights of the current sigmas,
-        built once per update."""
-        if self.pass_ is None:
-            self.pass_ = _Pass(self.shape, 1.0 / (self.sigma * self.sigma), self.data, self.fold)
-        return self.pass_
+        """The normal equations under the weights of the current sigmas."""
+        return _Pass(self.shape, 1.0 / (self.sigma * self.sigma), self.data, self.fold)
 
     def update(self, fitted: Sequence[float]) -> float:
         """Take a pass's g and free amplitudes; the row s at that g gives the
@@ -480,22 +572,51 @@ class _TraceFit:
         values.update(zip(("g", *self.amps), fitted))
         g, self.s = values["g"], _basis_row(self.shape, values["g"])  # as in `_Pass.gram`
         self.model = _spectrum(self.shape, self.s, g, values["n_c"], values["n_m_T"], values["n_add_eff"])
-        previous, self.sigma, self.pass_ = self.sigma, _sigma_from_model(self.model, self.n_avg), None
+        previous, self.sigma = self.sigma, _sigma_from_model(self.model, self.n_avg)
         return float(np.max(np.abs(self.sigma - previous) / previous))
 
-    def solve(self) -> FitResult:
-        """The IRLS loop: one `fit_weighted` per pass, each profile
-        warm-started from the last one's node, until the sigmas move by less
-        than 1e-3 (at most 4 passes); then `result`."""
+    def passes(self):
+        """The IRLS loop, as a generator: it yields each pass's arguments of
+        `fit_weighted` (normal, scan, g, start, step_costs), each profile
+        warm-started from the last pass's node, receives the pass's
+        WeightedFit, and stops once the sigmas move by less than 1e-3 (at
+        most 4 passes), returning `result`."""
         step_costs: list[tuple[float, float]] = []
         nodes = calls = 0  # of the g profiles
         node = None
         for passes in range(1, 5):
-            res = fit_weighted(self.normal(), self.scan, self.values["g"], node, step_costs)
+            res = yield self.normal(), self.scan, self.values["g"], node, step_costs
             node, nodes, calls = res.node, nodes + res.counts[0], calls + res.counts[1]
             if self.update(res.params) < 1e-3:
                 break
         return self.result(step_costs, f"separable fit: {passes} IRLS passes, {nodes} profile nodes in {calls} calls")
+
+    def solve(self) -> FitResult:
+        """`passes` with one `fit_weighted` per pass."""
+        return _drive(self.passes(), lambda args: fit_weighted(*args))
+
+    def steps(self):
+        """`passes` as one generator of requests (normal, couplings g): the
+        nodes of every pass's profile call by call, then the pass's fitted
+        g, each answered with `_nnls`'s amplitudes and costs there.  Returns
+        `solve`'s FitResult; `_lockstep` runs it."""
+        loop, fitted = self.passes(), None
+        while True:
+            try:
+                normal, *args = loop.send(fitted)
+            except StopIteration as stop:
+                return stop.value
+            weighted, answer = _weighted_steps(*args), None
+            while True:
+                try:
+                    request = weighted.send(answer)
+                except StopIteration as stop:
+                    fitted, normal = stop.value, None  # the pass's normal equations go before the next pass's are built
+                    break
+                if isinstance(request, tuple):  # the g profile's arguments
+                    answer = yield from _costed(normal, _profile_steps(*request))
+                else:
+                    answer = (yield normal, request)[0][0]
 
     def result(self, step_costs: list, message: str) -> FitResult:
         """The fit at the last pass: covariance, flags and residual."""
@@ -804,10 +925,35 @@ class CoolingCurve:
         return json.dumps(payload, indent=2)
 
 
-# at most this many cooling-sweep points on one grid are fitted together,
-# sharing the basis rows of their cold g scans (`_cold_scans`); this bounds
-# the first passes a sweep holds at once
+# at most this many cooling-sweep points on one grid are fitted in lockstep
+# (`_lockstep`); this bounds the IRLS passes a sweep holds at once, and the
+# normal equations of one batched step
 _SHARED_SCANS = 8
+
+
+def _lockstep(fits: Sequence[_TraceFit]) -> list:
+    """Every fit's `solve`, with their IRLS passes run in lockstep: each
+    batched step answers the next request of every fit still running by one
+    `_solve`, that is one `_basis_row` call per block of `_SCAN_BLOCK`
+    couplings and one `_nnls` call.  The fits' shapes must be equal by value
+    and their free amplitudes alike in number.  Returns each fit's
+    FitResult, equal bit for bit to its `solve`, or the exception the fit
+    raised, whereupon the others go on."""
+    outcomes: list = [None] * len(fits)
+    running = [((place, fit.steps()), None) for place, fit in enumerate(fits)]
+    while running:
+        live, requests = [], []
+        for (place, steps), answer in running:
+            try:
+                requests.append(steps.send(answer))
+            except StopIteration as stop:
+                outcomes[place] = stop.value
+            except Exception as exc:
+                outcomes[place] = exc
+            else:
+                live.append((place, steps))
+        running = list(zip(live, _solve(requests))) if live else []
+    return outcomes
 
 
 def _sweep_point(n_d: float, g_pred: float, fit: _TraceFit, result: FitResult) -> SweepPoint:
@@ -869,10 +1015,15 @@ def analyze_cooling_sweep(
     checked.  The good points are grouped by grid alone, since their shape
     values (which also set the g scan) are the device's, and a grid's
     points share their shape factors.  They are solved in chunks of at most
-    `_SHARED_SCANS` in increasing n_d, sharing the basis rows of their first
-    pass's g scan (`_cold_scans`); each fit is still, bit for bit,
-    `fit_full_model` on its trace alone.  Each point holds its sigma column
-    from its set-up on, and at most `_SHARED_SCANS` first passes (five
+    `_SHARED_SCANS` in increasing n_d, whose IRLS passes run in lockstep
+    (`_lockstep`): each batched step costs the next g-profile call or
+    amplitude solve of every fit still running with one `_basis_row` call
+    per block of at most `_SCAN_BLOCK` couplings and one `_nnls` call, the
+    first step the chunk's cold g scans, whose rows they share.  So a
+    chunk takes as many steps as its longest fit, and each fit is still,
+    bit for bit, `fit_full_model` on its trace alone; a fit that raises
+    leaves the chunk, and the others run on.  Each point holds its sigma
+    column from its set-up on, and at most `_SHARED_SCANS` passes (five
     weighted columns of the grid each) are held at once.
     """
     cavity, mech = device.cavity, device.mech
@@ -912,12 +1063,11 @@ def analyze_cooling_sweep(
     for group in groups.values():
         for i in range(0, len(group), _SHARED_SCANS):
             chunk = group[i : i + _SHARED_SCANS]
-            sharing = [fit for *_, fit in chunk if fit.scan is not None]
-            if len(sharing) > 1:
-                _cold_scans([fit.normal() for fit in sharing], sharing[0].scan)
-            for place, n_d, g_pred, fit in chunk:
+            for (place, n_d, g_pred, fit), result in zip(chunk, _lockstep([fit for *_, fit in chunk])):
                 try:
-                    outcomes[place] = _sweep_point(n_d, g_pred, fit, fit.solve())
+                    if isinstance(result, Exception):
+                        raise result
+                    outcomes[place] = _sweep_point(n_d, g_pred, fit, result)
                 except Exception as exc:
                     outcomes[place] = (n_d, f"{type(exc).__name__}: {exc}")
     points = [item for item in outcomes if isinstance(item, SweepPoint)]

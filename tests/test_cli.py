@@ -7,7 +7,7 @@ import pytest
 
 import emcool as em
 import emcool.cli as cli
-from emcool.device import parse_device_text
+from emcool.device import DEVICE_FILE_KEYS, device_file_text, parse_device_text
 
 from conftest import gamma_total_at
 from test_estimation import calibration_trace, cooling_sweep_entries
@@ -71,6 +71,19 @@ class TestSimulate:
         bad.write_text("omega_m_hz=1e6\n")
         code = run(["simulate", "--device", bad, "--out", tmp_path])
         assert code == 2
+
+    @pytest.mark.parametrize("key", DEVICE_FILE_KEYS)
+    def test_infinite_device_value_exits_2(self, device, tmp_path, capsys, key):
+        # kappa_0_hz = inf once loaded, and `report` then exited 2 naming
+        # neither the file nor the key (with omega_c_hz = inf it exited 0)
+        path = tmp_path / "device.txt"
+        text = device_file_text(device)
+        path.write_text("\n".join(f"{key}=inf" if line.startswith(f"{key}=") else line for line in text.splitlines()) + "\n")
+        out = tmp_path / "out"
+        assert run(["report", "--device", path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: {key} must be a finite number > 0, got inf\n"
+        assert not out.exists()
 
     def test_invalid_device_lists_missing(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

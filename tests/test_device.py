@@ -116,6 +116,12 @@ class TestTypes:
             em.Cavity(omega_c=1e10, kappa_ex=1e5, kappa_0=1e5, beta=1.5)
         em.Cavity(omega_c=1e10, kappa_ex=1e5, kappa_0=1e5, beta=1.0)  # single port fine
 
+    @pytest.mark.parametrize("field", ["omega_m", "gamma_m", "mass"])
+    def test_infinite_mode_value_rejected(self, device, field):
+        values = {"omega_m": device.mech.omega_m, "gamma_m": device.mech.gamma_m, "mass": device.mech.mass, field: math.inf}
+        with pytest.raises(ParameterError, match=f"{field} must be a finite number > 0, got inf"):
+            em.MechanicalMode(**values)
+
     def test_coupling_g0_recomputed(self, device):
         g0 = device.coupling.g0(device.mech)
         assert g0 == device.coupling.G * em.zero_point_motion(device.mech)
@@ -157,6 +163,13 @@ class TestDeviceFile:
     def test_bad_value(self):
         with pytest.raises(DeviceFileError, match="bad value"):
             parse_device_text("omega_m_hz=ten\n")
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1"])
+    def test_value_not_finite_and_positive(self, device, value):
+        text = device_file_text(device).replace("kappa_0_hz=", f"kappa_0_hz={value}\n# was ")
+        with pytest.raises(DeviceFileError) as err:
+            parse_device_text(text, source="dev.txt")
+        assert str(err.value) == f"dev.txt: kappa_0_hz must be a finite number > 0, got {float(value)!r}"
 
     def test_comments_and_blanks_ignored(self, device):
         text = "# a comment\n\n" + device_file_text(device)

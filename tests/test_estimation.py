@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -549,6 +550,22 @@ class TestSeparableNormalEquations:
         assert rows == [g.size]
 
 
+    def test_nnls_rows_do_not_depend_on_each_other(self):
+        # a batched step solves many passes' normal equations in one call,
+        # in slices of _NNLS_BLOCK rows: each row's amplitudes and cost are
+        # those of its normal equations solved alone, bit for bit
+        rng = np.random.default_rng(11)
+        m = 2 * estimation._NNLS_BLOCK + 3
+        for k in (1, 2, 3):
+            columns = rng.normal(size=(64, k + 1))
+            normal = np.einsum("ni,mn,nj->mij", columns, rng.uniform(0.1, 10.0, (m, 64)), columns)
+            amps, costs = _nnls(normal)
+            assert amps.shape == (m, k) and 0 < np.count_nonzero(amps == 0.0) < amps.size  # constraints bind, not all
+            for i in range(m):
+                alone = _nnls(normal[i : i + 1])
+                assert np.array_equal(alone[0][0], amps[i]) and alone[1][0] == costs[i]
+
+
 class TestTraceFit:
     def test_summed_profile_cost_is_least_at_the_true_coupling(self, device):
         # a joint sweep fit is a loop over per-trace fits that share one G,
@@ -1031,36 +1048,90 @@ class TestAnalyzeCoolingSweep:
         assert fit.covariance.tobytes() == other.covariance.tobytes()
 
     @staticmethod
-    def recorded_scan_groups(monkeypatch):
-        """Replace `estimation._cold_scans` by a wrapper that keeps the number
-        of first passes of every call."""
-        sizes, cold_scans = [], estimation._cold_scans
-        monkeypatch.setattr(estimation, "_cold_scans", lambda passes, scan: sizes.append(len(passes)) or cold_scans(passes, scan))
-        return sizes
+    def recorded_steps(monkeypatch):
+        """Wrap `estimation._lockstep` and `estimation._nnls` to keep, per
+        chunk run in lockstep, its number of fits and the rows of each of
+        its `_nnls` calls."""
+        chunks = []
+        lockstep, nnls = estimation._lockstep, estimation._nnls
+        monkeypatch.setattr(estimation, "_lockstep", lambda fits: chunks.append((len(fits), [])) or lockstep(fits))
+        monkeypatch.setattr(estimation, "_nnls", lambda normal: chunks[-1][1].append(normal.shape[0]) or nnls(normal))
+        return chunks
 
-    @pytest.mark.parametrize("shared, groups", [(8, [5]), (2, [2, 2])])
-    def test_shared_scan_fits_equal_fits_alone(self, device, monkeypatch, shared, groups):
-        # points on one grid cost their first-pass g scans together, at most
-        # _SHARED_SCANS at once (a last point alone costs its own); every fit
-        # is bit for bit the fit of its trace alone
-        thermal = em.ThermalState(n_m_T=39.0, n_c=0.0)
-        entries = [(n_d, output_trace(device, n_d, n_m_T=39.0, seed=(1 << 20) + i)[0])
-                   for i, n_d in enumerate((100.0, 1e3, 1e4, 1e5, 1e6))]
-        monkeypatch.setattr(estimation, "_SHARED_SCANS", shared)
-        sizes = self.recorded_scan_groups(monkeypatch)
-        gram_sizes, gram = [], estimation._Pass.gram
-        monkeypatch.setattr(estimation._Pass, "gram", lambda normal, g: gram_sizes.append(g.size) or gram(normal, g))
-        curve = em.analyze_cooling_sweep(entries, device, thermal)
-        assert sizes == groups  # one grid, every point profiles g
-        # a shared scan's costs are what each pass's profile takes first: the
-        # only pass that costs a whole scan itself is a last point alone
+    @staticmethod
+    def requests_alone(fit):
+        """The requests a fit alone answers one by one: per IRLS pass, its
+        profile's cost calls and the amplitudes' solve."""
+        passes, calls = re.fullmatch(r"separable fit: (\d+) IRLS passes, \d+ profile nodes in (\d+) calls", fit.message).groups()
+        return int(passes) + int(calls)
+
+    @staticmethod
+    def scan_size(device):
         kappa, gamma_m = device.cavity.kappa, device.mech.gamma_m
-        scan = estimation._log_scan(0.5 * math.sqrt(1e-3 * kappa * gamma_m), 10.0 * kappa)
-        assert gram_sizes.count(scan.size) == len(entries) - sum(groups)
-        assert max(size for size in gram_sizes if size != scan.size) <= 3
+        return estimation._log_scan(0.5 * math.sqrt(1e-3 * kappa * gamma_m), 10.0 * kappa).size
+
+    @staticmethod
+    def five_point_entries(device):
+        return [(n_d, output_trace(device, n_d, n_m_T=39.0, seed=(1 << 20) + i)[0])
+                for i, n_d in enumerate((100.0, 1e3, 1e4, 1e5, 1e6))]
+
+    @pytest.mark.parametrize("shared, groups", [(8, [5]), (2, [2, 2, 1])])
+    def test_shared_scan_fits_equal_fits_alone(self, device, monkeypatch, shared, groups):
+        # points on one grid run their fits in lockstep, at most
+        # _SHARED_SCANS at once: each batched step costs every running
+        # fit's next request with one _nnls call, the first one every
+        # chunk's cold g scans; every fit is bit for bit the fit of its
+        # trace alone
+        thermal = em.ThermalState(n_m_T=39.0, n_c=0.0)
+        entries = self.five_point_entries(device)
+        monkeypatch.setattr(estimation, "_SHARED_SCANS", shared)
+        chunks = self.recorded_steps(monkeypatch)
+        curve = em.analyze_cooling_sweep(entries, device, thermal)
+        assert [size for size, _ in chunks] == groups  # one grid, every point profiles g
         assert [sp.point.n_d for sp in curve.points] == [n_d for n_d, _ in entries]
+        # a chunk's cold scans are one _nnls call over all its first passes;
+        # no later step costs more than three nodes per fit
+        for size, rows in chunks:
+            assert rows[0] == size * self.scan_size(device)
+            assert max(rows[1:]) <= 3 * size
+        # a chunk takes as many steps as its longest fit has requests, not
+        # as many as its fits have together
+        requests = [self.requests_alone(sp.fit) for sp in curve.points]
+        ends = np.cumsum(groups).tolist()
+        lockstep = [max(requests[end - size : end]) for end, size in zip(ends, groups)]
+        assert sum(len(rows) for _, rows in chunks) == sum(lockstep) < sum(requests)
         for (n_d, trace), sp in zip(entries, curve.points):
             g_pred = em.coupling_rate(device.coupling, device.mech, n_d)
+            params = em.ModelParams.for_device(device, g=g_pred, n_m_T=39.0, n_c=0.0)
+            self.assert_same_fit(sp.fit, em.fit_full_model(trace, params, free=tuple(sp.fit.params)))
+
+    def test_a_fit_that_raises_mid_chunk_fails_alone(self, device, monkeypatch):
+        # the n_d = 1e4 point raises in its second pass's update, while the
+        # chunk's other fits run on: it alone is excluded, and every other
+        # fit is bit for bit the fit of its trace alone
+        thermal = em.ThermalState(n_m_T=39.0, n_c=0.0)
+        entries = self.five_point_entries(device)
+        bad = entries[2][1].values
+        steps, update = [], estimation._TraceFit.update  # the chunk's steps taken at each update of the point
+
+        def failing(fit, fitted):
+            if fit.data is bad:
+                steps.append(len(chunks[-1][1]))
+                if len(steps) == 2:
+                    raise ParameterError("update failed")
+            return update(fit, fitted)
+
+        chunks = self.recorded_steps(monkeypatch)
+        with monkeypatch.context() as patch:
+            patch.setattr(estimation._TraceFit, "update", failing)
+            curve = em.analyze_cooling_sweep(entries, device, thermal)
+        assert len(steps) == 2 and [size for size, _ in chunks] == [5]
+        assert len(chunks[0][1]) > steps[-1]  # the chunk ran on after the point raised
+        assert curve.excluded == ((1e4, "ParameterError: update failed"),)
+        assert [sp.point.n_d for sp in curve.points] == [100.0, 1e3, 1e5, 1e6]
+        for sp in curve.points:
+            trace = dict(entries)[sp.point.n_d]
+            g_pred = em.coupling_rate(device.coupling, device.mech, sp.point.n_d)
             params = em.ModelParams.for_device(device, g=g_pred, n_m_T=39.0, n_c=0.0)
             self.assert_same_fit(sp.fit, em.fit_full_model(trace, params, free=tuple(sp.fit.params)))
 
@@ -1086,10 +1157,8 @@ class TestAnalyzeCoolingSweep:
 
         monkeypatch.setattr(estimation, "imprecision_from_chain", imprecision)
         thermal = em.ThermalState(n_m_T=39.0, n_c=0.0)
-        with monkeypatch.context() as patch:  # every first pass costs its own scan, with `_Pass.cost`
-            patch.setattr(estimation, "_cold_scans", lambda passes, scan: None)
-            alone = [em.analyze_cooling_sweep([entry], device, thermal) for entry in entries]
-        sizes = self.recorded_scan_groups(monkeypatch)
+        alone = [em.analyze_cooling_sweep([entry], device, thermal) for entry in entries]  # chunks of one fit
+        chunks = self.recorded_steps(monkeypatch)
         curve = em.analyze_cooling_sweep(entries, device, thermal)
         expected = em.CoolingCurve(
             points=tuple(sorted((sp for c in alone for sp in c.points), key=lambda sp: sp.point.n_d)),
@@ -1103,7 +1172,10 @@ class TestAnalyzeCoolingSweep:
         assert curve.to_json() == expected.to_json()
         for sp, other in zip(curve.points, expected.points):
             self.assert_same_fit(sp.fit, other.fit)
-        assert sizes == [2, 2]  # 1e3 and 1e4 on the narrow window, 3e3 and 1e5 on the wide one
+        # 0.1 (g pinned), 1e3 and 1e4 on the narrow window, 3e3 and 1e5 on the
+        # wide one; a chunk's first _nnls call holds its cold scans and the
+        # pinned point's solve at its one g
+        assert [(size, rows[0]) for size, rows in chunks] == [(3, 2 * self.scan_size(device) + 1), (2, 2 * self.scan_size(device))]
 
     def test_bad_drives_are_excluded_not_raised(self, device):
         # a negative, nan, infinite or repeated n_d once raised out of the
