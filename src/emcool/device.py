@@ -177,6 +177,8 @@ def parse_device_text(text: str, source: str = "<string>") -> DeviceParams:
         except ParameterError as exc:
             raise DeviceFileError(f"{source}: {exc}") from None
         parts[part][name] = scale * seen[key]
+        if parts[part][name] == math.inf:  # a finite rate in Hz may overflow in rad/s
+            raise DeviceFileError(f"{source}: {key} = {seen[key]!r} overflows as {name} = {scale:.6g} x {key}")
     return DeviceParams(MechanicalMode(**parts["mech"]), Cavity(**parts["cavity"]), Coupling(**parts["coupling"]))
 
 

@@ -20,7 +20,7 @@ class UnitError(ValueError):
 
 class DeviceFileError(ValueError):
     """A device parameter file is malformed (unknown or missing keys, or a
-    value that is not a finite number > 0)."""
+    value that is not a finite number > 0 in the file's units or in SI units)."""
 
 
 class PeakDetectionError(RuntimeError):

@@ -17,7 +17,8 @@ after the last pass, J in closed form: the basis, and g's column from
 ds/dg.  One J^T J serves the covariance inv(J^T J) and the degeneracy
 check.  The profile rule (`_profile_steps`), the pass (`_weighted_steps`)
 and the IRLS loop (`_TraceFit.passes`) are generators, which yield what
-they need answered (nodes to cost, a profile, a pass to run), so that one
+they need answered (the profile: nodes to cost; the pass: couplings g at
+which to solve its normal equations; the loop: a pass to run), so that one
 implementation serves a fit alone and fits in lockstep.
 `analyze_cooling_sweep` builds every point's object where it checks the
 point and groups the objects by grid alone (every point's shape values
@@ -166,8 +167,10 @@ _C_POWER = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 2.0])
 
 # normal equations solved at once by `_nnls`: its gathered Cramer entries
 # take 2.3 kB per row at three amplitudes, so that 256 rows stay near the
-# 512 kB of a block of basis rows s; a sweep step's cold scans (up to
-# `_SHARED_SCANS` x 77 rows) are solved in slices
+# 512 kB of a block of basis rows s.  A sweep step's cold scans (7 x 77
+# rows on the benchmark's grid) are solved in slices: on cooling_sweep
+# (2-core Xeon), unsliced they took 668-714 minor page faults per op
+# against 414-638 sliced, fewer sliced in each of 12 alternating pairs
 _NNLS_BLOCK = 256
 
 
@@ -285,7 +288,11 @@ def _solve(requests: Sequence[tuple[_Pass, np.ndarray]]) -> list[tuple[np.ndarra
     rows, which bounds their memory, never splitting a piece; each block
     takes one `_block_grams`, and one `_nnls` call solves every request's
     normal equations.  So a request's results do not depend on the other
-    requests, bit for bit."""
+    requests, bit for bit.  A single request (a chunk of one fit, or the
+    last fit of a chunk still running) skips the packing."""
+    if len(requests) == 1:  # a fit alone, answered as `fit_weighted` answers it
+        normal, g = requests[0]
+        return [_nnls(normal.gram(g))]
     shared: dict[bytes, tuple[np.ndarray, list[int]]] = {}  # per g, the places of its requests
     for place, (_, g) in enumerate(requests):
         shared.setdefault(g.tobytes(), (g, []))[1].append(place)
@@ -428,7 +435,7 @@ def _profile_steps(scan: np.ndarray, step_costs: list, start: float | None = Non
 
 def _profile_g(cost, scan: np.ndarray, step_costs: list, start: float | None = None) -> tuple[float, float, int, int]:
     """`_profile_steps` with the nodes of every call costed by `cost`, which
-    receives ln g."""
+    receives ln g.  A fit runs the rule through `_weighted_steps` instead."""
     return _drive(_profile_steps(scan, step_costs, start), cost)
 
 
@@ -483,47 +490,34 @@ class WeightedFit(NamedTuple):
     counts: tuple[int, int]  # the g profile's nodes and cost calls
 
 
-def _weighted_steps(scan: np.ndarray | None, g: float, start: float | None, step_costs: list):
-    """`fit_weighted` as a generator.  It yields the arguments (scan,
-    step_costs, start) of its g profile, to be answered with the profile's
-    result, then the fitted g as an array of one coupling, to be answered
-    with the free amplitudes there, and returns the WeightedFit."""
+def _weighted_steps(normal: _Pass, scan: np.ndarray | None, g: float, start: float | None, step_costs: list):
+    """`fit_weighted` as a generator of requests (normal, couplings g), each
+    answered with `_nnls`'s amplitudes and costs there: the nodes of every
+    call of the g profile, then the fitted g.  Returns the WeightedFit."""
     n_steps, node, counts = len(step_costs), start, (0, 0)
     if scan is not None:
-        node, _, *counts = yield scan, step_costs, start
+        profile, costs = _profile_steps(scan, step_costs, start), None
+        while True:
+            try:
+                ln_g = profile.send(costs)
+            except StopIteration as stop:
+                node, _, *counts = stop.value
+                break
+            costs = (yield normal, np.exp(ln_g))[1]
         g = math.exp(node)
-    amplitudes = (yield np.array([g])).tolist()
+    amplitudes = (yield normal, np.array([g]))[0][0].tolist()
     return WeightedFit((g, *amplitudes), len(step_costs) - n_steps, node, tuple(counts))
 
 
 def fit_weighted(normal: _Pass, scan: np.ndarray | None, g: float, start: float | None, step_costs: list) -> WeightedFit:
     """Fit g and the free amplitudes at one IRLS pass's weights.
 
-    g is profiled by `_profile_g` over `scan`, warm-started from the node
-    `start` of the last pass (a cold scan when None), or stays the pinned
-    `g` when `scan` is None; the amplitudes are then solved by `_nnls` from
-    `normal`'s normal equations at that g.
+    g is profiled by `_profile_steps` over `scan`, warm-started from the
+    node `start` of the last pass (a cold scan when None), or stays the
+    pinned `g` when `scan` is None; the amplitudes are then solved by
+    `_nnls` from `normal`'s normal equations at that g.
     """
-
-    def answer(request):
-        if isinstance(request, tuple):  # the g profile's arguments
-            return _profile_g(lambda ln_g: normal.cost(np.exp(ln_g)), *request)
-        return _nnls(normal.gram(request))[0][0]
-
-    return _drive(_weighted_steps(scan, g, start, step_costs), answer)
-
-
-def _costed(normal: _Pass, profile):
-    """Run the `_profile_steps` generator `profile` as requests (normal,
-    couplings g), one per call, each answered with `_nnls`'s amplitudes and
-    costs there; returns the profile's result."""
-    costs = None
-    while True:
-        try:
-            ln_g = profile.send(costs)
-        except StopIteration as stop:
-            return stop.value
-        costs = (yield normal, np.exp(ln_g))[1]
+    return _drive(_weighted_steps(normal, scan, g, start, step_costs), lambda request: _nnls(normal.gram(request[1])))
 
 
 class _TraceFit:
@@ -596,27 +590,16 @@ class _TraceFit:
         return _drive(self.passes(), lambda args: fit_weighted(*args))
 
     def steps(self):
-        """`passes` as one generator of requests (normal, couplings g): the
-        nodes of every pass's profile call by call, then the pass's fitted
-        g, each answered with `_nnls`'s amplitudes and costs there.  Returns
+        """`passes` as one generator of `_weighted_steps`' requests, pass
+        after pass; each pass's generator, and with it its normal
+        equations, ends before the next pass's are built.  Returns
         `solve`'s FitResult; `_lockstep` runs it."""
         loop, fitted = self.passes(), None
-        while True:
-            try:
-                normal, *args = loop.send(fitted)
-            except StopIteration as stop:
-                return stop.value
-            weighted, answer = _weighted_steps(*args), None
+        try:
             while True:
-                try:
-                    request = weighted.send(answer)
-                except StopIteration as stop:
-                    fitted, normal = stop.value, None  # the pass's normal equations go before the next pass's are built
-                    break
-                if isinstance(request, tuple):  # the g profile's arguments
-                    answer = yield from _costed(normal, _profile_steps(*request))
-                else:
-                    answer = (yield normal, request)[0][0]
+                fitted = yield from _weighted_steps(*loop.send(fitted))
+        except StopIteration as stop:
+            return stop.value
 
     def result(self, step_costs: list, message: str) -> FitResult:
         """The fit at the last pass: covariance, flags and residual."""

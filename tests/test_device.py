@@ -171,6 +171,14 @@ class TestDeviceFile:
             parse_device_text(text, source="dev.txt")
         assert str(err.value) == f"dev.txt: kappa_0_hz must be a finite number > 0, got {float(value)!r}"
 
+    def test_value_overflowing_in_si_units(self, device):
+        # 1e308 Hz is finite, but 2 pi times it is not: the error names the
+        # file and the key, not only the scaled field
+        text = device_file_text(device).replace("kappa_0_hz=", "kappa_0_hz=1e308\n# was ")
+        with pytest.raises(DeviceFileError) as err:
+            parse_device_text(text, source="dev.txt")
+        assert str(err.value) == "dev.txt: kappa_0_hz = 1e+308 overflows as kappa_0 = 6.28319 x kappa_0_hz"
+
     def test_comments_and_blanks_ignored(self, device):
         text = "# a comment\n\n" + device_file_text(device)
         assert parse_device_text(text) == device

@@ -36,6 +36,35 @@ def profile_case_trace(device, case):
     return output_trace(device, 1e4, n_m_T=39.0, seed=0)[0]
 
 
+def recorded_passes(monkeypatch):
+    """Wrap the fit's pass (`estimation._weighted_steps`) and its g profile
+    (`estimation._profile_steps`) to keep, per IRLS pass, the profile's warm
+    start and scan, the cost of every node it costed (by ln g), its result
+    (node, cost, nodes, calls), and "cost": ln g to the profile cost at the
+    pass's weights."""
+    passes = []
+    weighted_steps, profile_steps = estimation._weighted_steps, estimation._profile_steps
+
+    def weighted(normal, scan, g, start, step_costs):
+        passes.append({"start": start, "scan": scan, "costed": {}, "cost": lambda ln_g: normal.cost(np.exp(ln_g))})
+        return (yield from weighted_steps(normal, scan, g, start, step_costs))
+
+    def profile(scan, step_costs, start):
+        steps, costs = profile_steps(scan, step_costs, start), None
+        while True:
+            try:
+                nodes = steps.send(costs)
+            except StopIteration as stop:
+                passes[-1]["result"] = stop.value
+                return stop.value
+            costs = yield nodes
+            passes[-1]["costed"].update(zip(nodes.tolist(), costs.tolist()))
+
+    monkeypatch.setattr(estimation, "_weighted_steps", weighted)
+    monkeypatch.setattr(estimation, "_profile_steps", profile)
+    return passes
+
+
 def lorentzian_model(freq_hz, center, fwhm, area, floor):
     """floor + Lorentzian with unit-normalized area (peak height 2 area/(pi fwhm))."""
     x = 2.0 * (freq_hz - center) / fwhm
@@ -318,7 +347,11 @@ class TestFitFullModel:
         center = device.mech.omega_m / TWO_PI
         freq = np.linspace(center - 5e4, center + 5e4, 512)
         trace = em.SpectrumTrace(freq, np.full(512, 2.6), em.SpectrumUnit.QUANTA, {})
-        monkeypatch.setattr(estimation, "_profile_g", lambda cost, scan, step_costs, start: (np.median(scan), 0.0, 0, 0))
+        def median(scan, step_costs, start):  # a g profile that ends at once on the scan's median node
+            return np.median(scan), 0.0, 0, 0
+            yield
+
+        monkeypatch.setattr(estimation, "_profile_steps", median)
         fit = em.fit_full_model(trace, device_model)
         assert fit.params["n_m_T"] == fit.params["n_c"] == 0.0
         assert "g" in fit.at_bound
@@ -328,12 +361,17 @@ class TestFitFullModel:
     @pytest.mark.parametrize("case", ["readme", "sweep"])
     def test_profile_node_count(self, device, device_model, monkeypatch, case):
         # exact counts of the couplings the g profile costs per fit and of its
-        # cost calls, reported in the message
+        # cost calls, reported in the message; each pass's last normal
+        # equations are its amplitudes' solve at the fitted g
         trace = profile_case_trace(device, case)
-        sizes = []
-        cost = estimation._Pass.cost
-        monkeypatch.setattr(estimation._Pass, "cost", lambda normal, g: sizes.append(g.size) or cost(normal, g))
+        calls = []  # (pass, couplings) per call
+        gram = estimation._Pass.gram
+        monkeypatch.setattr(estimation._Pass, "gram", lambda normal, g: calls.append((normal, g.size)) or gram(normal, g))
         fit = em.fit_full_model(trace, device_model)
+        passes = [[size for _, size in group] for _, group in itertools.groupby(calls, key=lambda call: call[0])]
+        assert [sizes[-1] for sizes in passes] == [1] * len(passes)
+        assert f"separable fit: {len(passes)} IRLS passes," in fit.message
+        sizes = [size for sizes in passes for size in sizes[:-1]]
         assert f", {sum(sizes)} profile nodes in {len(sizes)} calls" in fit.message
         assert (sum(sizes), len(sizes)) == {"readme": (92, 6), "sweep": (89, 5)}[case]
 
@@ -341,18 +379,10 @@ class TestFitFullModel:
     def test_fitted_g_within_gain_tol_of_a_dense_grid(self, device, device_model, monkeypatch, case):
         # the last pass's profile ends within _GAIN_TOL, in cost units, of
         # the least cost on 2001 nodes spanning +-0.01 in ln g about its g
-        profiles = []
-        profile_g = estimation._profile_g
-
-        def recording(cost, scan, step_costs, start):
-            result = profile_g(cost, scan, step_costs, start)
-            dense = cost(np.linspace(result[0] - 0.01, result[0] + 0.01, 2001))  # before the pass is gone
-            profiles.append((result, float(np.min(dense))))
-            return result
-
-        monkeypatch.setattr(estimation, "_profile_g", recording)
+        passes = recorded_passes(monkeypatch)
         fit = em.fit_full_model(profile_case_trace(device, case), device_model)
-        (log_g, f, _, _), least = profiles[-1]
+        log_g, f, _, _ = passes[-1]["result"]
+        least = float(np.min(passes[-1]["cost"](np.linspace(log_g - 0.01, log_g + 0.01, 2001))))
         assert fit.params["g"] == math.exp(log_g) and "g" not in fit.at_bound
         assert least <= f <= least + _GAIN_TOL
 
@@ -430,26 +460,14 @@ class TestFitFullModel:
         # grid one spacing either side stopped on its end with the cost still
         # falling; the warm start steps outward until the minimum is bracketed
         trace, _ = output_trace(device, 100.0, n_m_T=39.0, seed=(1 << 20) + 98)
-        passes = []
-        profile_g = estimation._profile_g
-
-        def recording(cost, scan, step_costs, start):
-            costed = {}
-
-            def recorded(x):
-                f = cost(x)
-                costed.update(zip(x.tolist(), f.tolist()))
-                return f
-
-            result = profile_g(recorded, scan, step_costs, start)
-            x = sorted(costed)
-            i = x.index(result[0])  # the pass's cost is gone once the fit returns
-            dense = min(cost(np.linspace(x[i - 1], x[i + 1], 2001))) if 0 < i < len(x) - 1 else None
-            passes.append((start, result[0], sorted(costed.items()), scan, dense))
-            return result
-
-        monkeypatch.setattr(estimation, "_profile_g", recording)
+        records = recorded_passes(monkeypatch)
         fit = em.fit_full_model(trace, device_model)
+        passes = []
+        for record in records:
+            x, log_g = sorted(record["costed"]), record["result"][0]
+            i = x.index(log_g)
+            dense = min(record["cost"](np.linspace(x[i - 1], x[i + 1], 2001))) if 0 < i < len(x) - 1 else None
+            passes.append((record["start"], log_g, sorted(record["costed"].items()), record["scan"], dense))
         assert len(passes) >= 2
         start, log_g, costed, scan, _ = passes[1]
         assert abs(log_g - start) > 5.0 * (scan[1] - scan[0])
@@ -1172,6 +1190,15 @@ class TestAnalyzeCoolingSweep:
         assert curve.to_json() == expected.to_json()
         for sp, other in zip(curve.points, expected.points):
             self.assert_same_fit(sp.fit, other.fit)
+        # a sweep of one entry runs a chunk of one fit in lockstep, so each
+        # point is also checked against its trace's fit_full_model, the pinned
+        # g's and both windows' included
+        for sp in curve.points:
+            g_pred = em.coupling_rate(device.coupling, device.mech, sp.point.n_d)
+            params = em.ModelParams.for_device(device, g=g_pred, n_m_T=39.0, n_c=0.0)
+            trace = next(trace for n_d, trace in entries if n_d == sp.point.n_d)
+            self.assert_same_fit(sp.fit, em.fit_full_model(trace, params, free=tuple(sp.fit.params)))
+        assert "g" not in curve.points[0].fit.params
         # 0.1 (g pinned), 1e3 and 1e4 on the narrow window, 3e3 and 1e5 on the
         # wide one; a chunk's first _nnls call holds its cold scans and the
         # pinned point's solve at its one g
