@@ -255,11 +255,6 @@ class _Pass:
         grams = [_block_grams(self.shape, self.mech, g[i : i + _SCAN_BLOCK], whole)[0] for i in range(0, g.size, _SCAN_BLOCK)]
         return grams[0] if len(grams) == 1 else np.concatenate(grams)
 
-    def cost(self, g: np.ndarray) -> np.ndarray:
-        """Profile cost per coupling in g: one NNLS over all their normal
-        equations; every g >= 0 gives finite rows (see `spectra._basis_row`)."""
-        return _nnls(self.gram(g))[1]
-
 
 def _block_grams(shape: tuple, mech: np.ndarray, g: np.ndarray, jobs: list) -> list[np.ndarray]:
     """`_Pass.gram` of every job (rows, pass) at its rows of one block of
@@ -431,12 +426,6 @@ def _profile_steps(scan: np.ndarray, step_costs: list, start: float | None = Non
             step_costs.append((fb, min(f_trial)))
         xs, fs = (list(v) for v in zip(*sorted(zip(xs + trial, fs + f_trial))))
     return b, fb, nodes, calls
-
-
-def _profile_g(cost, scan: np.ndarray, step_costs: list, start: float | None = None) -> tuple[float, float, int, int]:
-    """`_profile_steps` with the nodes of every call costed by `cost`, which
-    receives ln g.  A fit runs the rule through `_weighted_steps` instead."""
-    return _drive(_profile_steps(scan, step_costs, start), cost)
 
 
 def _log_scan(lo: float, hi: float) -> np.ndarray:

@@ -444,14 +444,9 @@ def convert_trace(trace: SpectrumTrace, unit: SpectrumUnit, carrier_hz: float) -
 
 # --- CSV round trip -----------------------------------------------------------
 
-def trace_to_csv(trace: SpectrumTrace) -> str:
-    """Serialize to the trace CSV format (decimal text, 17 significant digits).
-
-    The table is the text `"%.17g,%.17g\\n"` gives each row, formatted by an
-    integer-digit numpy kernel (`emcool._g17`) that falls back to `%` for the
-    values whose rounding it cannot prove.  Metadata that its `# key=value`
-    line would not give back raises ParameterError naming the key.
-    """
+def _csv_bytes(trace: SpectrumTrace) -> bytes:
+    """The trace CSV file of `trace`: its preamble, encoded once, and the
+    table of `format_rows`; `trace_to_csv` and `write_trace` both serve it."""
     lines = [f"# unit={trace.unit.value}"]
     for key, value in trace.meta.items():
         text = f"{value:.17g}" if isinstance(value, float) else f"{value}"
@@ -467,22 +462,30 @@ def trace_to_csv(trace: SpectrumTrace) -> str:
             raise ParameterError(f"trace metadata {key!r} cannot be read back: a value must be an int, a float or a "
                                  f"string that does not read as a number, got {value!r}")
         lines.append(f"# {key}={text}")
-    lines.append("freq_hz,value")
-    return "\n".join(lines) + "\n" + format_rows((trace.freq_hz, trace.values)).decode("ascii")
+    lines.append("freq_hz,value\n")
+    return "\n".join(lines).encode("utf-8") + format_rows((trace.freq_hz, trace.values))
 
 
-def trace_from_csv(text: str, source: str = "<string>") -> SpectrumTrace:
-    """Parse the trace CSV format.
+def trace_to_csv(trace: SpectrumTrace) -> str:
+    """Serialize to the trace CSV format (decimal text, 17 significant digits).
 
-    The preamble (`# key=value` metadata, free-form `#` comments, blank lines
-    and the `freq_hz,value` header) is read line by line; the table below it
-    is parsed by one `np.loadtxt` call.  Every error names `source`, and the
-    line where there is one.
+    The table is the text `"%.17g,%.17g\\n"` gives each row, formatted by an
+    integer-digit numpy kernel (`emcool._g17`) that falls back to `%` for the
+    values whose rounding it cannot prove.  Metadata that its `# key=value`
+    line would not give back raises ParameterError naming the key.  The text
+    is the UTF-8 decoding of the bytes `write_trace` writes.
     """
-    lines = text.splitlines()
+    return _csv_bytes(trace).decode("utf-8")
+
+
+def _read_preamble(lines, source: str) -> tuple[SpectrumUnit, dict, int]:
+    """The unit, the metadata and the line number of the `freq_hz,value`
+    header, read from the lines of a trace CSV up to the header; an iterator
+    of lines is left on the line below it.  Errors name `source` and the
+    line where there is one."""
     unit: SpectrumUnit | None = None
     meta: dict = {}
-    start = None  # index in `lines` of the first line after the header
+    start = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -508,6 +511,31 @@ def trace_from_csv(text: str, source: str = "<string>") -> SpectrumTrace:
         raise UnitError(f"{source}: missing '# unit=...' line")
     if start is None:
         raise ParameterError(f"{source}: missing 'freq_hz,value' header")
+    return unit, meta, start
+
+
+def _table_trace(table: np.ndarray, unit: SpectrumUnit, meta: dict, source: str) -> SpectrumTrace:
+    """The trace of a parsed (rows, 2) table; a `SpectrumTrace` check that
+    fails names `source`."""
+    freq, vals = np.ascontiguousarray(table.T)
+    try:
+        return SpectrumTrace(freq_hz=freq, values=vals, unit=unit, meta=meta)
+    except ParameterError as exc:
+        raise ParameterError(f"{source}: {exc}") from exc
+
+
+def trace_from_csv(text: str, source: str = "<string>") -> SpectrumTrace:
+    """Parse the trace CSV format.
+
+    Lines end at `\\n`, `\\r\\n` and `\\r` only, as in a file read as
+    text, so a form feed, U+0085 or U+2028 is a character of its line.  The
+    preamble (`# key=value` metadata, free-form `#` comments, blank lines
+    and the `freq_hz,value` header) is read line by line; the table below it
+    is parsed by one `np.loadtxt` call.  Every error names `source`, and the
+    line where there is one.
+    """
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    unit, meta, start = _read_preamble(lines, source)
     # loadtxt skips empty lines but reads a whitespace-only one as a row
     rows = [row for row in lines[start:] if not row.isspace()]
     if not any(rows):
@@ -518,11 +546,7 @@ def trace_from_csv(text: str, source: str = "<string>") -> SpectrumTrace:
             raise ValueError(f"{table.shape[1]} columns")
     except ValueError as exc:
         raise _row_error(lines, start, source, exc) from exc
-    freq, vals = np.ascontiguousarray(table.T)
-    try:
-        return SpectrumTrace(freq_hz=freq, values=vals, unit=unit, meta=meta)
-    except ParameterError as exc:
-        raise ParameterError(f"{source}: {exc}") from exc
+    return _table_trace(table, unit, meta, source)
 
 
 def _row_error(lines: list[str], start: int, source: str, exc: ValueError) -> ParameterError:
@@ -559,9 +583,40 @@ def _parse_meta_value(value: str):
 
 
 def write_trace(trace: SpectrumTrace, path: str | Path) -> None:
-    Path(path).write_text(trace_to_csv(trace), encoding="utf-8")
+    """Write `trace` as a trace CSV file: the bytes whose UTF-8 text is
+    `trace_to_csv(trace)`, written as they are."""
+    Path(path).write_bytes(_csv_bytes(trace))
+
+
+# numpy's reader opens a path through `np.lib._datasource`, which decompresses
+# these suffixes; such a file is left to the text parse
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def read_trace(path: str | Path) -> SpectrumTrace:
+    """Read a trace CSV file; it gives what `trace_from_csv` gives on the
+    file's UTF-8 text, the same arrays bit for bit or the same error.
+
+    The preamble is read line by line from the file, by the code
+    `trace_from_csv` uses, and numpy's file reader parses the table below
+    it straight from the path (`np.loadtxt` with `skiprows`), with no
+    Python string per row.  Both end lines at `\\n`, `\\r\\n` and `\\r`
+    only.  When the file reader cannot take the file (text that is not
+    UTF-8, a bad preamble, a whitespace-only row, a `#` line or a row that
+    is not two numbers inside the table, no rows, or a suffix numpy would
+    decompress), the file's text goes to `trace_from_csv`, which accepts it
+    or reports `<file>:<line>: ...`.
+    """
     path = Path(path)
-    return trace_from_csv(path.read_text(encoding="utf-8"), source=str(path))
+    source, table = str(path), None
+    try:
+        with path.open(encoding="utf-8") as lines:
+            unit, meta, start = _read_preamble(lines, source)
+            has_rows = any(not line.isspace() for line in lines)  # numpy warns on a table of no rows
+        if has_rows and path.suffix not in _COMPRESSED_SUFFIXES:
+            table = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, skiprows=start, encoding="utf-8")
+    except ValueError:  # UnicodeDecodeError, ParameterError and UnitError among them
+        table = None
+    if table is None or table.shape[1] != 2:
+        return trace_from_csv(path.read_text(encoding="utf-8"), source=source)
+    return _table_trace(table, unit, meta, source)

@@ -11,7 +11,7 @@ import emcool as em
 from emcool import estimation, spectra
 from emcool.constants import HBAR
 from emcool.errors import DegenerateFitError, ParameterError, PeakDetectionError, UnitError
-from emcool.estimation import _GAIN_TOL, DEFAULT_FREE, _nnls, _Pass, _profile_g
+from emcool.estimation import _GAIN_TOL, DEFAULT_FREE, _drive, _nnls, _Pass, _profile_steps
 from emcool.spectra import _basis_factors, grid_for
 from emcool.synth import periodogram_factors
 
@@ -46,7 +46,7 @@ def recorded_passes(monkeypatch):
     weighted_steps, profile_steps = estimation._weighted_steps, estimation._profile_steps
 
     def weighted(normal, scan, g, start, step_costs):
-        passes.append({"start": start, "scan": scan, "costed": {}, "cost": lambda ln_g: normal.cost(np.exp(ln_g))})
+        passes.append({"start": start, "scan": scan, "costed": {}, "cost": lambda ln_g: _nnls(normal.gram(np.exp(ln_g)))[1]})
         return (yield from weighted_steps(normal, scan, g, start, step_costs))
 
     def profile(scan, step_costs, start):
@@ -564,7 +564,7 @@ class TestSeparableNormalEquations:
         rows = []
         nnls = estimation._nnls
         monkeypatch.setattr(estimation, "_nnls", lambda normal: rows.append(normal.shape[0]) or nnls(normal))
-        assert np.array_equal(normal.cost(g), np.concatenate(blocks))
+        assert np.array_equal(estimation._nnls(normal.gram(g))[1], np.concatenate(blocks))
         assert rows == [g.size]
 
 
@@ -597,7 +597,7 @@ class TestTraceFit:
             trace = em.output_noise_spectrum(grid, params).with_meta(n_avg=20000)
             fits.append((math.sqrt(n_d), estimation._TraceFit(trace, params, DEFAULT_FREE)))
         G = device.coupling.G * np.exp(np.linspace(-math.log(2.0), math.log(2.0), 41))
-        total = sum(fit.normal().cost(G * x_zp * root) for root, fit in fits)
+        total = sum(_nnls(fit.normal().gram(G * x_zp * root))[1] for root, fit in fits)
         assert np.argmin(total) == 20  # G = 1.0x truth
 
 
@@ -607,8 +607,9 @@ SPACING = PROFILE_GRID[1] - PROFILE_GRID[0]
 
 
 def profile(shape, x0, start=None):
-    """_profile_g on cost = shape(ln g - x0), from the scan or warm-started at
-    ln g = start: ln g, step_costs and the node count of every cost call.
+    """The profile rule (`_profile_steps`) driven by cost = shape(ln g - x0),
+    from the scan or warm-started at ln g = start: ln g, step_costs and the
+    node count of every cost call.
     Checks that the result ends strictly inside a bracket of costed nodes,
     or on a scan end, and comes with the lowest cost."""
     sizes, costed = [], {}
@@ -620,7 +621,7 @@ def profile(shape, x0, start=None):
         return f
 
     step_costs = []
-    log_g, f, nodes, calls = _profile_g(cost, PROFILE_GRID, step_costs, start)
+    log_g, f, nodes, calls = _drive(_profile_steps(PROFILE_GRID, step_costs, start), cost)
     assert f == costed[log_g] == min(costed.values())
     assert sizes[0] == PROFILE_GRID.size if start is None else 2 <= sizes[0] <= 3
     assert set(sizes[1:]) <= {1, 2, 3}  # one stencil per step

@@ -1,5 +1,9 @@
+import bz2
+import gzip
+import lzma
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -547,6 +551,38 @@ ACCEPTED = {
     "spaces around fields": HEAD + "".join(row.replace(",", " , ") + "\n" for row in ROWS),
 }
 
+# characters that str.splitlines breaks on but a file read as text keeps in
+# the line; numpy's row parser strips them around a field
+for name, char in {"form feed": "\x0c", "U+0085": "\x85", "U+2028": "\u2028"}.items():
+    MALFORMED[f"rows joined by {name}"] = (HEAD + char.join(ROWS) + "\n", ParameterError,
+                                           "t.csv:3: expected a 'freq,value' row")
+    MALFORMED[f"header joined by {name}"] = ("# unit=quanta" + char + "freq_hz,value\n" + TABLE, UnitError,
+                                             "t.csv:1: unknown unit")
+    ACCEPTED[f"{name} beside a field"] = HEAD + "".join(row.replace(",", char + ",") + "\n" for row in ROWS)
+    ACCEPTED[f"{name} inside a comment"] = "# unit=quanta\n# noise" + char + "floor\nfreq_hz,value\n" + TABLE
+
+
+def same_as_text_parse(path):
+    """read_trace(path), checked against trace_from_csv on the file's text:
+    the same arrays bit for bit, unit and metadata, or an error of the same
+    type and message.  Returns the trace or the error."""
+    def outcome(read):
+        try:
+            return read()
+        except Exception as exc:
+            return exc
+
+    by_file = outcome(lambda: em.read_trace(path))
+    by_text = outcome(lambda: trace_from_csv(path.read_text(encoding="utf-8"), source=str(path)))
+    if isinstance(by_text, Exception):
+        assert type(by_file) is type(by_text) and str(by_file) == str(by_text)
+    else:
+        assert isinstance(by_file, em.SpectrumTrace)
+        assert by_file.freq_hz.tobytes() == by_text.freq_hz.tobytes()
+        assert by_file.values.tobytes() == by_text.values.tobytes()
+        assert by_file.unit is by_text.unit and by_file.meta == by_text.meta
+    return by_file
+
 
 class TestTraceCsv:
     @staticmethod
@@ -605,6 +641,62 @@ class TestTraceCsv:
         assert np.array_equal(loaded.freq_hz, 1e6 + np.arange(8.0))
         assert np.array_equal(loaded.values, 1.0 + np.arange(8.0))
         assert loaded.unit is em.SpectrumUnit.QUANTA
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_file(self, case, tmp_path):
+        text, error, start = MALFORMED[case]
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        exc = same_as_text_parse(path)
+        assert isinstance(exc, error)
+        assert str(exc).startswith(start.replace("t.csv", str(path), 1))
+
+    @pytest.mark.parametrize("case", sorted(ACCEPTED))
+    def test_accepted_file(self, case, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(ACCEPTED[case].encode("utf-8"))
+        loaded = same_as_text_parse(path)
+        assert np.array_equal(loaded.freq_hz, 1e6 + np.arange(8.0))
+        assert np.array_equal(loaded.values, 1.0 + np.arange(8.0))
+
+    @pytest.mark.parametrize("suffix, compress", [
+        (".gz", gzip.compress), (".bz2", bz2.compress), (".xz", lzma.compress),
+        (".lzma", partial(lzma.compress, format=lzma.FORMAT_ALONE)),
+    ])
+    def test_compressed_suffix_read_as_it_is(self, suffix, compress, tmp_path):
+        # numpy's path reader decompresses these suffixes by name: a trace
+        # under such a name is still read as plain text, and a compressed
+        # file is not UTF-8 text, as when the reader read the whole file
+        text = (HEAD + TABLE).encode("utf-8")
+        plain, packed = tmp_path / f"plain.csv{suffix}", tmp_path / f"packed.csv{suffix}"
+        plain.write_bytes(text)
+        packed.write_bytes(compress(text))
+        assert np.array_equal(same_as_text_parse(plain).values, 1.0 + np.arange(8.0))
+        assert isinstance(same_as_text_parse(packed), UnicodeDecodeError)
+
+    def test_written_file_parsed_by_the_file_reader(self, tmp_path, monkeypatch):
+        # numpy's loadtxt parses the table of a file write_trace wrote from
+        # its path; the text parse is not called
+        trace = self.golden_trace()
+        path = tmp_path / "t.csv"
+        em.write_trace(trace, path)
+        text_parses, parsed = [], []
+        monkeypatch.setattr(spectra, "trace_from_csv", lambda *args, **kwargs: text_parses.append(args))
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda fname, *args, **kwargs: parsed.append(fname) or loadtxt(fname, *args, **kwargs))
+        loaded = em.read_trace(path)
+        assert text_parses == [] and parsed == [path]
+        assert loaded.freq_hz.tobytes() == trace.freq_hz.tobytes()
+        assert loaded.values.tobytes() == trace.values.tobytes()
+        assert loaded.meta == trace.meta
+
+    def test_write_trace_writes_the_csv_text(self, tmp_path):
+        # one serializer: the file holds the UTF-8 bytes of trace_to_csv's text
+        trace = self.golden_trace().with_meta(device="réf Å", note="Δf in µHz")
+        path = tmp_path / "t.csv"
+        em.write_trace(trace, path)
+        assert path.read_bytes() == trace_to_csv(trace).encode("utf-8")
+        assert em.read_trace(path).meta == trace.meta
 
 
 class TestGrids:
