@@ -444,9 +444,14 @@ def convert_trace(trace: SpectrumTrace, unit: SpectrumUnit, carrier_hz: float) -
 
 # --- CSV round trip -----------------------------------------------------------
 
-def _csv_bytes(trace: SpectrumTrace) -> bytes:
-    """The trace CSV file of `trace`: its preamble, encoded once, and the
-    table of `format_rows`; `trace_to_csv` and `write_trace` both serve it."""
+def trace_to_csv(trace: SpectrumTrace) -> str:
+    """Serialize to the trace CSV format (decimal text, 17 significant digits).
+
+    The table is the text `"%.17g,%.17g\\n"` gives each row, formatted by an
+    integer-digit numpy kernel (`emcool._g17`) that falls back to `%` for the
+    values whose rounding it cannot prove.  Metadata that its `# key=value`
+    line would not give back raises ParameterError naming the key.
+    """
     lines = [f"# unit={trace.unit.value}"]
     for key, value in trace.meta.items():
         text = f"{value:.17g}" if isinstance(value, float) else f"{value}"
@@ -462,20 +467,8 @@ def _csv_bytes(trace: SpectrumTrace) -> bytes:
             raise ParameterError(f"trace metadata {key!r} cannot be read back: a value must be an int, a float or a "
                                  f"string that does not read as a number, got {value!r}")
         lines.append(f"# {key}={text}")
-    lines.append("freq_hz,value\n")
-    return "\n".join(lines).encode("utf-8") + format_rows((trace.freq_hz, trace.values))
-
-
-def trace_to_csv(trace: SpectrumTrace) -> str:
-    """Serialize to the trace CSV format (decimal text, 17 significant digits).
-
-    The table is the text `"%.17g,%.17g\\n"` gives each row, formatted by an
-    integer-digit numpy kernel (`emcool._g17`) that falls back to `%` for the
-    values whose rounding it cannot prove.  Metadata that its `# key=value`
-    line would not give back raises ParameterError naming the key.  The text
-    is the UTF-8 decoding of the bytes `write_trace` writes.
-    """
-    return _csv_bytes(trace).decode("utf-8")
+    lines.append("freq_hz,value")
+    return "\n".join(lines) + "\n" + format_rows((trace.freq_hz, trace.values)).decode("ascii")
 
 
 def _read_preamble(lines, source: str) -> tuple[SpectrumUnit, dict, int]:
@@ -583,9 +576,10 @@ def _parse_meta_value(value: str):
 
 
 def write_trace(trace: SpectrumTrace, path: str | Path) -> None:
-    """Write `trace` as a trace CSV file: the bytes whose UTF-8 text is
-    `trace_to_csv(trace)`, written as they are."""
-    Path(path).write_bytes(_csv_bytes(trace))
+    """Write `trace` as a trace CSV file: the UTF-8 bytes of
+    `trace_to_csv(trace)`, written as they are (`\\n` line ends on every
+    platform)."""
+    Path(path).write_bytes(trace_to_csv(trace).encode("utf-8"))
 
 
 # numpy's reader opens a path through `np.lib._datasource`, which decompresses
@@ -601,22 +595,25 @@ def read_trace(path: str | Path) -> SpectrumTrace:
     `trace_from_csv` uses, and numpy's file reader parses the table below
     it straight from the path (`np.loadtxt` with `skiprows`), with no
     Python string per row.  Both end lines at `\\n`, `\\r\\n` and `\\r`
-    only.  When the file reader cannot take the file (text that is not
-    UTF-8, a bad preamble, a whitespace-only row, a `#` line or a row that
-    is not two numbers inside the table, no rows, or a suffix numpy would
-    decompress), the file's text goes to `trace_from_csv`, which accepts it
-    or reports `<file>:<line>: ...`.
+    only.  A path that is not a regular file (a pipe, a FIFO, `/dev/stdin`)
+    is read once, as text, by `trace_from_csv`, since opening it again would
+    not start over; so is a name with a suffix numpy would decompress.  When
+    the file reader cannot take a file (text that is not UTF-8, a bad
+    preamble, a whitespace-only row, a `#` line or a row that is not two
+    numbers inside the table, or no rows), the file's text goes to
+    `trace_from_csv`, which accepts it or reports `<file>:<line>: ...`.
     """
     path = Path(path)
     source, table = str(path), None
-    try:
-        with path.open(encoding="utf-8") as lines:
-            unit, meta, start = _read_preamble(lines, source)
-            has_rows = any(not line.isspace() for line in lines)  # numpy warns on a table of no rows
-        if has_rows and path.suffix not in _COMPRESSED_SUFFIXES:
-            table = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, skiprows=start, encoding="utf-8")
-    except ValueError:  # UnicodeDecodeError, ParameterError and UnitError among them
-        table = None
+    if path.is_file() and path.suffix not in _COMPRESSED_SUFFIXES:
+        try:
+            with path.open(encoding="utf-8") as lines:
+                unit, meta, start = _read_preamble(lines, source)
+                has_rows = any(not line.isspace() for line in lines)  # numpy warns on a table of no rows
+            if has_rows:
+                table = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, skiprows=start, encoding="utf-8")
+        except ValueError:  # UnicodeDecodeError, ParameterError and UnitError among them
+            table = None
     if table is None or table.shape[1] != 2:
         return trace_from_csv(path.read_text(encoding="utf-8"), source=source)
     return _table_trace(table, unit, meta, source)

@@ -2,8 +2,11 @@ import bz2
 import gzip
 import lzma
 import math
+import os
 import re
+import threading
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -562,10 +565,11 @@ for name, char in {"form feed": "\x0c", "U+0085": "\x85", "U+2028": "\u2028"}.it
     ACCEPTED[f"{name} inside a comment"] = "# unit=quanta\n# noise" + char + "floor\nfreq_hz,value\n" + TABLE
 
 
-def same_as_text_parse(path):
-    """read_trace(path), checked against trace_from_csv on the file's text:
-    the same arrays bit for bit, unit and metadata, or an error of the same
-    type and message.  Returns the trace or the error."""
+def same_as_text_parse(path, text=None):
+    """read_trace(path), checked against trace_from_csv on the file's text
+    (`text`, for a path that can be read only once): the same arrays bit
+    for bit, unit and metadata, or an error of the same type and message.
+    Returns the trace or the error."""
     def outcome(read):
         try:
             return read()
@@ -573,7 +577,8 @@ def same_as_text_parse(path):
             return exc
 
     by_file = outcome(lambda: em.read_trace(path))
-    by_text = outcome(lambda: trace_from_csv(path.read_text(encoding="utf-8"), source=str(path)))
+    by_text = outcome(lambda: trace_from_csv(path.read_text(encoding="utf-8") if text is None else text,
+                                             source=str(path)))
     if isinstance(by_text, Exception):
         assert type(by_file) is type(by_text) and str(by_file) == str(by_text)
     else:
@@ -673,6 +678,33 @@ class TestTraceCsv:
         packed.write_bytes(compress(text))
         assert np.array_equal(same_as_text_parse(plain).values, 1.0 + np.arange(8.0))
         assert isinstance(same_as_text_parse(packed), UnicodeDecodeError)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_read_once(self):
+        # a pipe gives its bytes once: the reader reads its text once, so the
+        # trace keeps the rows that a preamble read would have buffered
+        # before numpy's reader opened the path again
+        trace = em.SpectrumTrace(1e6 + np.arange(4096.0), 1.0 + np.arange(4096.0), em.SpectrumUnit.QUANTA)
+        text = trace_to_csv(trace)
+        read_end, write_end = os.pipe()
+
+        def feed():
+            try:
+                with open(write_end, "wb") as pipe:
+                    pipe.write(text.encode("utf-8"))
+            except BrokenPipeError:
+                pass
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            loaded = same_as_text_parse(Path(f"/dev/fd/{read_end}"), text)
+        finally:
+            os.close(read_end)
+            writer.join(timeout=10)
+        assert isinstance(loaded, em.SpectrumTrace)
+        assert loaded.freq_hz.tobytes() == trace.freq_hz.tobytes()
+        assert loaded.values.tobytes() == trace.values.tobytes()
 
     def test_written_file_parsed_by_the_file_reader(self, tmp_path, monkeypatch):
         # numpy's loadtxt parses the table of a file write_trace wrote from
