@@ -7,29 +7,27 @@ by weighted NNLS at every trial g; g is profiled on a log scan from
 of three-node stencils until the parabola predicts a gain below 1e-5 in
 cost (chi^2 / 2).  A per-trace object, `_TraceFit`, owns a trace's set-up
 (free set, g scan, shape factors, the map to the normal equations) and its
-IRLS state; `fit_full_model` drives it through passes of `fit_weighted`,
-each of which profiles g at the pass's weights, warm-started from the last
-pass's node, and solves the amplitudes at that g.  The basis row s there
-(`spectra._basis_row`, the arithmetic of the normal equations) gives,
-through `spectra._spectrum` as in `output_noise_values`, the pass's
-model, whose sigmas model/sqrt(n_avg) weight the next pass, and,
-after the last pass, J in closed form: the basis, and g's column from
-ds/dg.  One J^T J serves the covariance inv(J^T J) and the degeneracy
-check.  The profile rule (`_profile_steps`), the pass (`_weighted_steps`)
-and the IRLS loop (`_TraceFit.passes`) are generators, which yield what
-they need answered (the profile: nodes to cost; the pass: couplings g at
-which to solve its normal equations; the loop: a pass to run), so that one
-implementation serves a fit alone and fits in lockstep.
-`analyze_cooling_sweep` builds every point's object where it checks the
-point and groups the objects by grid alone (every point's shape values
-are the device's): a grid's points share their shape factors and run, up
-to `_SHARED_SCANS` at once, in lockstep (`_lockstep`), where one batched
-step costs the next request of every running fit with one `_basis_row`
-call per block of couplings and one `_nnls` call; each result equals the
-point's `fit_full_model` bit for bit.  kappa, delta_tilde and gamma_m are
-never fitted: they are measured independently, kappa and delta_tilde by a
-probe tone at each drive power and gamma_m from the low-drive line width.
-Any subset of {g, n_m_T, n_c, n_add_eff} may be freed.
+IRLS state.  Each IRLS pass profiles g at the pass's weights, warm-started
+from the last pass's node, and solves the amplitudes at that g.  The basis
+row s there (`spectra._basis_row`, the arithmetic of the normal equations)
+gives, through `spectra._spectrum` as in `output_noise_values`, the pass's
+model, whose sigmas model/sqrt(n_avg) weight the next pass, and, after the
+last pass, J in closed form: the basis, and g's column from ds/dg.  One
+J^T J serves the covariance inv(J^T J) and the degeneracy check.
+The IRLS loop (`_TraceFit.passes`), its pass (`_weighted_steps`) and the
+pass's g profile (`_profile_steps`) are generators, which yield what they
+need answered (nodes to cost; couplings g at which to solve the pass's
+normal equations), and one driver, `_lockstep`, answers them: each batched
+step answers the next request of every fit it runs with one `_basis_row`
+call per block of couplings and one `_nnls` call.  `fit_full_model` runs
+its fit there as a chunk of one.  `analyze_cooling_sweep` builds every
+point's object where it checks the point, groups the objects by grid alone
+(every point's shape values are the device's), and runs a grid's points,
+which share their shape factors, up to `_SHARED_SCANS` at once; a point's
+result equals its `fit_full_model` bit for bit.  kappa, delta_tilde and
+gamma_m are never fitted: they are measured independently, kappa and
+delta_tilde by a probe tone at each drive power and gamma_m from the
+low-drive line width.  Any subset of {g, n_m_T, n_c, n_add_eff} may be freed.
 """
 from __future__ import annotations
 
@@ -285,7 +283,7 @@ def _solve(requests: Sequence[tuple[_Pass, np.ndarray]]) -> list[tuple[np.ndarra
     normal equations.  So a request's results do not depend on the other
     requests, bit for bit.  A single request (a chunk of one fit, or the
     last fit of a chunk still running) skips the packing."""
-    if len(requests) == 1:  # a fit alone, answered as `fit_weighted` answers it
+    if len(requests) == 1:
         normal, g = requests[0]
         return [_nnls(normal.gram(g))]
     shared: dict[bytes, tuple[np.ndarray, list[int]]] = {}  # per g, the places of its requests
@@ -317,17 +315,38 @@ def _solve(requests: Sequence[tuple[_Pass, np.ndarray]]) -> list[tuple[np.ndarra
     return [(amplitudes[end - g.size : end], costs[end - g.size : end]) for end, (_, g) in zip(ends, requests)]
 
 
-def _drive(steps, answer):
-    """Run the generator `steps` to its return value, sending back
-    answer(request) for every request it yields."""
-    try:
-        request = next(steps)
-        while True:
-            reply = answer(request)
-            del request  # so that its objects (a pass's normal equations) go before the next request's are built
-            request = steps.send(reply)
-    except StopIteration as stop:
-        return stop.value
+def _lockstep(fits: Sequence) -> list:
+    """The one driver: run every request generator in `fits` (a
+    `_TraceFit.passes` or a `_weighted_steps`) in lockstep.  Each batched
+    step answers the next request (pass, couplings g) of every generator
+    still running by one `_solve`.  The passes' shapes must be equal by
+    value and their free amplitudes alike in number.  Returns what each
+    generator returned, or the exception it raised, whereupon the others
+    go on; each equals, bit for bit, the generator's run alone (`_alone`)."""
+    outcomes: list = [None] * len(fits)
+    running = [((place, steps), None) for place, steps in enumerate(fits)]
+    while running:
+        live, requests = [], []  # frees the last step's requests, and finished passes, before new ones are built
+        for (place, steps), answer in running:
+            try:
+                requests.append(steps.send(answer))
+            except StopIteration as stop:
+                outcomes[place] = stop.value
+            except Exception as exc:
+                outcomes[place] = exc
+            else:
+                live.append((place, steps))
+        running = list(zip(live, _solve(requests))) if live else []
+    return outcomes
+
+
+def _alone(steps):
+    """The return value of the request generator `steps` run by `_lockstep`
+    as a chunk of one; what it raised is raised."""
+    (outcome,) = _lockstep([steps])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 # a stencil's minimum half-width, and the width of a one-sided bracket at
@@ -480,9 +499,16 @@ class WeightedFit(NamedTuple):
 
 
 def _weighted_steps(normal: _Pass, scan: np.ndarray | None, g: float, start: float | None, step_costs: list):
-    """`fit_weighted` as a generator of requests (normal, couplings g), each
-    answered with `_nnls`'s amplitudes and costs there: the nodes of every
-    call of the g profile, then the fitted g.  Returns the WeightedFit."""
+    """Fit g and the free amplitudes at one IRLS pass's weights, as a
+    generator of requests (normal, couplings g), each answered with
+    `_nnls`'s amplitudes and costs from `normal`'s normal equations there.
+
+    g is profiled by `_profile_steps` over `scan`, warm-started from the
+    node `start` of the last pass (a cold scan when None), or stays the
+    pinned `g` when `scan` is None: the requests are the nodes of every
+    profile call, then that g, where the amplitudes are solved.  Returns
+    the WeightedFit.
+    """
     n_steps, node, counts = len(step_costs), start, (0, 0)
     if scan is not None:
         profile, costs = _profile_steps(scan, step_costs, start), None
@@ -499,24 +525,18 @@ def _weighted_steps(normal: _Pass, scan: np.ndarray | None, g: float, start: flo
 
 
 def fit_weighted(normal: _Pass, scan: np.ndarray | None, g: float, start: float | None, step_costs: list) -> WeightedFit:
-    """Fit g and the free amplitudes at one IRLS pass's weights.
-
-    g is profiled by `_profile_steps` over `scan`, warm-started from the
-    node `start` of the last pass (a cold scan when None), or stays the
-    pinned `g` when `scan` is None; the amplitudes are then solved by
-    `_nnls` from `normal`'s normal equations at that g.
-    """
-    return _drive(_weighted_steps(normal, scan, g, start, step_costs), lambda request: _nnls(normal.gram(request[1])))
+    """One IRLS pass's `_weighted_steps` run alone.  No fit calls it: the
+    benchmark's tracer wraps this name until ROADMAP item 6 moves it."""
+    return _alone(_weighted_steps(normal, scan, g, start, step_costs))
 
 
 class _TraceFit:
     """One trace's separable fit: its set-up, built once, and its IRLS state,
     the values and the sigmas that weight the next pass (from the data at
     first).  `passes` alternates `normal` and `update`, then takes `result`;
-    `solve` runs it alone and `steps` in lockstep with other fits
-    (`_lockstep`).  `shape`, when given, is the `_basis_factors` of the
-    trace's grid and of params' values, shared with other traces on that
-    grid."""
+    `_lockstep` runs it.  `shape`, when given, is the `_basis_factors` of
+    the trace's grid and of params' values, shared with other traces on
+    that grid."""
 
     def __init__(self, trace: SpectrumTrace, params: ModelParams, free: Sequence[str], shape: tuple | None = None) -> None:
         if trace.unit is not SpectrumUnit.QUANTA:
@@ -559,36 +579,20 @@ class _TraceFit:
         return float(np.max(np.abs(self.sigma - previous) / previous))
 
     def passes(self):
-        """The IRLS loop, as a generator: it yields each pass's arguments of
-        `fit_weighted` (normal, scan, g, start, step_costs), each profile
-        warm-started from the last pass's node, receives the pass's
-        WeightedFit, and stops once the sigmas move by less than 1e-3 (at
-        most 4 passes), returning `result`."""
+        """The IRLS loop, as one generator of `_weighted_steps`' requests,
+        pass after pass, each profile warm-started from the last pass's
+        node; each pass's generator, and with it its normal equations, ends
+        before the next pass's are built.  It stops once the sigmas move by
+        less than 1e-3 (at most 4 passes), returning `result`."""
         step_costs: list[tuple[float, float]] = []
         nodes = calls = 0  # of the g profiles
         node = None
         for passes in range(1, 5):
-            res = yield self.normal(), self.scan, self.values["g"], node, step_costs
+            res = yield from _weighted_steps(self.normal(), self.scan, self.values["g"], node, step_costs)
             node, nodes, calls = res.node, nodes + res.counts[0], calls + res.counts[1]
             if self.update(res.params) < 1e-3:
                 break
         return self.result(step_costs, f"separable fit: {passes} IRLS passes, {nodes} profile nodes in {calls} calls")
-
-    def solve(self) -> FitResult:
-        """`passes` with one `fit_weighted` per pass."""
-        return _drive(self.passes(), lambda args: fit_weighted(*args))
-
-    def steps(self):
-        """`passes` as one generator of `_weighted_steps`' requests, pass
-        after pass; each pass's generator, and with it its normal
-        equations, ends before the next pass's are built.  Returns
-        `solve`'s FitResult; `_lockstep` runs it."""
-        loop, fitted = self.passes(), None
-        try:
-            while True:
-                fitted = yield from _weighted_steps(*loop.send(fitted))
-        except StopIteration as stop:
-            return stop.value
 
     def result(self, step_costs: list, message: str) -> FitResult:
         """The fit at the last pass: covariance, flags and residual."""
@@ -633,7 +637,8 @@ def fit_full_model(
     `free` (default {n_m_T, n_c, g, n_add_eff}) are estimated; `params`
     holds every other value, pinned.  The values it holds for a free
     parameter are not read: free amplitudes are solved exactly and a free g
-    is profiled on its fixed scan, each IRLS pass by one `fit_weighted`.
+    is profiled on its fixed scan, each IRLS pass by one `_weighted_steps`,
+    run by `_lockstep` as a chunk of one fit, as a sweep runs its points.
     `at_bound` names the amplitudes held at zero by their non-negativity
     constraint, and a g at or past an end of its scan or with both
     amplitudes that carry it (n_c and n_m_T, free or pinned) at zero.
@@ -641,7 +646,7 @@ def fit_full_model(
     `message` gives the IRLS passes and the numbers of couplings the g
     profiles costed and of their cost calls.
     """
-    return _TraceFit(trace, params, free).solve()
+    return _alone(_TraceFit(trace, params, free).passes())
 
 
 # --- temperature-sweep calibration of G ------------------------------------
@@ -903,31 +908,6 @@ class CoolingCurve:
 _SHARED_SCANS = 8
 
 
-def _lockstep(fits: Sequence[_TraceFit]) -> list:
-    """Every fit's `solve`, with their IRLS passes run in lockstep: each
-    batched step answers the next request of every fit still running by one
-    `_solve`, that is one `_basis_row` call per block of `_SCAN_BLOCK`
-    couplings and one `_nnls` call.  The fits' shapes must be equal by value
-    and their free amplitudes alike in number.  Returns each fit's
-    FitResult, equal bit for bit to its `solve`, or the exception the fit
-    raised, whereupon the others go on."""
-    outcomes: list = [None] * len(fits)
-    running = [((place, fit.steps()), None) for place, fit in enumerate(fits)]
-    while running:
-        live, requests = [], []
-        for (place, steps), answer in running:
-            try:
-                requests.append(steps.send(answer))
-            except StopIteration as stop:
-                outcomes[place] = stop.value
-            except Exception as exc:
-                outcomes[place] = exc
-            else:
-                live.append((place, steps))
-        running = list(zip(live, _solve(requests))) if live else []
-    return outcomes
-
-
 def _sweep_point(n_d: float, g_pred: float, fit: _TraceFit, result: FitResult) -> SweepPoint:
     """A cooling-sweep point from its solved fit: the cooled occupancy from
     the fitted bath parameters and its delta-method sigma, the imprecision
@@ -992,9 +972,9 @@ def analyze_cooling_sweep(
     amplitude solve of every fit still running with one `_basis_row` call
     per block of at most `_SCAN_BLOCK` couplings and one `_nnls` call, the
     first step the chunk's cold g scans, whose rows they share.  So a
-    chunk takes as many steps as its longest fit, and each fit is still,
-    bit for bit, `fit_full_model` on its trace alone; a fit that raises
-    leaves the chunk, and the others run on.  Each point holds its sigma
+    chunk takes as many steps as its longest fit, and each fit is, bit for
+    bit, `fit_full_model` on its trace alone, a chunk of one; a fit that
+    raises leaves the chunk, and the others run on.  Each point holds its sigma
     column from its set-up on, and at most `_SHARED_SCANS` passes (five
     weighted columns of the grid each) are held at once.
     """
@@ -1035,7 +1015,7 @@ def analyze_cooling_sweep(
     for group in groups.values():
         for i in range(0, len(group), _SHARED_SCANS):
             chunk = group[i : i + _SHARED_SCANS]
-            for (place, n_d, g_pred, fit), result in zip(chunk, _lockstep([fit for *_, fit in chunk])):
+            for (place, n_d, g_pred, fit), result in zip(chunk, _lockstep([fit.passes() for *_, fit in chunk])):
                 try:
                     if isinstance(result, Exception):
                         raise result

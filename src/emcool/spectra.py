@@ -602,6 +602,8 @@ def read_trace(path: str | Path) -> SpectrumTrace:
     preamble, a whitespace-only row, a `#` line or a row that is not two
     numbers inside the table, or no rows), the file's text goes to
     `trace_from_csv`, which accepts it or reports `<file>:<line>: ...`.
+    Bytes that are not UTF-8 (a compressed trace under a `.csv` name) raise
+    ParameterError naming the file.
     """
     path = Path(path)
     source, table = str(path), None
@@ -615,5 +617,12 @@ def read_trace(path: str | Path) -> SpectrumTrace:
         except ValueError:  # UnicodeDecodeError, ParameterError and UnitError among them
             table = None
     if table is None or table.shape[1] != 2:
-        return trace_from_csv(path.read_text(encoding="utf-8"), source=source)
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParameterError(
+                f"{source}: not UTF-8 text (byte {exc.object[exc.start]:#04x} at offset {exc.start}); "
+                "a compressed trace must be decompressed first"
+            ) from None
+        return trace_from_csv(text, source=source)
     return _table_trace(table, unit, meta, source)

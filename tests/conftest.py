@@ -5,6 +5,8 @@ import pytest
 from hypothesis import settings
 
 import emcool as em
+from emcool import estimation
+from emcool.estimation import _nnls
 from emcool.spectra import _basis_factors, _basis_row
 
 TWO_PI = 2.0 * math.pi
@@ -40,6 +42,39 @@ def basis(delta, g, kappa, kappa_ex, gamma_m, delta_tilde, beta):
     factors = _basis_factors(np.asarray(delta, dtype=float), kappa, kappa_ex, gamma_m, delta_tilde, beta)
     s = _basis_row(factors, g)
     return s * factors[2], s * (factors[4] * np.square(g))
+
+
+def recorded_passes(monkeypatch):
+    """Wrap the fit's IRLS pass (`estimation._weighted_steps`) and its g
+    profile (`estimation._profile_steps`) to keep, per pass, a dict of its
+    arguments "normal", "scan", "g" and "start"; "cost", ln g to the profile
+    cost at the pass's weights; "costed", the cost of every node its profile
+    costed, by ln g; "profile", the profile's result (node, cost, nodes,
+    calls) when g is free; and "fit", the pass's WeightedFit."""
+    passes = []
+    weighted_steps, profile_steps = estimation._weighted_steps, estimation._profile_steps
+
+    def weighted(normal, scan, g, start, step_costs):
+        record = {"normal": normal, "scan": scan, "g": g, "start": start, "costed": {},
+                  "cost": lambda ln_g: _nnls(normal.gram(np.exp(ln_g)))[1]}
+        passes.append(record)
+        record["fit"] = yield from weighted_steps(normal, scan, g, start, step_costs)
+        return record["fit"]
+
+    def profile(scan, step_costs, start):
+        record, steps, costs = passes[-1], profile_steps(scan, step_costs, start), None  # its pass's, just begun
+        while True:
+            try:
+                nodes = steps.send(costs)
+            except StopIteration as stop:
+                record["profile"] = stop.value
+                return stop.value
+            costs = yield nodes
+            record["costed"].update(zip(nodes.tolist(), costs.tolist()))
+
+    monkeypatch.setattr(estimation, "_weighted_steps", weighted)
+    monkeypatch.setattr(estimation, "_profile_steps", profile)
+    return passes
 
 
 def output_trace(device, n_d, *, n_m_T=40.0, n_c=0.0, n_add_eff=2.1, seed=0,

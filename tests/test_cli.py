@@ -1,6 +1,8 @@
+import gzip
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -169,6 +171,22 @@ class TestFit:
         assert run(["fit", bad, "--out", tmp_path]) == 2
         assert f"{bad}:3: expected a 'freq,value' row" in capsys.readouterr().err
 
+    def test_trace_that_is_not_utf8_exits_2_naming_it(self, tmp_path, capsys):
+        # a gzip-compressed trace under a .csv name, read as a file and through a pipe
+        gz = tmp_path / "gz.csv"
+        gz.write_bytes(GZIP_TRACE)
+        assert run(["fit", gz, "--out", tmp_path]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {gz}: not UTF-8 text (byte 0x8b at offset 1)")
+        read, write = os.pipe()
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(GZIP_TRACE)  # smaller than a pipe's buffer
+        try:
+            assert run(["fit", f"/dev/fd/{read}", "--out", tmp_path]) == 2
+        finally:
+            os.close(read)
+        assert capsys.readouterr().err.startswith(f"error: /dev/fd/{read}: not UTF-8 text")
+        assert not (tmp_path / "fit.json").exists()
+
     def test_retired_shape_exits_2_naming_its_measurement(self, tmp_path, capsys):
         # kappa, delta_tilde and gamma_m are measured independently; the fit's
         # free-set check, not the parser, refuses them and says where they come from
@@ -326,6 +344,20 @@ class TestCalibrateAndSweep:
         assert "skipping point 'bad'" in err and "skipping point 'no_unit'" in err
         assert "need at least 4 temperatures, got 3" in err
 
+    def test_calibrate_skips_trace_that_is_not_utf8(self, device, tmp_path, capsys):
+        # a gzip-compressed trace under a .csv name once ended the whole run
+        # with a decode error that named no file
+        manifest = self.write_calibration_manifest(device, tmp_path, malformed=[("gz", GZIP_TRACE)])
+        assert run(["calibrate", manifest, "--out", tmp_path]) == 0
+        assert f"skipping point 'gz': {tmp_path / 'gz.csv'}: not UTF-8 text" in capsys.readouterr().err
+        assert len(json.loads((tmp_path / "calibration.json").read_text())["points"]) == 8
+
+    def test_sweep_skips_trace_that_is_not_utf8(self, device, tmp_path, capsys):
+        manifest = self.write_sweep_manifest(device, tmp_path, malformed=[("gz", GZIP_TRACE)])
+        assert run(["sweep", manifest, "--n-m-t", 39, "--out", tmp_path]) == 0
+        assert f"skipping point 'gz': {tmp_path / 'gz.csv'}: not UTF-8 text" in capsys.readouterr().err
+        assert len(json.loads((tmp_path / "cooling_curve.json").read_text())["points"]) == 4
+
     def test_sweep_skips_malformed_trace(self, device, tmp_path, capsys):
         manifest = self.write_sweep_manifest(device, tmp_path, malformed=[("bad", BAD_NUMBER_TRACE)])
         assert run(["sweep", manifest, "--n-m-t", 39, "--out", tmp_path]) == 0
@@ -337,13 +369,16 @@ class TestCalibrateAndSweep:
 
 # one unreadable number on line 3
 BAD_NUMBER_TRACE = "# unit=quanta\nfreq_hz,value\n1,abc\n" + "".join(f"{i},1\n" for i in range(2, 10))
+# a readable trace, gzip-compressed: its second byte, 0x8b, is not UTF-8
+GZIP_TRACE = gzip.compress(("# unit=quanta\nfreq_hz,value\n" + "".join(f"{i},1\n" for i in range(1, 10))).encode(), mtime=0)
 
 
 def write_malformed(tmp_path, malformed, key, value):
-    """Write each (label, text) pair to <label>.csv; return its manifest entries."""
+    """Write each (label, text or bytes) pair to <label>.csv; return its manifest entries."""
     entries = []
     for label, text in malformed:
-        (tmp_path / f"{label}.csv").write_text(text)
+        path = tmp_path / f"{label}.csv"
+        path.write_bytes(text) if isinstance(text, bytes) else path.write_text(text)
         entries.append({"label": label, key: value, "trace_path": f"{label}.csv"})
     return entries
 

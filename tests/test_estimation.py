@@ -11,11 +11,11 @@ import emcool as em
 from emcool import estimation, spectra
 from emcool.constants import HBAR
 from emcool.errors import DegenerateFitError, ParameterError, PeakDetectionError, UnitError
-from emcool.estimation import _GAIN_TOL, DEFAULT_FREE, _drive, _nnls, _Pass, _profile_steps
+from emcool.estimation import _GAIN_TOL, DEFAULT_FREE, _nnls, _Pass, _profile_steps
 from emcool.spectra import _basis_factors, grid_for
 from emcool.synth import periodogram_factors
 
-from conftest import basis, gamma_total_at, model_params, output_trace
+from conftest import basis, gamma_total_at, model_params, output_trace, recorded_passes
 
 TWO_PI = 2.0 * math.pi
 # the arguments of the basis after delta
@@ -34,35 +34,6 @@ def profile_case_trace(device, case):
     if case == "cavity":
         return output_trace(device, 1e5, n_m_T=39.0, n_c=0.3, seed=0)[0]
     return output_trace(device, 1e4, n_m_T=39.0, seed=0)[0]
-
-
-def recorded_passes(monkeypatch):
-    """Wrap the fit's pass (`estimation._weighted_steps`) and its g profile
-    (`estimation._profile_steps`) to keep, per IRLS pass, the profile's warm
-    start and scan, the cost of every node it costed (by ln g), its result
-    (node, cost, nodes, calls), and "cost": ln g to the profile cost at the
-    pass's weights."""
-    passes = []
-    weighted_steps, profile_steps = estimation._weighted_steps, estimation._profile_steps
-
-    def weighted(normal, scan, g, start, step_costs):
-        passes.append({"start": start, "scan": scan, "costed": {}, "cost": lambda ln_g: _nnls(normal.gram(np.exp(ln_g)))[1]})
-        return (yield from weighted_steps(normal, scan, g, start, step_costs))
-
-    def profile(scan, step_costs, start):
-        steps, costs = profile_steps(scan, step_costs, start), None
-        while True:
-            try:
-                nodes = steps.send(costs)
-            except StopIteration as stop:
-                passes[-1]["result"] = stop.value
-                return stop.value
-            costs = yield nodes
-            passes[-1]["costed"].update(zip(nodes.tolist(), costs.tolist()))
-
-    monkeypatch.setattr(estimation, "_weighted_steps", weighted)
-    monkeypatch.setattr(estimation, "_profile_steps", profile)
-    return passes
 
 
 def lorentzian_model(freq_hz, center, fwhm, area, floor):
@@ -381,7 +352,7 @@ class TestFitFullModel:
         # the least cost on 2001 nodes spanning +-0.01 in ln g about its g
         passes = recorded_passes(monkeypatch)
         fit = em.fit_full_model(profile_case_trace(device, case), device_model)
-        log_g, f, _, _ = passes[-1]["result"]
+        log_g, f, _, _ = passes[-1]["profile"]
         least = float(np.min(passes[-1]["cost"](np.linspace(log_g - 0.01, log_g + 0.01, 2001))))
         assert fit.params["g"] == math.exp(log_g) and "g" not in fit.at_bound
         assert least <= f <= least + _GAIN_TOL
@@ -464,7 +435,7 @@ class TestFitFullModel:
         fit = em.fit_full_model(trace, device_model)
         passes = []
         for record in records:
-            x, log_g = sorted(record["costed"]), record["result"][0]
+            x, log_g = sorted(record["costed"]), record["profile"][0]
             i = x.index(log_g)
             dense = min(record["cost"](np.linspace(x[i - 1], x[i + 1], 2001))) if 0 < i < len(x) - 1 else None
             passes.append((record["start"], log_g, sorted(record["costed"].items()), record["scan"], dense))
@@ -621,7 +592,13 @@ def profile(shape, x0, start=None):
         return f
 
     step_costs = []
-    log_g, f, nodes, calls = _drive(_profile_steps(PROFILE_GRID, step_costs, start), cost)
+    steps = _profile_steps(PROFILE_GRID, step_costs, start)
+    try:
+        log_g = next(steps)
+        while True:
+            log_g = steps.send(cost(log_g))
+    except StopIteration as stop:
+        log_g, f, nodes, calls = stop.value
     assert f == costed[log_g] == min(costed.values())
     assert sizes[0] == PROFILE_GRID.size if start is None else 2 <= sizes[0] <= 3
     assert set(sizes[1:]) <= {1, 2, 3}  # one stencil per step
@@ -1179,6 +1156,7 @@ class TestAnalyzeCoolingSweep:
         alone = [em.analyze_cooling_sweep([entry], device, thermal) for entry in entries]  # chunks of one fit
         chunks = self.recorded_steps(monkeypatch)
         curve = em.analyze_cooling_sweep(entries, device, thermal)
+        chunks = chunks[:]  # the sweep's alone: each fit_full_model below is a chunk of one
         expected = em.CoolingCurve(
             points=tuple(sorted((sp for c in alone for sp in c.points), key=lambda sp: sp.point.n_d)),
             excluded=tuple(sorted((item for c in alone for item in c.excluded), key=lambda item: (not math.isnan(item[0]), item[0]))),
@@ -1204,6 +1182,17 @@ class TestAnalyzeCoolingSweep:
         # wide one; a chunk's first _nnls call holds its cold scans and the
         # pinned point's solve at its one g
         assert [(size, rows[0]) for size, rows in chunks] == [(3, 2 * self.scan_size(device) + 1), (2, 2 * self.scan_size(device))]
+
+    @pytest.mark.parametrize("free", [DEFAULT_FREE, ("n_m_T", "n_c", "n_add_eff")])
+    def test_a_fit_alone_is_a_chunk_of_one(self, device, device_model, monkeypatch, free):
+        # fit_full_model runs its passes through _lockstep as a chunk of one
+        # fit: every batched step holds one request, and it takes one step
+        # per g-profile call and per amplitude solve
+        trace, truth = output_trace(device, 1e4, n_m_T=39.0, seed=0)
+        sizes, solve = [], estimation._solve
+        monkeypatch.setattr(estimation, "_solve", lambda requests: sizes.append(len(requests)) or solve(requests))
+        fit = em.fit_full_model(trace, replace(device_model, g=truth.g), free=free)
+        assert set(sizes) == {1} and len(sizes) == self.requests_alone(fit)
 
     def test_bad_drives_are_excluded_not_raised(self, device):
         # a negative, nan, infinite or repeated n_d once raised out of the

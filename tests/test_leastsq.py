@@ -1,5 +1,5 @@
-"""`estimation.fit_weighted`, the one weighted fit of each IRLS pass of
-`fit_full_model` (traced by the benchmark as `leastsq.fit_weighted`)."""
+"""The weighted fit of each IRLS pass of `fit_full_model`
+(`estimation._weighted_steps`), and the fit's optimizer contracts."""
 import math
 from dataclasses import replace
 
@@ -11,24 +11,10 @@ from emcool import estimation
 from emcool.errors import DegenerateFitError, ParameterError
 from emcool.estimation import DEFAULT_FREE
 
-from conftest import basis, model_params, output_trace
+from conftest import basis, model_params, output_trace, recorded_passes
 
 TWO_PI = 2.0 * math.pi
 PINNED_G = ("n_m_T", "n_c", "n_add_eff")
-
-
-def recorded_passes(monkeypatch):
-    """Replace `estimation.fit_weighted` by a wrapper that keeps the
-    arguments (scan, g, start) and the result of every call."""
-    calls = []
-    original = estimation.fit_weighted
-
-    def recording(normal, scan, g, start, step_costs):
-        calls.append(((scan, g, start), original(normal, scan, g, start, step_costs)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(estimation, "fit_weighted", recording)
-    return calls
 
 
 class TestOracleEquivalence:
@@ -48,7 +34,7 @@ class TestOracleEquivalence:
         sigma_from_model = estimation._sigma_from_model
         monkeypatch.setattr(estimation, "_sigma_from_model",
                             lambda model, n_avg: sigmas.append(sigma_from_model(model, n_avg)) or sigmas[-1])
-        calls = recorded_passes(monkeypatch)
+        passes = recorded_passes(monkeypatch)
         fit = em.fit_full_model(trace, device_model)
         root_w, delta = 1.0 / sigmas[-2], TWO_PI * trace.freq_hz - truth.omega_m  # the last pass's weights
 
@@ -63,7 +49,7 @@ class TestOracleEquivalence:
             lattice = np.linspace(log_g - width, log_g + width, 41)
             best_cost, log_g = min((oracle(math.exp(x))[0], x) for x in lattice)
             resolution, width = lattice[1] - lattice[0], width * 5.0 / 41.0
-        g_fit, *amps_fit = calls[-1][1].params
+        g_fit, *amps_fit = passes[-1]["fit"].params
         fit_cost, amps = oracle(g_fit)
         assert min(amps_fit) > 0.0 and not fit.at_bound
         assert abs(math.log(g_fit) - log_g) <= resolution
@@ -83,11 +69,11 @@ class TestOracleEquivalence:
 class TestOptimizerContracts:
     def test_objective_decrease(self, device, device_model, monkeypatch):
         trace, _ = output_trace(device, 4000.0, seed=0, n_avg=20000, points=2048)
-        calls = recorded_passes(monkeypatch)
+        passes = recorded_passes(monkeypatch)
         fit = em.fit_full_model(trace, device_model)
         assert fit.step_costs  # at least one accepted profile step
         assert all(after < before for before, after in fit.step_costs)
-        assert fit.n_iter == len(fit.step_costs) == sum(res.n_iter for _, res in calls)
+        assert fit.n_iter == len(fit.step_costs) == sum(record["fit"].n_iter for record in passes)
 
     def test_bit_identical_reruns(self, device, device_model):
         trace, truth = output_trace(device, 4000.0, seed=5, n_avg=20000, points=512)
@@ -128,43 +114,59 @@ class TestWeightedPass:
         # every pass is one call, warm-started from the last pass's own node
         # and g; the message sums the calls' profile counts
         trace, _ = output_trace(device, 4000.0, seed=2, n_avg=20000, points=2048)
-        calls = recorded_passes(monkeypatch)
+        passes = recorded_passes(monkeypatch)
         fit = em.fit_full_model(trace, device_model)
-        assert len(calls) >= 2 and fit.message.startswith(f"separable fit: {len(calls)} IRLS passes")
-        nodes, cost_calls = (sum(c) for c in zip(*(res.counts for _, res in calls)))
+        assert len(passes) >= 2 and fit.message.startswith(f"separable fit: {len(passes)} IRLS passes")
+        nodes, cost_calls = (sum(c) for c in zip(*(record["fit"].counts for record in passes)))
         assert fit.message.endswith(f", {nodes} profile nodes in {cost_calls} calls")
-        assert calls[0][0][1:] == (device_model.g, None)
-        for ((_, g, start), _), (_, last) in zip(calls[1:], calls):
-            assert (g, start) == (last.params[0], last.node) and math.exp(last.node) == g
+        assert (passes[0]["g"], passes[0]["start"]) == (device_model.g, None)
+        for record, last in zip(passes[1:], passes):
+            last = last["fit"]
+            assert (record["g"], record["start"]) == (last.params[0], last.node) and math.exp(last.node) == record["g"]
+
+    def test_fit_weighted_gives_each_pass(self, device, device_model, monkeypatch):
+        # fit_weighted on a pass's normal equations and arguments gives that
+        # pass of the fit, bit for bit, and appends its accepted steps
+        trace, _ = output_trace(device, 4000.0, seed=2, n_avg=20000, points=2048)
+        passes = recorded_passes(monkeypatch)
+        fit = em.fit_full_model(trace, device_model)
+        fitted, done = passes[:], 0  # each fit_weighted below records one more pass
+        for record in fitted:
+            step_costs = []
+            res = estimation.fit_weighted(record["normal"], record["scan"], record["g"], record["start"], step_costs)
+            assert res == record["fit"] and tuple(step_costs) == fit.step_costs[done : done + res.n_iter]
+            done += res.n_iter
+        assert len(fitted) >= 2 and done == fit.n_iter
 
     @pytest.mark.parametrize("free", [DEFAULT_FREE, ("g", "n_add_eff", "n_c", "n_m_T"), ("n_m_T", "g", "n_add_eff")])
     def test_last_params_are_the_fits_g_and_amplitudes(self, device, device_model, monkeypatch, free):
         # g first, then the free amplitudes in the order of `free`
         trace, _ = output_trace(device, 4000.0, seed=4, n_avg=20000, points=1024)
-        calls = recorded_passes(monkeypatch)
+        passes = recorded_passes(monkeypatch)
         fit = em.fit_full_model(trace, device_model, free=free)
-        assert calls[-1][1].params == (fit.params["g"], *(fit.params[name] for name in free if name != "g"))
+        assert passes[-1]["fit"].params == (fit.params["g"], *(fit.params[name] for name in free if name != "g"))
 
     def test_every_pass_profiles_the_fixed_scan(self, device, device_model, monkeypatch):
         # each pass profiles g over one scan, fixed by kappa and gamma_m,
         # whatever g params holds
         trace, truth = output_trace(device, 4000.0, seed=5, points=1024)
-        calls = recorded_passes(monkeypatch)
+        passes = recorded_passes(monkeypatch)
         for g in (0.0, truth.g, 3.0 * truth.g):
             em.fit_full_model(trace, replace(device_model, g=g))
-        scan = calls[0][0][0]
+        scan = passes[0]["scan"]
         assert math.exp(scan[0]) == pytest.approx(0.5 * math.sqrt(1e-3 * truth.kappa * truth.gamma_m))
         assert math.exp(scan[-1]) == pytest.approx(10.0 * truth.kappa)
-        for (other, _, _), _ in calls:
-            np.testing.assert_array_equal(other, scan)
+        for record in passes:
+            np.testing.assert_array_equal(record["scan"], scan)
 
     def test_pinned_g_passes_no_scan(self, device, device_model, monkeypatch):
         # without g in free every pass keeps the pinned g and profiles nothing
         trace, truth = output_trace(device, 4000.0, seed=4, n_avg=20000, points=2048)
-        calls = recorded_passes(monkeypatch)
+        passes = recorded_passes(monkeypatch)
         fit = em.fit_full_model(trace, replace(device_model, g=truth.g), free=PINNED_G)
-        for (scan, g, start), res in calls:
-            assert scan is None and start is None and g == truth.g
+        for record in passes:
+            res = record["fit"]
+            assert record["scan"] is None and record["start"] is None and record["g"] == truth.g
             assert (res.params[0], res.n_iter, res.node, res.counts) == (truth.g, 0, None, (0, 0))
         assert fit.message.endswith(", 0 profile nodes in 0 calls")
-        assert calls and "g" not in fit.params and fit.step_costs == () and fit.n_iter == 0
+        assert passes and "g" not in fit.params and fit.step_costs == () and fit.n_iter == 0

@@ -671,13 +671,14 @@ class TestTraceCsv:
     def test_compressed_suffix_read_as_it_is(self, suffix, compress, tmp_path):
         # numpy's path reader decompresses these suffixes by name: a trace
         # under such a name is still read as plain text, and a compressed
-        # file is not UTF-8 text, as when the reader read the whole file
+        # file is not UTF-8 text, an input error that names the file
         text = (HEAD + TABLE).encode("utf-8")
         plain, packed = tmp_path / f"plain.csv{suffix}", tmp_path / f"packed.csv{suffix}"
         plain.write_bytes(text)
         packed.write_bytes(compress(text))
         assert np.array_equal(same_as_text_parse(plain).values, 1.0 + np.arange(8.0))
-        assert isinstance(same_as_text_parse(packed), UnicodeDecodeError)
+        with pytest.raises(ParameterError, match=rf"^{re.escape(str(packed))}: not UTF-8 text \(byte 0x"):
+            em.read_trace(packed)
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_pipe_read_once(self):
