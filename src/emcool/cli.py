@@ -64,7 +64,7 @@ def _out_dir(args) -> Path:
 
 
 def _thermal_from_args(args, device: DeviceParams) -> ThermalState:
-    if getattr(args, "n_m_t", None) is not None:
+    if args.n_m_t is not None:
         return ThermalState(n_m_T=args.n_m_t, n_c=args.n_c)
     return ThermalState.from_temperature(args.temperature_k, device.mech, n_c=args.n_c)
 
@@ -162,8 +162,8 @@ def cmd_calibrate(args) -> int:
 def cmd_sweep(args) -> int:
     device = _load_device_arg(args.device)
     sweep = _read_sweep(_load_manifest(args.manifest, key="n_d"))
-    thermal = _thermal_from_args(args, device)
-    curve = analyze_cooling_sweep(sweep, device, thermal)
+    # n_m_T is free at every point; n_c is what a point that pins it takes
+    curve = analyze_cooling_sweep(sweep, device, ThermalState(n_m_T=0.0, n_c=args.n_c))
     for n_d, reason in curve.excluded:
         print(f"point n_d={n_d:g} excluded: {reason}", file=sys.stderr)
     out_dir = _out_dir(args)
@@ -252,10 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--device", help="device parameter file (default: bundled reference)")
     common.add_argument("--out", default=".", help="output directory (default: .)")
 
-    thermal = argparse.ArgumentParser(add_help=False)
+    cavity = argparse.ArgumentParser(add_help=False)
+    cavity.add_argument("--n-c", type=float, default=0.0)
+
+    thermal = argparse.ArgumentParser(add_help=False, parents=[cavity])
     thermal.add_argument("--temperature-k", type=float, default=0.020)
     thermal.add_argument("--n-m-t", type=float, default=None, help="bath occupancy override")
-    thermal.add_argument("--n-c", type=float, default=0.0)
 
     added = argparse.ArgumentParser(add_help=False)
     added.add_argument("--n-add-eff", type=float, default=REFERENCE_N_ADD_EFF)
@@ -283,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-d", type=float, default=3.0, help="calibration drive photons")
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("sweep", parents=[common, thermal], help="analyze a cooling sweep")
+    p = sub.add_parser("sweep", parents=[common, cavity], help="analyze a cooling sweep")
     p.add_argument("manifest", help="JSON array of {label, n_d, trace_path}")
     p.set_defaults(func=cmd_sweep)
 

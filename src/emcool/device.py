@@ -11,18 +11,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .constants import HBAR, K_B, TWO_PI
-from .errors import DeviceFileError, ParameterError
+from .errors import DeviceFileError, ParameterError, _require
 
 # Effective added noise of the reference measurement chain, in quanta.
 # This is the measured end-to-end value; a beam-splitter loss model,
 # n_add/eta + (1 - eta)/(2 eta) with n_add=0.8 and 2.5 dB of line loss, predicts 1.81.
 REFERENCE_N_ADD_EFF = 2.1
-
-
-def _require_positive(**values: float) -> None:
-    for name, value in values.items():
-        if not 0.0 < value < math.inf:
-            raise ParameterError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -39,7 +33,8 @@ class MechanicalMode:
     mass: float
 
     def __post_init__(self) -> None:
-        _require_positive(omega_m=self.omega_m, gamma_m=self.gamma_m, mass=self.mass)
+        for name in ("omega_m", "gamma_m", "mass"):
+            _require(name, getattr(self, name), gt=0)
         if self.omega_m / self.gamma_m < 1.0:
             raise ParameterError("quality factor omega_m/gamma_m must be >= 1")
 
@@ -60,9 +55,9 @@ class Cavity:
     beta: float = 0.5
 
     def __post_init__(self) -> None:
-        _require_positive(omega_c=self.omega_c, kappa_ex=self.kappa_ex, kappa_0=self.kappa_0)
-        if not 0.0 < self.beta <= 1.0:
-            raise ParameterError(f"beta must lie in (0, 1], got {self.beta!r}")
+        for name in ("omega_c", "kappa_ex", "kappa_0"):
+            _require(name, getattr(self, name), gt=0)
+        _require("beta", self.beta, gt=0, le=1)
 
     @property
     def kappa(self) -> float:
@@ -81,7 +76,7 @@ class Coupling:
     G: float
 
     def __post_init__(self) -> None:
-        _require_positive(G=self.G)
+        _require("G", self.G, gt=0)
 
     def g0(self, mech: MechanicalMode) -> float:
         """Vacuum coupling rate G*x_zp (rad/s)."""
@@ -99,13 +94,11 @@ class DeviceParams:
 
 def zero_point_motion(mech: MechanicalMode) -> float:
     """RMS ground-state displacement sqrt(hbar / (2 m omega_m)) in meters."""
-    _require_positive(mass=mech.mass, omega_m=mech.omega_m)
     return math.sqrt(HBAR / (2.0 * mech.mass * mech.omega_m))
 
 
 def quality_factor(mech: MechanicalMode) -> float:
     """Mechanical quality factor omega_m / gamma_m."""
-    _require_positive(gamma_m=mech.gamma_m)
     return mech.omega_m / mech.gamma_m
 
 
@@ -115,10 +108,8 @@ def bose_occupancy(temperature: float, omega: float) -> float:
     Returns exactly 0 at T=0.  For k_B*T >> hbar*omega this approaches
     k_B*T/(hbar*omega).
     """
-    if not omega > 0.0:
-        raise ParameterError(f"omega must be > 0, got {omega!r}")
-    if not 0.0 <= temperature < math.inf:
-        raise ParameterError(f"temperature must be a finite number >= 0, got {temperature!r}")
+    _require("omega", omega, gt=0)
+    _require("temperature", temperature, ge=0)
     if temperature == 0.0:
         return 0.0
     x = HBAR * omega / (K_B * temperature)
@@ -173,7 +164,7 @@ def parse_device_text(text: str, source: str = "<string>") -> DeviceParams:
     parts: dict[str, dict[str, float]] = {"mech": {}, "cavity": {}, "coupling": {}}
     for key, part, name, scale, _ in _DEVICE_FILE:
         try:  # every value is a rate, a mass, a pull or a fraction
-            _require_positive(**{key: seen[key]})
+            _require(key, seen[key], gt=0)
         except ParameterError as exc:
             raise DeviceFileError(f"{source}: {exc}") from None
         parts[part][name] = scale * seen[key]

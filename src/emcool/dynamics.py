@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 from .constants import HBAR
 from .device import Cavity, Coupling, DeviceParams, MechanicalMode, bose_occupancy, zero_point_motion
-from .errors import ParameterError, ParametricInstabilityError
-
-
-def _require_finite_detuning(detuning: float) -> None:
-    if not math.isfinite(detuning):
-        raise ParameterError(f"detuning must be a finite number, got {detuning!r}")
+from .errors import ParametricInstabilityError, _require
 
 
 @dataclass(frozen=True)
@@ -35,9 +30,8 @@ class DriveConfig:
     n_d: float
 
     def __post_init__(self) -> None:
-        _require_finite_detuning(self.detuning)
-        if not 0.0 <= self.n_d < math.inf:  # false for nan too
-            raise ParameterError(f"n_d must be a finite number >= 0, got {self.n_d!r}")
+        _require("detuning", self.detuning)
+        _require("n_d", self.n_d, ge=0)
 
     @classmethod
     def red_detuned(cls, device: DeviceParams, *, n_d: float) -> "DriveConfig":
@@ -54,8 +48,8 @@ class ThermalState:
     n_c: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.n_m_T < math.inf and 0.0 <= self.n_c < math.inf):
-            raise ParameterError(f"occupancies must be finite numbers >= 0, got {self.n_m_T!r} and {self.n_c!r}")
+        _require("n_m_T", self.n_m_T, ge=0)
+        _require("n_c", self.n_c, ge=0)
 
     @classmethod
     def from_temperature(cls, temperature: float, mech: MechanicalMode, n_c: float = 0.0) -> "ThermalState":
@@ -74,16 +68,17 @@ class CoolingPoint:
     n_c: float
 
     def __post_init__(self) -> None:
-        if self.n_m < 0.0 or self.n_c < 0.0:
-            raise ParameterError("occupancies must be >= 0")
-        if not self.gamma_total > 0.0:
+        for name in ("n_d", "g", "n_m", "n_c"):
+            _require(name, getattr(self, name), ge=0)
+        _require("gamma_opt", self.gamma_opt)
+        if self.gamma_total <= 0.0:
             raise ParametricInstabilityError("gamma_total must be > 0 in a cooling point")
+        _require("gamma_total", self.gamma_total, gt=0)
 
 
 def coupling_rate(coupling: Coupling, mech: MechanicalMode, n_d: float) -> float:
     """Drive-enhanced coupling g = G * x_zp * sqrt(n_d) in rad/s."""
-    if not 0.0 <= n_d < math.inf:
-        raise ParameterError(f"n_d must be a finite number >= 0, got {n_d!r}")
+    _require("n_d", n_d, ge=0)
     return coupling.G * zero_point_motion(mech) * math.sqrt(n_d)
 
 
@@ -94,9 +89,10 @@ def sideband_rates(g: float, kappa: float, detuning: float, omega_m: float) -> t
     radiation-pressure damping is Gamma = Gamma_plus - Gamma_minus, positive
     for red detuning.
     """
-    if not kappa > 0.0:
-        raise ParameterError(f"kappa must be > 0, got {kappa!r}")
-    _require_finite_detuning(detuning)
+    _require("g", g, ge=0)
+    _require("kappa", kappa, gt=0)
+    _require("detuning", detuning)
+    _require("omega_m", omega_m, gt=0)
     four_g2_kappa = 4.0 * g * g * kappa
     gamma_plus = four_g2_kappa / (kappa * kappa + 4.0 * (detuning + omega_m) ** 2)
     gamma_minus = four_g2_kappa / (kappa * kappa + 4.0 * (detuning - omega_m) ** 2)
@@ -109,8 +105,8 @@ def total_linewidth(gamma_m: float, gamma_opt: float) -> float:
     Raises ParametricInstabilityError when anti-damping cancels or exceeds
     the intrinsic rate (Gamma_m' <= 0).
     """
-    if not gamma_m > 0.0:
-        raise ParameterError(f"gamma_m must be > 0, got {gamma_m!r}")
+    _require("gamma_m", gamma_m, gt=0)
+    _require("gamma_opt", gamma_opt)
     total = gamma_m + gamma_opt
     if total <= 0.0:
         raise ParametricInstabilityError(
@@ -128,10 +124,9 @@ def final_occupancy(state: ThermalState, g: float, kappa: float, gamma_m: float)
     Valid deep in the resolved-sideband regime; returns n_m^T at g=0 and
     approaches n_m^T Gamma_m/kappa + n_c as g -> infinity.
     """
-    if not (kappa > 0.0 and gamma_m > 0.0):
-        raise ParameterError("kappa and gamma_m must be > 0")
-    if g < 0.0:
-        raise ParameterError(f"g must be >= 0, got {g!r}")
+    _require("g", g, ge=0)
+    _require("kappa", kappa, gt=0)
+    _require("gamma_m", gamma_m, gt=0)
     four_g2 = 4.0 * g * g
     denom = four_g2 + kappa * gamma_m
     mech_term = state.n_m_T * (gamma_m / kappa) * (four_g2 + kappa * kappa) / denom
@@ -145,6 +140,9 @@ def final_occupancy_gradient(state: ThermalState, g: float, kappa: float, gamma_
     With s = 4g^2 and Q = s + kappa Gamma_m:
     d n_m/d g = 8g [n_m^T Gamma_m (Gamma_m - kappa) + n_c kappa Gamma_m] / Q^2.
     """
+    _require("g", g, ge=0)
+    _require("kappa", kappa, gt=0)
+    _require("gamma_m", gamma_m, gt=0)
     s = 4.0 * g * g
     q = s + kappa * gamma_m
     per_bath = gamma_m * (s + kappa * kappa) / (kappa * q)  # n_m per n_m^T
@@ -167,8 +165,7 @@ def final_occupancy_2nd_order(
     `final_occupancy`; the residual-heating term (8g^2+kappa^2)/(16 omega_m^2)
     is always included.  Reduces to the first-order result as omega_m -> inf.
     """
-    if not omega_m > 0.0:
-        raise ParameterError(f"omega_m must be > 0, got {omega_m!r}")
+    _require("omega_m", omega_m, gt=0)
     first = final_occupancy(state, g, kappa, gamma_m)
     four_g2 = 4.0 * g * g
     om2 = omega_m * omega_m
@@ -185,8 +182,7 @@ def intracavity_photons(power_in: float, drive: DriveConfig, cavity: Cavity) -> 
     n_d = (2 P_i / hbar omega_d) * kappa_ex / (kappa^2 + 4 Delta^2), with the
     drive at omega_d = omega_c + Delta; the drive's own n_d is not read.
     """
-    if not 0.0 <= power_in < math.inf:  # false for nan too
-        raise ParameterError(f"power_in must be a finite number >= 0, got {power_in!r}")
+    _require("power_in", power_in, ge=0)
     kappa = cavity.kappa
     return (2.0 * power_in / (HBAR * (cavity.omega_c + drive.detuning))) * cavity.kappa_ex / (
         kappa * kappa + 4.0 * drive.detuning**2
@@ -195,8 +191,7 @@ def intracavity_photons(power_in: float, drive: DriveConfig, cavity: Cavity) -> 
 
 def drive_power_for_photons(n_d: float, drive: DriveConfig, cavity: Cavity) -> float:
     """Input power (W) required to hold `n_d` photons; inverse of intracavity_photons."""
-    if not 0.0 <= n_d < math.inf:  # false for nan too
-        raise ParameterError(f"n_d must be a finite number >= 0, got {n_d!r}")
+    _require("n_d", n_d, ge=0)
     kappa = cavity.kappa
     omega_d = cavity.omega_c + drive.detuning
     return n_d * HBAR * omega_d * (kappa * kappa + 4.0 * drive.detuning**2) / (2.0 * cavity.kappa_ex)
@@ -204,9 +199,8 @@ def drive_power_for_photons(n_d: float, drive: DriveConfig, cavity: Cavity) -> f
 
 def transmitted_power(power_in: float, cavity: Cavity, detuning: float) -> float:
     """Power past the cavity, P_o = P_i (kappa_0^2+4 Delta^2)/(kappa^2+4 Delta^2)."""
-    if not 0.0 <= power_in < math.inf:  # false for nan too
-        raise ParameterError(f"power_in must be a finite number >= 0, got {power_in!r}")
-    _require_finite_detuning(detuning)
+    _require("power_in", power_in, ge=0)
+    _require("detuning", detuning)
     kappa = cavity.kappa
     four_d2 = 4.0 * detuning * detuning
     return power_in * (cavity.kappa_0**2 + four_d2) / (kappa * kappa + four_d2)
@@ -217,8 +211,7 @@ def storage_time(state: ThermalState, gamma_m: float) -> float:
 
     Returns +inf when the bath occupancy is zero (nothing to absorb).
     """
-    if not gamma_m > 0.0:
-        raise ParameterError(f"gamma_m must be > 0, got {gamma_m!r}")
+    _require("gamma_m", gamma_m, gt=0)
     if state.n_m_T == 0.0:
         return math.inf
     return 1.0 / (state.n_m_T * gamma_m)

@@ -1,8 +1,30 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one range check of a
+numeric input."""
+import math
 
 
 class ParameterError(ValueError):
     """An argument is outside the physical domain of an operation."""
+
+
+def _require(name: str, value, *, gt=None, ge=None, lt=None, le=None) -> None:
+    """Raise ParameterError naming `name` unless `value` is a finite number
+    inside the given ends: `gt` or `ge` below (open or closed), `lt` or `le`
+    above.  Every comparison is false for nan, exact for an int of any size,
+    and a value that does not compare (a string) fails too."""
+    try:
+        if (-math.inf < value < math.inf and (gt is None or value > gt) and (ge is None or value >= ge)
+                and (lt is None or value < lt) and (le is None or value <= le)):
+            return
+    except TypeError:
+        pass
+    ends = [(op, end) for op, end in ((">", gt), (">=", ge), ("<", lt), ("<=", le)) if end is not None]
+    if len(ends) == 2:  # an interval, "in (0, 1]"
+        (low_op, low), (high_op, high) = ends
+        span = f" in {'(' if low_op == '>' else '['}{low}, {high}{')' if high_op == '<' else ']'}"
+    else:  # one end or none: "> 0", ">= 1" or ""
+        span = "".join(f" {op} {end}" for op, end in ends)
+    raise ParameterError(f"{name} must be a finite number{span}, got {value!r}")
 
 
 class ParametricInstabilityError(ValueError):

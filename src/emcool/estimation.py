@@ -53,7 +53,7 @@ from .dynamics import (
     total_linewidth,
     transmitted_power,
 )
-from .errors import DegenerateFitError, ParameterError, UnitError
+from .errors import DegenerateFitError, ParameterError, UnitError, _require
 from .limits import imprecision_from_chain
 from .spectra import (
     ModelParams,
@@ -674,10 +674,9 @@ class CalibrationResult:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.G_sigma > 0.0:
-            raise ParameterError("G_sigma must be > 0")
-        if not -1e-12 <= self.linearity_r2 <= 1.0 + 1e-12:
-            raise ParameterError(f"r^2 out of [0, 1]: {self.linearity_r2!r}")
+        _require("G", self.G, gt=0)
+        _require("G_sigma", self.G_sigma, gt=0)
+        _require("linearity_r2", self.linearity_r2, ge=-1e-12, le=1 + 1e-12)
 
     def to_json(self) -> str:
         payload = asdict(self)
@@ -946,16 +945,17 @@ def analyze_cooling_sweep(
     """Fit every drive power of a cooling sweep and assemble the curve.
 
     Per point: full-model fit of one `ModelParams.for_device` at the
-    calibrated sqrt(n_d) coupling and the thermal occupancies, which pins
-    every parameter outside `DEFAULT_FREE` (kappa, delta_tilde etc. from
-    the device) and any that a guard pins, cooled occupancy from the fitted
-    bath parameters, imprecision quanta from the fitted chain noise, and
-    the relative deviation of a fitted g from the sqrt(n_d) prediction.
-    Two per-point identifiability guards drop names from the free
-    set: n_c, pinned to the thermal state, when the trace window
-    cannot resolve the cavity mode, and g, pinned to the sqrt(n_d) value,
-    when the predicted radiation-pressure broadening is below 10% of
-    gamma_m (only the product g^2 n_m_T is measurable there).  A point
+    calibrated sqrt(n_d) coupling, which pins every parameter outside
+    `DEFAULT_FREE` (kappa, delta_tilde etc. from the device) and any that a
+    guard pins, cooled occupancy from the fitted bath parameters,
+    imprecision quanta from the fitted chain noise, and the relative
+    deviation of a fitted g from the sqrt(n_d) prediction.  Two per-point
+    identifiability guards drop names from the free set: n_c, pinned to
+    `thermal.n_c`, when the trace window cannot resolve the cavity mode,
+    and g, pinned to the sqrt(n_d) value, when the predicted
+    radiation-pressure broadening is below 10% of gamma_m (only the
+    product g^2 n_m_T is measurable there).  Of `thermal` only n_c is
+    read, for the window guard: n_m_T is free at every point.  A point
     that raises anywhere, from its coupling and its fit's set-up to its
     derived quantities, is excluded with a diagnostic, and so are a point
     whose n_d is not finite and a later point at the n_d of an earlier one;
@@ -992,8 +992,8 @@ def analyze_cooling_sweep(
                 raise ParameterError(f"duplicate n_d: an earlier entry has n_d = {n_d!r}")
             seen.add(n_d)
             g_pred = coupling_rate(device.coupling, mech, n_d)
-            # device values, thermal occupancies and the sqrt(n_d) coupling, where pinned
-            params = ModelParams.for_device(device, g=g_pred, n_m_T=thermal.n_m_T, n_c=thermal.n_c)
+            # device values, thermal.n_c and the sqrt(n_d) coupling, where pinned
+            params = ModelParams.for_device(device, g=g_pred, n_m_T=0.0, n_c=thermal.n_c)
             free = DEFAULT_FREE
             # n_c rides on the kappa-wide cavity mode; a window that does not
             # resolve it leaves n_c degenerate with n_add_eff, so pin it there

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 from .constants import HBAR
 from .device import MechanicalMode
-from .errors import ParameterError
+from .errors import ParameterError, _require
 
 
 def imprecision_from_chain(
@@ -20,15 +20,13 @@ def imprecision_from_chain(
     n_imp = (1/4 beta)(kappa/kappa_ex)((4g^2 + kappa gamma_m)/4g^2)(1/2 + n_add').
     Pass g=inf for the large-drive asymptote.  g=0 diverges (no measurement).
     """
-    for name, rate in (("kappa", kappa), ("kappa_ex", kappa_ex), ("gamma_m", gamma_m)):
-        if not 0.0 < rate < math.inf:  # false for nan too
-            raise ParameterError(f"{name} must be a finite number > 0, got {rate!r}")
-    if not g >= 0.0:
+    _require("kappa", kappa, gt=0)
+    _require("kappa_ex", kappa_ex, gt=0)
+    _require("gamma_m", gamma_m, gt=0)
+    if not g >= 0.0:  # the one input that may be inf
         raise ParameterError(f"g must be a number >= 0 (inf for the asymptote), got {g!r}")
-    if not 0.0 < beta <= 1.0:
-        raise ParameterError(f"beta must lie in (0, 1], got {beta!r}")
-    if not 0.0 <= n_add_eff < math.inf:  # false for nan too
-        raise ParameterError(f"n_add_eff must be a finite number >= 0, got {n_add_eff!r}")
+    _require("beta", beta, gt=0, le=1)
+    _require("n_add_eff", n_add_eff, ge=0)
     if g == 0.0:
         raise ParameterError("n_imp diverges at g=0: no measurement without coupling")
     prefactor = (kappa / kappa_ex) * (0.5 + n_add_eff) / (4.0 * beta)
@@ -43,10 +41,8 @@ def total_force_psd(mech: MechanicalMode, gamma_total: float, n_m: float) -> flo
     Recovers the classical 4 k_B T m gamma_m for n_m >> 1 at gamma_total =
     gamma_m (relative difference ~ 1/(2 n_m)).
     """
-    if not 0.0 < gamma_total < math.inf:  # false for nan too
-        raise ParameterError(f"gamma_total must be a finite number > 0, got {gamma_total!r}")
-    if not 0.0 <= n_m < math.inf:
-        raise ParameterError(f"n_m must be a finite number >= 0, got {n_m!r}")
+    _require("gamma_total", gamma_total, gt=0)
+    _require("n_m", n_m, ge=0)
     return 4.0 * HBAR * mech.omega_m * mech.mass * gamma_total * (n_m + 0.5)
 
 
@@ -57,9 +53,8 @@ def heisenberg_product(n_imp: float, n_ba: float) -> float:
     warns below sqrt(2), the minimum attainable with the red-detuned drive
     that the package models.
     """
-    for name, value in (("n_imp", n_imp), ("n_ba", n_ba)):
-        if not 0.0 <= value < math.inf:  # false for nan too
-            raise ParameterError(f"{name} must be a finite number >= 0, got {value!r}")
+    _require("n_imp", n_imp, ge=0)
+    _require("n_ba", n_ba, ge=0)
     product = 4.0 * math.sqrt(n_imp * n_ba)
     if product < 1.0 - 1e-12:
         raise ParameterError(
@@ -91,6 +86,5 @@ class LimitReport:
 
     def __post_init__(self) -> None:
         for name in ("n_imp", "n_ba", "s_x_imp", "s_f_total"):
-            if not 0.0 <= getattr(self, name) < math.inf:  # false for nan too
-                raise ParameterError(f"{name} must be a finite number >= 0, got {getattr(self, name)!r}")
+            _require(name, getattr(self, name), ge=0)
         object.__setattr__(self, "product_over_hbar", heisenberg_product(self.n_imp, self.n_ba))

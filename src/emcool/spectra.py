@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -19,7 +18,7 @@ import numpy as np
 from .constants import HBAR, TWO_PI
 from .device import DeviceParams, MechanicalMode, zero_point_motion
 from ._g17 import format_rows
-from .errors import ParameterError, PeakDetectionError, UnitError
+from .errors import ParameterError, PeakDetectionError, UnitError, _require
 
 # numpy renamed trapz -> trapezoid in 2.0
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -66,8 +65,7 @@ class SpectrumTrace:
     def n_avg(self) -> float:
         """Spectra averaged per bin, from the `n_avg` metadata (1 when absent)."""
         value = self.meta.get("n_avg", 1)
-        if not isinstance(value, numbers.Real) or not 1.0 <= value < math.inf:
-            raise ParameterError(f"n_avg must be a finite number >= 1, got {value!r}")
+        _require("n_avg", value, ge=1)
         return float(value)
 
     def with_meta(self, **extra) -> "SpectrumTrace":
@@ -106,20 +104,14 @@ class ModelParams:
     omega_m: float
 
     def __post_init__(self) -> None:
-        for name, value in vars(self).items():
-            if not math.isfinite(value):
-                raise ParameterError(f"{name} must be a finite number, got {value!r}")
+        for name in ("g", "n_m_T", "n_c", "n_add_eff"):
+            _require(name, getattr(self, name), ge=0)
         for name in ("kappa", "kappa_ex", "gamma_m", "omega_m"):
-            if not getattr(self, name) > 0.0:
-                raise ParameterError(f"{name} must be > 0, got {getattr(self, name)!r}")
-        if self.g < 0.0:
-            raise ParameterError(f"g must be >= 0, got {self.g!r}")
+            _require(name, getattr(self, name), gt=0)
+        _require("delta_tilde", self.delta_tilde)
+        _require("beta", self.beta, gt=0, le=1)
         if self.kappa_ex > self.kappa * (1.0 + 1e-12):
             raise ParameterError("kappa_ex cannot exceed the total kappa")
-        if self.n_m_T < 0.0 or self.n_c < 0.0 or self.n_add_eff < 0.0:
-            raise ParameterError("occupancies and n_add_eff must be >= 0")
-        if not 0.0 < self.beta <= 1.0:
-            raise ParameterError(f"beta must lie in (0, 1], got {self.beta!r}")
 
     @classmethod
     def for_device(
@@ -155,15 +147,14 @@ def noise_floor(params: ModelParams) -> float:
 
 def cavity_susceptibility(delta, kappa: float, delta_tilde: float):
     """Cavity response 1/(kappa/2 + j(delta + delta_tilde)); |chi| peaks at delta=-delta_tilde."""
-    if not kappa > 0.0:
-        raise ParameterError(f"kappa must be > 0, got {kappa!r}")
+    _require("kappa", kappa, gt=0)
+    _require("delta_tilde", delta_tilde)
     return 1.0 / (0.5 * kappa + 1j * (np.asarray(delta, dtype=float) + delta_tilde))
 
 
 def mech_susceptibility(delta, gamma_m: float):
     """Mechanical response 1/(gamma_m/2 + j delta)."""
-    if not gamma_m > 0.0:
-        raise ParameterError(f"gamma_m must be > 0, got {gamma_m!r}")
+    _require("gamma_m", gamma_m, gt=0)
     return 1.0 / (0.5 * gamma_m + 1j * np.asarray(delta, dtype=float))
 
 
@@ -258,10 +249,8 @@ def thermal_displacement_psd(freq_hz, mech: MechanicalMode, n_m: float, gamma_to
     Normalized so integral S_x d(omega)/2pi = x_zp^2 (2 n_m + 1); the peak
     value is 4 x_zp^2 (2 n_m + 1) / gamma_total.
     """
-    if not gamma_total > 0.0:
-        raise ParameterError(f"gamma_total must be > 0, got {gamma_total!r}")
-    if n_m < 0.0:
-        raise ParameterError(f"n_m must be >= 0, got {n_m!r}")
+    _require("n_m", n_m, ge=0)
+    _require("gamma_total", gamma_total, gt=0)
     freq_hz = np.asarray(freq_hz, dtype=float)
     delta = TWO_PI * freq_hz - mech.omega_m
     x_zp2 = zero_point_motion(mech) ** 2
@@ -402,12 +391,13 @@ def sideband_grid(
     Default half-span is 20 * max(gamma_total, kappa), capped at 2 MHz to
     stay inside the quanta-unit validity band.
     """
-    if points < 32:
-        raise ParameterError(f"need at least 32 points, got {points}")
+    _require("omega_m", omega_m, gt=0)
+    _require("gamma_total", gamma_total, ge=0)
+    _require("kappa", kappa, ge=0)
+    _require("points", points, ge=32)
     if halfspan_hz is None:
         halfspan_hz = min(20.0 * max(gamma_total, kappa) / TWO_PI, MAX_HALFSPAN_HZ)
-    if not halfspan_hz > 0.0:
-        raise ParameterError(f"halfspan_hz must be > 0, got {halfspan_hz!r}")
+    _require("halfspan_hz", halfspan_hz, gt=0)
     center = omega_m / TWO_PI
     return np.linspace(center - halfspan_hz, center + halfspan_hz, points)
 
@@ -425,8 +415,7 @@ def convert_trace(trace: SpectrumTrace, unit: SpectrumUnit, carrier_hz: float) -
     (its variation across a <=2 MHz span at GHz carriers is <1e-4 relative),
     so quanta -> W/Hz -> quanta is an exact round trip.
     """
-    if not carrier_hz > 0.0:
-        raise ParameterError(f"carrier_hz must be > 0, got {carrier_hz!r}")
+    _require("carrier_hz", carrier_hz, gt=0)
     if trace.unit is unit:
         return trace
     scale = HBAR * TWO_PI * carrier_hz

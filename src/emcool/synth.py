@@ -13,20 +13,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import _require
 from .spectra import ModelParams, SpectrumTrace, SpectrumUnit, grid_for, output_noise_spectrum
 
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Averaging count and seed for synthetic traces."""
+    """Averaging count and seed for synthetic traces; the seed keys
+    numpy's Philox generator, which takes [0, 2**64)."""
 
     n_avg: int = 500
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_avg < 1:
-            raise ParameterError(f"n_avg must be >= 1, got {self.n_avg!r}")
+        _require("n_avg", self.n_avg, ge=1)
+        _require("seed", self.seed, ge=0, lt=2**64)
 
 
 def periodogram_factors(n_bins: int, n_avg: int, seed: int) -> np.ndarray:

@@ -58,6 +58,7 @@ class TestSimulate:
     @pytest.mark.parametrize("option,value", [
         ("--temperature-k", "nan"), ("--temperature-k", "inf"), ("--n-m-t", "nan"), ("--n-c", "inf"),
         ("--n-d", "nan"), ("--n-d", "inf"), ("--n-add-eff", "nan"), ("--delta-tilde-hz", "inf"),
+        ("--halfspan-hz", "inf"),
     ])
     def test_non_finite_option_exits_2(self, tmp_path, capsys, option, value):
         # --temperature-k nan once wrote an all-nan trace and inf raised a
@@ -66,6 +67,17 @@ class TestSimulate:
         assert run(["simulate", option, value, "--points", 256, "--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "finite" in err and "Traceback" not in err
+        assert not out.exists()
+        if option == "--halfspan-hz":  # once reported as the grid's "freq_hz and values must be finite numbers"
+            assert err == "error: halfspan_hz must be a finite number > 0, got inf\n"
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_exits_2(self, tmp_path, capsys, seed):
+        # numpy's Philox key takes [0, 2**64): these once exited 1 with an OverflowError traceback
+        out = tmp_path / "out"
+        assert run(["simulate", "--seed", seed, "--points", 256, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: seed must be a finite number in [0, 18446744073709551616), got {seed}\n"
         assert not out.exists()
 
     def test_invalid_device_exits_2(self, tmp_path):
@@ -271,15 +283,17 @@ class TestCalibrateAndSweep:
         assert capsys.readouterr().err.startswith("error: no resolved peak")
 
     def test_sweep_takes_no_n_add_eff(self, tmp_path, capsys):
-        # the sweep always fits n_add_eff; simulate, fit and report keep the flag
-        with pytest.raises(SystemExit) as exc:
-            run(["sweep", tmp_path / "manifest.json", "--n-add-eff", 3, "--out", tmp_path])
-        assert exc.value.code == 2
-        assert "--n-add-eff" in capsys.readouterr().err
+        # the sweep always fits n_add_eff and n_m_T, so it reads neither a bath
+        # temperature nor occupancy; simulate, fit and report keep the flags
+        for flag in ("--n-add-eff", "--temperature-k", "--n-m-t"):
+            with pytest.raises(SystemExit) as exc:
+                run(["sweep", tmp_path / "manifest.json", flag, 3, "--out", tmp_path])
+            assert exc.value.code == 2
+            assert flag in capsys.readouterr().err
 
     def test_sweep(self, device, tmp_path):
         manifest = self.write_sweep_manifest(device, tmp_path)
-        code = run(["sweep", manifest, "--n-m-t", 39, "--out", tmp_path])
+        code = run(["sweep", manifest, "--out", tmp_path])
         assert code == 0
         lines = (tmp_path / "cooling_curve.csv").read_text().strip().splitlines()
         assert lines[0] == "n_d,g_hz,gamma_total_hz,n_m,n_m_sigma,n_c,n_c_sigma,n_imp"
@@ -293,7 +307,7 @@ class TestCalibrateAndSweep:
         # a trace in detected power reads, but the full-model fit needs quanta
         watts = "# unit=watts_per_hz\nfreq_hz,value\n" + "".join(f"{1e6 + i},1e-20\n" for i in range(16))
         manifest = self.write_sweep_manifest(device, tmp_path, malformed=[("watts", watts)])
-        assert run(["sweep", manifest, "--n-m-t", 39, "--out", tmp_path]) == 0
+        assert run(["sweep", manifest, "--out", tmp_path]) == 0
         assert "point n_d=3000 excluded: UnitError: " in capsys.readouterr().err
         payload = json.loads((tmp_path / "cooling_curve.json").read_text())
         assert len(payload["points"]) == 4
@@ -354,13 +368,13 @@ class TestCalibrateAndSweep:
 
     def test_sweep_skips_trace_that_is_not_utf8(self, device, tmp_path, capsys):
         manifest = self.write_sweep_manifest(device, tmp_path, malformed=[("gz", GZIP_TRACE)])
-        assert run(["sweep", manifest, "--n-m-t", 39, "--out", tmp_path]) == 0
+        assert run(["sweep", manifest, "--out", tmp_path]) == 0
         assert f"skipping point 'gz': {tmp_path / 'gz.csv'}: not UTF-8 text" in capsys.readouterr().err
         assert len(json.loads((tmp_path / "cooling_curve.json").read_text())["points"]) == 4
 
     def test_sweep_skips_malformed_trace(self, device, tmp_path, capsys):
         manifest = self.write_sweep_manifest(device, tmp_path, malformed=[("bad", BAD_NUMBER_TRACE)])
-        assert run(["sweep", manifest, "--n-m-t", 39, "--out", tmp_path]) == 0
+        assert run(["sweep", manifest, "--out", tmp_path]) == 0
         err = capsys.readouterr().err
         assert "skipping point 'bad': " in err and "bad.csv:3: expected a 'freq,value' row" in err
         payload = json.loads((tmp_path / "cooling_curve.json").read_text())

@@ -95,6 +95,11 @@ class TestBoseOccupancy:
             with pytest.raises(ParameterError, match="temperature must be a finite number >= 0"):
                 em.bose_occupancy(temperature, 1.0)
 
+    def test_infinite_omega_rejected(self):
+        # once returned 0.0
+        with pytest.raises(ParameterError, match="^omega must be a finite number > 0, got inf$"):
+            em.bose_occupancy(0.020, math.inf)
+
     @given(st.floats(min_value=1e-3, max_value=10.0), st.floats(min_value=1e6, max_value=1e11))
     def test_monotonic_in_temperature(self, T, omega):
         assert em.bose_occupancy(1.5 * T, omega) > em.bose_occupancy(T, omega)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,6 +66,13 @@ class TestSidebandRates:
         with pytest.raises(ParameterError):
             em.sideband_rates(1e3, 0.0, -1e7, 1e7)
 
+    @pytest.mark.parametrize("name,bad", [("kappa", math.inf), ("g", math.nan), ("omega_m", math.nan)])
+    def test_non_finite_rejected(self, device, name, bad):
+        # each once returned nan rates
+        args = {"g": 1e4, "kappa": device.cavity.kappa, "detuning": -device.mech.omega_m, "omega_m": device.mech.omega_m}
+        with pytest.raises(ParameterError, match=rf"^{name} must be a finite number >=? 0, got {bad!r}$"):
+            em.sideband_rates(**{**args, name: bad})
+
 
 class TestTotalLinewidth:
     def test_doubling(self, device):
@@ -82,8 +90,23 @@ class TestTotalLinewidth:
         with pytest.raises(ParametricInstabilityError):
             em.total_linewidth(gm, -1.5 * gm)
 
+    def test_non_finite_rejected(self, device):
+        # gamma_m = inf once returned inf, gamma_opt = nan returned nan
+        gm = device.mech.gamma_m
+        with pytest.raises(ParameterError, match="^gamma_m must be a finite number > 0, got inf$"):
+            em.total_linewidth(math.inf, gm)
+        with pytest.raises(ParameterError, match="^gamma_opt must be a finite number, got nan$"):
+            em.total_linewidth(gm, math.nan)
+
 
 class TestFinalOccupancy:
+    @pytest.mark.parametrize("name,bad", [("g", math.nan), ("g", math.inf), ("kappa", math.inf)])
+    def test_non_finite_rejected(self, device, name, bad):
+        # each once returned nan or a finite occupancy
+        args = {"state": em.ThermalState(n_m_T=40.0), "g": 1e4, "kappa": device.cavity.kappa, "gamma_m": device.mech.gamma_m}
+        with pytest.raises(ParameterError, match=rf"^{name} must be a finite number >=? 0, got {bad!r}$"):
+            em.final_occupancy(**{**args, name: bad})
+
     def test_reference_below_one_quantum(self, device):
         g = em.coupling_rate(device.coupling, device.mech, 4000.0)
         thermal = em.ThermalState(n_m_T=40.0, n_c=0.0)
@@ -136,6 +159,13 @@ class TestFinalOccupancy:
 
 
 class TestFinalOccupancyGradient:
+    @pytest.mark.parametrize("name,bad", [("g", math.nan), ("kappa", math.inf)])
+    def test_non_finite_rejected(self, device, name, bad):
+        # each once returned nan derivatives
+        args = {"state": em.ThermalState(n_m_T=40.0), "g": 1e4, "kappa": device.cavity.kappa, "gamma_m": device.mech.gamma_m}
+        with pytest.raises(ParameterError, match=rf"^{name} must be a finite number >=? 0, got {bad!r}$"):
+            em.dynamics.final_occupancy_gradient(**{**args, name: bad})
+
     @pytest.mark.parametrize("g_over_kappa", [1e-4, 0.01, 0.3, 1.0, 5.0])
     @pytest.mark.parametrize("n_c", [0.0, 0.3])
     def test_matches_central_difference(self, device, g_over_kappa, n_c):
@@ -160,6 +190,11 @@ class TestFinalOccupancyGradient:
 
 
 class TestFinalOccupancySecondOrder:
+    def test_infinite_omega_m_rejected(self, device):
+        # once returned the first-order occupancy
+        with pytest.raises(ParameterError, match="^omega_m must be a finite number > 0, got inf$"):
+            em.final_occupancy_2nd_order(em.ThermalState(n_m_T=40.0), 1e4, device.cavity.kappa, device.mech.gamma_m, math.inf)
+
     def test_correction_small_at_reference(self, device):
         kappa, gm, om = device.cavity.kappa, device.mech.gamma_m, device.mech.omega_m
         for n_c in (0.0, 0.3):
@@ -276,6 +311,11 @@ class TestStorageTime:
     def test_empty_bath_sentinel(self):
         assert em.storage_time(em.ThermalState(n_m_T=0.0), 1.0) == math.inf
 
+    def test_infinite_gamma_m_rejected(self):
+        # once returned 0.0
+        with pytest.raises(ParameterError, match="^gamma_m must be a finite number > 0, got inf$"):
+            em.storage_time(em.ThermalState(n_m_T=40.0), math.inf)
+
 
 class TestDriveConfig:
     def test_red_detuned_matches_device(self, device):
@@ -314,6 +354,13 @@ class TestThermalState:
 
 
 class TestPredictCoolingPoint:
+    @pytest.mark.parametrize("name,bad", [("n_m", math.nan), ("gamma_total", math.inf)])
+    def test_non_finite_point_rejected(self, device, name, bad):
+        # each once constructed
+        pt = em.predict_cooling_point(device, em.ThermalState(n_m_T=40.0), 4000.0)
+        with pytest.raises(ParameterError, match=rf"^{name} must be a finite number >=? 0, got {bad!r}$"):
+            replace(pt, **{name: bad})
+
     def test_consistency(self, device):
         thermal = em.ThermalState(n_m_T=40.0, n_c=0.0)
         pt = em.predict_cooling_point(device, thermal, 4000.0)

@@ -76,6 +76,14 @@ class TestSusceptibilities:
         )
 
 
+    def test_infinite_rate_rejected(self):
+        # each once returned 0
+        with pytest.raises(ParameterError, match="^kappa must be a finite number > 0, got inf$"):
+            em.cavity_susceptibility(0.0, math.inf, 0.0)
+        with pytest.raises(ParameterError, match="^gamma_m must be a finite number > 0, got inf$"):
+            em.mech_susceptibility(0.0, math.inf)
+
+
 class TestDressedSusceptibility:
     def test_zero_coupling_is_bare(self, device):
         params = model_params(device, 0.0)
@@ -346,6 +354,13 @@ class TestThermalDisplacementPsd:
         assert raw / covered == pytest.approx(em.zero_point_motion(mech) ** 2, rel=1e-6)
 
 
+    def test_nan_occupancy_named(self, device):
+        # once reported by the trace as "freq_hz and values must be finite numbers"
+        grid = np.linspace(10.5e6, 10.62e6, 64)
+        with pytest.raises(ParameterError, match="^n_m must be a finite number >= 0, got nan$"):
+            em.thermal_displacement_psd(grid, device.mech, math.nan, device.mech.gamma_m)
+
+
 class TestLineFitFailsFast:
     @pytest.mark.parametrize("seed", [9, 11, 13, 15])
     def test_noise_only_trace_stops_when_the_width_leaves_the_grid(self, seed, monkeypatch):
@@ -505,6 +520,12 @@ class TestTraceInfrastructure:
         trace = em.SpectrumTrace(np.arange(8.0) + 1, np.ones(8), em.SpectrumUnit.QUANTA, {})
         with pytest.raises(UnitError):
             em.convert_trace(trace, em.SpectrumUnit.M2_PER_HZ, 7.54e9)
+
+    def test_infinite_carrier_named(self):
+        # once reported by the trace as "freq_hz and values must be finite numbers"
+        trace = em.SpectrumTrace(np.arange(8.0) + 1, np.ones(8), em.SpectrumUnit.QUANTA, {})
+        with pytest.raises(ParameterError, match="^carrier_hz must be a finite number > 0, got inf$"):
+            em.convert_trace(trace, em.SpectrumUnit.WATTS_PER_HZ, math.inf)
 
 
 # trace_to_csv text of TestTraceCsv.golden_trace, as the per-row formatter wrote it
@@ -748,6 +769,15 @@ class TestGrids:
     def test_point_minimum(self, device):
         with pytest.raises(ParameterError):
             em.sideband_grid(device.mech.omega_m, 1.0, 1.0, points=16)
+
+    @pytest.mark.parametrize("name,bad", [("halfspan_hz", math.inf), ("omega_m", math.nan), ("gamma_total", math.nan)])
+    def test_non_finite_named(self, device, name, bad):
+        # each once gave a grid of non-finite frequencies (which a trace
+        # reported as "freq_hz and values must be finite numbers") or, for
+        # gamma_total, an error naming halfspan_hz
+        args = {"omega_m": device.mech.omega_m, "gamma_total": 1.0, "kappa": 1.0, "halfspan_hz": None}
+        with pytest.raises(ParameterError, match=rf"^{name} must be a finite number >=? 0, got {bad!r}$"):
+            em.sideband_grid(**{**args, name: bad})
 
 
 class TestModelParams:

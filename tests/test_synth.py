@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,18 @@ class TestNoiseConfig:
     def test_validation(self):
         with pytest.raises(ParameterError):
             em.NoiseConfig(n_avg=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        # each once constructed
+        with pytest.raises(ParameterError, match=f"^n_avg must be a finite number >= 1, got {bad!r}$"):
+            em.NoiseConfig(n_avg=bad)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_philox_range_rejected(self, seed):
+        # each once constructed, and generate_spectrum raised OverflowError
+        with pytest.raises(ParameterError, match=re.escape(f"seed must be a finite number in [0, {2**64}), got {seed}")):
+            em.NoiseConfig(seed=seed)
 
 
 class TestGenerateSpectrum:
