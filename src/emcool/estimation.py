@@ -18,9 +18,10 @@ The IRLS loop (`_TraceFit.passes`), its pass (`_weighted_steps`) and the
 pass's g profile (`_profile_steps`) are generators, which yield what they
 need answered (nodes to cost; couplings g at which to solve the pass's
 normal equations), and one driver, `_lockstep`, answers them: each batched
-step answers the next request of every fit it runs with one `_basis_row`
-call per block of couplings and one `_nnls` call.  `fit_full_model` runs
-its fit there as a chunk of one.  `analyze_cooling_sweep` builds every
+step answers the next request of every fit it runs with one `_nnls` call,
+requests at equal couplings sharing one `_basis_row` call per block of
+`_SCAN_BLOCK` of them.  `fit_full_model` runs its fit there as a chunk of
+one.  `analyze_cooling_sweep` builds every
 point's object where it checks the point, groups the objects by grid alone
 (every point's shape values are the device's), and runs a grid's points,
 which share their shape factors, up to `_SHARED_SCANS` at once; a point's
@@ -247,70 +248,52 @@ class _Pass:
 
     def gram(self, g: np.ndarray) -> np.ndarray:
         """Normal equations (m, k + 1, k + 1) per coupling in g: the weighted
-        Gram matrices of 1, A, B and the data, mapped by coef, built in
-        blocks of `_SCAN_BLOCK` couplings, which bounds their memory."""
-        whole = [(slice(None), self)]
-        grams = [_block_grams(self.shape, self.mech, g[i : i + _SCAN_BLOCK], whole)[0] for i in range(0, g.size, _SCAN_BLOCK)]
-        return grams[0] if len(grams) == 1 else np.concatenate(grams)
+        Gram matrices of 1, A, B and the data, mapped by coef."""
+        return _grams([self], g)[0]
 
 
-def _block_grams(shape: tuple, mech: np.ndarray, g: np.ndarray, jobs: list) -> list[np.ndarray]:
-    """`_Pass.gram` of every job (rows, pass) at its rows of one block of
-    couplings g, the passes' shapes equal by value: the block's rows s and
-    s^2 are formed once, by one `_basis_row` call, and each pass forms its
-    products over its own rows only, with the row count it has alone, so
-    that its normal equations do not depend on the other jobs, bit for bit."""
-    s = _basis_row(shape, g[:, None])
-    lins = [s[rows] @ normal.lin for rows, normal in jobs]
-    np.square(s, out=s)
-    scale = (mech * (g * g))[:, None] ** _C_POWER
-    grams = []
-    for (rows, normal), lin in zip(jobs, lins):
-        entries = np.concatenate((lin, s[rows] @ normal.quad), axis=1)
-        entries *= scale[rows]
-        grams.append((normal.base + entries @ normal.fold).reshape(-1, normal.size, normal.size))
-    return grams
+def _grams(passes: Sequence[_Pass], g: np.ndarray) -> list[np.ndarray]:
+    """`_Pass.gram` of every pass at couplings g, the passes' shapes equal
+    by value, built in blocks of `_SCAN_BLOCK` couplings, which bounds their
+    memory: a block's rows s and s^2 are formed once, by one `_basis_row`
+    call, and freed before the next block's are, and each pass takes its two
+    products over the whole block, so that its normal equations do not
+    depend on the other passes, bit for bit."""
+    shape, mech = passes[0].shape, passes[0].mech
+    grams: list[list[np.ndarray]] = [[] for _ in passes]
+    for i in range(0, g.size, _SCAN_BLOCK):
+        block = g[i : i + _SCAN_BLOCK]
+        s = _basis_row(shape, block[:, None])
+        lins = [s @ normal.lin for normal in passes]
+        np.square(s, out=s)
+        scale = (mech * (block * block))[:, None] ** _C_POWER
+        for normal, lin, parts in zip(passes, lins, grams):
+            entries = np.concatenate((lin, s @ normal.quad), axis=1)
+            entries *= scale
+            parts.append((normal.base + entries @ normal.fold).reshape(-1, normal.size, normal.size))
+        del s  # an s kept alive into the next block costs heap-top page faults on every op
+    return [parts[0] if len(parts) == 1 else np.concatenate(parts) for parts in grams]
 
 
 def _solve(requests: Sequence[tuple[_Pass, np.ndarray]]) -> list[tuple[np.ndarray, np.ndarray]]:
     """One batched step: the `_nnls` amplitudes and costs of every request
     (pass, couplings g), the passes' shapes equal by value and their free
-    amplitudes alike in number.  Requests of equal g share their rows.
-    Each g is cut every `_SCAN_BLOCK` couplings, as `_Pass.gram` cuts it,
-    and the pieces are packed in order into blocks of at most `_SCAN_BLOCK`
-    rows, which bounds their memory, never splitting a piece; each block
-    takes one `_block_grams`, and one `_nnls` call solves every request's
-    normal equations.  So a request's results do not depend on the other
-    requests, bit for bit.  A single request (a chunk of one fit, or the
-    last fit of a chunk still running) skips the packing."""
+    amplitudes alike in number.  Requests of equal g share their rows: each
+    such group takes one `_grams`, and one `_nnls` call solves every
+    request's normal equations.  So a request's results do not depend on
+    the other requests, bit for bit.  A single request (a chunk of one fit,
+    or the last fit of a chunk still running) is solved directly."""
     if len(requests) == 1:
         normal, g = requests[0]
         return [_nnls(normal.gram(g))]
     shared: dict[bytes, tuple[np.ndarray, list[int]]] = {}  # per g, the places of its requests
     for place, (_, g) in enumerate(requests):
         shared.setdefault(g.tobytes(), (g, []))[1].append(place)
-    blocks: list[tuple[list, list]] = []  # per block, its pieces of g and its (rows, place) per request
-    rows = _SCAN_BLOCK  # taken in the last block
+    grams: list = [None] * len(requests)
     for g, places in shared.values():
-        for i in range(0, g.size, _SCAN_BLOCK):
-            n = min(_SCAN_BLOCK, g.size - i)
-            if rows + n > _SCAN_BLOCK:
-                pieces, jobs = [], []
-                blocks.append((pieces, jobs))
-                rows = 0
-            pieces.append(g[i : i + n])
-            span = slice(rows, rows + n)
-            jobs += [(span, place) for place in places]
-            rows += n
-    shape, mech = requests[0][0].shape, requests[0][0].mech
-    grams: list[list[np.ndarray]] = [[] for _ in requests]
-    for pieces, jobs in blocks:
-        g_block = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-        block = _block_grams(shape, mech, g_block, [(span, requests[place][0]) for span, place in jobs])
-        for (_, place), gram in zip(jobs, block):
-            grams[place].append(gram)
-    normal = np.concatenate([gram for parts in grams for gram in parts])
-    amplitudes, costs = _nnls(normal)
+        for place, gram in zip(places, _grams([requests[place][0] for place in places], g)):
+            grams[place] = gram
+    amplitudes, costs = _nnls(np.concatenate(grams))
     ends = np.cumsum([g.size for _, g in requests]).tolist()
     return [(amplitudes[end - g.size : end], costs[end - g.size : end]) for end, (_, g) in zip(ends, requests)]
 
@@ -456,6 +439,8 @@ def _log_scan(lo: float, hi: float) -> np.ndarray:
 def _check_free(free: Sequence[str]) -> tuple[str, ...]:
     """`free` as a tuple of distinct freeable names: the library's and the CLI's one check."""
     free = tuple(free)
+    if not free:
+        raise ParameterError("free names no parameter")
     bad = sorted(set(free) - FREEABLE_PARAMS)
     if bad:
         pins = [f"{name} is pinned to {_MEASURED[name]}" for name in bad if name in _MEASURED]
@@ -969,9 +954,9 @@ def analyze_cooling_sweep(
     points share their shape factors.  They are solved in chunks of at most
     `_SHARED_SCANS` in increasing n_d, whose IRLS passes run in lockstep
     (`_lockstep`): each batched step costs the next g-profile call or
-    amplitude solve of every fit still running with one `_basis_row` call
-    per block of at most `_SCAN_BLOCK` couplings and one `_nnls` call, the
-    first step the chunk's cold g scans, whose rows they share.  So a
+    amplitude solve of every fit still running with one `_nnls` call; fits
+    at equal couplings (the chunk's cold g scans, the first step) share
+    one `_basis_row` call per block of `_SCAN_BLOCK` of them.  So a
     chunk takes as many steps as its longest fit, and each fit is, bit for
     bit, `fit_full_model` on its trace alone, a chunk of one; a fit that
     raises leaves the chunk, and the others run on.  Each point holds its sigma

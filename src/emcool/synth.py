@@ -31,7 +31,11 @@ class NoiseConfig:
 
 
 def periodogram_factors(n_bins: int, n_avg: int, seed: int) -> np.ndarray:
-    """Multiplicative noise factors: Gamma(n_avg, 1/n_avg) per bin, Philox-keyed."""
+    """Multiplicative noise factors: Gamma(n_avg, 1/n_avg) per bin, Philox-keyed;
+    n_avg and seed range as in `NoiseConfig`."""
+    _require("n_bins", n_bins, ge=0)
+    _require("n_avg", n_avg, ge=1)
+    _require("seed", seed, ge=0, lt=2**64)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     return rng.gamma(shape=float(n_avg), scale=1.0 / n_avg, size=n_bins)
 

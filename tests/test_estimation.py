@@ -554,6 +554,44 @@ class TestSeparableNormalEquations:
                 alone = _nnls(normal[i : i + 1])
                 assert np.array_equal(alone[0][0], amps[i]) and alone[1][0] == costs[i]
 
+    def test_batched_step_equals_each_request_alone(self, device, device_model, monkeypatch):
+        # one batched step over requests of one shape: two passes sharing a
+        # cold scan, two stencils, a lone coupling and a 20-coupling request.
+        # Each answer is its request's _nnls(normal.gram(g)) bit for bit; the
+        # step takes one _nnls call and ceil(size / _SCAN_BLOCK) basis-row
+        # calls per distinct g, whose blocks hold no other g's couplings
+        trace, _ = output_trace(device, 1e4, n_m_T=39.0, seed=0)
+        kappa, gamma_m = device_model.kappa, device_model.gamma_m
+        delta = TWO_PI * trace.freq_hz - device_model.omega_m
+        shape = _basis_factors(delta, *[getattr(device_model, name) for name in BASIS_ARGS[1:]])
+        scan = np.exp(estimation._log_scan(0.5 * math.sqrt(1e-3 * kappa * gamma_m), 10.0 * kappa))
+        assert scan.size == 77
+        ln_g = math.log(float(scan[40]))
+        couplings = [
+            scan,
+            scan,
+            np.exp(ln_g + np.array([-1e-3, 0.0, 1e-3])),
+            np.exp(ln_g + np.array([-2e-2, 0.0, 2e-2])),
+            np.array([float(scan[30])]),
+            np.exp(np.linspace(ln_g - 1.0, ln_g + 1.0, 20)),
+        ]
+        rng = np.random.default_rng(5)
+        fold = estimation._fold(np.eye(4))
+        requests = [
+            (_Pass(shape, trace.n_avg * rng.uniform(0.5, 2.0, delta.size) / trace.values**2, trace.values, fold), g)
+            for g in couplings
+        ]
+        alone = [_nnls(normal.gram(g)) for normal, g in requests]
+        calls, nnls, basis_row = [], estimation._nnls, estimation._basis_row
+        monkeypatch.setattr(estimation, "_nnls", lambda normal: calls.append("nnls") or nnls(normal))
+        monkeypatch.setattr(estimation, "_basis_row", lambda *args: calls.append("row") or basis_row(*args))
+        batched = estimation._solve(requests)
+        distinct = {g.tobytes(): g.size for g in couplings}
+        assert calls.count("nnls") == 1
+        assert calls.count("row") == sum(-(-size // estimation._SCAN_BLOCK) for size in distinct.values()) == 10
+        for (amps, costs), (amps_alone, costs_alone) in zip(batched, alone, strict=True):
+            assert np.array_equal(amps, amps_alone) and np.array_equal(costs, costs_alone)
+
 
 class TestTraceFit:
     def test_summed_profile_cost_is_least_at_the_true_coupling(self, device):

@@ -108,6 +108,13 @@ class TestOptimizerContracts:
         with pytest.raises(ParameterError, match="cannot free"):
             em.fit_full_model(trace, device_model, free=DEFAULT_FREE + ("omega_m",))
 
+    def test_empty_free_rejected(self, device, device_model):
+        # once ran three IRLS passes and raised numpy's "need at least one
+        # array to concatenate" from the covariance
+        trace, _ = output_trace(device, 4000.0, seed=0, points=256)
+        with pytest.raises(ParameterError, match="^free names no parameter$"):
+            em.fit_full_model(trace, device_model, free=())
+
 
 class TestWeightedPass:
     def test_runs_once_per_irls_pass(self, device, device_model, monkeypatch):

@@ -95,6 +95,21 @@ class TestGenerateSpectrum:
 
 
 class TestPeriodogramFactors:
+    @pytest.mark.parametrize("name, args", [
+        ("seed", (16, 500, -1)),
+        ("seed", (16, 500, 2**64)),
+        ("n_avg", (16, math.nan, 0)),
+        ("n_avg", (16, math.inf, 0)),
+        ("n_avg", (16, 0, 0)),
+        ("n_avg", (16, 0.5, 0)),
+        ("n_bins", (-1, 500, 0)),
+    ])
+    def test_out_of_range_rejected(self, name, args):
+        # each once raised OverflowError, ZeroDivisionError or numpy's
+        # "negative dimensions", or returned factors (all nan for nan or inf)
+        with pytest.raises(ParameterError, match=f"^{name} must be a finite number"):
+            periodogram_factors(*args)
+
     def test_platform_stable_draws(self):
         # Philox is counter-based; freeze the first draws of seed 0 so a
         # silent generator change cannot slip through
