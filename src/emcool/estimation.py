@@ -12,8 +12,11 @@ from the last pass's node, and solves the amplitudes at that g.  The basis
 row s there (`spectra._basis_row`, the arithmetic of the normal equations)
 gives, through `spectra._spectrum` as in `output_noise_values`, the pass's
 model, whose sigmas model/sqrt(n_avg) weight the next pass, and, after the
-last pass, J in closed form: the basis, and g's column from ds/dg.  One
-J^T J serves the covariance inv(J^T J) and the degeneracy check.
+last pass, J in closed form, built as rows at that s, one per free
+parameter: the basis, and g's row from ds/dg, so that a covariance over a
+subset of the free parameters (ROADMAP item 10's active set) is a
+selection of rows.  One J^T J = jac @ jac.T serves the covariance
+inv(J^T J) and the degeneracy check.
 The IRLS loop (`_TraceFit.passes`), its pass (`_weighted_steps`) and the
 pass's g profile (`_profile_steps`) are generators, which yield what they
 need answered (nodes to cost; couplings g at which to solve the pass's
@@ -21,10 +24,11 @@ normal equations), and one driver, `_lockstep`, answers them: each batched
 step answers the next request of every fit it runs with one `_nnls` call,
 requests at equal couplings sharing one `_basis_row` call per block of
 `_SCAN_BLOCK` of them.  `fit_full_model` runs its fit there as a chunk of
-one.  `analyze_cooling_sweep` builds every
-point's object where it checks the point, groups the objects by grid alone
-(every point's shape values are the device's), and runs a grid's points,
-which share their shape factors, up to `_SHARED_SCANS` at once; a point's
+one.  `analyze_cooling_sweep` builds every point's object where it checks
+the point, groups the objects by grid alone (every point's shape values
+are the device's), and runs a grid's points up to `_SHARED_SCANS` at once.
+A grid's points share their shape factors, and its points of one free set
+their g scan and fold as well, which the first of them builds; a point's
 result equals its `fit_full_model` bit for bit.  kappa, delta_tilde and
 gamma_m are never fitted: they are measured independently, kappa and
 delta_tilde by a probe tone at each drive power and gamma_m from the
@@ -518,31 +522,47 @@ def fit_weighted(normal: _Pass, scan: np.ndarray | None, g: float, start: float 
 class _TraceFit:
     """One trace's separable fit: its set-up, built once, and its IRLS state,
     the values and the sigmas that weight the next pass (from the data at
-    first).  `passes` alternates `normal` and `update`, then takes `result`;
-    `_lockstep` runs it.  `shape`, when given, is the `_basis_factors` of
-    the trace's grid and of params' values, shared with other traces on
-    that grid."""
+    first).  `passes` alternates `normal` and `update`, then takes `result`,
+    which builds J as rows, one per free parameter, at the last pass's row
+    s; `_lockstep` runs it.  `shape`, when given, is the `_basis_factors`
+    of the trace's grid and of params' values, shared with other traces on
+    that grid; `scan` and `fold`, when given, are the g scan and the
+    `_fold` of another fit with params' values and the same free set, so
+    that a sweep's points of one grid share their scan and fold as well as
+    their shape factors."""
 
-    def __init__(self, trace: SpectrumTrace, params: ModelParams, free: Sequence[str], shape: tuple | None = None) -> None:
+    def __init__(
+        self,
+        trace: SpectrumTrace,
+        params: ModelParams,
+        free: Sequence[str],
+        shape: tuple | None = None,
+        scan: np.ndarray | None = None,
+        fold: np.ndarray | None = None,
+    ) -> None:
         if trace.unit is not SpectrumUnit.QUANTA:
             raise UnitError(f"full-model fit needs a quanta trace, got {trace.unit.value}")
         self.free = _check_free(free)
         self.data, self.n_avg = trace.values, trace.n_avg
         self.amps = amps = tuple(name for name in self.free if name in _AMPLITUDES)
         self.values = dict(vars(params))
-        # normal equations = coef (weighted Gram matrix of 1, A, B, data) coef^T:
-        # one row per free amplitude, then data minus the fixed part of the model
-        coef = np.zeros((len(amps) + 1, 4))
-        coef[-1] = [-0.5, 0.0, 0.0, 1.0]
-        for j, name in enumerate(_AMPLITUDES):
-            if name in amps:
-                coef[amps.index(name), j] = 1.0
-            else:
-                coef[-1, j] -= self.values[name]
-        self.fold = _fold(coef)
-        self.scan = None
-        if "g" in self.free:  # 16 nodes per decade of g, from optical damping 4g^2/kappa = 1e-3 gamma_m to g = 10 kappa
-            self.scan = _log_scan(0.5 * math.sqrt(1e-3 * params.kappa * params.gamma_m), 10.0 * params.kappa)
+        if fold is None:
+            # normal equations = coef (weighted Gram matrix of 1, A, B, data) coef^T:
+            # one row per free amplitude, then data minus the fixed part of the model
+            coef = np.zeros((len(amps) + 1, 4))
+            coef[-1] = [-0.5, 0.0, 0.0, 1.0]
+            for j, name in enumerate(_AMPLITUDES):
+                if name in amps:
+                    coef[amps.index(name), j] = 1.0
+                else:
+                    coef[-1, j] -= self.values[name]
+            fold = _fold(coef)
+        self.fold = fold
+        if "g" not in self.free:
+            scan = None
+        elif scan is None:  # 16 nodes per decade of g, from optical damping 4g^2/kappa = 1e-3 gamma_m to g = 10 kappa
+            scan = _log_scan(0.5 * math.sqrt(1e-3 * params.kappa * params.gamma_m), 10.0 * params.kappa)
+        self.scan = scan
         if shape is None:
             delta = TWO_PI * trace.freq_hz - params.omega_m
             shape = _basis_factors(delta, params.kappa, params.kappa_ex, params.gamma_m, params.delta_tilde, params.beta)
@@ -551,7 +571,8 @@ class _TraceFit:
 
     def normal(self) -> _Pass:
         """The normal equations under the weights of the current sigmas."""
-        return _Pass(self.shape, 1.0 / (self.sigma * self.sigma), self.data, self.fold)
+        w = np.multiply(self.sigma, self.sigma)
+        return _Pass(self.shape, np.divide(1.0, w, out=w), self.data, self.fold)
 
     def update(self, fitted: Sequence[float]) -> float:
         """Take a pass's g and free amplitudes; the row s at that g gives the
@@ -561,7 +582,10 @@ class _TraceFit:
         g, self.s = values["g"], _basis_row(self.shape, values["g"])  # as in `_Pass.gram`
         self.model = _spectrum(self.shape, self.s, g, values["n_c"], values["n_m_T"], values["n_add_eff"])
         previous, self.sigma = self.sigma, _sigma_from_model(self.model, self.n_avg)
-        return float(np.max(np.abs(self.sigma - previous) / previous))
+        move = np.subtract(self.sigma, previous)
+        np.abs(move, out=move)
+        move /= previous
+        return float(np.max(move))
 
     def passes(self):
         """The IRLS loop, as one generator of `_weighted_steps`' requests,
@@ -581,17 +605,37 @@ class _TraceFit:
 
     def result(self, step_costs: list, message: str) -> FitResult:
         """The fit at the last pass: covariance, flags and residual."""
-        free, values, s = self.free, self.values, self.s
+        free, values, s, sigma = self.free, self.values, self.s, self.sigma
         g, (p, _, k, numer, mech) = values["g"], self.shape
-        # Jacobian in the natural parameters at the last pass's row s: the
-        # amplitude columns are the basis A = s K, B = 4 gamma_m g^2 s, and
-        # g's column its closed-form derivative n_c K s' + n_m_T 4 gamma_m (2 g s + g^2 s')
-        columns = {"n_add_eff": np.ones_like(s), "n_c": s * k, "n_m_T": s * (mech * (g * g))}
-        if "g" in free:
-            ds = -16.0 * g * (4.0 * g * g + p) / numer * (s * s)  # s' = ds/dg
-            columns["g"] = values["n_c"] * k * ds + values["n_m_T"] * mech * (2.0 * g * s + g * g * ds)
-        jac = np.column_stack([columns[name] for name in free]) / self.sigma[:, None]
-        jtj = jac.T @ jac
+        # J in the natural parameters at the last pass's row s, one row per
+        # free parameter divided by the sigmas: the amplitude rows are the
+        # basis A = s K, B = 4 gamma_m g^2 s, and g's row its closed-form
+        # derivative n_c K s' + n_m_T 4 gamma_m (2 g s + g^2 s'), each formed
+        # in place in the order of operations of that closed form, which
+        # keeps the covariance bit for bit
+        jac = np.empty((len(free), s.size))
+        rows = dict(zip(free, jac))
+        if "n_add_eff" in rows:
+            rows["n_add_eff"][:] = 1.0
+        if "n_c" in rows:
+            np.multiply(s, k, out=rows["n_c"])
+        if "n_m_T" in rows:
+            np.multiply(s, mech * (g * g), out=rows["n_m_T"])
+        if "g" in rows:
+            row = rows["g"]
+            ds = np.add(4.0 * g * g, p)  # s' = ds/dg = -16 g (4 g^2 + P) / (4 beta kappa_ex) s^2
+            ds *= -16.0 * g
+            ds /= numer
+            ds *= np.multiply(s, s, out=row)
+            part = np.multiply(k, values["n_c"])
+            part *= ds
+            ds *= g * g
+            np.multiply(s, 2.0 * g, out=row)
+            row += ds
+            row *= values["n_m_T"] * mech
+            row += part
+        jac /= sigma
+        jtj = jac @ jac.T
         amp = [free.index(name) for name in self.amps]
         _check_degenerate(jtj[np.ix_(amp, amp)], self.amps)
         covariance, sigmas = _covariance(jtj)
@@ -599,7 +643,8 @@ class _TraceFit:
         # g is not identified at a scan end, nor when both amplitudes that carry it are zero
         if "g" in free and (not math.exp(self.scan[0]) < g < math.exp(self.scan[-1]) or values["n_c"] == values["n_m_T"] == 0.0):
             flagged.add("g")
-        resid = (self.data - self.model) / self.sigma
+        resid = np.subtract(self.data, self.model)
+        resid /= sigma
         return FitResult(
             params={name: values[name] for name in free},
             sigmas=None if sigmas is None else dict(zip(free, sigmas.tolist())),
@@ -951,12 +996,14 @@ def analyze_cooling_sweep(
     Every point's fit object (`_TraceFit`) is built where the point is
     checked.  The good points are grouped by grid alone, since their shape
     values (which also set the g scan) are the device's, and a grid's
-    points share their shape factors.  They are solved in chunks of at most
-    `_SHARED_SCANS` in increasing n_d, whose IRLS passes run in lockstep
-    (`_lockstep`): each batched step costs the next g-profile call or
-    amplitude solve of every fit still running with one `_nnls` call; fits
-    at equal couplings (the chunk's cold g scans, the first step) share
-    one `_basis_row` call per block of `_SCAN_BLOCK` of them.  So a
+    points share their shape factors; those of one free set also share
+    their g scan and fold, built by the first of them, so that a point
+    whose guard pins g or n_c holds its own.  They are solved in chunks of
+    at most `_SHARED_SCANS` in increasing n_d, whose IRLS passes run in
+    lockstep (`_lockstep`): each batched step costs the next g-profile call
+    or amplitude solve of every fit still running with one `_nnls` call;
+    fits at equal couplings (the chunk's cold g scans, the first step)
+    share one `_basis_row` call per block of `_SCAN_BLOCK` of them.  So a
     chunk takes as many steps as its longest fit, and each fit is, bit for
     bit, `fit_full_model` on its trace alone, a chunk of one; a fit that
     raises leaves the chunk, and the others run on.  Each point holds its sigma
@@ -971,6 +1018,9 @@ def analyze_cooling_sweep(
     outcomes: list = []
     # per grid's bytes: its good points' places in outcomes, n_d, g_pred and fit
     groups: dict[bytes, list[tuple[int, float, float, _TraceFit]]] = {}
+    # per grid's bytes and free set: the g scan and fold of its first point's
+    # fit, which the later ones share
+    setups: dict[tuple[bytes, tuple[str, ...]], tuple] = {}
     for n_d, trace in sorted((item for item in sweep if math.isfinite(item[0])), key=lambda item: item[0]):
         try:  # per-point failures must not kill the sweep
             if n_d in seen:
@@ -990,8 +1040,10 @@ def analyze_cooling_sweep(
             _, _, gamma_opt_pred = sideband_rates(g_pred, cavity.kappa, -mech.omega_m, mech.omega_m)
             if gamma_opt_pred < 0.1 * mech.gamma_m:
                 free = tuple(name for name in free if name != "g")
-            group = groups.setdefault(trace.freq_hz.tobytes(), [])
-            fit = _TraceFit(trace, params, free, group[0][3].shape if group else None)
+            grid = trace.freq_hz.tobytes()
+            group = groups.setdefault(grid, [])
+            fit = _TraceFit(trace, params, free, group[0][3].shape if group else None, *setups.get((grid, free), ()))
+            setups.setdefault((grid, free), (fit.scan, fit.fold))
         except Exception as exc:
             outcomes.append((n_d, f"{type(exc).__name__}: {exc}"))
             continue

@@ -1221,6 +1221,57 @@ class TestAnalyzeCoolingSweep:
         # pinned point's solve at its one g
         assert [(size, rows[0]) for size, rows in chunks] == [(3, 2 * self.scan_size(device) + 1), (2, 2 * self.scan_size(device))]
 
+    def test_points_of_a_grid_and_free_set_share_their_set_up(self, device, monkeypatch):
+        # the g scan and fold are built once per grid and free set: the
+        # points of the 600 kHz window with every name free hold the first
+        # one's arrays; the point whose g is pinned there and the 50 kHz
+        # window's points, whose n_c is pinned, hold their own; the W/Hz
+        # point that comes first on the 600 kHz window raises in its set-up
+        # and is excluded alone
+        def trace_on(halfspan_hz, n_d, seed):
+            return output_trace(device, n_d, n_m_T=39.0, seed=seed, points=1024, halfspan_hz=halfspan_hz)[0]
+
+        wide = [(n_d, trace_on(600e3, n_d, 30 + i)) for i, n_d in enumerate((0.1, 500.0, 1e3, 1e4, 1e5))]
+        narrow = [(n_d, trace_on(50e3, n_d, 40 + i)) for i, n_d in enumerate((3e3, 3e4))]
+        watts = wide[1][1]
+        wide[1] = (500.0, em.SpectrumTrace(watts.freq_hz, watts.values, em.SpectrumUnit.WATTS_PER_HZ, {}))
+        entries = wide + narrow
+        built = []
+
+        class Recorded(estimation._TraceFit):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        thermal = em.ThermalState(n_m_T=39.0, n_c=0.0)
+        alone = [em.analyze_cooling_sweep([entry], device, thermal) for entry in entries]
+        monkeypatch.setattr(estimation, "_TraceFit", Recorded)
+        curve = em.analyze_cooling_sweep(entries, device, thermal)
+        fits = {n_d: next(fit for fit in built if fit.data is trace.values) for n_d, trace in entries if n_d != 500.0}
+        assert len(built) == len(fits) == 6
+        first, *rest = (fits[n_d] for n_d in (1e3, 1e4, 1e5))
+        assert first.free == DEFAULT_FREE and first.scan is not None
+        for fit in rest:
+            assert fit.free == first.free
+            assert fit.scan is first.scan and fit.fold is first.fold and fit.shape is first.shape
+        pinned_g, pinned_nc = fits[0.1], (fits[3e3], fits[3e4])
+        assert "g" not in pinned_g.free and pinned_g.scan is None
+        assert pinned_g.fold is not first.fold and pinned_g.shape is first.shape
+        assert "n_c" not in pinned_nc[0].free and pinned_nc[0].free == pinned_nc[1].free
+        assert pinned_nc[1].scan is pinned_nc[0].scan and pinned_nc[1].fold is pinned_nc[0].fold
+        assert pinned_nc[0].scan is not first.scan and pinned_nc[0].fold is not first.fold
+        assert pinned_nc[0].shape is not first.shape
+        # the excluded point is excluded alone, and the curve is its points' curves alone
+        assert [(n_d, reason.split(":")[0]) for n_d, reason in curve.excluded] == [(500.0, "UnitError")]
+        assert [sp.point.n_d for sp in curve.points] == [0.1, 1e3, 3e3, 1e4, 3e4, 1e5]
+        expected = em.CoolingCurve(
+            points=tuple(sorted((sp for c in alone for sp in c.points), key=lambda sp: sp.point.n_d)),
+            excluded=tuple(item for c in alone for item in c.excluded),
+        )
+        assert curve.to_json() == expected.to_json()
+        for sp, other in zip(curve.points, expected.points):
+            assert sp.fit.to_json() == other.fit.to_json() and sp.fit.step_costs == other.fit.step_costs
+
     @pytest.mark.parametrize("free", [DEFAULT_FREE, ("n_m_T", "n_c", "n_add_eff")])
     def test_a_fit_alone_is_a_chunk_of_one(self, device, device_model, monkeypatch, free):
         # fit_full_model runs its passes through _lockstep as a chunk of one

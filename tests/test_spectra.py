@@ -751,6 +751,12 @@ class TestTraceCsv:
         em.write_trace(trace, path)
         assert path.read_bytes() == trace_to_csv(trace).encode("utf-8")
         assert em.read_trace(path).meta == trace.meta
+        # a key that is not ASCII and a value of four-byte UTF-8 characters:
+        # trace_to_csv's text is the file's bytes decoded
+        trace = trace.with_meta(température="4 K", symbol="𝜅/2π ≈ 𝟏𝟎𝟎 kHz")
+        em.write_trace(trace, path)
+        assert path.read_bytes().decode("utf-8") == trace_to_csv(trace)
+        assert em.read_trace(path).meta == trace.meta
 
 
 class TestGrids:
