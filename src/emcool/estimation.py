@@ -27,9 +27,9 @@ requests at equal couplings sharing one `_basis_row` call per block of
 one.  `analyze_cooling_sweep` builds every point's object where it checks
 the point, groups the objects by grid alone (every point's shape values
 are the device's), and runs a grid's points up to `_SHARED_SCANS` at once.
-A grid's points share their shape factors, and its points of one free set
-their g scan and fold as well, which the first of them builds; a point's
-result equals its `fit_full_model` bit for bit.  kappa, delta_tilde and
+A grid's points share their shape factors, and the points of one free set
+their g scan and fold, which the first of them builds; a point's result
+equals its `fit_full_model` bit for bit.  kappa, delta_tilde and
 gamma_m are never fitted: they are measured independently, kappa and
 delta_tilde by a probe tone at each drive power and gamma_m from the
 low-drive line width.  Any subset of {g, n_m_T, n_c, n_add_eff} may be freed.
@@ -528,8 +528,7 @@ class _TraceFit:
     of the trace's grid and of params' values, shared with other traces on
     that grid; `scan` and `fold`, when given, are the g scan and the
     `_fold` of another fit with params' values and the same free set, so
-    that a sweep's points of one grid share their scan and fold as well as
-    their shape factors."""
+    that a sweep's points of one free set share their scan and fold."""
 
     def __init__(
         self,
@@ -571,8 +570,7 @@ class _TraceFit:
 
     def normal(self) -> _Pass:
         """The normal equations under the weights of the current sigmas."""
-        w = np.multiply(self.sigma, self.sigma)
-        return _Pass(self.shape, np.divide(1.0, w, out=w), self.data, self.fold)
+        return _Pass(self.shape, 1.0 / (self.sigma * self.sigma), self.data, self.fold)
 
     def update(self, fitted: Sequence[float]) -> float:
         """Take a pass's g and free amplitudes; the row s at that g gives the
@@ -582,10 +580,7 @@ class _TraceFit:
         g, self.s = values["g"], _basis_row(self.shape, values["g"])  # as in `_Pass.gram`
         self.model = _spectrum(self.shape, self.s, g, values["n_c"], values["n_m_T"], values["n_add_eff"])
         previous, self.sigma = self.sigma, _sigma_from_model(self.model, self.n_avg)
-        move = np.subtract(self.sigma, previous)
-        np.abs(move, out=move)
-        move /= previous
-        return float(np.max(move))
+        return float(np.max(np.abs(self.sigma - previous) / previous))
 
     def passes(self):
         """The IRLS loop, as one generator of `_weighted_steps`' requests,
@@ -996,14 +991,16 @@ def analyze_cooling_sweep(
     Every point's fit object (`_TraceFit`) is built where the point is
     checked.  The good points are grouped by grid alone, since their shape
     values (which also set the g scan) are the device's, and a grid's
-    points share their shape factors; those of one free set also share
-    their g scan and fold, built by the first of them, so that a point
-    whose guard pins g or n_c holds its own.  They are solved in chunks of
-    at most `_SHARED_SCANS` in increasing n_d, whose IRLS passes run in
-    lockstep (`_lockstep`): each batched step costs the next g-profile call
-    or amplitude solve of every fit still running with one `_nnls` call;
-    fits at equal couplings (the chunk's cold g scans, the first step)
-    share one `_basis_row` call per block of `_SCAN_BLOCK` of them.  So a
+    points share their shape factors.  The points of one free set share
+    their g scan and fold, built by the first of them (both depend on the
+    device and the pinned values alone, the same at every point), so that
+    a point whose guard pins g or n_c holds its own.  They are solved in
+    chunks of at most `_SHARED_SCANS` in increasing n_d, whose IRLS passes
+    run in lockstep (`_lockstep`): each batched step costs the next
+    g-profile call or amplitude solve of every fit still running with one
+    `_nnls` call; fits at equal couplings (the chunk's cold g scans, the
+    first step) share one `_basis_row` call per block of `_SCAN_BLOCK` of
+    them.  So a
     chunk takes as many steps as its longest fit, and each fit is, bit for
     bit, `fit_full_model` on its trace alone, a chunk of one; a fit that
     raises leaves the chunk, and the others run on.  Each point holds its sigma
@@ -1018,9 +1015,9 @@ def analyze_cooling_sweep(
     outcomes: list = []
     # per grid's bytes: its good points' places in outcomes, n_d, g_pred and fit
     groups: dict[bytes, list[tuple[int, float, float, _TraceFit]]] = {}
-    # per grid's bytes and free set: the g scan and fold of its first point's
-    # fit, which the later ones share
-    setups: dict[tuple[bytes, tuple[str, ...]], tuple] = {}
+    # per free set: the g scan and fold of its first point's fit, which the
+    # later ones share (they depend on the device and the pinned values alone)
+    setups: dict[tuple[str, ...], tuple] = {}
     for n_d, trace in sorted((item for item in sweep if math.isfinite(item[0])), key=lambda item: item[0]):
         try:  # per-point failures must not kill the sweep
             if n_d in seen:
@@ -1040,10 +1037,9 @@ def analyze_cooling_sweep(
             _, _, gamma_opt_pred = sideband_rates(g_pred, cavity.kappa, -mech.omega_m, mech.omega_m)
             if gamma_opt_pred < 0.1 * mech.gamma_m:
                 free = tuple(name for name in free if name != "g")
-            grid = trace.freq_hz.tobytes()
-            group = groups.setdefault(grid, [])
-            fit = _TraceFit(trace, params, free, group[0][3].shape if group else None, *setups.get((grid, free), ()))
-            setups.setdefault((grid, free), (fit.scan, fit.fold))
+            group = groups.setdefault(trace.freq_hz.tobytes(), [])
+            fit = _TraceFit(trace, params, free, group[0][3].shape if group else None, *setups.get(free, ()))
+            setups.setdefault(free, (fit.scan, fit.fold))
         except Exception as exc:
             outcomes.append((n_d, f"{type(exc).__name__}: {exc}"))
             continue

@@ -231,12 +231,7 @@ def _spectrum(factors: tuple, s: np.ndarray, g: float, n_c: float, n_m_T: float,
     """1/2 + n_add' + n_c A + n_m^T B = 1/2 + n_add' + s (n_c K + n_m^T 4 gamma_m g^2)
     from the factors of `_basis_factors` and their row s at g (`_basis_row`)."""
     _, _, k, _, mech = factors
-    # in place, in the order of operations of the sum above, which keeps its bits
-    model = np.multiply(k, n_c)
-    model += n_m_T * (mech * (g * g))
-    model *= s
-    model += 0.5 + n_add_eff
-    return model
+    return 0.5 + n_add_eff + s * (n_c * k + n_m_T * (mech * (g * g)))
 
 
 def output_noise_spectrum(freq_hz, params: ModelParams) -> SpectrumTrace:
@@ -446,13 +441,6 @@ def trace_to_csv(trace: SpectrumTrace) -> str:
     values whose rounding it cannot prove.  Metadata that its `# key=value`
     line would not give back raises ParameterError naming the key.
     """
-    head, table = _csv_parts(trace)
-    return head + table.decode("ascii")
-
-
-def _csv_parts(trace: SpectrumTrace) -> tuple[str, bytes]:
-    """`trace_to_csv`'s text up to and with its `freq_hz,value` line, and
-    the ASCII bytes of its table."""
     lines = [f"# unit={trace.unit.value}"]
     for key, value in trace.meta.items():
         text = f"{value:.17g}" if isinstance(value, float) else f"{value}"
@@ -469,7 +457,7 @@ def _csv_parts(trace: SpectrumTrace) -> tuple[str, bytes]:
                                  f"string that does not read as a number, got {value!r}")
         lines.append(f"# {key}={text}")
     lines.append("freq_hz,value")
-    return "\n".join(lines) + "\n", format_rows((trace.freq_hz, trace.values))
+    return "\n".join(lines) + "\n" + format_rows((trace.freq_hz, trace.values)).decode("ascii")
 
 
 def _read_preamble(lines, source: str) -> tuple[SpectrumUnit, dict, int]:
@@ -578,13 +566,9 @@ def _parse_meta_value(value: str):
 
 def write_trace(trace: SpectrumTrace, path: str | Path) -> None:
     """Write `trace` as a trace CSV file: the UTF-8 bytes of
-    `trace_to_csv(trace)` (`\\n` line ends on every platform), whose table,
-    the bytes of `_g17.format_rows`, is written as it is, never through text."""
-    head, table = _csv_parts(trace)
-    head_bytes = head.encode("utf-8")  # before the file is opened: a bad trace writes nothing
-    with open(path, "wb") as file:
-        file.write(head_bytes)
-        file.write(table)
+    `trace_to_csv(trace)`, written as they are (`\\n` line ends on every
+    platform)."""
+    Path(path).write_bytes(trace_to_csv(trace).encode("utf-8"))
 
 
 # numpy's reader opens a path through `np.lib._datasource`, which decompresses

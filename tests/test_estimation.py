@@ -1221,10 +1221,10 @@ class TestAnalyzeCoolingSweep:
         # pinned point's solve at its one g
         assert [(size, rows[0]) for size, rows in chunks] == [(3, 2 * self.scan_size(device) + 1), (2, 2 * self.scan_size(device))]
 
-    def test_points_of_a_grid_and_free_set_share_their_set_up(self, device, monkeypatch):
-        # the g scan and fold are built once per grid and free set: the
-        # points of the 600 kHz window with every name free hold the first
-        # one's arrays; the point whose g is pinned there and the 50 kHz
+    def test_points_of_a_free_set_share_their_set_up(self, device, monkeypatch):
+        # the g scan and fold are built once per free set: the points with
+        # every name free, on the 600 kHz window and the 300 kHz one, hold
+        # the first one's arrays; the point whose g is pinned and the 50 kHz
         # window's points, whose n_c is pinned, hold their own; the W/Hz
         # point that comes first on the 600 kHz window raises in its set-up
         # and is excluded alone
@@ -1233,9 +1233,10 @@ class TestAnalyzeCoolingSweep:
 
         wide = [(n_d, trace_on(600e3, n_d, 30 + i)) for i, n_d in enumerate((0.1, 500.0, 1e3, 1e4, 1e5))]
         narrow = [(n_d, trace_on(50e3, n_d, 40 + i)) for i, n_d in enumerate((3e3, 3e4))]
+        other = [(3e5, trace_on(300e3, 3e5, 50))]
         watts = wide[1][1]
         wide[1] = (500.0, em.SpectrumTrace(watts.freq_hz, watts.values, em.SpectrumUnit.WATTS_PER_HZ, {}))
-        entries = wide + narrow
+        entries = wide + narrow + other
         built = []
 
         class Recorded(estimation._TraceFit):
@@ -1248,12 +1249,15 @@ class TestAnalyzeCoolingSweep:
         monkeypatch.setattr(estimation, "_TraceFit", Recorded)
         curve = em.analyze_cooling_sweep(entries, device, thermal)
         fits = {n_d: next(fit for fit in built if fit.data is trace.values) for n_d, trace in entries if n_d != 500.0}
-        assert len(built) == len(fits) == 6
+        assert len(built) == len(fits) == 7
         first, *rest = (fits[n_d] for n_d in (1e3, 1e4, 1e5))
         assert first.free == DEFAULT_FREE and first.scan is not None
         for fit in rest:
             assert fit.free == first.free
             assert fit.scan is first.scan and fit.fold is first.fold and fit.shape is first.shape
+        elsewhere = fits[3e5]
+        assert elsewhere.free == first.free and elsewhere.shape is not first.shape
+        assert elsewhere.scan is first.scan and elsewhere.fold is first.fold
         pinned_g, pinned_nc = fits[0.1], (fits[3e3], fits[3e4])
         assert "g" not in pinned_g.free and pinned_g.scan is None
         assert pinned_g.fold is not first.fold and pinned_g.shape is first.shape
@@ -1263,7 +1267,7 @@ class TestAnalyzeCoolingSweep:
         assert pinned_nc[0].shape is not first.shape
         # the excluded point is excluded alone, and the curve is its points' curves alone
         assert [(n_d, reason.split(":")[0]) for n_d, reason in curve.excluded] == [(500.0, "UnitError")]
-        assert [sp.point.n_d for sp in curve.points] == [0.1, 1e3, 3e3, 1e4, 3e4, 1e5]
+        assert [sp.point.n_d for sp in curve.points] == [0.1, 1e3, 3e3, 1e4, 3e4, 1e5, 3e5]
         expected = em.CoolingCurve(
             points=tuple(sorted((sp for c in alone for sp in c.points), key=lambda sp: sp.point.n_d)),
             excluded=tuple(item for c in alone for item in c.excluded),
